@@ -17,8 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .orders import forced_periods, sharkovskii_le
 from .patterns import CENTER_INDEX, Arc, MarkedPoint, StarPattern, arc, validate
 from .plmap import (
@@ -128,44 +126,41 @@ def render_dot(g: CoverDigraph) -> str:
 
 # ------------------------------------------------------------ walk lengths
 
-def _adjacency_matrix(g: CoverDigraph) -> np.ndarray:
+def _walk_spectra(g: CoverDigraph, bound: int) -> tuple[set[int], set[int]]:
+    """Both walk-length sets up to ``bound``, from the diagonals of the
+    exact integer adjacency-matrix powers A^1, ..., A^bound."""
+    if bound < 1:
+        raise ValueError("bound must be positive")
     size = len(g.vertices)
-    a = np.zeros((size, size), dtype=object)
-    for i, j in g.edges():
-        a[i, j] = 1
-    return a
+    power = [[int(i == j) for j in range(size)] for i in range(size)]
+    closed, loop_only = set(), set()
+    for p in range(1, bound + 1):
+        nxt = [[0] * size for _ in range(size)]
+        for row, out in zip(power, nxt):
+            for k, count in enumerate(row):
+                for j in g.adjacency[k]:
+                    out[j] += count
+        power = nxt
+        diagonal = [power[i][i] for i in range(size)]
+        if sum(diagonal) > 0:
+            closed.add(p)
+        if sum(diagonal) == 1:
+            w = diagonal.index(1)
+            if g.has_edge(w, w):
+                loop_only.add(p)
+    return closed, loop_only
 
 
 def closed_walk_lengths(g: CoverDigraph, bound: int) -> set[int]:
     """Lengths p <= bound for which the digraph has a closed walk, by exact
     adjacency-matrix powers."""
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    a = _adjacency_matrix(g)
-    power = np.eye(len(g.vertices), dtype=object)
-    out = set()
-    for p in range(1, bound + 1):
-        power = power @ a
-        if int(np.trace(power)) > 0:
-            out.add(p)
-    return out
+    return _walk_spectra(g, bound)[0]
 
 
 def self_loop_only_lengths(g: CoverDigraph, bound: int) -> set[int]:
     """Lengths p <= bound for which the only closed walk is the repetition
     of a single self-loop."""
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    a = _adjacency_matrix(g)
-    power = np.eye(len(g.vertices), dtype=object)
-    out = set()
-    for p in range(1, bound + 1):
-        power = power @ a
-        if int(np.trace(power)) == 1:
-            w = next(i for i in range(len(g.vertices)) if power[i, i] == 1)
-            if a[w, w] == 1:
-                out.add(p)
-    return out
+    return _walk_spectra(g, bound)[1]
 
 
 # ------------------------------------------------------------- certificates
@@ -218,9 +213,7 @@ class NPlus2Case:
     chain: tuple[ArcEnds, ...]  # B1 (case 1) or B1..B3 (case 2)
 
     def claimed_periods(self, p_max: int) -> set[int]:
-        if self.case_id == 1:
-            return set(range(2, p_max + 1))
-        return {2} | set(range(4, p_max + 1))
+        return {q for q in range(2, p_max + 1) if self.case_id == 1 or q != 3}
 
 
 @dataclass(frozen=True)
@@ -323,6 +316,12 @@ def check_center_theorem(p: StarPattern) -> CenterTheoremCase | None:
     return cert
 
 
+def nplus2_applies(p: StarPattern) -> bool:
+    """The hypothesis of ``check_nplus2_theorem``: an orbit of size n+2
+    meeting every branch of an n-od with n >= 3."""
+    return p.n >= 3 and p.k == p.n + 2 and all(p.branch_size(b) for b in range(1, p.n + 1))
+
+
 def check_nplus2_theorem(p: StarPattern) -> NPlus2Case | None:
     """Certificate for orbits of size n+2 on an n-od hitting every branch:
     when the third image returns to the first image's branch, the pattern
@@ -332,7 +331,7 @@ def check_nplus2_theorem(p: StarPattern) -> NPlus2Case | None:
     problems = validate(p, all_branches=True)
     if problems:
         raise ValueError("invalid pattern: " + "; ".join(problems))
-    if p.n < 3 or p.k != p.n + 2:
+    if not nplus2_applies(p):
         raise ValueError(
             f"requires an orbit of size n+2 on all branches of an n-od with "
             f"n >= 3; got n={p.n}, k={p.k}"
@@ -430,9 +429,7 @@ def _theorem_shortcut(p: StarPattern) -> Genscramble | None:
     c = check_center_theorem(p)
     if c is not None:
         return Genscramble(1, c.u, c.v, (c.span, c.back, c.span))
-    if p.n >= 3 and p.k == p.n + 2 and all(
-        p.branch_size(b) for b in range(1, p.n + 1)
-    ):
+    if nplus2_applies(p):
         c2 = check_nplus2_theorem(p)
         if c2 is not None:
             return Genscramble(1, c2.u, c2.v, (c2.span,) + c2.chain + (c2.span,))
@@ -644,10 +641,7 @@ def periodicity_report(
     if ct is not None:
         for q in sorted(ct.claimed_periods(p_max)):
             claims[q].append(ct)
-    n2 = None
-    if ct is None and p.n >= 3 and p.k == p.n + 2 and all(
-        p.branch_size(b) for b in range(1, p.n + 1)
-    ):
+    if ct is None and nplus2_applies(p):
         n2 = check_nplus2_theorem(p)
         if n2 is not None:
             for q in sorted(n2.claimed_periods(p_max)):
@@ -681,8 +675,7 @@ def periodicity_report(
                 )
 
     chaos = find_genscramble(p, max_iterate)
-    walk_lengths = closed_walk_lengths(g, p_max)
-    loop_only = self_loop_only_lengths(g, p_max)
+    walk_lengths, loop_only = _walk_spectra(g, p_max)
     commentary = [
         "closed walk lengths up to "
         f"{p_max}: {sorted(walk_lengths)}",

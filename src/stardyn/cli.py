@@ -42,9 +42,9 @@ from .patterns import (
     parse_pattern,
 )
 from .plmap import (
-    DEFAULT_CYLINDER_CAP,
     CylinderCapExceeded,
     UncountablePeriodicSet,
+    cylinder_cap,
     oracle_scan,
     realize,
 )
@@ -58,8 +58,6 @@ from .survey import (
 )
 
 __all__ = ["RunConfig", "run", "main"]
-
-_CAP_ENV = "STARDYN_CYLINDER_CAP"
 
 _FORMATS = ("json", "csv", "dot", "text")
 
@@ -86,23 +84,17 @@ class RunConfig:
     pattern_paths: tuple[str, ...]
     p_max: int
     max_iterate: int
-    cylinder_cap: int
     format: str
     out: str | None
     jobs: int
-    seed: int
 
     def __post_init__(self) -> None:
         if self.p_max < 1:
             raise UsageError("--pmax must be a positive integer")
         if self.max_iterate < 1:
             raise UsageError("--max-iterate must be a positive integer")
-        if self.cylinder_cap < 1:
-            raise UsageError(f"{_CAP_ENV} must be a positive integer")
         if self.jobs < 1:
             raise UsageError("--jobs must be a positive integer")
-        if self.seed < 0:
-            raise UsageError("--seed must be a non-negative integer")
         if self.format not in _FORMATS:
             raise UsageError(f"unknown format {self.format!r}; choose from {_FORMATS}")
 
@@ -117,12 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="highest iterate tried for chaos certificates (default 2)",
     )
     common.add_argument("--jobs", type=int, default=1, help="parallel workers for surveys")
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for sampled workloads; outputs never depend on unseeded randomness",
-    )
     common.add_argument("--out", metavar="FILE", help="write output to FILE atomically")
     common.add_argument("--format", choices=_FORMATS, help="output format (subcommand-specific)")
 
@@ -190,14 +176,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cap_text = os.environ.get(_CAP_ENV)
-    if cap_text is None:
-        cap = DEFAULT_CYLINDER_CAP
-    else:
-        try:
-            cap = int(cap_text)
-        except ValueError:
-            raise UsageError(f"{_CAP_ENV} must be a positive integer") from None
+    try:
+        cylinder_cap()
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     fmt = args.format
     allowed = _SUBCOMMAND_FORMATS[args.subcommand]
     if fmt is None:
@@ -214,11 +196,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         pattern_paths=tuple(paths),
         p_max=args.pmax,
         max_iterate=args.max_iterate,
-        cylinder_cap=cap,
         format=fmt,
         out=args.out,
         jobs=args.jobs,
-        seed=args.seed,
     )
 
 
@@ -360,7 +340,7 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> tuple[Outputs, int]
     p = _load_pattern(cfg.pattern_paths[0])
     m = realize(p)
     try:
-        result = oracle_scan(m, args.period, cap=cfg.cylinder_cap)
+        result = oracle_scan(m, args.period)
         rows = [_witness_json(w) for w in result.witnesses]
         if result.family is not None:
             rows.append(_witness_json(result.family, family=True))

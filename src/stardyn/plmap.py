@@ -18,7 +18,7 @@ no periodic points, so the oracle's completeness is unaffected.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .patterns import CENTER_INDEX, Arc, MarkedPoint, StarPattern, arc
@@ -40,6 +40,9 @@ class CylinderCapExceeded(OracleError):
         super().__init__(f"cylinder cap {cap} exceeded")
         self.cap = cap
 
+    def __reduce__(self):
+        return (type(self), (self.cap,))
+
 
 class UncountablePeriodicSet(OracleError):
     """Some iterate is the identity on a whole interval, so the set of
@@ -53,6 +56,9 @@ class UncountablePeriodicSet(OracleError):
         )
         self.period = period
         self.witness = witness
+
+    def __reduce__(self):
+        return (type(self), (self.period, self.witness))
 
 
 class LoopError(ValueError):
@@ -163,20 +169,22 @@ class PLMap:
 
     ``branch_lengths[b]`` is the number of orbit points on branch b (the
     realized length); ``pieces`` partition every occupied branch and each
-    maps into a single closed branch.
+    maps into a single closed branch.  ``by_branch[b]`` lists the
+    (index, piece) pairs of branch b in the order of ``pieces``.
     """
 
     pattern: StarPattern
     branch_lengths: tuple[int, ...]  # index 0 unused
     pieces: tuple[Piece, ...]
+    by_branch: tuple[tuple[tuple[int, Piece], ...], ...] = field(repr=False, compare=False)
 
     def marked_point(self, i: MarkedPoint) -> RationalPoint:
-        if i == CENTER_INDEX:
-            return CENTER
-        return RationalPoint(self.pattern.branch_of(i), Fraction(self.pattern.rank_of(i)))
+        return _marked_point(self.pattern, i)
 
     def pieces_on(self, branch: int) -> tuple[Piece, ...]:
-        return tuple(q for q in self.pieces if q.src == branch)
+        if not 0 <= branch < len(self.by_branch):
+            return ()
+        return tuple(q for _, q in self.by_branch[branch])
 
     def evaluate(self, x: RationalPoint) -> RationalPoint:
         """Exact image of a point."""
@@ -186,8 +194,8 @@ class PLMap:
             0 <= x.coord <= self.branch_lengths[x.branch]
         ):
             raise DomainError(f"{x} is outside the realized star")
-        for q in self.pieces:
-            if q.src == x.branch and q.lo <= x.coord <= q.hi:
+        for _, q in self.by_branch[x.branch]:
+            if q.lo <= x.coord <= q.hi:
                 return make_point(q.dst, q.slope * x.coord + q.offset)
         raise DomainError(f"{x} is outside the realized star")
 
@@ -195,6 +203,12 @@ class PLMap:
         for _ in range(steps):
             x = self.evaluate(x)
         return x
+
+
+def _marked_point(p: StarPattern, i: MarkedPoint) -> RationalPoint:
+    if i == CENTER_INDEX:
+        return CENTER
+    return RationalPoint(p.branch_of(i), Fraction(p.rank_of(i)))
 
 
 def realize(p: StarPattern) -> PLMap:
@@ -208,18 +222,13 @@ def realize(p: StarPattern) -> PLMap:
     for b in range(1, p.n + 1):
         lengths[b] = p.branch_size(b)
 
-    def coord_of(i: MarkedPoint) -> RationalPoint:
-        if i == CENTER_INDEX:
-            return CENTER
-        return RationalPoint(p.branch_of(i), Fraction(p.rank_of(i)))
-
     pieces: list[Piece] = []
     for b in range(1, p.n + 1):
         chain = (CENTER_INDEX,) + p.branch_points(b)
         for r in range(1, len(chain)):
             inner, outer = chain[r - 1], chain[r]
-            a_img = coord_of(p.successor(inner))
-            b_img = coord_of(p.successor(outer))
+            a_img = _marked_point(p, p.successor(inner))
+            b_img = _marked_point(p, p.successor(outer))
             lo, hi = Fraction(r - 1), Fraction(r)
             if a_img.branch == b_img.branch or a_img == CENTER or b_img == CENTER:
                 dst = b_img.branch if a_img == CENTER else a_img.branch
@@ -237,37 +246,29 @@ def realize(p: StarPattern) -> PLMap:
                 pieces.append(Piece(b, lo, split, a_img.branch, down_slope, down_offset))
                 pieces.append(Piece(b, split, hi, b_img.branch, up_slope, up_offset))
     pieces.sort(key=lambda q: (q.src, q.lo))
-    return PLMap(pattern=p, branch_lengths=tuple(lengths), pieces=tuple(pieces))
+    by_branch = tuple(
+        tuple((idx, q) for idx, q in enumerate(pieces) if q.src == b) for b in range(p.n + 1)
+    )
+    return PLMap(p, tuple(lengths), tuple(pieces), by_branch)
 
 
 # ------------------------------------------------------------- set images
 
 def subtree_of_arc(m: PLMap, a: Arc) -> Subtree:
     """The arc as a geometric subtree of the realization."""
-    p = m.pattern
-
-    def coord(i: MarkedPoint) -> tuple[int, Fraction]:
-        if i == CENTER_INDEX:
-            return (0, Fraction(0))
-        return (p.branch_of(i), Fraction(p.rank_of(i)))
-
-    (ba, ca), (bb, cb) = coord(a.a), coord(a.b)
-    if ba == 0:
-        return subtree_from_segments({bb: (Fraction(0), cb)})
-    if bb == 0:
-        return subtree_from_segments({ba: (Fraction(0), ca)})
-    if ba == bb:
-        return subtree_from_segments({ba: (min(ca, cb), max(ca, cb))})
-    return subtree_from_segments({ba: (Fraction(0), ca), bb: (Fraction(0), cb)})
+    x, y = sorted((_marked_point(m.pattern, a.a), _marked_point(m.pattern, a.b)))
+    if x.branch in (0, y.branch):
+        return subtree_from_segments({y.branch: (x.coord, y.coord)})
+    return subtree_from_segments(
+        {x.branch: (Fraction(0), x.coord), y.branch: (Fraction(0), y.coord)}
+    )
 
 
 def image_of_subtree(m: PLMap, s: Subtree) -> Subtree:
     """Exact image of a subtree under one application of the map."""
     out: dict[int, tuple[Fraction, Fraction]] = {}
     for b, lo, hi in s.segments:
-        for q in m.pieces:
-            if q.src != b:
-                continue
+        for _, q in m.by_branch[b]:
             olo, ohi = max(lo, q.lo), min(hi, q.hi)
             if olo >= ohi:
                 continue
@@ -291,10 +292,22 @@ def image_of_arc(m: PLMap, a: Arc, power: int = 1) -> Subtree:
 
 # ------------------------------------------------------- periodic points
 
-def _cap_value(cap: int | None) -> int:
+def cylinder_cap(cap: int | None = None) -> int:
+    """``cap`` when given, else the positive integer in the environment
+    variable STARDYN_CYLINDER_CAP, else the default of 10**6.  Raises
+    ValueError when the variable holds anything but a positive integer."""
     if cap is not None:
         return cap
-    return int(os.environ.get(_CAP_ENV, DEFAULT_CYLINDER_CAP))
+    text = os.environ.get(_CAP_ENV)
+    if text is None:
+        return DEFAULT_CYLINDER_CAP
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{_CAP_ENV} must be a positive integer")
+    return value
 
 
 def _proper_divisors(p: int) -> list[int]:
@@ -320,6 +333,23 @@ def _least_period_is(m: PLMap, pt: RationalPoint, p: int) -> bool:
     return m.iterate(pt, p) == pt
 
 
+_IDENTITY = "identity"
+
+
+def _affine_fixed_point(s: int, d: int, b0: int, cur: int, lo: Fraction, hi: Fraction):
+    """Fixed points of t -> s*t + d, taking [lo, hi] on branch b0 into
+    branch cur: ``_IDENTITY`` when every point is fixed, else the one fixed
+    coordinate (0, the center, whatever the branches), or None."""
+    if s == 1:
+        if d != 0:
+            return None
+        if cur == b0:
+            return _IDENTITY
+        return Fraction(0) if lo <= 0 <= hi else None
+    t = Fraction(d, 1 - s)
+    return t if lo <= t <= hi and (cur == b0 or t == 0) else None
+
+
 @dataclass(frozen=True)
 class Cylinder:
     """A maximal interval on which the p-th iterate is a single affine map:
@@ -340,10 +370,7 @@ def iter_cylinders(m: PLMap, p: int, cap: int | None = None):
     STARDYN_CYLINDER_CAP overrides the default of 10**6)."""
     if p < 1:
         raise ValueError("period must be positive")
-    limit = _cap_value(cap)
-    by_branch: dict[int, list[tuple[int, Piece]]] = {}
-    for idx, q in enumerate(m.pieces):
-        by_branch.setdefault(q.src, []).append((idx, q))
+    limit = cylinder_cap(cap)
     count = 0
     # stack entries: (depth, b0, lo, hi, slope, offset, cur_branch, itinerary)
     stack = [
@@ -359,7 +386,7 @@ def iter_cylinders(m: PLMap, p: int, cap: int | None = None):
             yield Cylinder(b0, lo, hi, s, d, cur, itin)
             continue
         ilo, ihi = (s * lo + d, s * hi + d) if s > 0 else (s * hi + d, s * lo + d)
-        for idx, q in by_branch.get(cur, ()):
+        for idx, q in m.by_branch[cur]:
             olo, ohi = max(ilo, q.lo), min(ihi, q.hi)
             if olo >= ohi:
                 continue
@@ -395,26 +422,17 @@ def oracle_scan(m: PLMap, p: int, cap: int | None = None, first_only: bool = Fal
     cylinders = 0
     for c in iter_cylinders(m, p, cap=cap):
         cylinders += 1
-        b0, lo, hi, s, d, cur, itin = (
-            c.b0, c.lo, c.hi, c.slope, c.offset, c.branch, c.itinerary
-        )
-        if s == 1 and d == 0 and cur == b0:
-            t = _identity_cylinder_representative(m, p, b0, lo, hi, itin)
+        t = _affine_fixed_point(c.slope, c.offset, c.b0, c.branch, c.lo, c.hi)
+        if t is _IDENTITY:
+            t = _identity_cylinder_representative(m, p, c.b0, c.lo, c.hi, c.itinerary)
             if t is not None:
-                fam = PeriodicWitness(
-                    make_point(b0, t), p, itin, _on_center_orbit(m, make_point(b0, t))
-                )
+                pt = make_point(c.b0, t)
+                fam = PeriodicWitness(pt, p, c.itinerary, _on_center_orbit(m, pt))
                 if fam.point not in seen:
                     found.append(fam)
                 return ScanResult(tuple(found), cylinders, fam, False)
-        elif s == 1:
-            # translation on the cylinder: only the center can be fixed
-            if d == 0 and lo <= 0 <= hi:
-                emit(CENTER, itin)
-        else:
-            t = Fraction(d, 1 - s)
-            if lo <= t <= hi and (cur == b0 or t == 0):
-                emit(make_point(b0, t), itin)
+        elif t is not None:
+            emit(make_point(c.b0, t), c.itinerary)
         if found and first_only:
             return ScanResult(tuple(found), cylinders, None, False)
     found.sort(key=lambda w: (w.point.branch, w.point.coord))
@@ -432,14 +450,10 @@ def _identity_cylinder_representative(m, p, b0, lo, hi, itin) -> Fraction | None
         for idx in itin[:dd]:
             q = m.pieces[idx]
             ds, doff, dcur = q.slope * ds, q.slope * doff + q.offset, q.dst
-        if ds == 1 and doff == 0 and dcur == b0:
+        t = _affine_fixed_point(ds, doff, b0, dcur, lo, hi)
+        if t is _IDENTITY:
             return None
-        if ds == 1:
-            if doff == 0 and lo <= 0 <= hi:
-                bad.add(Fraction(0))
-            continue
-        t = Fraction(doff, 1 - ds)
-        if lo <= t <= hi and (dcur == b0 or t == 0):
+        if t is not None:
             bad.add(t)
     steps = len(bad) + 2
     for j in range(steps + 1):
@@ -508,24 +522,13 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
     while stack:
         depth, b0, lo, hi, s, d, cur = stack.pop()
         if depth == p:
-            sol: Fraction | None = None
-            if s == 1:
-                if d == 0 and cur == b0:
-                    sol = lo
-                elif d == 0 and lo <= 0 <= hi:
-                    sol = Fraction(0)
-            else:
-                t = Fraction(d, 1 - s)
-                if lo <= t <= hi and (cur == b0 or t == 0):
-                    sol = t
-            if sol is not None:
-                candidates.append(make_point(b0, sol))
+            t = _affine_fixed_point(s, d, b0, cur, lo, hi)
+            if t is not None:
+                candidates.append(make_point(b0, lo if t is _IDENTITY else t))
             continue
         ilo, ihi = (s * lo + d, s * hi + d) if s >= 0 else (s * hi + d, s * lo + d)
         tb, tlo, thi = _single_segment(targets[depth + 1])
-        for q in m.pieces:
-            if q.src != cur:
-                continue
+        for _, q in m.by_branch[cur]:
             olo, ohi = max(ilo, q.lo), min(ihi, q.hi)
             if olo > ohi:
                 continue

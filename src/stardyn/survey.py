@@ -21,10 +21,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 import networkx as nx
 from networkx.algorithms.isomorphism import DiGraphMatcher
@@ -37,6 +37,7 @@ from .certify import (
     closed_walk_lengths,
     cover_digraph,
     find_cascade,
+    nplus2_applies,
     periodicity_report,
     self_loop_only_lengths,
 )
@@ -156,20 +157,12 @@ def tail_tag(present: frozenset[int] | set[int], p_max: int) -> str:
     return "other"
 
 
-def _relabel(p: StarPattern, perm: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Placements of ``p`` after sending branch ``b`` to ``perm[b - 1]``."""
-    return tuple((perm[b - 1], r) for (b, r) in p.placements)
-
-
 def _class_size(p: StarPattern) -> int:
-    """Number of raw patterns in the branch-relabeling class of ``p``."""
-    stabilizer = sum(
-        1 for perm in permutations(range(1, p.n + 1)) if _relabel(p, perm) == p.placements
-    )
-    total = 1
-    for i in range(2, p.n + 1):
-        total *= i
-    return total // stabilizer
+    """Number of raw patterns in the branch-relabeling class of ``p``: n!
+    over the e! relabelings that only permute the e empty branches, the
+    stabilizer of ``p``."""
+    empty = sum(1 for b in range(1, p.n + 1) if not p.branch_size(b))
+    return math.factorial(p.n) // math.factorial(empty)
 
 
 def _nx_digraph(g: CoverDigraph) -> nx.DiGraph:
@@ -192,10 +185,7 @@ def _analyze_pattern(
     p, p_max, max_iterate = args
     report = periodicity_report(p, p_max=p_max, max_iterate=max_iterate)
     center = check_center_theorem(p) is not None
-    try:
-        nplus2 = check_nplus2_theorem(p) is not None
-    except ValueError:
-        nplus2 = False
+    nplus2 = nplus2_applies(p) and check_nplus2_theorem(p) is not None
     return report, center, nplus2, _class_size(p)
 
 

@@ -157,6 +157,13 @@ def test_analyze_out_is_atomic(ex1_file, tmp_path, capsys):
     assert leftovers == []
 
 
+def test_analyze_pmax_1_report(ex1_file, capsys):
+    assert run(["analyze", "--pattern", ex1_file, "--pmax", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    validate(payload, load_schema("report.schema.json"))
+    assert list(payload["periods"]) == ["1"]
+
+
 def test_analyze_unwritable_out_exits_2(ex1_file, capsys):
     assert run(["analyze", "--pattern", ex1_file, "--out", "/nonexistent/dir/out.json"]) == 2
     assert "cannot write output" in capsys.readouterr().err
@@ -355,14 +362,20 @@ def test_subprocess_byte_identical_outputs(ex1_file):
         assert first.stdout  # nonempty
 
 
-def test_jobs_flag_does_not_change_output(capsys):
+def test_jobs_flag_does_not_change_output(capsys, monkeypatch):
     assert run(["survey", "--n", "3", "--k", "5"]) == 0
     serial = capsys.readouterr().out
     assert run(["survey", "--n", "3", "--k", "5", "--jobs", "3"]) == 0
     assert capsys.readouterr().out == serial
+    # errors raised in worker processes read the same as in-process ones
+    monkeypatch.setenv("STARDYN_CYLINDER_CAP", "50")
+    message = "stardyn: resource cap exceeded: cylinder cap 50 exceeded\n"
+    assert run(["survey", "--n", "3", "--k", "6", "--jobs", "1"]) == 3
+    assert capsys.readouterr().err == message
+    assert run(["survey", "--n", "3", "--k", "6", "--jobs", "2"]) == 3
+    assert capsys.readouterr().err == message
 
 
-def test_seed_flag_accepted_and_validated(capsys):
-    assert run(["orders", "--seed", "7", "--relation", "shark", "--m", "2", "--k", "4"]) == 0
-    capsys.readouterr()
-    assert run(["orders", "--seed", "-1", "--relation", "shark", "--m", "2", "--k", "4"]) == 2
+def test_cli_import_does_not_load_numpy():
+    code = "import stardyn.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)

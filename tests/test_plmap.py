@@ -7,6 +7,7 @@ anchors, independent of later refactors.
 """
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -291,6 +292,17 @@ def test_cylinder_cap_env_override(m2, monkeypatch):
         periodic_points(m2, 10)
     monkeypatch.setenv("STARDYN_CYLINDER_CAP", "1000000")
     assert len(periodic_points(m2, 10)) == EX2_COUNTS[10]
+
+
+def test_oracle_exceptions_survive_pickling():
+    m = realize(parse_pattern("n=1 k=2; b1: 1"))
+    with pytest.raises(UncountablePeriodicSet) as ei:
+        periodic_points(m, 2)
+    for e in (CylinderCapExceeded(50), ei.value):
+        back = pickle.loads(pickle.dumps(e))
+        assert type(back) is type(e)
+        assert str(back) == str(e)
+        assert vars(back) == vars(e)
 
 
 def test_scan_results_are_deterministic(m2):
