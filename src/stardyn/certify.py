@@ -20,18 +20,15 @@ from dataclasses import dataclass
 from .orders import forced_periods, sharkovskii_le
 from .patterns import CENTER_INDEX, Arc, MarkedPoint, StarPattern, arc, validate
 from .plmap import (
+    InconsistencyError,
     PeriodicWitness,
+    PLMap,
     first_witness,
     image_of_arc,
     oracle_scan,
     realize,
     subtree_of_arc,
 )
-
-
-class InconsistencyError(RuntimeError):
-    """A combinatorial certificate claimed a period the exact oracle
-    refutes.  This is always a bug, never a property of the pattern."""
 
 
 # ---------------------------------------------------------- basic intervals
@@ -312,8 +309,15 @@ def check_center_theorem(p: StarPattern) -> CenterTheoremCase | None:
         case_id, u, v, back = 3, x2, CENTER_INDEX, (x1, x2)
     cert = CenterTheoremCase(case_id, u, v, (u, v), back)
     a_arc, b_arc = arc(u, v, p), arc(*back, p)
-    assert _covers(p, a_arc, a_arc) and _covers(p, a_arc, b_arc) and _covers(p, b_arc, a_arc)
+    if not (_covers(p, a_arc, a_arc) and _covers(p, a_arc, b_arc) and _covers(p, b_arc, a_arc)):
+        raise _refuted(cert)
     return cert
+
+
+def _refuted(cert: CenterTheoremCase | NPlus2Case) -> InconsistencyError:
+    return InconsistencyError(
+        f"the coverings of {cert!r} fail although its hypothesis holds — this is a bug"
+    )
 
 
 def nplus2_applies(p: StarPattern) -> bool:
@@ -338,7 +342,8 @@ def check_nplus2_theorem(p: StarPattern) -> NPlus2Case | None:
         )
     if _branch_of(p, 3) != _branch_of(p, 1):
         return None
-    assert set(p.branch_points(p.branch_of(1))) == {1, 3}
+    if set(p.branch_points(p.branch_of(1))) != {1, 3}:
+        raise InconsistencyError(f"{p.to_text()}: x1 and x3 share a branch with other points")
     if p.rank_of(3) < p.rank_of(1):
         cert = NPlus2Case(1, CENTER_INDEX, 3, (CENTER_INDEX, 3), ((CENTER_INDEX, 4),))
         chain_arcs = [arc(CENTER_INDEX, 4, p)]
@@ -353,12 +358,24 @@ def check_nplus2_theorem(p: StarPattern) -> NPlus2Case | None:
         chain_arcs = [arc(*e, p) for e in cert.chain]
     a_arc = arc(*cert.span, p)
     ring = [a_arc] + chain_arcs + [a_arc]
-    assert _covers(p, a_arc, a_arc)
-    assert all(_covers(p, s, t) for s, t in itertools.pairwise(ring))
+    if not (_covers(p, a_arc, a_arc) and all(_covers(p, s, t) for s, t in itertools.pairwise(ring))):
+        raise _refuted(cert)
     if cert.case_id == 2:
         b1, b2 = chain_arcs[0], chain_arcs[1]
-        assert _covers(p, b2, b1) and _arcs_disjoint(b1, b2)
+        if not (_covers(p, b2, b1) and _arcs_disjoint(b1, b2)):
+            raise _refuted(cert)
     return cert
+
+
+def _theorem(p: StarPattern) -> CenterTheoremCase | NPlus2Case | None:
+    """The certificate of whichever theorem applies.  The hypotheses
+    exclude each other: with k = n+2 >= 5, x3 is off the center, so the
+    center theorem holds exactly when x3 leaves the branch of x1 and the
+    n+2 theorem exactly when it stays."""
+    center = check_center_theorem(p)
+    if center is not None or not nplus2_applies(p):
+        return center
+    return check_nplus2_theorem(p)
 
 
 # --------------------------------------------------------------- cascades
@@ -425,17 +442,6 @@ def _ordering_holds(p: StarPattern, u: int, v: int, t: int) -> bool:
     return pos_v < pos_u < len(span.points) - 1
 
 
-def _theorem_shortcut(p: StarPattern) -> Genscramble | None:
-    c = check_center_theorem(p)
-    if c is not None:
-        return Genscramble(1, c.u, c.v, (c.span, c.back, c.span))
-    if nplus2_applies(p):
-        c2 = check_nplus2_theorem(p)
-        if c2 is not None:
-            return Genscramble(1, c2.u, c2.v, (c2.span,) + c2.chain + (c2.span,))
-    return None
-
-
 def find_genscramble(p: StarPattern, max_iterate: int = 2) -> Genscramble | None:
     """Search iterates g of the canonical realization for a chaos
     certificate: an expanding pair g(v) < u < v <= g(u) plus a covering
@@ -444,11 +450,24 @@ def find_genscramble(p: StarPattern, max_iterate: int = 2) -> Genscramble | None
     order (theorem-derived loops first, then pair scan), or None."""
     if max_iterate < 1:
         raise ValueError("max_iterate must be positive")
-    shortcut = _theorem_shortcut(p)
-    if shortcut is not None:
-        assert verify_genscramble(p, shortcut)
-        return shortcut
-    m = realize(p)
+    theorem = _theorem(p)
+    return _find_genscramble(p, realize(p), theorem, max_iterate)
+
+
+def _find_genscramble(
+    p: StarPattern, m: PLMap, theorem: CenterTheoremCase | NPlus2Case | None, max_iterate: int
+) -> Genscramble | None:
+    """``find_genscramble`` on a given realization and theorem certificate.
+    A theorem-derived loop is replayed before it is returned."""
+    if theorem is not None:
+        middle = (theorem.back,) if isinstance(theorem, CenterTheoremCase) else theorem.chain
+        cert = Genscramble(1, theorem.u, theorem.v, (theorem.span,) + middle + (theorem.span,))
+        if not _verify_genscramble(p, m, cert):
+            raise InconsistencyError(
+                f"{p.to_text()}: the chaos certificate {cert!r} derived from "
+                f"{theorem!r} fails its replay — this is a bug"
+            )
+        return cert
     pairs = [
         (a, b)
         for a in range(p.k)
@@ -567,12 +586,15 @@ def _verify_cascade(p: StarPattern, cert: Cascade) -> bool:
 def verify_genscramble(p: StarPattern, cert: Genscramble) -> bool:
     """Independent replay: recheck the ordering condition and every
     covering with fresh exact images."""
+    return _verify_genscramble(p, realize(p), cert)
+
+
+def _verify_genscramble(p: StarPattern, m: PLMap, cert: Genscramble) -> bool:
     t, u, v = cert.iterate, cert.u, cert.v
     if not cert.loop or cert.loop[0] != tuple(sorted((u, v))) and cert.loop[0] != (u, v):
         return False
     if not _ordering_holds(p, u, v, t):
         return False
-    m = realize(p)
     arcs = [arc(*e, p) for e in cert.loop]
     if arc(u, v, p).through_center:
         return False
@@ -610,6 +632,8 @@ class PeriodicityReport:
     chaos: Genscramble | None
     forced_baseline: frozenset[int]
     commentary: tuple[str, ...]
+    theorem: CenterTheoremCase | NPlus2Case | None
+    digraph: CoverDigraph
 
     @property
     def present(self) -> set[int]:
@@ -624,9 +648,15 @@ def periodicity_report(
     p: StarPattern, p_max: int = 10, max_iterate: int = 2
 ) -> PeriodicityReport:
     """Period-by-period account: structural certificates confirmed by the
-    exact oracle, absences by exhaustive scan, chaos by loop search."""
+    exact oracle, absences by exhaustive scan, chaos by loop search.
+
+    The one place a pattern is analyzed: it realizes the pattern, builds
+    the covering digraph and decides the theorem certificate once each,
+    and keeps the last two on the report (``theorem``, ``digraph``)."""
     if p_max < 1:
         raise ValueError("p_max must be positive")
+    if max_iterate < 1:
+        raise ValueError("max_iterate must be positive")
     m = realize(p)
     g = cover_digraph(p)
     forced = frozenset(forced_periods(1, p.k, p_max))
@@ -637,15 +667,10 @@ def periodicity_report(
     for q in sorted(forced):
         if q != p.k and q <= p_max:
             claims[q].append(ForcedPeriod(q, p.k))
-    ct = check_center_theorem(p)
-    if ct is not None:
-        for q in sorted(ct.claimed_periods(p_max)):
-            claims[q].append(ct)
-    if ct is None and nplus2_applies(p):
-        n2 = check_nplus2_theorem(p)
-        if n2 is not None:
-            for q in sorted(n2.claimed_periods(p_max)):
-                claims[q].append(n2)
+    theorem = _theorem(p)
+    if theorem is not None:
+        for q in sorted(theorem.claimed_periods(p_max)):
+            claims[q].append(theorem)
     cascade = find_cascade(g)
     if cascade is not None:
         for q in sorted(cascade.claimed_periods(p_max)):
@@ -674,7 +699,7 @@ def periodicity_report(
                     "absent", (OracleAbsence(q, res.cylinders),)
                 )
 
-    chaos = find_genscramble(p, max_iterate)
+    chaos = _find_genscramble(p, m, theorem, max_iterate)
     walk_lengths, loop_only = _walk_spectra(g, p_max)
     commentary = [
         "closed walk lengths up to "
@@ -701,6 +726,8 @@ def periodicity_report(
         chaos=chaos,
         forced_baseline=forced,
         commentary=tuple(commentary),
+        theorem=theorem,
+        digraph=g,
     )
 
 

@@ -79,15 +79,6 @@ class StarPattern:
     def branch_size(self, b: int) -> int:
         return sum(1 for br, _ in self.placements if br == b)
 
-    def occupied_branches(self) -> tuple[int, ...]:
-        return tuple(b for b in range(1, self.n + 1) if self.branch_size(b) > 0)
-
-    def point_at(self, b: int, r: int) -> MarkedPoint:
-        for i in range(1, self.k):
-            if self.placements[i - 1] == (b, r):
-                return i
-        raise PatternError(f"no orbit point at branch {b} rank {r}")
-
     def to_text(self) -> str:
         parts = [f"n={self.n} k={self.k}"]
         for b, pts in enumerate(self.branches, start=1):

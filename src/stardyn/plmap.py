@@ -65,6 +65,12 @@ class LoopError(ValueError):
     """Input to loop_point is not a covering loop."""
 
 
+class InconsistencyError(RuntimeError):
+    """Two exact derivations of the same fact disagree, e.g. a certificate
+    claims a period the exact oracle refutes.  This is always a bug, never
+    a property of the pattern."""
+
+
 @dataclass(frozen=True, order=True)
 class RationalPoint:
     """A point of the star: branch index (0 for the center) and exact
@@ -459,9 +465,12 @@ def _identity_cylinder_representative(m, p, b0, lo, hi, itin) -> Fraction | None
     for j in range(steps + 1):
         t = lo + (hi - lo) * Fraction(j, steps)
         if t not in bad:
-            assert _least_period_is(m, make_point(b0, t), p)
+            if not _least_period_is(m, make_point(b0, t), p):
+                raise InconsistencyError(
+                    f"identity cylinder point {t} lacks least period {p} — this is a bug"
+                )
             return t
-    raise AssertionError("identity cylinder without a representative")
+    raise InconsistencyError("identity cylinder without a representative — this is a bug")
 
 
 def periodic_points(m: PLMap, p: int, cap: int | None = None) -> list[PeriodicWitness]:
@@ -561,7 +570,7 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
         )
         if ok:
             return pt
-    raise AssertionError("verified loop yielded no fixed point")
+    raise InconsistencyError("verified loop yielded no fixed point — this is a bug")
 
 
 def _single_segment(s: Subtree) -> tuple[int, Fraction, Fraction]:

@@ -30,14 +30,13 @@ import networkx as nx
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from .certify import (
+    CenterTheoremCase,
     CoverDigraph,
+    NPlus2Case,
     PeriodicityReport,
-    check_center_theorem,
-    check_nplus2_theorem,
     closed_walk_lengths,
     cover_digraph,
     find_cascade,
-    nplus2_applies,
     periodicity_report,
     self_loop_only_lengths,
 )
@@ -172,21 +171,22 @@ def _nx_digraph(g: CoverDigraph) -> nx.DiGraph:
     return h
 
 
-def _iso_signature(h: nx.DiGraph) -> tuple:
-    degrees = sorted((h.out_degree(v), h.in_degree(v)) for v in h.nodes)
-    loops = sum(1 for u, v in h.edges if u == v)
-    return (h.number_of_nodes(), h.number_of_edges(), loops, tuple(degrees))
+def _iso_signature(g: CoverDigraph) -> tuple:
+    """Isomorphism invariants: vertex, edge and self-loop counts and the
+    sorted (out-degree, in-degree) pairs."""
+    in_degree = [0] * len(g.adjacency)
+    for row in g.adjacency:
+        for j in row:
+            in_degree[j] += 1
+    degrees = sorted(zip(map(len, g.adjacency), in_degree))
+    loops = sum(1 for i, row in enumerate(g.adjacency) if i in row)
+    return (len(g.adjacency), sum(in_degree), loops, tuple(degrees))
 
 
-def _analyze_pattern(
-    args: tuple[StarPattern, int, int],
-) -> tuple[PeriodicityReport, bool, bool, int]:
+def _analyze_pattern(args: tuple[StarPattern, int, int]) -> PeriodicityReport:
     """Worker: full analysis of one class representative (picklable)."""
     p, p_max, max_iterate = args
-    report = periodicity_report(p, p_max=p_max, max_iterate=max_iterate)
-    center = check_center_theorem(p) is not None
-    nplus2 = nplus2_applies(p) and check_nplus2_theorem(p) is not None
-    return report, center, nplus2, _class_size(p)
+    return periodicity_report(p, p_max=p_max, max_iterate=max_iterate)
 
 
 def classify_all(
@@ -206,6 +206,11 @@ def classify_all(
     digraph-isomorphism levels.  By default only patterns whose orbit
     meets every branch are surveyed.  ``jobs > 1`` analyzes classes in
     parallel; the output is identical either way.
+
+    Each class is analyzed once, by :func:`periodicity_report`; its
+    record reads the theorem flags from ``report.theorem`` and the
+    digraph class from ``report.digraph``.  Classes are bucketed by an
+    isomorphism signature and matched only within their bucket.
     """
     reps = enumerate_patterns(n, k, all_branches=all_branches)
     tasks = [(p, p_max, max_iterate) for p in reps]
@@ -216,21 +221,22 @@ def classify_all(
         analyses = [_analyze_pattern(t) for t in tasks]
 
     records: list[ClassRecord] = []
-    iso_reps: list[tuple[tuple, nx.DiGraph, int]] = []
+    buckets: dict[tuple, list[tuple[CoverDigraph, int]]] = {}
+    digraph_count = 0
     raw_total = 0
-    for idx, (p, (report, center, nplus2, size)) in enumerate(zip(reps, analyses)):
-        graph = _nx_digraph(cover_digraph(p))
-        sig = _iso_signature(graph)
-        digraph_id = -1
-        for other_sig, other_graph, other_id in iso_reps:
-            if other_sig == sig and DiGraphMatcher(graph, other_graph).is_isomorphic():
-                digraph_id = other_id
+    for idx, (p, report) in enumerate(zip(reps, analyses)):
+        bucket = buckets.setdefault(_iso_signature(report.digraph), [])
+        graph = _nx_digraph(report.digraph) if bucket else None
+        for other, digraph_id in bucket:
+            if DiGraphMatcher(graph, _nx_digraph(other)).is_isomorphic():
                 break
-        if digraph_id < 0:
-            digraph_id = len(iso_reps)
-            iso_reps.append((sig, graph, digraph_id))
+        else:
+            digraph_id = digraph_count
+            digraph_count += 1
+            bucket.append((report.digraph, digraph_id))
         present = tuple(sorted(report.present))
         chaos = report.chaos.iterate if report.chaos is not None else None
+        size = _class_size(p)
         raw_total += size
         records.append(
             ClassRecord(
@@ -238,8 +244,8 @@ def classify_all(
                 branch_class=idx,
                 digraph_class=digraph_id,
                 class_size=size,
-                center_theorem=center,
-                nplus2=nplus2,
+                center_theorem=isinstance(report.theorem, CenterTheoremCase),
+                nplus2=isinstance(report.theorem, NPlus2Case),
                 periods_present=present,
                 tail=tail_tag(set(present), p_max),
                 chaos_iterate=chaos,
@@ -449,6 +455,7 @@ REFERENCE_FACTS: dict[str, object] = {
     ),
     "example2_present": (1, 2, 4, 6, 8, 10),
     "example2_chaos": (2, 0, 2),
+    "example2_quoted_modulus": 5,
     "sharkovskii_below_four": (1, 2, 4),
     "class_count": 24,
 }
@@ -482,6 +489,14 @@ def _check_digraph(name: str, pattern_key: str) -> CheckResult:
         parts.append(_diff_edges(found, expected))
         detail = "; ".join(parts)
     return CheckResult(name=name, passed=ok, detail=detail)
+
+
+def _cycle_length(step) -> int:
+    """Length of the cycle of the permutation ``step`` through index 0."""
+    i, length = step(0), 1
+    while i != 0:
+        i, length = step(i), length + 1
+    return length
 
 
 @lru_cache(maxsize=8)
@@ -583,10 +598,15 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
         )
     )
 
+    quoted_modulus = int(REFERENCE_FACTS["example2_quoted_modulus"])
+    ok = (
+        _cycle_length(lambda i: (i + 1) % quoted_modulus) != p2.k
+        and _cycle_length(p2.successor) == p2.k
+    )
     checks.append(
         CheckResult(
             name="example2-successor-modulus",
-            passed=True,
+            passed=ok,
             detail=(
                 "the quoted successor rule for the six-point example reduces indices "
                 "mod 5, which cannot close a six-point cycle; this library reduces "

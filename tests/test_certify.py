@@ -466,3 +466,46 @@ def test_certificate_json_round_shapes(p1):
     assert set(j) == {"kind", "point", "period", "on_center_orbit"}
     num, den = j["point"]["coord"].split("/")
     assert int(num) >= 0 and int(den) >= 1
+
+
+def test_inconsistency_error_is_one_class_in_plmap_and_certify():
+    import stardyn.plmap as plmap_module
+
+    assert certify_module.InconsistencyError is plmap_module.InconsistencyError
+
+
+def test_center_theorem_refuted_covering_raises(monkeypatch):
+    p = parse_pattern("n=3 k=4; b1: 1; b2: 2; b3: 3")
+    monkeypatch.setattr(certify_module, "_covers", lambda p, src, dst: False)
+    with pytest.raises(InconsistencyError, match="bug"):
+        check_center_theorem(p)
+
+
+def test_report_chaos_replay_failure_raises(p1, monkeypatch):
+    monkeypatch.setattr(certify_module, "_verify_genscramble", lambda p, m, cert: False)
+    with pytest.raises(InconsistencyError, match="replay"):
+        periodicity_report(p1)
+
+
+def test_report_carries_theorem_and_digraph(p1, p2):
+    r1, r2 = periodicity_report(p1), periodicity_report(p2)
+    assert r1.theorem == check_nplus2_theorem(p1)
+    assert r2.theorem is None
+    assert r1.digraph == cover_digraph(p1)
+    assert r2.digraph == cover_digraph(p2)
+    p = parse_pattern("n=3 k=4; b1: 1; b2: 2; b3: 3")
+    assert periodicity_report(p).theorem == check_center_theorem(p)
+    assert set(report_to_json(r1)) == {
+        "pattern", "p_max", "max_iterate", "periods", "chaos", "forced_baseline", "commentary"
+    }
+
+
+def test_report_theorem_matches_both_checks_random():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(3, 4)
+        p = random_pattern(rng, n, n + 2, all_branches=True)
+        r = periodicity_report(p, p_max=2, max_iterate=1)
+        center, nplus2 = check_center_theorem(p), check_nplus2_theorem(p)
+        assert (center is None) != (nplus2 is None)
+        assert r.theorem == (center or nplus2)

@@ -177,6 +177,14 @@ def test_analyze_inconsistency_exits_1(ex1_file, monkeypatch, capsys):
     assert "inconsistency" in captured.err
 
 
+def test_analyze_chaos_replay_failure_exits_1(ex1_file, monkeypatch, capsys):
+    monkeypatch.setattr(certify_module, "_verify_genscramble", lambda p, m, cert: False)
+    assert run(["analyze", "--pattern", ex1_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "inconsistency" in captured.err
+
+
 def test_analyze_cap_exceeded_exits_3(ex2_file, monkeypatch, capsys):
     monkeypatch.setenv("STARDYN_CYLINDER_CAP", "5")
     assert run(["analyze", "--pattern", ex2_file]) == 3
@@ -379,3 +387,16 @@ def test_jobs_flag_does_not_change_output(capsys, monkeypatch):
 def test_cli_import_does_not_load_numpy():
     code = "import stardyn.cli, sys; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_verify_paper_under_python_O():
+    # every correctness check is an explicit raise, so -O strips none of them
+    env = dict(os.environ)
+    src = str(Path(certify_module.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "stardyn.cli", "verify-paper"],
+        capture_output=True, env=env, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "12/12 all checks passed" in done.stdout

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import json
 
+import networkx as nx
 import pytest
 
+import stardyn.certify as certify_module
+import stardyn.plmap as plmap_module
+import stardyn.survey as survey_module
+from stardyn.certify import cover_digraph
 from stardyn.orders import forced_periods
 from stardyn.patterns import canonicalize, parse_pattern
 from stardyn.survey import (
@@ -316,6 +321,12 @@ def test_corrupted_period_golden_fails(monkeypatch):
     assert bad == ["example2-periodicity"]
 
 
+def test_corrupted_successor_modulus_fails(monkeypatch):
+    monkeypatch.setitem(REFERENCE_FACTS, "example2_quoted_modulus", 6)
+    bad = [c.name for c in verify_paper().checks if not c.passed]
+    assert bad == ["example2-successor-modulus"]
+
+
 def test_class_count_check_documents_convention():
     rep = verify_paper()
     (check,) = [c for c in rep.checks if c.name == "class-count-reconciliation"]
@@ -324,3 +335,43 @@ def test_class_count_check_documents_convention():
     assert "digraph 30" in check.detail
     assert "raw 180" in check.detail
     assert "24" in check.detail
+
+
+# ---------------------------------------------------------------------------
+# one analysis per class
+# ---------------------------------------------------------------------------
+
+
+def test_classify_all_analyzes_each_class_once(monkeypatch):
+    # every module-level name bound to each function is counted
+    calls = {"realize": 0, "cover_digraph": 0, "check_center_theorem": 0}
+    for name in calls:
+        original = getattr(certify_module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (plmap_module, certify_module, survey_module):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    result = classify_all(3, 6, 10)
+    assert len(result.records) == 120
+    assert calls == {"realize": 120, "cover_digraph": 120, "check_center_theorem": 120}
+
+
+@pytest.mark.parametrize("n,k", [(3, 6), (4, 6)])
+def test_digraph_classes_match_brute_force_isomorphism(n, k):
+    records = classify_all(n, k, 2, max_iterate=1).records
+    graphs = []
+    for r in records:
+        g = cover_digraph(r.pattern)
+        h = nx.DiGraph()
+        h.add_nodes_from(range(len(g.vertices)))
+        h.add_edges_from(g.edges())
+        graphs.append(h)
+    expected: list[int] = []
+    for i, h in enumerate(graphs):
+        first = next((j for j in range(i) if nx.is_isomorphic(h, graphs[j])), None)
+        expected.append(max(expected, default=-1) + 1 if first is None else expected[first])
+    assert [r.digraph_class for r in records] == expected
