@@ -23,6 +23,7 @@ from .plmap import (
     InconsistencyError,
     PeriodicWitness,
     PLMap,
+    _least_period_is,
     first_witness,
     image_of_arc,
     oracle_scan,
@@ -553,13 +554,7 @@ def verify_certificate(p: StarPattern, cert: Certificate, p_max: int = 10) -> bo
     if isinstance(cert, Genscramble):
         return verify_genscramble(p, cert)
     if isinstance(cert, OracleWitness):
-        m = realize(p)
-        w = cert.witness
-        return m.iterate(w.point, w.period) == w.point and not any(
-            m.iterate(w.point, d) == w.point
-            for d in range(1, w.period)
-            if w.period % d == 0
-        )
+        return _least_period_is(realize(p), cert.witness.point, cert.witness.period)
     if isinstance(cert, OracleAbsence):
         return oracle_scan(realize(p), cert.period).witnesses == ()
     raise TypeError(f"unknown certificate {cert!r}")

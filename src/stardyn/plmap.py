@@ -10,6 +10,16 @@ piece has integer slope and offset; compositions of pieces stay integer
 and only interval endpoints ever need fractions.  All arithmetic is
 exact.
 
+The map is Markov over its pieces: each piece lies in one basic interval
+and maps onto a whole union of basic intervals, so ``realize`` records
+every piece's integer image and its successors (the pieces inside that
+image) once.  A cylinder of the p-th iterate is then a walk of length p
+in this piece graph: it maps onto the image of its last piece, and its
+composite slope and offset stay integers.  The exhaustive oracle walks
+the graph in integers and builds a ``Fraction`` only for an accepted
+fixed point; a point's piece is located in integers by a per-branch
+table indexed by basic interval.
+
 Patterns may leave branches empty; those are not realized.  A continuous
 extension constant equal to f(center) exists on an empty branch and adds
 no periodic points, so the oracle's completeness is unaffected.
@@ -177,12 +187,23 @@ class PLMap:
     realized length); ``pieces`` partition every occupied branch and each
     maps into a single closed branch.  ``by_branch[b]`` lists the
     (index, piece) pairs of branch b in the order of ``pieces``.
+
+    The piece graph: ``images[i]`` is the integer image ``(ilo, ihi)`` of
+    piece i on its ``dst``, and ``successors[i]`` the indices of the
+    pieces inside it, in ``by_branch`` order.  ``cells[b][j]`` lists the
+    pieces of basic interval [j, j+1] of branch b as (index, numerator,
+    denominator of the piece's right end).
     """
 
     pattern: StarPattern
     branch_lengths: tuple[int, ...]  # index 0 unused
     pieces: tuple[Piece, ...]
     by_branch: tuple[tuple[tuple[int, Piece], ...], ...] = field(repr=False, compare=False)
+    images: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
+    successors: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    cells: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...] = field(
+        repr=False, compare=False
+    )
 
     def marked_point(self, i: MarkedPoint) -> RationalPoint:
         return _marked_point(self.pattern, i)
@@ -194,16 +215,9 @@ class PLMap:
 
     def evaluate(self, x: RationalPoint) -> RationalPoint:
         """Exact image of a point."""
-        if x == CENTER:
-            return self.marked_point(1 % self.pattern.k)
-        if not 1 <= x.branch <= self.pattern.n or not (
-            0 <= x.coord <= self.branch_lengths[x.branch]
-        ):
-            raise DomainError(f"{x} is outside the realized star")
-        for _, q in self.by_branch[x.branch]:
-            if q.lo <= x.coord <= q.hi:
-                return make_point(q.dst, q.slope * x.coord + q.offset)
-        raise DomainError(f"{x} is outside the realized star")
+        den = x.coord.denominator
+        b, num = _step(self, x.branch, x.coord.numerator, den)
+        return make_point(b, Fraction(num, den))
 
     def iterate(self, x: RationalPoint, steps: int) -> RationalPoint:
         for _ in range(steps):
@@ -255,7 +269,70 @@ def realize(p: StarPattern) -> PLMap:
     by_branch = tuple(
         tuple((idx, q) for idx, q in enumerate(pieces) if q.src == b) for b in range(p.n + 1)
     )
-    return PLMap(p, tuple(lengths), tuple(pieces), by_branch)
+    return PLMap(p, tuple(lengths), tuple(pieces), by_branch, *_piece_graph(pieces, lengths))
+
+
+def _piece_graph(pieces, lengths):
+    """``(images, successors, cells)`` of a piece list sorted by (src, lo),
+    computed in integers (see ``PLMap``).  Raises InconsistencyError unless
+    the pieces partition every branch, each inside one basic interval, and
+    each maps onto a whole union of basic intervals of its ``dst``."""
+    cells = [[[] for _ in range(length)] for length in lengths]
+    ends = [(0, 1)] * len(lengths)  # where the next piece of each branch starts
+    images = []
+    for idx, q in enumerate(pieces):
+        ln, ld, hn, hd = q.lo.numerator, q.lo.denominator, q.hi.numerator, q.hi.denominator
+        j = ln // ld
+        if (ln, ld) != ends[q.src] or j >= lengths[q.src] or hn > (j + 1) * hd:
+            raise InconsistencyError(
+                f"piece {idx} does not continue a partition of branch {q.src} "
+                "into basic intervals — this is a bug"
+            )
+        ends[q.src] = (hn, hd)
+        cells[q.src][j].append((idx, hn, hd))
+        y1, r1 = divmod(q.slope * ln + q.offset * ld, ld)
+        y2, r2 = divmod(q.slope * hn + q.offset * hd, hd)
+        if r1 or r2:
+            raise InconsistencyError(
+                f"piece {idx} has a non-integer image endpoint — this is a bug"
+            )
+        ilo, ihi = min(y1, y2), max(y1, y2)
+        if not 0 <= ilo < ihi <= lengths[q.dst]:
+            raise InconsistencyError(
+                f"the image of piece {idx} cuts through branch {q.dst} — this is a bug"
+            )
+        images.append((ilo, ihi))
+    if any(ends[b] != (lengths[b], 1) for b in range(1, len(lengths))):
+        raise InconsistencyError("the pieces do not cover every branch — this is a bug")
+    successors = tuple(
+        tuple(i for cell in cells[q.dst][ilo:ihi] for i, _, _ in cell)
+        for q, (ilo, ihi) in zip(pieces, images)
+    )
+    cells = tuple(tuple(tuple(cell) for cell in row) for row in cells)
+    return tuple(images), successors, cells
+
+
+def _piece_at(m: PLMap, b: int, num: int, den: int) -> int:
+    """Index of the first piece of branch b, in ``by_branch`` order, that
+    contains the coordinate num/den (den > 0, point on the branch)."""
+    cell = m.cells[b][(num - 1) // den if num else 0]
+    for idx, hn, hd in cell[:-1]:
+        if num * hd <= hn * den:
+            return idx
+    return cell[-1][0]
+
+
+def _step(m: PLMap, b: int, num: int, den: int) -> tuple[int, int]:
+    """One application of the map to the point num/den on branch b, as
+    (branch, numerator) over the same denominator; (0, 0) is the center."""
+    if b == 0 and num == 0:
+        c = _marked_point(m.pattern, 1 % m.pattern.k)
+        return c.branch, c.coord.numerator * den
+    if not 1 <= b < len(m.cells) or not m.cells[b] or not 0 <= num <= m.branch_lengths[b] * den:
+        raise DomainError(f"{RationalPoint(b, Fraction(num, den))} is outside the realized star")
+    q = m.pieces[_piece_at(m, b, num, den)]
+    y = q.slope * num + q.offset * den
+    return (q.dst, y) if y else (0, 0)
 
 
 # ------------------------------------------------------------- set images
@@ -333,10 +410,16 @@ def _on_center_orbit(m: PLMap, pt: RationalPoint) -> bool:
 
 
 def _least_period_is(m: PLMap, pt: RationalPoint, p: int) -> bool:
-    for d in _proper_divisors(p):
-        if m.iterate(pt, d) == pt:
-            return False
-    return m.iterate(pt, p) == pt
+    """Whether pt has least period exactly p: one forward pass in integers
+    over the point's denominator, locating each piece by coordinate and
+    stopping at the first return."""
+    den = pt.coord.denominator
+    start = b, num = pt.branch, pt.coord.numerator
+    for i in range(1, p + 1):
+        b, num = _step(m, b, num, den)
+        if (b, num) == start:
+            return i == p
+    return False
 
 
 _IDENTITY = "identity"
@@ -370,38 +453,48 @@ class Cylinder:
     itinerary: tuple[int, ...]
 
 
-def iter_cylinders(m: PLMap, p: int, cap: int | None = None):
-    """Depth-first stream of the monotone cylinders of the p-th iterate.
-    Raises CylinderCapExceeded when more than the cap are expanded (env
-    STARDYN_CYLINDER_CAP overrides the default of 10**6)."""
+def _walks(m: PLMap, p: int, cap: int | None):
+    """Depth-first stream of the walks of length p in the piece graph, as
+    (b0, slope, offset, last piece, itinerary): the walk's cylinder on
+    branch b0 maps by t -> slope*t + offset onto the image of its last
+    piece.  Every expanded walk counts toward the cap."""
     if p < 1:
         raise ValueError("period must be positive")
     limit = cylinder_cap(cap)
+    pieces, successors = m.pieces, m.successors
     count = 0
-    # stack entries: (depth, b0, lo, hi, slope, offset, cur_branch, itinerary)
     stack = [
-        (1, q.src, q.lo, q.hi, q.slope, q.offset, q.dst, (idx,))
-        for idx, q in reversed(list(enumerate(m.pieces)))
+        (1, q.src, q.slope, q.offset, idx, (idx,))
+        for idx, q in reversed(list(enumerate(pieces)))
     ]
     while stack:
-        depth, b0, lo, hi, s, d, cur, itin = stack.pop()
+        depth, b0, s, d, last, itin = stack.pop()
         count += 1
         if count > limit:
             raise CylinderCapExceeded(limit)
         if depth == p:
-            yield Cylinder(b0, lo, hi, s, d, cur, itin)
+            yield b0, s, d, last, itin
             continue
-        ilo, ihi = (s * lo + d, s * hi + d) if s > 0 else (s * hi + d, s * lo + d)
-        for idx, q in m.by_branch[cur]:
-            olo, ohi = max(ilo, q.lo), min(ihi, q.hi)
-            if olo >= ohi:
-                continue
-            t1, t2 = (olo - d) / s, (ohi - d) / s
-            nlo, nhi = (t1, t2) if t1 <= t2 else (t2, t1)
-            stack.append(
-                (depth + 1, b0, nlo, nhi, q.slope * s, q.slope * d + q.offset,
-                 q.dst, itin + (idx,))
-            )
+        for idx in successors[last]:
+            q = pieces[idx]
+            stack.append((depth + 1, b0, q.slope * s, q.slope * d + q.offset, idx, itin + (idx,)))
+
+
+def _domain(m: PLMap, s: int, d: int, last: int) -> tuple[Fraction, Fraction]:
+    """The cylinder [lo, hi] of a walk: the preimage under t -> s*t + d of
+    the image of its last piece."""
+    ilo, ihi = m.images[last]
+    t1, t2 = Fraction(ilo - d, s), Fraction(ihi - d, s)
+    return (t1, t2) if s > 0 else (t2, t1)
+
+
+def iter_cylinders(m: PLMap, p: int, cap: int | None = None):
+    """Depth-first stream of the monotone cylinders of the p-th iterate.
+    Raises CylinderCapExceeded when more than the cap are expanded (env
+    STARDYN_CYLINDER_CAP overrides the default of 10**6)."""
+    for b0, s, d, last, itin in _walks(m, p, cap):
+        lo, hi = _domain(m, s, d, last)
+        yield Cylinder(b0, lo, hi, s, d, m.pieces[last].dst, itin)
 
 
 def oracle_scan(m: PLMap, p: int, cap: int | None = None, first_only: bool = False) -> ScanResult:
@@ -411,6 +504,11 @@ def oracle_scan(m: PLMap, p: int, cap: int | None = None, first_only: bool = Fal
     Finds every point of least period exactly p.  When an iterate is the
     identity on a nondegenerate cylinder the family is uncountable; the
     scan then reports one representative and flags the result incomplete.
+
+    The slope s of a walk is never 0 and its cylinder maps bijectively
+    onto the image [ilo, ihi] of its last piece, so the fixed point
+    t = d/(1-s) lies in the cylinder iff it lies in [ilo, ihi]: the test
+    is an integer cross-multiplication.
     """
     found: list[PeriodicWitness] = []
     seen: set[RationalPoint] = set()
@@ -425,20 +523,28 @@ def oracle_scan(m: PLMap, p: int, cap: int | None = None, first_only: bool = Fal
         found.append(w)
         return w
 
+    pieces, images = m.pieces, m.images
     cylinders = 0
-    for c in iter_cylinders(m, p, cap=cap):
+    for b0, s, d, last, itin in _walks(m, p, cap):
         cylinders += 1
-        t = _affine_fixed_point(c.slope, c.offset, c.b0, c.branch, c.lo, c.hi)
-        if t is _IDENTITY:
-            t = _identity_cylinder_representative(m, p, c.b0, c.lo, c.hi, c.itinerary)
-            if t is not None:
-                pt = make_point(c.b0, t)
-                fam = PeriodicWitness(pt, p, c.itinerary, _on_center_orbit(m, pt))
-                if fam.point not in seen:
-                    found.append(fam)
-                return ScanResult(tuple(found), cylinders, fam, False)
-        elif t is not None:
-            emit(make_point(c.b0, t), c.itinerary)
+        cur = pieces[last].dst
+        ilo, ihi = images[last]
+        if d == 0:  # the fixed point is t = 0, the center, whatever the branches
+            if s == 1 and cur == b0:
+                lo, hi = _domain(m, s, d, last)
+                t = _identity_cylinder_representative(m, p, b0, lo, hi, itin)
+                if t is not None:
+                    pt = make_point(b0, t)
+                    fam = PeriodicWitness(pt, p, itin, _on_center_orbit(m, pt))
+                    if fam.point not in seen:
+                        found.append(fam)
+                    return ScanResult(tuple(found), cylinders, fam, False)
+            elif ilo <= 0 <= ihi:
+                emit(CENTER, itin)
+        elif cur == b0 and s != 1:
+            e = 1 - s
+            if (ilo * e <= d <= ihi * e) if e > 0 else (ihi * e <= d <= ilo * e):
+                emit(make_point(b0, Fraction(d, e)), itin)
         if found and first_only:
             return ScanResult(tuple(found), cylinders, None, False)
     found.sort(key=lambda w: (w.point.branch, w.point.coord))

@@ -24,7 +24,6 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import networkx as nx
 from networkx.algorithms.isomorphism import DiGraphMatcher
@@ -499,16 +498,6 @@ def _cycle_length(step) -> int:
     return length
 
 
-@lru_cache(maxsize=8)
-def _cached_classify(n: int, k: int, p_max: int, max_iterate: int) -> SurveyResult:
-    return classify_all(n, k, p_max, max_iterate=max_iterate)
-
-
-@lru_cache(maxsize=32)
-def _cached_report(text: str, p_max: int, max_iterate: int) -> PeriodicityReport:
-    return periodicity_report(parse_pattern(text), p_max=p_max, max_iterate=max_iterate)
-
-
 def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
     """Recompute every quoted reference fact and report pass/fail.
 
@@ -523,7 +512,7 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
     checks.append(_check_digraph("example1-digraph", "example1"))
 
     p1 = parse_pattern(str(REFERENCE_FACTS["example1"]))
-    rep1 = _cached_report(str(REFERENCE_FACTS["example1"]), p_max, max_iterate)
+    rep1 = periodicity_report(p1, p_max=p_max, max_iterate=max_iterate)
     absent_expected = {q for q in REFERENCE_FACTS["example1_absent"] if q <= p_max}
     present_expected = set(range(1, p_max + 1)) - absent_expected
     ok = set(rep1.present) == present_expected and set(rep1.absent) == absent_expected
@@ -538,7 +527,7 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
         )
     )
 
-    cascade = find_cascade(cover_digraph(p1))
+    cascade = find_cascade(rep1.digraph)
     start = REFERENCE_FACTS["example1_cascade_start"]
     ok = cascade is not None and cascade.m == start
     checks.append(
@@ -555,10 +544,10 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
     checks.append(_check_digraph("example2-digraph", "example2"))
 
     p2 = parse_pattern(str(REFERENCE_FACTS["example2"]))
-    g2 = cover_digraph(p2)
+    rep2 = periodicity_report(p2, p_max=p_max, max_iterate=max_iterate)
     horizon = 9
-    walks = closed_walk_lengths(g2, horizon)
-    loops_only = self_loop_only_lengths(g2, horizon)
+    walks = closed_walk_lengths(rep2.digraph, horizon)
+    loops_only = self_loop_only_lengths(rep2.digraph, horizon)
     odd_walks = {q for q in walks if q % 2 == 1}
     ok = odd_walks <= loops_only
     checks.append(
@@ -572,7 +561,6 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
         )
     )
 
-    rep2 = _cached_report(str(REFERENCE_FACTS["example2"]), p_max, max_iterate)
     expected2 = {q for q in REFERENCE_FACTS["example2_present"] if q <= p_max}
     ok = set(rep2.present) == expected2
     checks.append(
@@ -629,7 +617,7 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
     sweep_details = []
     sweep_ok = True
     for n in range(2, 6):
-        result = _cached_classify(n, n + 1, p_max, max_iterate)
+        result = classify_all(n, n + 1, p_max, max_iterate=max_iterate)
         for r in result.records:
             full = set(r.periods_present) == set(range(1, p_max + 1))
             good = r.center_theorem and full and r.chaos_iterate is not None
@@ -655,7 +643,7 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
     np2_ok = True
     saw_three_absent = False
     for n in (3, 4):
-        result = _cached_classify(n, n + 2, p_max, max_iterate)
+        result = classify_all(n, n + 2, p_max, max_iterate=max_iterate)
         for r in result.records:
             need = set(range(1, p_max + 1)) - {3}
             good = need <= set(r.periods_present) and r.chaos_iterate is not None
@@ -679,7 +667,7 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
         )
     )
 
-    full36 = _cached_classify(3, 6, p_max, max_iterate)
+    full36 = classify_all(3, 6, p_max, max_iterate=max_iterate)
     sub = filter_result(full36, SURVEY_FILTERS[0])
     quoted = int(REFERENCE_FACTS["class_count"])
     level_counts = {

@@ -1,0 +1,162 @@
+"""Reference copy of the exhaustive periodic-point scan in ``Fraction``
+arithmetic, kept for equivalence tests only.
+
+It subdivides cylinders by intersecting their images with every piece of
+the current branch, solves the fixed-point equation on the cylinder's
+domain, locates a point's piece by a linear scan of its branch and checks
+least periods divisor by divisor.  It relies on nothing from ``plmap``
+but its data types, the ``Piece`` table, and the cap reader.
+"""
+
+from fractions import Fraction
+
+from stardyn.plmap import (
+    CENTER,
+    Cylinder,
+    CylinderCapExceeded,
+    DomainError,
+    InconsistencyError,
+    PeriodicWitness,
+    ScanResult,
+    cylinder_cap,
+    make_point,
+)
+
+_IDENTITY = "identity"
+
+
+def evaluate(m, x):
+    """f(x) by a linear scan of the pieces of x's branch."""
+    if x == CENTER:
+        return m.marked_point(1 % m.pattern.k)
+    if not 1 <= x.branch <= m.pattern.n or not 0 <= x.coord <= m.branch_lengths[x.branch]:
+        raise DomainError(f"{x} is outside the realized star")
+    for q in m.pieces:
+        if q.src == x.branch and q.lo <= x.coord <= q.hi:
+            return make_point(q.dst, q.slope * x.coord + q.offset)
+    raise DomainError(f"{x} is outside the realized star")
+
+
+def iterate(m, x, steps):
+    for _ in range(steps):
+        x = evaluate(m, x)
+    return x
+
+
+def least_period_is(m, pt, p):
+    """The divisor rule: no proper divisor d has f^d(pt) = pt, and f^p does."""
+    for d in range(1, p):
+        if p % d == 0 and iterate(m, pt, d) == pt:
+            return False
+    return iterate(m, pt, p) == pt
+
+
+def _on_center_orbit(m, pt):
+    if pt == CENTER:
+        return True
+    if pt.coord.denominator != 1:
+        return False
+    return any(
+        m.pattern.placements[i - 1] == (pt.branch, int(pt.coord)) for i in range(1, m.pattern.k)
+    )
+
+
+def _affine_fixed_point(s, d, b0, cur, lo, hi):
+    if s == 1:
+        if d != 0:
+            return None
+        if cur == b0:
+            return _IDENTITY
+        return Fraction(0) if lo <= 0 <= hi else None
+    t = Fraction(d, 1 - s)
+    return t if lo <= t <= hi and (cur == b0 or t == 0) else None
+
+
+def iter_cylinders(m, p, cap=None):
+    """Depth-first cylinders of f^p, subdividing each image by the pieces
+    of its branch in ``Fraction`` arithmetic."""
+    if p < 1:
+        raise ValueError("period must be positive")
+    limit = cylinder_cap(cap)
+    count = 0
+    stack = [
+        (1, q.src, q.lo, q.hi, q.slope, q.offset, q.dst, (idx,))
+        for idx, q in reversed(list(enumerate(m.pieces)))
+    ]
+    while stack:
+        depth, b0, lo, hi, s, d, cur, itin = stack.pop()
+        count += 1
+        if count > limit:
+            raise CylinderCapExceeded(limit)
+        if depth == p:
+            yield Cylinder(b0, lo, hi, s, d, cur, itin)
+            continue
+        ilo, ihi = (s * lo + d, s * hi + d) if s > 0 else (s * hi + d, s * lo + d)
+        for idx, q in enumerate(m.pieces):
+            if q.src != cur:
+                continue
+            olo, ohi = max(ilo, q.lo), min(ihi, q.hi)
+            if olo >= ohi:
+                continue
+            t1, t2 = (olo - d) / s, (ohi - d) / s
+            nlo, nhi = (t1, t2) if t1 <= t2 else (t2, t1)
+            stack.append(
+                (depth + 1, b0, nlo, nhi, q.slope * s, q.slope * d + q.offset,
+                 q.dst, itin + (idx,))
+            )
+
+
+def _identity_representative(m, p, b0, lo, hi, itin):
+    bad = set()
+    for dd in range(1, p):
+        if p % dd:
+            continue
+        ds, doff, dcur = 1, 0, b0
+        for idx in itin[:dd]:
+            q = m.pieces[idx]
+            ds, doff, dcur = q.slope * ds, q.slope * doff + q.offset, q.dst
+        t = _affine_fixed_point(ds, doff, b0, dcur, lo, hi)
+        if t is _IDENTITY:
+            return None
+        if t is not None:
+            bad.add(t)
+    steps = len(bad) + 2
+    for j in range(steps + 1):
+        t = lo + (hi - lo) * Fraction(j, steps)
+        if t not in bad:
+            if not least_period_is(m, make_point(b0, t), p):
+                raise InconsistencyError(f"identity cylinder point {t} lacks least period {p}")
+            return t
+    raise InconsistencyError("identity cylinder without a representative")
+
+
+def oracle_scan(m, p, cap=None, first_only=False):
+    """The scan over ``iter_cylinders`` above, with the same result fields,
+    order and early exits as ``plmap.oracle_scan``."""
+    found, seen = [], set()
+
+    def emit(pt, itin):
+        if pt in seen:
+            return
+        seen.add(pt)
+        if least_period_is(m, pt, p):
+            found.append(PeriodicWitness(pt, p, itin, _on_center_orbit(m, pt)))
+
+    cylinders = 0
+    for c in iter_cylinders(m, p, cap=cap):
+        cylinders += 1
+        t = _affine_fixed_point(c.slope, c.offset, c.b0, c.branch, c.lo, c.hi)
+        if t is _IDENTITY:
+            t = _identity_representative(m, p, c.b0, c.lo, c.hi, c.itinerary)
+            if t is not None:
+                pt = make_point(c.b0, t)
+                fam = PeriodicWitness(pt, p, c.itinerary, _on_center_orbit(m, pt))
+                if fam.point not in seen:
+                    found.append(fam)
+                return ScanResult(tuple(found), cylinders, fam, False)
+        elif t is not None:
+            emit(make_point(c.b0, t), c.itinerary)
+        if found and first_only:
+            return ScanResult(tuple(found), cylinders, None, False)
+    found.sort(key=lambda w: (w.point.branch, w.point.coord))
+    return ScanResult(tuple(found), cylinders, None, True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from stardyn.survey import classify_all, emit_table
 from support import EX1, EX2
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+PERFBENCH_EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
 
 def load_schema(name: str) -> dict:
@@ -304,6 +306,21 @@ def test_oracle_cap_exceeded_exits_3(ex2_file, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "resource cap" in captured.err
+
+
+@pytest.mark.parametrize(
+    "workload, args",
+    [
+        ("analyze-deep", ["analyze", "--pmax", "18"]),
+        ("oracle-list", ["oracle", "--period", "16"]),
+    ],
+)
+def test_output_matches_benchmark_digest(workload, args, ex2_file, capsys):
+    # the benchmark's recorded sha256 of each call's stdout on example 2
+    with open(PERFBENCH_EXPECTED, encoding="utf-8") as fh:
+        want = json.load(fh)[workload]["sha256"]
+    assert run(args + ["--pattern", ex2_file, "--jobs", "1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stardyn.patterns import CENTER_INDEX, arc, parse_pattern
+import reference_scan as ref
+from stardyn.certify import OracleWitness, verify_certificate
+from stardyn.patterns import CENTER_INDEX, arc, enumerate_patterns, parse_pattern
 from stardyn.plmap import (
     CENTER,
     CylinderCapExceeded,
     DomainError,
+    InconsistencyError,
     LoopError,
     Piece,
     RationalPoint,
@@ -35,6 +40,7 @@ from stardyn.plmap import (
     subtree_from_segments,
     subtree_of_arc,
 )
+from stardyn.plmap import _least_period_is, _piece_graph
 from support import EX1, EX2, random_pattern
 
 F = Fraction
@@ -382,3 +388,139 @@ def test_scramble_probe_straddling_pair_frozen(m2):
     lo, hi = scramble_probe(m2, x, y, 200, step=2)
     assert (lo, hi) == (F(2, 35), F(46, 35))
     assert lo < F(1, 10) < hi
+
+
+# ------------------------------------- integer walks vs the Fraction reference
+
+# Deepest period compared for the canonical classes of each orbit size k,
+# n <= 4.  Only classes with every branch occupied are needed: an empty
+# branch carries no piece, so such a class realizes the same piece graph as
+# an all-branch class with fewer branches, up to branch labels.  Cylinder
+# counts grow about threefold per period at k = 6 and the reference costs
+# tens of times more per cylinder than the walk, so deeper periods are left
+# to the worked examples and the property test below.
+REFERENCE_HORIZON = {2: 8, 3: 8, 4: 8, 5: 5, 6: 2}
+
+
+def _outcome(fn, *args, **kwargs):
+    """A call's result, or the type and text of the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (CylinderCapExceeded, DomainError) as e:
+        return type(e), str(e)
+
+
+def _drain(cylinders):
+    """The cylinders a stream yields, and the cap error that ends it early."""
+    out = []
+    try:
+        out.extend(cylinders)
+    except CylinderCapExceeded as e:
+        return out, str(e)
+    return out, None
+
+
+def _check_against_reference(m, scan_pmax, cap=None):
+    """Scans for p <= scan_pmax, and cylinders and the cap threshold for
+    p < scan_pmax, equal those of the reference copy of the Fraction DFS."""
+    nodes = 0  # of the walk tree down to depth p: each one counts toward the cap
+    for p in range(1, scan_pmax + 1):
+        for first_only in (False, True):
+            assert _outcome(oracle_scan, m, p, cap=cap, first_only=first_only) == _outcome(
+                ref.oracle_scan, m, p, cap=cap, first_only=first_only
+            ), (m.pattern.to_text(), p, first_only)
+        if p == scan_pmax:
+            return
+        cylinders, error = _drain(ref.iter_cylinders(m, p, cap=cap))
+        assert _drain(iter_cylinders(m, p, cap=cap)) == (cylinders, error)
+        if error is not None:
+            return  # capped, as is every deeper period
+        nodes += len(cylinders)
+        with pytest.raises(CylinderCapExceeded):
+            list(iter_cylinders(m, p, cap=nodes - 1))
+        assert list(iter_cylinders(m, p, cap=nodes)) == cylinders
+
+
+@pytest.mark.parametrize("k", sorted(REFERENCE_HORIZON))
+def test_walk_scan_matches_fraction_reference_on_every_class(k):
+    for n in range(1, 5):
+        for pat in enumerate_patterns(n, k, all_branches=True):
+            _check_against_reference(realize(pat), REFERENCE_HORIZON[k])
+
+
+def test_walk_scan_matches_fraction_reference_on_examples(m1, m2):
+    for m in (m1, m2, realize(parse_pattern("n=1 k=2; b1: 1"))):
+        _check_against_reference(m, 9)
+
+
+def _probe_points(m):
+    """Marked points, piece ends, split points, midpoints, branch ends and
+    points off the star, on every branch index from 0 to n + 1."""
+    pts = {CENTER, RationalPoint(0, F(1, 2))}
+    for b in range(0, m.pattern.n + 2):
+        length = m.branch_lengths[b] if 1 <= b <= m.pattern.n else 1
+        for c in (F(-1, 2), F(0), F(length), F(2 * length + 1, 2), F(length + 1)):
+            pts.add(RationalPoint(b, c))
+    for q in m.pieces:
+        for c in (q.lo, q.hi, (q.lo + q.hi) / 2, q.lo + (q.hi - q.lo) / 7):
+            pts.add(RationalPoint(q.src, c))
+    return sorted(pts)
+
+
+def test_evaluate_matches_linear_scan_with_domain_errors():
+    for n in range(1, 5):
+        for pat in enumerate_patterns(n, 5):  # empty branches included
+            m = realize(pat)
+            for x in _probe_points(m):
+                assert _outcome(m.evaluate, x) == _outcome(ref.evaluate, m, x), (pat.to_text(), x)
+
+
+def test_least_period_matches_divisor_rule():
+    for n in range(1, 5):
+        for pat in enumerate_patterns(n, 5, all_branches=True):
+            m = realize(pat)
+            pts = _probe_points(m)
+            pts += [w.point for q in range(1, 5) for w in oracle_scan(m, q).witnesses]
+            for x in pts:
+                for p in range(1, 7):
+                    assert _outcome(_least_period_is, m, x, p) == _outcome(
+                        ref.least_period_is, m, x, p
+                    ), (pat.to_text(), x, p)
+
+
+@pytest.mark.parametrize(
+    "pieces, lengths",
+    [
+        # image [0, 1/2] ends inside a basic interval
+        ([Piece(1, F(0), F(1, 2), 1, 1, 0), Piece(1, F(1, 2), F(1), 1, 1, 0)], (0, 1)),
+        # a piece spanning two basic intervals
+        ([Piece(1, F(0), F(2), 1, 1, 0)], (0, 2)),
+        # an image running past the end of its branch
+        ([Piece(1, F(0), F(1), 1, 2, 0)], (0, 1)),
+        # a gap between two pieces
+        ([Piece(1, F(0), F(1, 2), 1, 2, 0), Piece(1, F(2, 3), F(1), 1, 3, -2)], (0, 1)),
+        # a branch left uncovered
+        ([Piece(1, F(0), F(1), 1, 1, 0)], (0, 1, 1)),
+    ],
+)
+def test_non_markov_piece_list_raises(pieces, lengths):
+    with pytest.raises(InconsistencyError):
+        _piece_graph(pieces, lengths)
+
+
+def test_piece_graph_of_example1(m1):
+    assert m1.images == ((0, 1), (0, 1), (0, 1), (0, 1), (1, 2), (0, 1))
+    assert m1.successors == ((0, 1), (4,), (4,), (5,), (2, 3), (0, 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 5), st.integers(2, 8))
+def test_walk_scan_matches_reference_on_random_patterns(rng, n, k):
+    m = realize(random_pattern(rng, n, k))
+    # the cap bounds the reference's cost on high-entropy patterns; a
+    # capped run must fail at the same node in both
+    _check_against_reference(m, 6, cap=1000)
+    for p in range(1, 7):
+        scan = _outcome(oracle_scan, m, p, cap=1000)
+        for w in getattr(scan, "witnesses", ()):
+            assert verify_certificate(m.pattern, OracleWitness(w))

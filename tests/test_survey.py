@@ -375,3 +375,20 @@ def test_digraph_classes_match_brute_force_isomorphism(n, k):
         first = next((j for j in range(i) if nx.is_isomorphic(h, graphs[j])), None)
         expected.append(max(expected, default=-1) + 1 if first is None else expected[first])
     assert [r.digraph_class for r in records] == expected
+
+
+def test_verify_paper_builds_one_digraph_per_report(monkeypatch):
+    # the two digraph checks build their own; every other check reads a report's
+    calls = {"periodicity_report": 0, "cover_digraph": 0}
+    for name in calls:
+        original = getattr(certify_module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (certify_module, survey_module):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert verify_paper().all_passed
+    assert calls["cover_digraph"] == calls["periodicity_report"] + 2
