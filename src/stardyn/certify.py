@@ -14,8 +14,10 @@ exact oracle; absence is decided only by the oracle's exhaustive scan.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from operator import or_
 
 from .orders import forced_periods, sharkovskii_le
 from .patterns import CENTER_INDEX, Arc, MarkedPoint, StarPattern, arc, validate
@@ -25,10 +27,8 @@ from .plmap import (
     PLMap,
     _least_period_is,
     first_witness,
-    image_of_arc,
     oracle_scan,
     realize,
-    subtree_of_arc,
 )
 
 
@@ -448,18 +448,31 @@ def find_genscramble(p: StarPattern, max_iterate: int = 2) -> Genscramble | None
     certificate: an expanding pair g(v) < u < v <= g(u) plus a covering
     loop through arcs disjoint as required.  Arc endpoints are restricted
     to marked points; returns the first certificate in deterministic
-    order (theorem-derived loops first, then pair scan), or None."""
+    order (theorem-derived loops first, then pair scan), or None.
+
+    Every arc the search meets is a union of basic intervals, and so is
+    each of its images, because the canonical map sends a basic interval
+    onto exactly the arc between its endpoint images.  The search
+    therefore runs on the covering digraph, in integer bitmasks of basic
+    intervals: an image is the union of the digraph rows of an arc's
+    intervals, and containment is a subset test."""
     if max_iterate < 1:
         raise ValueError("max_iterate must be positive")
     theorem = _theorem(p)
-    return _find_genscramble(p, realize(p), theorem, max_iterate)
+    return _find_genscramble(p, realize(p), cover_digraph(p), theorem, max_iterate)
 
 
 def _find_genscramble(
-    p: StarPattern, m: PLMap, theorem: CenterTheoremCase | NPlus2Case | None, max_iterate: int
+    p: StarPattern,
+    m: PLMap,
+    g: CoverDigraph,
+    theorem: CenterTheoremCase | NPlus2Case | None,
+    max_iterate: int,
 ) -> Genscramble | None:
-    """``find_genscramble`` on a given realization and theorem certificate.
-    A theorem-derived loop is replayed before it is returned."""
+    """``find_genscramble`` on a given realization, covering digraph and
+    theorem certificate.  A theorem-derived loop is replayed on the
+    realization before it is returned; the pair scan reads only the
+    digraph."""
     if theorem is not None:
         middle = (theorem.back,) if isinstance(theorem, CenterTheoremCase) else theorem.chain
         cert = Genscramble(1, theorem.u, theorem.v, (theorem.span,) + middle + (theorem.span,))
@@ -469,57 +482,62 @@ def _find_genscramble(
                 f"{theorem!r} fails its replay — this is a bug"
             )
         return cert
-    pairs = [
-        (a, b)
-        for a in range(p.k)
-        for b in range(a + 1, p.k)
-        if not arc(a, b, p).through_center
-    ]
-    trees = {e: subtree_of_arc(m, arc(*e, p)) for e in pairs}
-    cap = 2 * len(basic_intervals(p)) + 2
+    bit = {(w.branch, w.outer_rank): 1 << i for i, w in enumerate(g.vertices)}
+    rows = [sum(1 << j for j in row) for row in g.adjacency]
+
+    def mask(x: Arc) -> int:
+        return sum(bit[i] for i in x.basic_ids())
+
+    arcs = {(a, b): arc(a, b, p) for a in range(p.k) for b in range(a + 1, p.k)}
+    masks = {e: mask(x) for e, x in arcs.items() if not x.through_center}
+    cap = 2 * len(g.vertices) + 2
+    images = masks
     for t in range(1, max_iterate + 1):
-        images = {e: image_of_arc(m, arc(*e, p), power=t) for e in pairs}
+        images = {e: _image(rows, x) for e, x in images.items()}
         for u in range(p.k):
             for v in range(p.k):
-                if u == v or tuple(sorted((u, v))) not in trees:
+                if u == v or tuple(sorted((u, v))) not in masks:
                     continue
                 if not _ordering_holds(p, u, v, t):
                     continue
-                loop = _loop_search(p, m, u, v, t, pairs, trees, images, cap)
+                gv = _iterate_index(p, v, t)
+                first = mask(arc(gv, u, p)) if gv != u else 0
+                loop = _loop_search(u, v, first, masks, images, cap)
                 if loop is not None:
                     return Genscramble(t, u, v, loop)
     return None
 
 
-def _loop_search(p, m, u, v, t, pairs, trees, images, cap):
-    """Breadth-first search over candidate arcs for the covering loop."""
+def _image(rows: list[int], x: int) -> int:
+    """The image of a union of basic intervals (a bitmask): the union of
+    the image masks ``rows`` of its intervals."""
+    y = 0
+    while x:
+        low = x & -x
+        y |= rows[low.bit_length() - 1]
+        x ^= low
+    return y
+
+
+def _loop_search(u, v, first, masks, images, cap):
+    """Breadth-first search over candidate arcs for the covering loop, on
+    the bitmasks ``masks`` of the candidate arcs and ``images`` of their
+    images under g; ``first`` is the mask of the arc [g(v), u] (0 when
+    g(v) = u).  Masks have integer endpoints, so an arc meets the open
+    (u, v) iff it shares a basic interval with [u, v]."""
     b0 = tuple(sorted((u, v)))
-    gv = _iterate_index(p, v, t)
-    first_region = subtree_of_arc(m, arc(gv, u, p)) if gv != u else None
-    b0_image = images[b0]
-    ((ubranch, ulo, uhi),) = trees[b0].segments
-
-    def disjoint_from_open_uv(e):
-        return not trees[e].overlaps_open_segment(ubranch, ulo, uhi)
-
-    start = [
-        e
-        for e in pairs
-        if first_region is not None
-        and first_region.contains(trees[e])
-        and b0_image.contains(trees[e])
-    ]
+    uv = masks[b0]
+    region = first & images[b0]
+    start = [e for e, x in masks.items() if x & ~region == 0]
+    closers = [f for f, x in masks.items() if uv & ~x == 0]
     parents: dict[ArcEnds, ArcEnds | None] = {e: None for e in start}
     frontier = start
     depth = 1
     while frontier and depth <= cap:
         for e in frontier:
-            if disjoint_from_open_uv(e):
-                closing = next(
-                    (f for f in pairs if images[e].contains(trees[f])
-                     and trees[f].contains(trees[b0])),
-                    None,
-                )
+            if not masks[e] & uv:
+                img = images[e]
+                closing = next((f for f in closers if masks[f] & ~img == 0), None)
                 if closing is not None:
                     path = [closing, e]
                     while parents[path[-1]] is not None:
@@ -528,8 +546,9 @@ def _loop_search(p, m, u, v, t, pairs, trees, images, cap):
                     return tuple(reversed(path))
         nxt = []
         for e in frontier:
-            for f in pairs:
-                if f not in parents and images[e].contains(trees[f]):
+            img = images[e]
+            for f, x in masks.items():
+                if f not in parents and x & ~img == 0:
                     parents[f] = e
                     nxt.append(f)
         frontier = nxt
@@ -540,7 +559,9 @@ def _loop_search(p, m, u, v, t, pairs, trees, images, cap):
 # ------------------------------------------------------------ verification
 
 def verify_certificate(p: StarPattern, cert: Certificate, p_max: int = 10) -> bool:
-    """Re-derive a certificate's claim from the pattern alone."""
+    """Re-derive a certificate's claim from the pattern alone.  An absence
+    replays the whole scan: it must complete with no witness after
+    exactly the recorded number of cylinders."""
     if isinstance(cert, CenterOrbit):
         return cert.period == p.k
     if isinstance(cert, ForcedPeriod):
@@ -556,7 +577,8 @@ def verify_certificate(p: StarPattern, cert: Certificate, p_max: int = 10) -> bo
     if isinstance(cert, OracleWitness):
         return _least_period_is(realize(p), cert.witness.point, cert.witness.period)
     if isinstance(cert, OracleAbsence):
-        return oracle_scan(realize(p), cert.period).witnesses == ()
+        res = oracle_scan(realize(p), cert.period)
+        return res.complete and res.witnesses == () and res.cylinders == cert.cylinders
     raise TypeError(f"unknown certificate {cert!r}")
 
 
@@ -585,6 +607,10 @@ def verify_genscramble(p: StarPattern, cert: Genscramble) -> bool:
 
 
 def _verify_genscramble(p: StarPattern, m: PLMap, cert: Genscramble) -> bool:
+    """The replay on the realization's piece graph, independent of the
+    covering digraph: arcs are bitmasks of basic intervals read from the
+    marked points' ranks, and the image of basic interval [j, j+1] of
+    branch b is the union of the integer images of its pieces."""
     t, u, v = cert.iterate, cert.u, cert.v
     if not cert.loop or cert.loop[0] != tuple(sorted((u, v))) and cert.loop[0] != (u, v):
         return False
@@ -595,17 +621,36 @@ def _verify_genscramble(p: StarPattern, m: PLMap, cert: Genscramble) -> bool:
         return False
     if any(a.through_center for a in arcs[1:]):
         return False
-    trees = [subtree_of_arc(m, a) for a in arcs]
-    for s, d in itertools.pairwise(range(len(arcs))):
-        if not image_of_arc(m, arcs[s], power=t).contains(trees[d]):
+    offsets = list(itertools.accumulate(m.branch_lengths, initial=0))
+
+    def span(b: int, lo: int, hi: int) -> int:
+        return ((1 << (hi - lo)) - 1) << (offsets[b] + lo)
+
+    def mask(a: MarkedPoint, b: MarkedPoint) -> int:
+        (ba, ra), (bb, rb) = (
+            (0, 0) if i == CENTER_INDEX else (p.branch_of(i), p.rank_of(i)) for i in (a, b)
+        )
+        if ba == bb or not ra or not rb:
+            return span(ba or bb, min(ra, rb), max(ra, rb))
+        return span(ba, 0, ra) | span(bb, 0, rb)
+
+    rows = [
+        functools.reduce(or_, (span(m.pieces[i].dst, *m.images[i]) for i, _, _ in cell), 0)
+        for row in m.cells
+        for cell in row
+    ]
+    masks = [mask(*e) for e in cert.loop]
+    for s, d in itertools.pairwise(masks):
+        for _ in range(t):
+            s = _image(rows, s)
+        if d & ~s:
             return False
-    if not trees[-1].contains(trees[0]):
+    if masks[0] & ~masks[-1]:
         return False
     gv = _iterate_index(p, v, t)
-    if gv == u or not subtree_of_arc(m, arc(gv, u, p)).contains(trees[1]):
+    if gv == u or masks[1] & ~mask(gv, u):
         return False
-    ((b, lo, hi),) = subtree_of_arc(m, arc(u, v, p)).segments
-    if trees[-2].overlaps_open_segment(b, lo, hi):
+    if masks[-2] & mask(u, v):
         return False
     return True
 
@@ -694,7 +739,7 @@ def periodicity_report(
                     "absent", (OracleAbsence(q, res.cylinders),)
                 )
 
-    chaos = _find_genscramble(p, m, theorem, max_iterate)
+    chaos = _find_genscramble(p, m, g, theorem, max_iterate)
     walk_lengths, loop_only = _walk_spectra(g, p_max)
     commentary = [
         "closed walk lengths up to "

@@ -13,6 +13,7 @@ realization lives in plmap.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -248,28 +249,72 @@ def iter_patterns(n: int, k: int, all_branches: bool = False):
         yield _pattern_from_branches(n, k, branches)
 
 
+def _raw_pattern_count(n: int, k: int, all_branches: bool = False) -> int:
+    """How many raw patterns ``iter_patterns`` yields, in closed form.
+
+    Those with exactly j occupied branches number n!/(n-j)! * L(k-1, j):
+    the Lah number L(m, j) = C(m-1, j-1) * m!/j! counts the sets of j
+    nonempty disjoint sequences covering 1..m, and n!/(n-j)! the ways to
+    put them on distinct branches.
+    """
+    m = k - 1
+    counts = (n,) if all_branches else range(1, n + 1)
+    return sum(
+        math.perm(n, j) * math.comb(m - 1, j - 1) * (math.factorial(m) // math.factorial(j))
+        for j in counts
+        if j <= m
+    )
+
+
+def _sequence_sets(m: int, fewest: int, most: int):
+    """Yield every set of between ``fewest`` and ``most`` nonempty disjoint
+    sequences covering 1..m, each set once, as a sorted tuple.  Index i
+    either opens a new sequence or is inserted anywhere into an open one,
+    so a sequence is created by its least element."""
+
+    def place(seqs: list[list[int]], i: int):
+        if m - i + 1 < fewest - len(seqs):
+            return
+        if i > m:
+            yield tuple(sorted(tuple(s) for s in seqs))
+            return
+        for s in seqs:
+            for pos in range(len(s) + 1):
+                s.insert(pos, i)
+                yield from place(seqs, i + 1)
+                s.pop(pos)
+        if len(seqs) < most:
+            seqs.append([i])
+            yield from place(seqs, i + 1)
+            seqs.pop()
+
+    yield from place([], 1)
+
+
 def enumerate_patterns(
     n: int, k: int, all_branches: bool = False, cap: int = 10**6
 ) -> list[StarPattern]:
     """All branch-permutation classes with the given shape, one canonical
     representative each, sorted by serialized form.
 
-    Raises EnumerationCapExceeded if more than ``cap`` raw patterns would
-    be visited.
+    A canonical representative is a sorted tuple of disjoint rank-ordered
+    branch sequences, so the representatives are generated directly
+    (orderly generation): every set of j nonempty sequences covering
+    1..k-1, for j = n under ``all_branches`` and j = 1..n otherwise,
+    sorted, behind n-j empty branches.  No raw pattern is visited.
+
+    Raises EnumerationCapExceeded, before generating anything, if more
+    than ``cap`` raw patterns have the shape (``_raw_pattern_count``).
     """
     if n < 1 or k < 2:
         raise PatternError(f"enumeration needs n >= 1 and k >= 2, got n={n} k={k}")
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    count = 0
-    for p in iter_patterns(n, k, all_branches=all_branches):
-        count += 1
-        if count > cap:
-            raise EnumerationCapExceeded(
-                f"more than {cap} raw patterns for n={n} k={k}"
-            )
-        seen.add(canonicalize(p).branches)
-    reps = [_pattern_from_branches(n, k, brs) for brs in sorted(seen)]
-    return reps
+    if _raw_pattern_count(n, k, all_branches) > cap:
+        raise EnumerationCapExceeded(f"more than {cap} raw patterns for n={n} k={k}")
+    fewest = n if all_branches else 1
+    reps = sorted(
+        ((),) * (n - len(seqs)) + seqs for seqs in _sequence_sets(k - 1, fewest, n)
+    )
+    return [_pattern_from_branches(n, k, brs) for brs in reps]
 
 
 # ----------------------------------------------------------------- arcs

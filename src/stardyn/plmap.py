@@ -164,13 +164,6 @@ class Subtree:
             for b, lo, hi in self.segments
         )
 
-    def overlaps_open_segment(self, branch: int, lo: Fraction, hi: Fraction) -> bool:
-        """Whether this subtree meets the open interval (lo, hi) on branch."""
-        return any(
-            b == branch and max(slo, lo) < min(shi, hi)
-            for b, slo, shi in self.segments
-        )
-
 
 def subtree_from_segments(segs: dict[int, tuple[Fraction, Fraction]]) -> Subtree:
     cleaned = {b: (lo, hi) for b, (lo, hi) in segs.items() if lo < hi}

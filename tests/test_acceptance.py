@@ -19,16 +19,20 @@ from stardyn.certify import (
     find_cascade,
     find_genscramble,
     first_witness,
-    image_of_arc,
     periodicity_report,
     self_loop_only_lengths,
     closed_walk_lengths,
-    subtree_of_arc,
     verify_genscramble,
 )
 from stardyn.orders import baldwin_le, forced_periods, nod_le, sharkovskii_le
 from stardyn.patterns import enumerate_patterns, parse_pattern
-from stardyn.plmap import UncountablePeriodicSet, periodic_points, realize
+from stardyn.plmap import (
+    UncountablePeriodicSet,
+    image_of_arc,
+    periodic_points,
+    realize,
+    subtree_of_arc,
+)
 from stardyn.survey import classify_all, filter_result
 from support import EX1, EX2, random_pattern
 

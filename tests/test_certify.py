@@ -7,9 +7,13 @@ basic interval, read off the pattern) before the module existed.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_chaos as ref_chaos
 import stardyn.certify as certify_module
 from stardyn.certify import (
     BasicInterval,
@@ -39,7 +43,7 @@ from stardyn.certify import (
     verify_genscramble,
 )
 from stardyn.orders import forced_periods
-from stardyn.patterns import arc, parse_pattern
+from stardyn.patterns import arc, enumerate_patterns, parse_pattern
 from stardyn.plmap import image_of_arc, loop_point, realize, subtree_of_arc
 from support import EX1, EX2, random_pattern
 
@@ -328,6 +332,82 @@ def test_genscramble_replay_rejects_corruption(p2):
     assert not verify_genscramble(
         p2, Genscramble(good.iterate, good.u, good.v, ((0, 2), (1, 3), (0, 2)))
     )
+
+
+def _tampered(c):
+    """The certificate and four corruptions of it."""
+    yield c
+    yield Genscramble(c.iterate + 1, c.u, c.v, c.loop)
+    yield Genscramble(c.iterate, c.v, c.u, c.loop)
+    yield Genscramble(c.iterate, c.u, c.v, (c.loop[0],) + c.loop[-2:0:-1] + (c.loop[-1],))
+    yield Genscramble(c.iterate, c.u, c.v, c.loop[:-1])
+
+
+def _verdict(verify, *args):
+    try:
+        return verify(*args)
+    except Exception as e:  # noqa: BLE001 - the error kind is part of the verdict
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_chaos_search_matches_fraction_reference(k):
+    for n in range(1, 5):
+        for p in enumerate_patterns(n, k):  # empty branches included
+            for max_iterate in (1, 2, 3):
+                got = find_genscramble(p, max_iterate)
+                assert got == ref_chaos.find_genscramble(p, max_iterate), (p.to_text(), max_iterate)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_chaos_replay_matches_fraction_reference(k):
+    verdicts = set()
+    for n in range(1, 5):
+        for p in enumerate_patterns(n, k):
+            cert = find_genscramble(p, 3)
+            if cert is None:
+                continue
+            assert verify_genscramble(p, cert)
+            m = realize(p)
+            for c in _tampered(cert):
+                got = _verdict(certify_module._verify_genscramble, p, m, c)
+                assert got == _verdict(ref_chaos.verify, p, m, c), (p.to_text(), c)
+                verdicts.add(got)
+    assert verdicts == ({True, False} if k > 2 else set())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 5), st.integers(2, 8), st.integers(1, 3))
+def test_chaos_matches_fraction_reference_on_random_patterns(rng, n, k, max_iterate):
+    p = random_pattern(rng, n, k)
+    cert = find_genscramble(p, max_iterate)
+    assert cert == ref_chaos.find_genscramble(p, max_iterate)
+    if cert is not None:
+        for c in _tampered(cert):
+            assert _verdict(verify_genscramble, p, c) == _verdict(ref_chaos.verify_genscramble, p, c)
+
+
+def test_chaos_search_and_replay_build_no_fraction(p1, p2, monkeypatch):
+    swap = parse_pattern("n=1 k=2; b1: 1")
+    cases = [(p, realize(p), cover_digraph(p), certify_module._theorem(p)) for p in (p1, p2, swap)]
+
+    def forbidden(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", forbidden)
+    found = [certify_module._find_genscramble(p, m, g, th, 3) for p, m, g, th in cases]
+    assert [c is not None for c in found] == [True, True, False]
+    for (p, m, _, _), c in zip(cases, found[:2]):
+        assert all(certify_module._verify_genscramble(p, m, x) in (True, False) for x in _tampered(c))
+
+
+def test_oracle_absence_replays_the_whole_scan(p1):
+    (absence,) = periodicity_report(p1).periods[3].certificates
+    assert absence == OracleAbsence(3, 14)
+    assert verify_certificate(p1, absence)
+    for cylinders in (0, 13, 15, 999999):
+        assert not verify_certificate(p1, OracleAbsence(3, cylinders))
+    assert not verify_certificate(p1, OracleAbsence(2, 14))  # period 2 is present
 
 
 # ------------------------------------------------------ loop lemma replay

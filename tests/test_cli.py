@@ -311,16 +311,33 @@ def test_oracle_cap_exceeded_exits_3(ex2_file, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "workload, args",
     [
-        ("analyze-deep", ["analyze", "--pmax", "18"]),
-        ("oracle-list", ["oracle", "--period", "16"]),
+        ("analyze-deep", ["analyze", "--pattern", "{ex2}", "--pmax", "18"]),
+        ("oracle-list", ["oracle", "--pattern", "{ex2}", "--period", "16"]),
+        ("survey-3-7", ["survey", "--n", "3", "--k", "7"]),
+        ("survey-4-8-shallow", ["survey", "--n", "4", "--k", "8", "--pmax", "3"]),
     ],
 )
 def test_output_matches_benchmark_digest(workload, args, ex2_file, capsys):
-    # the benchmark's recorded sha256 of each call's stdout on example 2
+    # the benchmark's recorded sha256 of each call's stdout
     with open(PERFBENCH_EXPECTED, encoding="utf-8") as fh:
         want = json.load(fh)[workload]["sha256"]
-    assert run(args + ["--pattern", ex2_file, "--jobs", "1"]) == 0
+    argv = [ex2_file if a == "{ex2}" else a for a in args]
+    assert run(argv + ["--jobs", "1"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize(
+    "args, n, k",
+    [(["survey", "--n", "4", "--k", "9"], 4, 9), (["enumerate", "--n", "5", "--k", "8"], 5, 8)],
+)
+def test_enumeration_cap_exits_3(args, n, k, capsys):
+    # the fixed cap of 10**6 raw patterns is checked before any class is built
+    assert run(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"stardyn: resource cap exceeded: more than 1000000 raw patterns for n={n} k={k}\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ import random
 
 import pytest
 
+import stardyn.patterns as patterns_module
 from stardyn.patterns import (
     Arc,
+    EnumerationCapExceeded,
     FiniteOrbitSpec,
     PatternError,
     PatternSyntaxError,
@@ -27,6 +29,7 @@ from stardyn.patterns import (
     pattern_from_json_dict,
     validate,
     validate_orbit_spec,
+    _raw_pattern_count,
 )
 
 from support import EX1, EX2, random_pattern
@@ -177,6 +180,47 @@ def test_enumerate_cap():
 
     with pytest.raises(EnumerationCapExceeded):
         enumerate_patterns(4, 8, cap=1000)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_enumerate_matches_canonicalized_raw_patterns(n):
+    for k in range(2, 8):
+        for flag in (False, True):
+            want = sorted({canonicalize(p).branches for p in iter_patterns(n, k, flag)})
+            got = [p.branches for p in enumerate_patterns(n, k, all_branches=flag)]
+            assert got == want, (n, k, flag)
+
+
+def test_enumerate_visits_no_raw_pattern(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a raw pattern was visited")
+
+    monkeypatch.setattr(patterns_module, "_raw_arrangements", forbidden)
+    monkeypatch.setattr(patterns_module, "iter_patterns", forbidden)
+    assert len(enumerate_patterns(4, 8, all_branches=True)) == 4200
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_patterns(5, 8)
+
+
+@pytest.mark.parametrize(
+    "n, k, flag",
+    [(1, 2, False), (1, 5, True), (2, 2, True), (2, 5, False), (3, 4, True),
+     (3, 6, False), (3, 6, True), (4, 3, True), (4, 5, False), (4, 6, True),
+     (5, 5, True), (2, 7, True)],
+)
+def test_raw_pattern_count_is_the_raw_enumeration_size(n, k, flag):
+    assert _raw_pattern_count(n, k, flag) == sum(1 for _ in iter_patterns(n, k, flag))
+
+
+@pytest.mark.parametrize("n, k, flag", [(3, 6, True), (4, 5, False), (2, 2, False)])
+def test_enumerate_cap_threshold(n, k, flag):
+    raw = _raw_pattern_count(n, k, flag)
+    full = enumerate_patterns(n, k, all_branches=flag)
+    assert enumerate_patterns(n, k, all_branches=flag, cap=raw) == full
+    with pytest.raises(
+        EnumerationCapExceeded, match=f"^more than {raw - 1} raw patterns for n={n} k={k}$"
+    ):
+        enumerate_patterns(n, k, all_branches=flag, cap=raw - 1)
 
 
 # ----------------------------------------------------------------- arcs
