@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from operator import or_
 
 from .orders import forced_periods, sharkovskii_le
-from .patterns import CENTER_INDEX, Arc, MarkedPoint, StarPattern, arc, validate
+# ``arc`` is unused here but stays importable from this module
+from .patterns import CENTER_INDEX, MarkedPoint, StarPattern, arc, validate  # noqa: F401
 from .plmap import (
     InconsistencyError,
     PeriodicWitness,
@@ -55,13 +56,13 @@ class BasicInterval:
 
 
 def basic_intervals(p: StarPattern) -> list[BasicInterval]:
-    """All basic intervals, ordered by (branch, rank from the center)."""
-    out = []
-    for b in range(1, p.n + 1):
-        chain = (CENTER_INDEX,) + p.branch_points(b)
-        for r, (inner, outer) in enumerate(itertools.pairwise(chain), start=1):
-            out.append(BasicInterval(inner, outer, b, r))
-    return out
+    """All basic intervals, ordered by (branch, rank from the center): one
+    per marked point, which is its outer end."""
+    point = {e: i for i, e in enumerate(p.placements, start=1)}
+    return [
+        BasicInterval(point.get((b, r - 1), CENTER_INDEX), point[b, r], b, r)
+        for b, r in sorted(p.placements)
+    ]
 
 
 @dataclass(frozen=True)
@@ -94,21 +95,49 @@ class CoverDigraph:
         raise KeyError(f"no basic interval with endpoints {endpoints}")
 
 
-def cover_digraph(p: StarPattern) -> CoverDigraph:
-    verts = tuple(basic_intervals(p))
-    image_ids = [
-        arc(p.successor(v.inner), p.successor(v.outer), p).basic_ids()
-        for v in verts
+def cover_digraph(p: StarPattern, m: PLMap | None = None) -> CoverDigraph:
+    """The covering digraph of p, read off the piece graph of its
+    realization ``m`` (realized here when omitted).  The canonical map
+    sends each basic interval onto exactly the arc between its endpoints'
+    images, so the row of [j, j+1] on branch b is the union of the images
+    of the pieces in ``m.cells[b][j]``.  Raises ValueError when ``m``
+    realizes another pattern."""
+    if m is None:
+        m = realize(p)
+    elif m.pattern != p:
+        raise ValueError("the realization belongs to a different pattern")
+    rows = _cover_rows(m)
+    adjacency = tuple(tuple(j for j in range(len(rows)) if row >> j & 1) for row in rows)
+    return CoverDigraph(p, tuple(basic_intervals(p)), adjacency)
+
+
+def _cover_rows(m: PLMap) -> list[int]:
+    """The image of every basic interval as a bitmask in the layout of
+    ``_arc_masks``: the union of the integer images of its pieces."""
+    offsets = list(itertools.accumulate(m.branch_lengths, initial=0))
+    spans = [
+        ((1 << (hi - lo)) - 1) << (offsets[q.dst] + lo) for q, (lo, hi) in zip(m.pieces, m.images)
     ]
-    adjacency = tuple(
-        tuple(
-            j
-            for j, w in enumerate(verts)
-            if (w.branch, w.outer_rank) in image_ids[i]
-        )
-        for i in range(len(verts))
-    )
-    return CoverDigraph(p, verts, adjacency)
+    return [
+        functools.reduce(or_, [spans[i] for i, _, _ in cell]) for row in m.cells for cell in row
+    ]
+
+
+def _arc_masks(p: StarPattern) -> list[list[int]]:
+    """``masks[a][b]`` is the arc between marked points a and b as a
+    bitmask of basic intervals: bit i stands for vertex i of the covering
+    digraph, branch by branch outward from the center.  The intervals
+    between a point of rank r and the center are the r low bits of its
+    branch's block, and in a tree the arc between two points is the
+    symmetric difference of their paths to the center."""
+    index = {e: i for i, e in enumerate(sorted(p.placements))}  # as in ``basic_intervals``
+    down = [0] + [((1 << r) - 1) << (index[b, r] - r + 1) for b, r in p.placements]
+    return [[x ^ y for y in down] for x in down]
+
+
+def _through_center(masks: list[list[int]], a: MarkedPoint, b: MarkedPoint) -> bool:
+    """Whether the center is interior to the arc [a, b] (``_arc_masks``)."""
+    return bool(a and b and not masks[0][a] & masks[0][b])
 
 
 def render_dot(g: CoverDigraph) -> str:
@@ -273,19 +302,22 @@ def _branch_of(p: StarPattern, i: MarkedPoint) -> int:
     return 0 if i == CENTER_INDEX else p.branch_of(i)
 
 
-def _covers(p: StarPattern, src: Arc, dst: Arc) -> bool:
+def _covers(masks: list[list[int]], src: ArcEnds, dst: ArcEnds) -> bool:
     """Combinatorial covering: the arc between successor images of src's
-    endpoints contains dst."""
-    img = arc(p.successor(src.a), p.successor(src.b), p)
-    return dst.basic_ids() <= img.basic_ids()
+    endpoints contains dst (arcs as ``_arc_masks``)."""
+    k = len(masks)
+    image = masks[(src[0] + 1) % k][(src[1] + 1) % k]
+    return masks[dst[0]][dst[1]] & ~image == 0
 
 
-def _arcs_disjoint(x: Arc, y: Arc) -> bool:
+def _arcs_disjoint(masks: list[list[int]], x: ArcEnds, y: ArcEnds) -> bool:
     """Closed arcs are disjoint iff they share no basic interval and no
-    marked endpoint."""
-    if x.basic_ids() & y.basic_ids():
-        return False
-    return not (set(x.points) & set(y.points))
+    marked point; point i lies on [a, b] iff the arc from a to i lies
+    inside it."""
+    mx, my = masks[x[0]][x[1]], masks[y[0]][y[1]]
+    return not mx & my and not any(
+        masks[x[0]][i] & ~mx == 0 and masks[y[0]][i] & ~my == 0 for i in range(len(masks))
+    )
 
 
 # ----------------------------------------------------------- theorem checks
@@ -309,8 +341,8 @@ def check_center_theorem(p: StarPattern) -> CenterTheoremCase | None:
     else:
         case_id, u, v, back = 3, x2, CENTER_INDEX, (x1, x2)
     cert = CenterTheoremCase(case_id, u, v, (u, v), back)
-    a_arc, b_arc = arc(u, v, p), arc(*back, p)
-    if not (_covers(p, a_arc, a_arc) and _covers(p, a_arc, b_arc) and _covers(p, b_arc, a_arc)):
+    masks, span = _arc_masks(p), cert.span
+    if not all(_covers(masks, s, d) for s, d in ((span, span), (span, back), (back, span))):
         raise _refuted(cert)
     return cert
 
@@ -347,23 +379,16 @@ def check_nplus2_theorem(p: StarPattern) -> NPlus2Case | None:
         raise InconsistencyError(f"{p.to_text()}: x1 and x3 share a branch with other points")
     if p.rank_of(3) < p.rank_of(1):
         cert = NPlus2Case(1, CENTER_INDEX, 3, (CENTER_INDEX, 3), ((CENTER_INDEX, 4),))
-        chain_arcs = [arc(CENTER_INDEX, 4, p)]
     else:
-        cert = NPlus2Case(
-            2,
-            CENTER_INDEX,
-            1,
-            (CENTER_INDEX, 1),
-            ((CENTER_INDEX, 2), (1, 3), (CENTER_INDEX, 4)),
-        )
-        chain_arcs = [arc(*e, p) for e in cert.chain]
-    a_arc = arc(*cert.span, p)
-    ring = [a_arc] + chain_arcs + [a_arc]
-    if not (_covers(p, a_arc, a_arc) and all(_covers(p, s, t) for s, t in itertools.pairwise(ring))):
+        chain = ((CENTER_INDEX, 2), (1, 3), (CENTER_INDEX, 4))
+        cert = NPlus2Case(2, CENTER_INDEX, 1, (CENTER_INDEX, 1), chain)
+    masks, span = _arc_masks(p), cert.span
+    steps = [(span, span), *itertools.pairwise((span, *cert.chain, span))]
+    if not all(_covers(masks, s, d) for s, d in steps):
         raise _refuted(cert)
     if cert.case_id == 2:
-        b1, b2 = chain_arcs[0], chain_arcs[1]
-        if not (_covers(p, b2, b1) and _arcs_disjoint(b1, b2)):
+        b1, b2 = cert.chain[0], cert.chain[1]
+        if not (_covers(masks, b2, b1) and _arcs_disjoint(masks, b1, b2)):
             raise _refuted(cert)
     return cert
 
@@ -425,22 +450,17 @@ def find_cascade(g: CoverDigraph) -> Cascade | None:
 
 # ---------------------------------------------------------- chaos search
 
-def _iterate_index(p: StarPattern, i: MarkedPoint, t: int) -> MarkedPoint:
-    for _ in range(t):
-        i = p.successor(i)
-    return i
-
-
-def _ordering_holds(p: StarPattern, u: int, v: int, t: int) -> bool:
-    """g(v) < u < v <= g(u) read along the arc from g(u) to g(v)."""
-    gu, gv = _iterate_index(p, u, t), _iterate_index(p, v, t)
-    if gu == gv:
-        return False
-    span = arc(gu, gv, p)
-    pos_u, pos_v = span.position_of(u), span.position_of(v)
-    if pos_u is None or pos_v is None:
-        return False
-    return pos_v < pos_u < len(span.points) - 1
+def _ordering_holds(masks: list[list[int]], u: int, v: int, t: int) -> bool:
+    """g(v) < u < v <= g(u) read along the arc from g(u) to g(v), for the
+    t-th iterate g (arcs as ``_arc_masks``).  In a tree, x lies on the arc
+    from a to b iff the arc from a to x lies inside it, and the arc from a
+    to x grows with the position of x, so the order is nesting of the arcs
+    from g(u) to v, to u and to g(v), the last strictly.  Distinct points
+    have distinct arcs from g(u), and u = v leaves the span empty."""
+    k = len(masks)
+    row = masks[(u + t) % k]
+    to_v, to_u, span = row[v], row[u], row[(v + t) % k]
+    return to_u != span and to_v & ~to_u == 0 and to_u & ~span == 0
 
 
 def find_genscramble(p: StarPattern, max_iterate: int = 2) -> Genscramble | None:
@@ -459,7 +479,8 @@ def find_genscramble(p: StarPattern, max_iterate: int = 2) -> Genscramble | None
     if max_iterate < 1:
         raise ValueError("max_iterate must be positive")
     theorem = _theorem(p)
-    return _find_genscramble(p, realize(p), cover_digraph(p), theorem, max_iterate)
+    m = realize(p)
+    return _find_genscramble(p, m, cover_digraph(p, m), theorem, max_iterate)
 
 
 def _find_genscramble(
@@ -482,14 +503,10 @@ def _find_genscramble(
                 f"{theorem!r} fails its replay — this is a bug"
             )
         return cert
-    bit = {(w.branch, w.outer_rank): 1 << i for i, w in enumerate(g.vertices)}
     rows = [sum(1 << j for j in row) for row in g.adjacency]
-
-    def mask(x: Arc) -> int:
-        return sum(bit[i] for i in x.basic_ids())
-
-    arcs = {(a, b): arc(a, b, p) for a in range(p.k) for b in range(a + 1, p.k)}
-    masks = {e: mask(x) for e, x in arcs.items() if not x.through_center}
+    arcs = _arc_masks(p)
+    pairs = itertools.combinations(range(p.k), 2)
+    masks = {(a, b): arcs[a][b] for a, b in pairs if not _through_center(arcs, a, b)}
     cap = 2 * len(g.vertices) + 2
     images = masks
     for t in range(1, max_iterate + 1):
@@ -498,10 +515,9 @@ def _find_genscramble(
             for v in range(p.k):
                 if u == v or tuple(sorted((u, v))) not in masks:
                     continue
-                if not _ordering_holds(p, u, v, t):
+                if not _ordering_holds(arcs, u, v, t):
                     continue
-                gv = _iterate_index(p, v, t)
-                first = mask(arc(gv, u, p)) if gv != u else 0
+                first = arcs[(v + t) % p.k][u]
                 loop = _loop_search(u, v, first, masks, images, cap)
                 if loop is not None:
                     return Genscramble(t, u, v, loop)
@@ -608,38 +624,22 @@ def verify_genscramble(p: StarPattern, cert: Genscramble) -> bool:
 
 def _verify_genscramble(p: StarPattern, m: PLMap, cert: Genscramble) -> bool:
     """The replay on the realization's piece graph, independent of the
-    covering digraph: arcs are bitmasks of basic intervals read from the
-    marked points' ranks, and the image of basic interval [j, j+1] of
-    branch b is the union of the integer images of its pieces."""
+    covering digraph: arcs are rank bitmasks (``_arc_masks``) and the
+    image of a basic interval is read off its pieces (``_cover_rows``).
+    A loop arc whose ends are not two distinct marked points, or an
+    iterate below 1, fails the replay."""
     t, u, v = cert.iterate, cert.u, cert.v
     if not cert.loop or cert.loop[0] != tuple(sorted((u, v))) and cert.loop[0] != (u, v):
         return False
-    if not _ordering_holds(p, u, v, t):
+    if t < 1 or not all(0 <= a < p.k and 0 <= b < p.k and a != b for a, b in cert.loop):
         return False
-    arcs = [arc(*e, p) for e in cert.loop]
-    if arc(u, v, p).through_center:
+    arcs = _arc_masks(p)
+    if not _ordering_holds(arcs, u, v, t):
         return False
-    if any(a.through_center for a in arcs[1:]):
+    if any(_through_center(arcs, a, b) for a, b in ((u, v), *cert.loop[1:])):
         return False
-    offsets = list(itertools.accumulate(m.branch_lengths, initial=0))
-
-    def span(b: int, lo: int, hi: int) -> int:
-        return ((1 << (hi - lo)) - 1) << (offsets[b] + lo)
-
-    def mask(a: MarkedPoint, b: MarkedPoint) -> int:
-        (ba, ra), (bb, rb) = (
-            (0, 0) if i == CENTER_INDEX else (p.branch_of(i), p.rank_of(i)) for i in (a, b)
-        )
-        if ba == bb or not ra or not rb:
-            return span(ba or bb, min(ra, rb), max(ra, rb))
-        return span(ba, 0, ra) | span(bb, 0, rb)
-
-    rows = [
-        functools.reduce(or_, (span(m.pieces[i].dst, *m.images[i]) for i, _, _ in cell), 0)
-        for row in m.cells
-        for cell in row
-    ]
-    masks = [mask(*e) for e in cert.loop]
+    rows = _cover_rows(m)
+    masks = [arcs[a][b] for a, b in cert.loop]
     for s, d in itertools.pairwise(masks):
         for _ in range(t):
             s = _image(rows, s)
@@ -647,10 +647,10 @@ def _verify_genscramble(p: StarPattern, m: PLMap, cert: Genscramble) -> bool:
             return False
     if masks[0] & ~masks[-1]:
         return False
-    gv = _iterate_index(p, v, t)
-    if gv == u or masks[1] & ~mask(gv, u):
+    gv = (v + t) % p.k
+    if gv == u or masks[1] & ~arcs[gv][u]:
         return False
-    if masks[-2] & mask(u, v):
+    if masks[-2] & arcs[u][v]:
         return False
     return True
 
@@ -698,7 +698,7 @@ def periodicity_report(
     if max_iterate < 1:
         raise ValueError("max_iterate must be positive")
     m = realize(p)
-    g = cover_digraph(p)
+    g = cover_digraph(p, m)
     forced = frozenset(forced_periods(1, p.k, p_max))
 
     claims: dict[int, list[Certificate]] = {q: [] for q in range(1, p_max + 1)}

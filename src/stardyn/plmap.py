@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .patterns import CENTER_INDEX, Arc, MarkedPoint, StarPattern, arc
+from .patterns import CENTER_INDEX, Arc, MarkedPoint, StarPattern, validate
 
 DEFAULT_CYLINDER_CAP = 10**6
 _CAP_ENV = "STARDYN_CYLINDER_CAP"
@@ -225,44 +225,44 @@ def _marked_point(p: StarPattern, i: MarkedPoint) -> RationalPoint:
 
 
 def realize(p: StarPattern) -> PLMap:
-    """Build the canonical realization; requires a valid pattern."""
-    from .patterns import validate
+    """Build the canonical realization; requires a valid pattern.
 
+    The piece table is built in integers straight from the placements:
+    basic interval [r-1, r] of a branch maps onto the arc between the
+    images of its end points, and when that arc crosses the center, with
+    ends at ranks a and b on two branches, the interval splits at
+    (r-1) + a/(a+b).  Pieces come out in (src, lo) order; ``Fraction``
+    appears only in the ``lo``/``hi`` field values."""
     problems = validate(p)
     if problems:
         raise ValueError("cannot realize an invalid pattern: " + "; ".join(problems))
-    lengths = [0] * (p.n + 1)
-    for b in range(1, p.n + 1):
-        lengths[b] = p.branch_size(b)
+    k = p.k
+    where = ((0, 0),) + p.placements  # (branch, rank) of each marked point
+    chains = [[CENTER_INDEX] for _ in range(p.n + 1)]  # chains[b][r]: the point of rank r on b
+    for (b, _), i in sorted(zip(p.placements, range(1, k))):
+        chains[b].append(i)
+    lengths = [len(chain) - 1 for chain in chains]
+    ends = [Fraction(r) for r in range(max(lengths) + 1)]
 
     pieces: list[Piece] = []
+    by_branch: list[tuple[tuple[int, Piece], ...]] = [()]
     for b in range(1, p.n + 1):
-        chain = (CENTER_INDEX,) + p.branch_points(b)
+        start, chain = len(pieces), chains[b]
         for r in range(1, len(chain)):
-            inner, outer = chain[r - 1], chain[r]
-            a_img = _marked_point(p, p.successor(inner))
-            b_img = _marked_point(p, p.successor(outer))
-            lo, hi = Fraction(r - 1), Fraction(r)
-            if a_img.branch == b_img.branch or a_img == CENTER or b_img == CENTER:
-                dst = b_img.branch if a_img == CENTER else a_img.branch
-                slope = int(b_img.coord - a_img.coord)
-                offset = int(a_img.coord - slope * (r - 1))
-                pieces.append(Piece(b, lo, hi, dst, slope, offset))
+            ab, ac = where[(chain[r - 1] + 1) % k]
+            bb, bc = where[(chain[r] + 1) % k]
+            if ab == bb or not ac or not bc:
+                slope = bc - ac
+                pieces.append(Piece(b, ends[r - 1], ends[r], ab or bb, slope, ac - slope * (r - 1)))
             else:
                 # image arc crosses the center: split at its preimage
-                total = int(a_img.coord + b_img.coord)
-                split = lo + Fraction(int(a_img.coord), total)
-                down_slope = -total
-                down_offset = int(a_img.coord + (r - 1) * total)
-                up_slope = total
-                up_offset = -down_offset
-                pieces.append(Piece(b, lo, split, a_img.branch, down_slope, down_offset))
-                pieces.append(Piece(b, split, hi, b_img.branch, up_slope, up_offset))
-    pieces.sort(key=lambda q: (q.src, q.lo))
-    by_branch = tuple(
-        tuple((idx, q) for idx, q in enumerate(pieces) if q.src == b) for b in range(p.n + 1)
-    )
-    return PLMap(p, tuple(lengths), tuple(pieces), by_branch, *_piece_graph(pieces, lengths))
+                total = ac + bc
+                down_offset = ac + (r - 1) * total
+                split = Fraction(down_offset, total)
+                pieces.append(Piece(b, ends[r - 1], split, ab, -total, down_offset))
+                pieces.append(Piece(b, split, ends[r], bb, total, -down_offset))
+        by_branch.append(tuple(enumerate(pieces[start:], start)))
+    return PLMap(p, tuple(lengths), tuple(pieces), tuple(by_branch), *_piece_graph(pieces, lengths))
 
 
 def _piece_graph(pieces, lengths):

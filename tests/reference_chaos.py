@@ -3,9 +3,9 @@
 
 Every arc is a ``Subtree`` of the realization, every image is computed
 piece by piece with ``image_of_arc``, containment compares segment
-endpoints, and "meets the open (u, v)" is a positive-length overlap.  It
-shares with ``certify`` only the certificate type, the theorem checks and
-the combinatorial ordering test.
+endpoints, and "meets the open (u, v)" is a positive-length overlap.  The
+ordering test reads positions off ``Arc`` traversals.  It shares with
+``certify`` only the certificate type and the theorem checks.
 """
 
 import itertools
@@ -14,8 +14,6 @@ from stardyn.certify import (
     CenterTheoremCase,
     Genscramble,
     InconsistencyError,
-    _iterate_index,
-    _ordering_holds,
     _theorem,
     basic_intervals,
 )
@@ -28,6 +26,25 @@ def _overlaps_open_segment(tree, branch, lo, hi):
     return any(
         b == branch and max(slo, lo) < min(shi, hi) for b, slo, shi in tree.segments
     )
+
+
+def _iterate_index(p, i, t):
+    for _ in range(t):
+        i = p.successor(i)
+    return i
+
+
+def ordering_holds(p, u, v, t):
+    """g(v) < u < v <= g(u) read along the arc from g(u) to g(v), by the
+    traversal positions of ``Arc``."""
+    gu, gv = _iterate_index(p, u, t), _iterate_index(p, v, t)
+    if gu == gv:
+        return False
+    span = arc(gu, gv, p)
+    pos_u, pos_v = span.position_of(u), span.position_of(v)
+    if pos_u is None or pos_v is None:
+        return False
+    return pos_v < pos_u < len(span.points) - 1
 
 
 def find_genscramble(p, max_iterate=2):
@@ -55,7 +72,7 @@ def find_genscramble(p, max_iterate=2):
             for v in range(p.k):
                 if u == v or tuple(sorted((u, v))) not in trees:
                     continue
-                if not _ordering_holds(p, u, v, t):
+                if not ordering_holds(p, u, v, t):
                     continue
                 loop = _loop_search(p, m, u, v, t, pairs, trees, images, cap)
                 if loop is not None:
@@ -113,7 +130,7 @@ def verify(p, m, cert):
     t, u, v = cert.iterate, cert.u, cert.v
     if not cert.loop or cert.loop[0] != tuple(sorted((u, v))) and cert.loop[0] != (u, v):
         return False
-    if not _ordering_holds(p, u, v, t):
+    if not ordering_holds(p, u, v, t):
         return False
     arcs = [arc(*e, p) for e in cert.loop]
     if arc(u, v, p).through_center:

@@ -1,15 +1,20 @@
-"""Reference copy of the exhaustive periodic-point scan in ``Fraction``
-arithmetic, kept for equivalence tests only.
+"""Reference copies of the realization and of the exhaustive
+periodic-point scan in ``Fraction`` arithmetic, kept for equivalence tests
+only.
 
-It subdivides cylinders by intersecting their images with every piece of
-the current branch, solves the fixed-point equation on the cylinder's
-domain, locates a point's piece by a linear scan of its branch and checks
-least periods divisor by divisor.  It relies on nothing from ``plmap``
-but its data types, the ``Piece`` table, and the cap reader.
+``realize`` builds the piece table from ``Fraction`` marked-point
+coordinates and sorts it by (src, lo); the piece graph comes from
+``plmap._piece_graph``.  The scan subdivides cylinders by intersecting
+their images with every piece of the current branch, solves the
+fixed-point equation on the cylinder's domain, locates a point's piece by
+a linear scan of its branch and checks least periods divisor by divisor.
+It relies on nothing from ``plmap`` but its data types, the ``Piece``
+table, and the cap reader.
 """
 
 from fractions import Fraction
 
+from stardyn.patterns import CENTER_INDEX, validate
 from stardyn.plmap import (
     CENTER,
     Cylinder,
@@ -17,12 +22,56 @@ from stardyn.plmap import (
     DomainError,
     InconsistencyError,
     PeriodicWitness,
+    Piece,
+    PLMap,
+    RationalPoint,
     ScanResult,
+    _piece_graph,
     cylinder_cap,
     make_point,
 )
 
 _IDENTITY = "identity"
+
+
+def _marked_point(p, i):
+    if i == CENTER_INDEX:
+        return CENTER
+    return RationalPoint(p.branch_of(i), Fraction(p.rank_of(i)))
+
+
+def realize(p):
+    """Each basic interval [r-1, r] maps arclength-linearly onto the arc
+    between its endpoints' images, split at the preimage of the center
+    when that arc crosses it."""
+    problems = validate(p)
+    if problems:
+        raise ValueError("cannot realize an invalid pattern: " + "; ".join(problems))
+    lengths = [0] + [p.branch_size(b) for b in range(1, p.n + 1)]
+    pieces = []
+    for b in range(1, p.n + 1):
+        chain = (CENTER_INDEX,) + p.branch_points(b)
+        for r in range(1, len(chain)):
+            inner, outer = chain[r - 1], chain[r]
+            a_img = _marked_point(p, p.successor(inner))
+            b_img = _marked_point(p, p.successor(outer))
+            lo, hi = Fraction(r - 1), Fraction(r)
+            if a_img.branch == b_img.branch or a_img == CENTER or b_img == CENTER:
+                dst = b_img.branch if a_img == CENTER else a_img.branch
+                slope = int(b_img.coord - a_img.coord)
+                offset = int(a_img.coord - slope * (r - 1))
+                pieces.append(Piece(b, lo, hi, dst, slope, offset))
+            else:
+                total = int(a_img.coord + b_img.coord)
+                split = lo + Fraction(int(a_img.coord), total)
+                down_offset = int(a_img.coord + (r - 1) * total)
+                pieces.append(Piece(b, lo, split, a_img.branch, -total, down_offset))
+                pieces.append(Piece(b, split, hi, b_img.branch, total, -down_offset))
+    pieces.sort(key=lambda q: (q.src, q.lo))
+    by_branch = tuple(
+        tuple((idx, q) for idx, q in enumerate(pieces) if q.src == b) for b in range(p.n + 1)
+    )
+    return PLMap(p, tuple(lengths), tuple(pieces), by_branch, *_piece_graph(pieces, lengths))
 
 
 def evaluate(m, x):

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_chaos as ref_chaos
+import reference_digraph as ref_digraph
+import reference_scan as ref_scan
 import stardyn.certify as certify_module
 from stardyn.certify import (
     BasicInterval,
@@ -130,6 +132,67 @@ def test_digraph_matches_exact_images_random():
                 assert g.has_edge(i, j) == img.contains(
                     subtree_of_arc(m, arc(w.inner, w.outer, p))
                 )
+
+
+def test_cover_digraph_reads_the_given_realization(p1, p2):
+    assert cover_digraph(p1, realize(p1)) == cover_digraph(p1)
+    with pytest.raises(ValueError, match="different pattern"):
+        cover_digraph(p1, realize(p2))
+
+
+def _realization(m):
+    """Every field of a realization, the ones equality skips included."""
+    return (m.pattern, m.branch_lengths, m.pieces, m.by_branch, m.images, m.successors, m.cells)
+
+
+def _check_integer_structure(p):
+    """The integer realization and the digraph read off it equal the
+    ``Fraction`` realization and the ``Arc``-built digraph."""
+    m = realize(p)
+    assert _realization(m) == _realization(ref_scan.realize(p)), p.to_text()
+    assert cover_digraph(p, m) == ref_digraph.cover_digraph(p), p.to_text()
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_realize_and_digraph_match_references_on_every_class(k):
+    for n in range(1, 5):
+        # every class of either all_branches flag: the all-branch classes
+        # are those of this list with no empty branch
+        for p in enumerate_patterns(n, k):
+            _check_integer_structure(p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 5), st.integers(2, 8))
+def test_realize_and_digraph_match_references_on_random_patterns(rng, n, k):
+    _check_integer_structure(random_pattern(rng, n, k))
+
+
+def test_arcs_disjoint_matches_arc_traversals():
+    for n in range(1, 4):
+        for p in enumerate_patterns(n, 5):
+            masks = certify_module._arc_masks(p)
+            arcs = {e: arc(*e, p) for e in itertools.combinations(range(p.k), 2)}
+            for (e, x), (f, y) in itertools.product(arcs.items(), repeat=2):
+                shared = x.basic_ids() & y.basic_ids() or set(x.points) & set(y.points)
+                disjoint = certify_module._arcs_disjoint(masks, e, f)
+                assert disjoint == (not shared), (p.to_text(), e, f)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_arc_masks_match_arc_traversals(k):
+    for n in range(1, 5):
+        for p in enumerate_patterns(n, k):
+            masks = certify_module._arc_masks(p)
+            bit = {(w.branch, w.outer_rank): 1 << i for i, w in enumerate(basic_intervals(p))}
+            for a, b in itertools.permutations(range(k), 2):
+                x = arc(a, b, p)
+                assert masks[a][b] == sum(bit[i] for i in x.basic_ids()), (p.to_text(), a, b)
+                assert certify_module._through_center(masks, a, b) == x.through_center
+                for t in (1, 2, 3):
+                    assert certify_module._ordering_holds(masks, a, b, t) == (
+                        ref_chaos.ordering_holds(p, a, b, t)
+                    ), (p.to_text(), a, b, t)
 
 
 def test_render_dot(p1):
@@ -332,6 +395,17 @@ def test_genscramble_replay_rejects_corruption(p2):
     assert not verify_genscramble(
         p2, Genscramble(good.iterate, good.u, good.v, ((0, 2), (1, 3), (0, 2)))
     )
+
+
+def test_genscramble_replay_rejects_malformed_certificates(p2):
+    good = find_genscramble(p2, max_iterate=2)
+    k = p2.k
+    # an iterate below 1, and loop ends that name no arc, fail the replay
+    assert not verify_genscramble(p2, Genscramble(good.iterate - k, good.u, good.v, good.loop[:1]))
+    for a, b in good.loop[1:-1]:
+        for bad in ((a - k, b), (a, b + k), (a, a)):
+            loop = (good.loop[0], bad) + good.loop[2:]
+            assert not verify_genscramble(p2, Genscramble(good.iterate, good.u, good.v, loop))
 
 
 def _tampered(c):

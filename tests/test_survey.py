@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import networkx as nx
 import pytest
 
 import stardyn.certify as certify_module
+import stardyn.patterns as patterns_module
 import stardyn.plmap as plmap_module
 import stardyn.survey as survey_module
-from stardyn.certify import cover_digraph
+from stardyn.certify import cover_digraph, periodicity_report
 from stardyn.orders import forced_periods
 from stardyn.patterns import canonicalize, parse_pattern
 from stardyn.survey import (
@@ -392,3 +394,21 @@ def test_verify_paper_builds_one_digraph_per_report(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     assert verify_paper().all_passed
     assert calls["cover_digraph"] == calls["periodicity_report"] + 2
+
+
+def test_survey_path_builds_no_arc(monkeypatch):
+    # arcs on the survey path are rank bitmasks; ``patterns.arc`` is for users
+    survey, report = classify_all(4, 6), periodicity_report(parse_pattern(EX2), p_max=12)
+    original = patterns_module.arc
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("patterns.arc was called")
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stardyn" and getattr(module, "arc", None) is original:
+            monkeypatch.setattr(module, "arc", forbidden)
+            patched.append(name)
+    assert {"stardyn", "stardyn.patterns", "stardyn.certify"} <= set(patched)
+    assert classify_all(4, 6) == survey
+    assert periodicity_report(parse_pattern(EX2), p_max=12) == report
