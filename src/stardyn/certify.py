@@ -8,8 +8,11 @@ cofinite set of periods, and an expanding arc pair (u, v) with a suitable
 covering loop certifies Li-Yorke chaos.
 
 Every certificate is replayable: ``verify_certificate`` re-derives the
-claim from the pattern alone.  Presence claims are always confirmed by the
-exact oracle; absence is decided only by the oracle's exhaustive scan.
+claim from the pattern alone.  In a periodicity report, presence claims
+are confirmed by the exact oracle and absence is decided by its
+exhaustive scan; the closed-walk count derives each period a second time.
+A survey decides periods by the count alone, and asks the oracle only
+for the periods the count cannot settle.
 """
 
 from __future__ import annotations
@@ -153,41 +156,61 @@ def render_dot(g: CoverDigraph) -> str:
 
 # ------------------------------------------------------------ walk lengths
 
-def _walk_spectra(g: CoverDigraph, bound: int) -> tuple[set[int], set[int]]:
-    """Both walk-length sets up to ``bound``, from the diagonals of the
-    exact integer adjacency-matrix powers A^1, ..., A^bound."""
+def _walk_traces(adjacency: tuple[tuple[int, ...], ...], bound: int) -> list[int]:
+    """tr(A^1), ..., tr(A^bound) for the 0/1 matrix A with rows
+    ``adjacency``: the exact numbers of closed walks of each length.  Row
+    i of A^q is one integer with a field of ``width`` bits per column,
+    wide enough for any entry up to A^bound (at most size^bound), so row
+    i of A^(q+1) = A A^q is the sum of the rows of A^q at i's successors."""
     if bound < 1:
         raise ValueError("bound must be positive")
-    size = len(g.vertices)
-    power = [[int(i == j) for j in range(size)] for i in range(size)]
-    closed, loop_only = set(), set()
-    for p in range(1, bound + 1):
-        nxt = [[0] * size for _ in range(size)]
-        for row, out in zip(power, nxt):
-            for k, count in enumerate(row):
-                for j in g.adjacency[k]:
-                    out[j] += count
-        power = nxt
-        diagonal = [power[i][i] for i in range(size)]
-        if sum(diagonal) > 0:
-            closed.add(p)
-        if sum(diagonal) == 1:
-            w = diagonal.index(1)
-            if g.has_edge(w, w):
-                loop_only.add(p)
-    return closed, loop_only
+    size = len(adjacency)
+    width = bound * size.bit_length() + 1
+    mask = (1 << width) - 1
+    rows = [1 << (i * width) for i in range(size)]
+    traces = []
+    for _ in range(bound):
+        rows = [sum(map(rows.__getitem__, row)) for row in adjacency]
+        traces.append(sum(rows[i] >> (i * width) & mask for i in range(size)))
+    return traces
 
 
 def closed_walk_lengths(g: CoverDigraph, bound: int) -> set[int]:
     """Lengths p <= bound for which the digraph has a closed walk, by exact
     adjacency-matrix powers."""
-    return _walk_spectra(g, bound)[0]
+    return {q for q, t in enumerate(_walk_traces(g.adjacency, bound), 1) if t}
 
 
 def self_loop_only_lengths(g: CoverDigraph, bound: int) -> set[int]:
     """Lengths p <= bound for which the only closed walk is the repetition
-    of a single self-loop."""
-    return _walk_spectra(g, bound)[1]
+    of a single self-loop: the trace is 1, since any other closed walk is
+    counted once per distinct rotation."""
+    return {q for q, t in enumerate(_walk_traces(g.adjacency, bound), 1) if t == 1}
+
+
+def _period_counts(k: int, traces: list[int]) -> dict[int, int]:
+    """The number of points of least period q of the canonical map with
+    orbit size k, for every q <= len(traces) that k does not divide, from
+    the closed-walk counts ``traces`` of its covering digraph.
+
+    The map is Markov over its pieces.  A closed walk of length q in the
+    piece graph has a cylinder that its composite maps onto a set
+    containing it, so it holds a fixed point of f^q, and only one unless
+    the composite has slope +1.  Then every piece on the walk has slope
+    +-1 (a split piece has slope +-(a+b)) and maps a basic interval onto
+    one, so f^q maps the walk's first basic interval onto itself and fixes
+    its marked ends: k divides q.  A fixed point lies in the cylinders of
+    two walks only if its orbit meets a piece end, a marked or split point
+    on the center orbit, of period k.  So for k not dividing q the trace
+    counts the points of every least period d | q, and subtracting the
+    proper divisors' counts is the Moebius inversion.  The covering
+    digraph has the piece graph's traces: a closed covering walk picks
+    the one piece of each interval whose image holds the next."""
+    counts: dict[int, int] = {}
+    for q, t in enumerate(traces, 1):
+        if q % k:
+            counts[q] = t - sum(counts[d] for d in range(1, q) if q % d == 0)
+    return counts
 
 
 # ------------------------------------------------------------- certificates
@@ -684,6 +707,76 @@ class PeriodicityReport:
         return {q for q, s in self.periods.items() if s.status == "absent"}
 
 
+def _claims(
+    p: StarPattern, g: CoverDigraph, theorem: CenterTheoremCase | NPlus2Case | None,
+    forced: frozenset[int], p_max: int,
+) -> dict[int, list[Certificate]]:
+    """The structural certificates claiming each period up to p_max."""
+    claims: dict[int, list[Certificate]] = {q: [] for q in range(1, p_max + 1)}
+    if p.k <= p_max:
+        claims[p.k].append(CenterOrbit(p.k))
+    for q in sorted(forced):
+        if q != p.k and q <= p_max:
+            claims[q].append(ForcedPeriod(q, p.k))
+    for cert in (theorem, find_cascade(g)):
+        if cert is not None:
+            for q in sorted(cert.claimed_periods(p_max)):
+                claims[q].append(cert)
+    return claims
+
+
+def _oracle_status(m: PLMap, q: int, claims: list[Certificate]) -> PeriodStatus:
+    """Period q decided by the exact oracle: a claimed period by its first
+    witness, any other by the exhaustive scan."""
+    if claims:
+        w = first_witness(m, q)
+        if w is None:
+            raise InconsistencyError(
+                f"certificates {claims!r} claim period {q} but the "
+                f"exact oracle finds no such point — this is a bug"
+            )
+        return PeriodStatus("present", tuple(claims) + (OracleWitness(w),))
+    res = oracle_scan(m, q)
+    if res.witnesses:
+        return PeriodStatus("present", (OracleWitness(res.witnesses[0]),))
+    return PeriodStatus("absent", (OracleAbsence(q, res.cylinders),))
+
+
+def _survey_row(p: StarPattern, p_max: int, max_iterate: int) -> tuple:
+    """What a survey keeps of one pattern: (present periods, chaos iterate
+    or None, center-theorem flag, n+2-theorem flag, covering digraph
+    adjacency).  The closed-walk count decides every period that k does
+    not divide (``_period_counts``), period k is the center's, and only
+    its other multiples go to the oracle, as in ``periodicity_report``.
+    A claimed period that counts 0 raises InconsistencyError."""
+    m = realize(p)
+    g = cover_digraph(p, m)
+    theorem = _theorem(p)
+    claims = _claims(p, g, theorem, frozenset(forced_periods(1, p.k, p_max)), p_max)
+    counts = _period_counts(p.k, _walk_traces(g.adjacency, p_max))
+    present = []
+    for q in range(1, p_max + 1):
+        if q in counts:
+            if claims[q] and not counts[q]:
+                raise InconsistencyError(
+                    f"{p.to_text()}: certificates {claims[q]!r} claim period {q} but "
+                    f"the closed-walk count finds no such point — this is a bug"
+                )
+            found = counts[q] > 0
+        else:
+            found = q == p.k or _oracle_status(m, q, claims[q]).status == "present"
+        if found:
+            present.append(q)
+    chaos = _find_genscramble(p, m, g, theorem, max_iterate)
+    return (
+        tuple(present),
+        chaos.iterate if chaos is not None else None,
+        isinstance(theorem, CenterTheoremCase),
+        isinstance(theorem, NPlus2Case),
+        g.adjacency,
+    )
+
+
 def periodicity_report(
     p: StarPattern, p_max: int = 10, max_iterate: int = 2
 ) -> PeriodicityReport:
@@ -692,7 +785,9 @@ def periodicity_report(
 
     The one place a pattern is analyzed: it realizes the pattern, builds
     the covering digraph and decides the theorem certificate once each,
-    and keeps the last two on the report (``theorem``, ``digraph``)."""
+    and keeps the last two on the report (``theorem``, ``digraph``).
+    Every period that the closed-walk count decides (``_period_counts``)
+    is derived twice: the count and the oracle must agree."""
     if p_max < 1:
         raise ValueError("p_max must be positive")
     if max_iterate < 1:
@@ -700,54 +795,27 @@ def periodicity_report(
     m = realize(p)
     g = cover_digraph(p, m)
     forced = frozenset(forced_periods(1, p.k, p_max))
-
-    claims: dict[int, list[Certificate]] = {q: [] for q in range(1, p_max + 1)}
-    if p.k <= p_max:
-        claims[p.k].append(CenterOrbit(p.k))
-    for q in sorted(forced):
-        if q != p.k and q <= p_max:
-            claims[q].append(ForcedPeriod(q, p.k))
     theorem = _theorem(p)
-    if theorem is not None:
-        for q in sorted(theorem.claimed_periods(p_max)):
-            claims[q].append(theorem)
-    cascade = find_cascade(g)
-    if cascade is not None:
-        for q in sorted(cascade.claimed_periods(p_max)):
-            claims[q].append(cascade)
+    claims = _claims(p, g, theorem, forced, p_max)
+    traces = _walk_traces(g.adjacency, p_max)
+    counts = _period_counts(p.k, traces)
 
     periods: dict[int, PeriodStatus] = {}
     for q in range(1, p_max + 1):
-        if claims[q]:
-            w = first_witness(m, q)
-            if w is None:
-                raise InconsistencyError(
-                    f"certificates {claims[q]!r} claim period {q} but the "
-                    f"exact oracle finds no such point — this is a bug"
-                )
-            periods[q] = PeriodStatus(
-                "present", tuple(claims[q]) + (OracleWitness(w),)
+        periods[q] = _oracle_status(m, q, claims[q])
+        if q in counts and (counts[q] > 0) != (periods[q].status == "present"):
+            raise InconsistencyError(
+                f"{p.to_text()}: the closed-walk count gives {counts[q]} points of "
+                f"period {q} but the exact oracle finds it {periods[q].status} — this is a bug"
             )
-        else:
-            res = oracle_scan(m, q)
-            if res.witnesses:
-                periods[q] = PeriodStatus(
-                    "present", (OracleWitness(res.witnesses[0]),)
-                )
-            else:
-                periods[q] = PeriodStatus(
-                    "absent", (OracleAbsence(q, res.cylinders),)
-                )
 
     chaos = _find_genscramble(p, m, g, theorem, max_iterate)
-    walk_lengths, loop_only = _walk_spectra(g, p_max)
     commentary = [
         "closed walk lengths up to "
-        f"{p_max}: {sorted(walk_lengths)}",
+        f"{p_max}: {[q for q, t in enumerate(traces, 1) if t]}",
     ]
-    for q in sorted(loop_only):
-        if q == 1:
-            continue  # a self-loop does witness a fixed point
+    for q in [q for q, t in enumerate(traces, 1) if t == 1 and q > 1]:
+        # at q = 1 the self-loop does witness a fixed point
         w = next(i for i in range(len(g.vertices)) if g.has_edge(i, i))
         commentary.append(
             f"every closed walk of length {q} repeats the self-loop at "

@@ -15,6 +15,9 @@ resource cap exceeded.  Usage errors print a synopsis to stderr and
 produce no partial output.  Identical inputs yield byte-identical output;
 ``--out`` writes atomically (temp file + rename).  The environment
 variable ``STARDYN_CYLINDER_CAP`` overrides the oracle's subdivision cap.
+A survey decides every period that the orbit size k does not divide by
+counting closed walks, and scans only the multiples of k above k, so in
+a survey the cap bounds only those scans.
 """
 
 from __future__ import annotations
@@ -231,11 +234,12 @@ Outputs = list[tuple[str | None, str]]
 def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> tuple[Outputs, int]:
     p = _load_pattern(cfg.pattern_paths[0])
     outputs: Outputs = []
-    dot_text = render_dot(cover_digraph(p)) if (args.dot or cfg.format == "dot") else None
-    report_text = None
+    report = report_text = dot_text = None
     if args.json or cfg.format == "json":
         report = periodicity_report(p, p_max=cfg.p_max, max_iterate=cfg.max_iterate)
         report_text = _json_text(report_to_json(report))
+    if args.dot or cfg.format == "dot":
+        dot_text = render_dot(report.digraph if report else cover_digraph(p))
     if args.dot:
         outputs.append((args.dot, dot_text))
     if args.json:

@@ -29,10 +29,7 @@ import networkx as nx
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from .certify import (
-    CenterTheoremCase,
-    CoverDigraph,
-    NPlus2Case,
-    PeriodicityReport,
+    _survey_row,
     closed_walk_lengths,
     cover_digraph,
     find_cascade,
@@ -93,8 +90,8 @@ class ClassRecord:
     class contains.  The remaining fields summarize the analysis of the
     representative: applicability of the two covering theorems, the set
     of periods found up to the horizon, a tag describing the shape of
-    that set, the smallest iterate at which a chaos certificate was
-    found (or ``None``), and the full periodicity report.
+    that set, and the smallest iterate at which a chaos certificate was
+    found (or ``None``).
     """
 
     pattern: StarPattern
@@ -106,7 +103,6 @@ class ClassRecord:
     periods_present: tuple[int, ...]
     tail: str
     chaos_iterate: int | None
-    report: PeriodicityReport
 
     @property
     def pattern_text(self) -> str:
@@ -163,29 +159,23 @@ def _class_size(p: StarPattern) -> int:
     return math.factorial(p.n) // math.factorial(empty)
 
 
-def _nx_digraph(g: CoverDigraph) -> nx.DiGraph:
+def _nx_digraph(adjacency: tuple[tuple[int, ...], ...]) -> nx.DiGraph:
     h = nx.DiGraph()
-    h.add_nodes_from(range(len(g.vertices)))
-    h.add_edges_from(g.edges())
+    h.add_nodes_from(range(len(adjacency)))
+    h.add_edges_from((i, j) for i, row in enumerate(adjacency) for j in row)
     return h
 
 
-def _iso_signature(g: CoverDigraph) -> tuple:
+def _iso_signature(adjacency: tuple[tuple[int, ...], ...]) -> tuple:
     """Isomorphism invariants: vertex, edge and self-loop counts and the
     sorted (out-degree, in-degree) pairs."""
-    in_degree = [0] * len(g.adjacency)
-    for row in g.adjacency:
+    in_degree = [0] * len(adjacency)
+    for row in adjacency:
         for j in row:
             in_degree[j] += 1
-    degrees = sorted(zip(map(len, g.adjacency), in_degree))
-    loops = sum(1 for i, row in enumerate(g.adjacency) if i in row)
-    return (len(g.adjacency), sum(in_degree), loops, tuple(degrees))
-
-
-def _analyze_pattern(args: tuple[StarPattern, int, int]) -> PeriodicityReport:
-    """Worker: full analysis of one class representative (picklable)."""
-    p, p_max, max_iterate = args
-    return periodicity_report(p, p_max=p_max, max_iterate=max_iterate)
+    degrees = sorted(zip(map(len, adjacency), in_degree))
+    loops = sum(1 for i, row in enumerate(adjacency) if i in row)
+    return (len(adjacency), sum(in_degree), loops, tuple(degrees))
 
 
 def classify_all(
@@ -206,35 +196,35 @@ def classify_all(
     meets every branch are surveyed.  ``jobs > 1`` analyzes classes in
     parallel; the output is identical either way.
 
-    Each class is analyzed once, by :func:`periodicity_report`; its
-    record reads the theorem flags from ``report.theorem`` and the
-    digraph class from ``report.digraph``.  Classes are bucketed by an
-    isomorphism signature and matched only within their bucket.
+    Each class is analyzed once, by ``certify._survey_row``, into a
+    compact row: the periods, decided by closed-walk counts on the
+    covering digraph except at multiples of k, the chaos iterate, the
+    theorem flags and the digraph adjacency.  Classes are bucketed by an
+    isomorphism signature of that adjacency and matched only within
+    their bucket.
     """
     reps = enumerate_patterns(n, k, all_branches=all_branches)
-    tasks = [(p, p_max, max_iterate) for p in reps]
-    if jobs > 1 and len(tasks) > 1:
+    args = (reps, [p_max] * len(reps), [max_iterate] * len(reps))
+    if jobs > 1 and len(reps) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            analyses = list(pool.map(_analyze_pattern, tasks, chunksize=8))
+            rows = list(pool.map(_survey_row, *args, chunksize=8))
     else:
-        analyses = [_analyze_pattern(t) for t in tasks]
+        rows = list(map(_survey_row, *args))
 
     records: list[ClassRecord] = []
-    buckets: dict[tuple, list[tuple[CoverDigraph, int]]] = {}
+    buckets: dict[tuple, list[tuple[tuple, int]]] = {}
     digraph_count = 0
     raw_total = 0
-    for idx, (p, report) in enumerate(zip(reps, analyses)):
-        bucket = buckets.setdefault(_iso_signature(report.digraph), [])
-        graph = _nx_digraph(report.digraph) if bucket else None
+    for idx, (p, (present, chaos, center, nplus2, adjacency)) in enumerate(zip(reps, rows)):
+        bucket = buckets.setdefault(_iso_signature(adjacency), [])
+        graph = _nx_digraph(adjacency) if bucket else None
         for other, digraph_id in bucket:
             if DiGraphMatcher(graph, _nx_digraph(other)).is_isomorphic():
                 break
         else:
             digraph_id = digraph_count
             digraph_count += 1
-            bucket.append((report.digraph, digraph_id))
-        present = tuple(sorted(report.present))
-        chaos = report.chaos.iterate if report.chaos is not None else None
+            bucket.append((adjacency, digraph_id))
         size = _class_size(p)
         raw_total += size
         records.append(
@@ -243,12 +233,11 @@ def classify_all(
                 branch_class=idx,
                 digraph_class=digraph_id,
                 class_size=size,
-                center_theorem=isinstance(report.theorem, CenterTheoremCase),
-                nplus2=isinstance(report.theorem, NPlus2Case),
+                center_theorem=center,
+                nplus2=nplus2,
                 periods_present=present,
                 tail=tail_tag(set(present), p_max),
                 chaos_iterate=chaos,
-                report=report,
             )
         )
     counts = SurveyCounts(

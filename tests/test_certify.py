@@ -46,7 +46,15 @@ from stardyn.certify import (
 )
 from stardyn.orders import forced_periods
 from stardyn.patterns import arc, enumerate_patterns, parse_pattern
-from stardyn.plmap import image_of_arc, loop_point, realize, subtree_of_arc
+from stardyn.plmap import (
+    first_witness,
+    image_of_arc,
+    loop_point,
+    oracle_scan,
+    periodic_points,
+    realize,
+    subtree_of_arc,
+)
 from support import EX1, EX2, random_pattern
 
 EX1_EDGES = {
@@ -242,6 +250,133 @@ def test_walk_lengths_match_explicit_walk_enumeration(p2):
         assert (count_walks(length) == 1 and length in closed_walk_lengths(g, 6)) == (
             length in self_loop_only_lengths(g, 6)
         )
+
+
+def _closed_walk_count(adjacency, length):
+    """Closed walks of the given length, by explicit enumeration."""
+    total = 0
+    for start in range(len(adjacency)):
+        stack = [(start, 0)]
+        while stack:
+            v, d = stack.pop()
+            if d == length:
+                total += v == start
+                continue
+            stack.extend((w, d + 1) for w in adjacency[v])
+    return total
+
+
+def test_walk_traces_count_closed_walks(p1, p2):
+    for p in (p1, p2, parse_pattern("n=1 k=2; b1: 1")):
+        m = realize(p)
+        for adjacency in (cover_digraph(p, m).adjacency, m.successors):
+            traces = certify_module._walk_traces(adjacency, 7)
+            assert traces == [_closed_walk_count(adjacency, q) for q in range(1, 8)]
+    # every entry of A^q reaches 9^(q-1): the packed fields must not overflow
+    complete = tuple(tuple(range(9)) for _ in range(9))
+    assert certify_module._walk_traces(complete, 12) == [9**q for q in range(1, 13)]
+    assert certify_module._walk_traces((), 3) == [0, 0, 0]
+    with pytest.raises(ValueError):
+        certify_module._walk_traces(((0,),), 0)
+
+
+# ------------------------------------------------------------ walk counts
+
+# Deepest period at which the walk count is compared with the oracle's list
+# for the classes of each orbit size k with n <= 4, empty branches included
+# (so both ``all_branches`` settings).  The oracle's cylinder count grows
+# about threefold per period, as for ``REFERENCE_HORIZON`` in test_plmap.py.
+COUNT_HORIZON = {2: 8, 3: 8, 4: 8, 5: 6, 6: 5}
+
+
+def _counts(m, bound):
+    traces = certify_module._walk_traces(cover_digraph(m.pattern, m).adjacency, bound)
+    return certify_module._period_counts(m.pattern.k, traces)
+
+
+@pytest.mark.parametrize("k", sorted(COUNT_HORIZON))
+def test_walk_count_equals_oracle_list_on_every_class(k):
+    bound = COUNT_HORIZON[k]
+    for n in range(1, 5):
+        for p in enumerate_patterns(n, k):
+            m = realize(p)
+            counts = _counts(m, bound)
+            assert sorted(counts) == [q for q in range(1, bound + 1) if q % k]
+            for q, count in counts.items():
+                assert count == len(periodic_points(m, q)), (p.to_text(), q)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_cover_digraph_traces_equal_piece_graph_traces(k):
+    traces = certify_module._walk_traces
+    for n in range(1, 5):
+        for p in enumerate_patterns(n, k):
+            m = realize(p)
+            assert traces(cover_digraph(p, m).adjacency, 8) == traces(m.successors, 8), p.to_text()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 5), st.integers(2, 8))
+def test_walk_count_presence_equals_oracle_on_random_patterns(rng, n, k):
+    m = realize(random_pattern(rng, n, k))
+    for q, count in _counts(m, 8).items():
+        assert (count > 0) == (first_witness(m, q) is not None), (m.pattern.to_text(), q)
+
+
+def _identity_lengths(m, bound):
+    """Lengths q <= bound at which a closed walk of the piece graph composes
+    to slope +1.  All its pieces have slope +-1; such a piece maps its basic
+    interval onto one, so it has at most one such successor, and the walk
+    repeats a cycle of them.  A cycle of length c and slope sign s gives
+    the multiples of c when s = +1, else of 2c."""
+    unit = {i for i, q in enumerate(m.pieces) if abs(q.slope) == 1}
+    lengths = set()
+    for start in unit:
+        i, c, sign = start, 0, 1
+        while c < len(unit):
+            nxt = [j for j in m.successors[i] if j in unit]
+            assert len(nxt) <= 1, m.pattern.to_text()
+            sign, c = sign * m.pieces[i].slope, c + 1
+            if not nxt:
+                break
+            i = nxt[0]
+            if i == start:
+                step = c if sign > 0 else 2 * c
+                lengths.update(range(step, bound + 1, step))
+                break
+    return lengths
+
+
+# the horizons reach the first identity length of every class listed below
+IDENTITY_HORIZON = {2: 8, 3: 8, 4: 8, 5: 6, 6: 6, 7: 3}
+
+
+@pytest.mark.parametrize("k", sorted(IDENTITY_HORIZON))
+def test_identity_lengths_match_oracle_families_on_one_branch(k):
+    # the scan reports a family at the first length where an iterate fixes
+    # an interval pointwise; at its multiples those points have a smaller period
+    bound = IDENTITY_HORIZON[k]
+    for p in enumerate_patterns(1, k):
+        m = realize(p)
+        families = [q for q in range(1, bound + 1) if oracle_scan(m, q).family is not None]
+        expected = {q for q in range(1, bound + 1) if any(q % d == 0 for d in families)}
+        assert _identity_lengths(m, bound) == expected, p.to_text()
+    swap = realize(parse_pattern("n=1 k=2; b1: 1"))
+    assert _identity_lengths(swap, 8) == {2, 4, 6, 8}
+
+
+def test_identity_lengths_are_multiples_of_k():
+    # so the walk count decides every period that k does not divide; a class
+    # with empty branches has the piece graph of an all-branch class
+    with_lengths = set()
+    for k in range(2, 8):
+        for n in range(1, 5):
+            for p in enumerate_patterns(n, k, all_branches=True):
+                lengths = _identity_lengths(realize(p), 2 * k)
+                assert all(q % k == 0 for q in lengths), p.to_text()
+                if lengths:
+                    with_lengths.add(k)
+    assert with_lengths == {2, 4, 6}
 
 
 # --------------------------------------------------------------- cascades

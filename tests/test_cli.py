@@ -13,6 +13,8 @@ import pytest
 from jsonschema import validate
 
 import stardyn.certify as certify_module
+import stardyn.cli as cli_module
+import stardyn.plmap as plmap_module
 import stardyn.survey as survey_module
 from stardyn.cli import run
 from stardyn.survey import classify_all, emit_table
@@ -20,6 +22,10 @@ from support import EX1, EX2
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 PERFBENCH_EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+# sha256 of the stdout of surveys with periods the walk count leaves to the
+# oracle (multiples of k) or to the center orbit, where an iterate of some
+# (1, 6) classes is the identity on an interval; recorded from oracle-only surveys
+SURVEY_DIGESTS = json.loads(Path(__file__).with_name("survey_digests.json").read_text("utf-8"))
 
 
 def load_schema(name: str) -> dict:
@@ -143,6 +149,24 @@ def test_analyze_dot_and_json_files(ex1_file, tmp_path, capsys):
     validate(payload, load_schema("report.schema.json"))
 
 
+def test_analyze_dot_and_json_realize_once(ex1_file, tmp_path, monkeypatch, capsys):
+    # the DOT text comes from the report's digraph; names counted at every binding
+    calls = {"realize": 0, "cover_digraph": 0}
+    for name in calls:
+        original = getattr(certify_module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (plmap_module, certify_module, cli_module):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    dot, rep = str(tmp_path / "g.dot"), str(tmp_path / "r.json")
+    assert run(["analyze", "--pattern", ex1_file, "--dot", dot, "--json", rep]) == 0
+    assert calls == {"realize": 1, "cover_digraph": 1}
+
+
 def test_analyze_dot_format_stdout(ex1_file, capsys):
     assert run(["analyze", "--pattern", ex1_file, "--format", "dot"]) == 0
     out = capsys.readouterr().out
@@ -177,6 +201,15 @@ def test_analyze_inconsistency_exits_1(ex1_file, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "inconsistency" in captured.err
+
+
+def test_analyze_walk_count_disagreement_exits_1(ex1_file, monkeypatch, capsys):
+    monkeypatch.setattr(certify_module, "_walk_traces", lambda adjacency, bound: [0] * bound)
+    assert run(["analyze", "--pattern", ex1_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "inconsistency" in captured.err
+    assert "closed-walk count" in captured.err
 
 
 def test_analyze_chaos_replay_failure_exits_1(ex1_file, monkeypatch, capsys):
@@ -252,6 +285,22 @@ def test_survey_csv_matches_library(capsys):
 
 def test_survey_unknown_filter_is_parse_error(capsys):
     assert run(["survey", "--n", "3", "--k", "6", "--filter", "nosuch"]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("call", sorted(SURVEY_DIGESTS))
+def test_survey_digests_where_counts_do_not_decide(call, jobs, capsys):
+    assert run(call.split() + ["--jobs", jobs]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SURVEY_DIGESTS[call]
+
+
+def test_survey_cap_bounds_only_the_scans(capsys, monkeypatch):
+    # (3, 6) at pmax 10 scans no period: its counts decide all but 6 = k
+    assert run(["survey", "--n", "3", "--k", "6"]) == 0
+    uncapped = capsys.readouterr().out
+    monkeypatch.setenv("STARDYN_CYLINDER_CAP", "1")
+    assert run(["survey", "--n", "3", "--k", "6"]) == 0
+    assert capsys.readouterr().out == uncapped
 
 
 def test_survey_out_file(tmp_path, capsys):
@@ -409,12 +458,13 @@ def test_jobs_flag_does_not_change_output(capsys, monkeypatch):
     serial = capsys.readouterr().out
     assert run(["survey", "--n", "3", "--k", "5", "--jobs", "3"]) == 0
     assert capsys.readouterr().out == serial
-    # errors raised in worker processes read the same as in-process ones
+    # errors raised in worker processes read the same as in-process ones;
+    # (2, 4) still scans period 8, a multiple of k
     monkeypatch.setenv("STARDYN_CYLINDER_CAP", "50")
     message = "stardyn: resource cap exceeded: cylinder cap 50 exceeded\n"
-    assert run(["survey", "--n", "3", "--k", "6", "--jobs", "1"]) == 3
+    assert run(["survey", "--n", "2", "--k", "4", "--jobs", "1"]) == 3
     assert capsys.readouterr().err == message
-    assert run(["survey", "--n", "3", "--k", "6", "--jobs", "2"]) == 3
+    assert run(["survey", "--n", "2", "--k", "4", "--jobs", "2"]) == 3
     assert capsys.readouterr().err == message
 
 

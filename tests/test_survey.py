@@ -12,7 +12,13 @@ import stardyn.certify as certify_module
 import stardyn.patterns as patterns_module
 import stardyn.plmap as plmap_module
 import stardyn.survey as survey_module
-from stardyn.certify import cover_digraph, periodicity_report
+from stardyn.certify import (
+    CenterTheoremCase,
+    InconsistencyError,
+    NPlus2Case,
+    cover_digraph,
+    periodicity_report,
+)
 from stardyn.orders import forced_periods
 from stardyn.patterns import canonicalize, parse_pattern
 from stardyn.survey import (
@@ -143,11 +149,15 @@ def test_present_set_contains_forced_baseline(survey_3_6):
         assert forced_periods(1, r.pattern.k, 10) <= set(r.periods_present)
 
 
-def test_summary_consistent_with_report(survey_3_5):
-    for r in survey_3_5.records:
-        assert set(r.periods_present) == set(r.report.present)
-        chaos = r.report.chaos
+def test_summary_consistent_with_report(survey_3_6):
+    # each row against a fresh report of its pattern, whose periods the oracle decides
+    for r in survey_3_6.records:
+        report = periodicity_report(r.pattern, p_max=10)
+        assert set(r.periods_present) == report.present
+        chaos = report.chaos
         assert r.chaos_iterate == (chaos.iterate if chaos is not None else None)
+        assert r.center_theorem == isinstance(report.theorem, CenterTheoremCase)
+        assert r.nplus2 == isinstance(report.theorem, NPlus2Case)
 
 
 def test_parallel_jobs_match_serial(survey_3_5):
@@ -380,8 +390,9 @@ def test_digraph_classes_match_brute_force_isomorphism(n, k):
 
 
 def test_verify_paper_builds_one_digraph_per_report(monkeypatch):
-    # the two digraph checks build their own; every other check reads a report's
-    calls = {"periodicity_report": 0, "cover_digraph": 0}
+    # the two digraph checks build their own; every other digraph belongs to
+    # a report or to the row of a survey class
+    calls = {"periodicity_report": 0, "cover_digraph": 0, "_survey_row": 0}
     for name in calls:
         original = getattr(certify_module, name)
 
@@ -393,7 +404,15 @@ def test_verify_paper_builds_one_digraph_per_report(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     assert verify_paper().all_passed
-    assert calls["cover_digraph"] == calls["periodicity_report"] + 2
+    assert calls["_survey_row"] > 0
+    assert calls["cover_digraph"] == calls["periodicity_report"] + calls["_survey_row"] + 2
+
+
+def test_classify_all_raises_when_a_claimed_period_counts_zero(monkeypatch):
+    # period 1 is forced for every class, so a zero count contradicts its claim
+    monkeypatch.setattr(certify_module, "_walk_traces", lambda adjacency, bound: [0] * bound)
+    with pytest.raises(InconsistencyError, match="claim period 1 but the closed-walk count"):
+        classify_all(3, 5)
 
 
 def test_survey_path_builds_no_arc(monkeypatch):
