@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from operator import or_
 
 from .orders import forced_periods, sharkovskii_le
-# ``arc`` is unused here but stays importable from this module
-from .patterns import CENTER_INDEX, MarkedPoint, StarPattern, arc, validate  # noqa: F401
+from .patterns import CENTER_INDEX, MarkedPoint, StarPattern, validate
 from .plmap import (
     InconsistencyError,
     PeriodicWitness,

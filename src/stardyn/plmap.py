@@ -30,6 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .patterns import CENTER_INDEX, Arc, MarkedPoint, StarPattern, validate
 
@@ -231,8 +232,9 @@ def realize(p: StarPattern) -> PLMap:
     basic interval [r-1, r] of a branch maps onto the arc between the
     images of its end points, and when that arc crosses the center, with
     ends at ranks a and b on two branches, the interval splits at
-    (r-1) + a/(a+b).  Pieces come out in (src, lo) order; ``Fraction``
-    appears only in the ``lo``/``hi`` field values."""
+    (r-1) + a/(a+b).  Each piece is entered once as an integer row with
+    the images of its ends, in (src, lo) order; ``Fraction`` appears only
+    in the ``lo``/``hi`` field values."""
     problems = validate(p)
     if problems:
         raise ValueError("cannot realize an invalid pattern: " + "; ".join(problems))
@@ -242,67 +244,83 @@ def realize(p: StarPattern) -> PLMap:
     for (b, _), i in sorted(zip(p.placements, range(1, k))):
         chains[b].append(i)
     lengths = [len(chain) - 1 for chain in chains]
-    ends = [Fraction(r) for r in range(max(lengths) + 1)]
 
-    pieces: list[Piece] = []
-    by_branch: list[tuple[tuple[int, Piece], ...]] = [()]
+    rows = []
     for b in range(1, p.n + 1):
-        start, chain = len(pieces), chains[b]
+        chain = chains[b]
         for r in range(1, len(chain)):
             ab, ac = where[(chain[r - 1] + 1) % k]
             bb, bc = where[(chain[r] + 1) % k]
             if ab == bb or not ac or not bc:
                 slope = bc - ac
-                pieces.append(Piece(b, ends[r - 1], ends[r], ab or bb, slope, ac - slope * (r - 1)))
+                rows.append((b, (r - 1, 1), (r, 1), ab or bb, slope, ac - slope * (r - 1), ac, bc))
             else:
                 # image arc crosses the center: split at its preimage
                 total = ac + bc
                 down_offset = ac + (r - 1) * total
-                split = Fraction(down_offset, total)
-                pieces.append(Piece(b, ends[r - 1], split, ab, -total, down_offset))
-                pieces.append(Piece(b, split, ends[r], bb, total, -down_offset))
-        by_branch.append(tuple(enumerate(pieces[start:], start)))
-    return PLMap(p, tuple(lengths), tuple(pieces), tuple(by_branch), *_piece_graph(pieces, lengths))
+                g = gcd(down_offset, total)
+                split = (down_offset // g, total // g)
+                rows.append((b, (r - 1, 1), split, ab, -total, down_offset, ac, 0))
+                rows.append((b, split, (r, 1), bb, total, -down_offset, 0, bc))
+    return PLMap(p, tuple(lengths), *_piece_graph(rows, lengths))
 
 
-def _piece_graph(pieces, lengths):
-    """``(images, successors, cells)`` of a piece list sorted by (src, lo),
-    computed in integers (see ``PLMap``).  Raises InconsistencyError unless
-    the pieces partition every branch, each inside one basic interval, and
+def _piece_graph(rows, lengths):
+    """``(pieces, by_branch, images, successors, cells)`` (see ``PLMap``)
+    of integer piece rows ``(src, lo, hi, dst, slope, offset, ylo, yhi)``
+    in (src, lo) order: ``lo`` and ``hi`` are reduced (numerator,
+    denominator) pairs and ``ylo``, ``yhi`` their integer images on
+    ``dst``.  Raises InconsistencyError unless the pieces partition every
+    branch, one branch after another, each inside one basic interval, each
+    piece's slope and offset carry its ends to ``ylo`` and ``yhi``, and
     each maps onto a whole union of basic intervals of its ``dst``."""
+    integers = [Fraction(r) for r in range(max(lengths) + 1)]
     cells = [[[] for _ in range(length)] for length in lengths]
+    by_branch = [[] for _ in lengths]
     ends = [(0, 1)] * len(lengths)  # where the next piece of each branch starts
-    images = []
-    for idx, q in enumerate(pieces):
-        ln, ld, hn, hd = q.lo.numerator, q.lo.denominator, q.hi.numerator, q.hi.denominator
+    lows = [integers[0]] * len(lengths)  # the same points as Fractions
+    pieces, images, last = [], [], 0
+    for idx, (src, lo, (hn, hd), dst, slope, offset, ylo, yhi) in enumerate(rows):
+        ln, ld = lo
         j = ln // ld
-        if (ln, ld) != ends[q.src] or j >= lengths[q.src] or hn > (j + 1) * hd:
+        if src < last or lo != ends[src] or j >= lengths[src] or hn > (j + 1) * hd:
             raise InconsistencyError(
-                f"piece {idx} does not continue a partition of branch {q.src} "
+                f"piece {idx} does not continue a partition of branch {src} "
                 "into basic intervals — this is a bug"
             )
-        ends[q.src] = (hn, hd)
-        cells[q.src][j].append((idx, hn, hd))
-        y1, r1 = divmod(q.slope * ln + q.offset * ld, ld)
-        y2, r2 = divmod(q.slope * hn + q.offset * hd, hd)
-        if r1 or r2:
+        if slope * ln + offset * ld != ylo * ld or slope * hn + offset * hd != yhi * hd:
             raise InconsistencyError(
-                f"piece {idx} has a non-integer image endpoint — this is a bug"
+                f"piece {idx} does not map its ends onto its image ends — this is a bug"
             )
-        ilo, ihi = min(y1, y2), max(y1, y2)
-        if not 0 <= ilo < ihi <= lengths[q.dst]:
+        ilo, ihi = (ylo, yhi) if ylo < yhi else (yhi, ylo)
+        if not 0 <= ilo < ihi <= lengths[dst]:
             raise InconsistencyError(
-                f"the image of piece {idx} cuts through branch {q.dst} — this is a bug"
+                f"the image of piece {idx} cuts through branch {dst} — this is a bug"
             )
+        hi = integers[hn] if hd == 1 else Fraction(hn, hd)
+        q = Piece(src, lows[src], hi, dst, slope, offset)
+        ends[src], lows[src] = (hn, hd), hi
+        cells[src][j].append((idx, hn, hd))
         images.append((ilo, ihi))
+        pieces.append(q)
+        by_branch[src].append((idx, q))
+        last = src
     if any(ends[b] != (lengths[b], 1) for b in range(1, len(lengths))):
         raise InconsistencyError("the pieces do not cover every branch — this is a bug")
+    # each branch's pieces have consecutive indices, so the pieces inside
+    # basic intervals ilo..ihi-1 run from the first of cell ilo to the
+    # last of cell ihi-1
     successors = tuple(
-        tuple(i for cell in cells[q.dst][ilo:ihi] for i, _, _ in cell)
+        tuple(range(cells[q.dst][ilo][0][0], cells[q.dst][ihi - 1][-1][0] + 1))
         for q, (ilo, ihi) in zip(pieces, images)
     )
-    cells = tuple(tuple(tuple(cell) for cell in row) for row in cells)
-    return tuple(images), successors, cells
+    return (
+        tuple(pieces),
+        tuple(map(tuple, by_branch)),
+        tuple(images),
+        successors,
+        tuple(tuple(tuple(cell) for cell in row) for row in cells),
+    )
 
 
 def _piece_at(m: PLMap, b: int, num: int, den: int) -> int:

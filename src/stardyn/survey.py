@@ -25,9 +25,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import networkx as nx
-from networkx.algorithms.isomorphism import DiGraphMatcher
-
 from .certify import (
     _survey_row,
     closed_walk_lengths,
@@ -159,23 +156,70 @@ def _class_size(p: StarPattern) -> int:
     return math.factorial(p.n) // math.factorial(empty)
 
 
-def _nx_digraph(adjacency: tuple[tuple[int, ...], ...]) -> nx.DiGraph:
-    h = nx.DiGraph()
-    h.add_nodes_from(range(len(adjacency)))
-    h.add_edges_from((i, j) for i, row in enumerate(adjacency) for j in row)
-    return h
+def _canonical_form(adjacency: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Canonical form of a digraph given by out-neighbour lists: equal for
+    two digraphs exactly when they are isomorphic.
 
+    Vertices are coloured by (out-degree, in-degree, self-loop), then the
+    colouring is refined until stable by the sorted colour multisets of
+    out- and in-neighbours; each colour is the rank of its signature, so
+    colours never depend on the vertex numbering.  While some cell has two
+    or more vertices, each vertex of the first smallest such cell is
+    individualized in turn and the search recurses (McKay and Piperno,
+    "Practical graph isomorphism, II", 2014).  The form is the least
+    adjacency, relabelled by the leaf colouring, over all leaves.
 
-def _iso_signature(adjacency: tuple[tuple[int, ...], ...]) -> tuple:
-    """Isomorphism invariants: vertex, edge and self-loop counts and the
-    sorted (out-degree, in-degree) pairs."""
-    in_degree = [0] * len(adjacency)
-    for row in adjacency:
+    Why it is canonical: every step is a function of the colours alone, so
+    an isomorphism g -> h carries the search tree of g onto that of h and
+    each leaf of g to a leaf of h with the same relabelled adjacency.  The
+    two sets of leaf forms are therefore equal, and so are their minima.
+    Conversely each leaf form is the digraph itself under a relabelling,
+    so equal forms mean isomorphic digraphs.  Automorphism pruning would
+    only skip leaves whose forms repeat, so it is not needed for exactness.
+    """
+    size = len(adjacency)
+    preds: list[list[int]] = [[] for _ in range(size)]
+    for i, row in enumerate(adjacency):
         for j in row:
-            in_degree[j] += 1
-    degrees = sorted(zip(map(len, adjacency), in_degree))
-    loops = sum(1 for i, row in enumerate(adjacency) if i in row)
-    return (len(adjacency), sum(in_degree), loops, tuple(degrees))
+            preds[j].append(i)
+
+    def refine(keys: list) -> list[int]:
+        count = 0
+        while True:
+            index = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+            colours = [index[key] for key in keys]
+            if len(index) in (count, size):  # no cell split, or all are single
+                return colours
+            count = len(index)
+            keys = [
+                (
+                    colours[u],
+                    tuple(sorted(colours[w] for w in adjacency[u])),
+                    tuple(sorted(colours[w] for w in preds[u])),
+                )
+                for u in range(size)
+            ]
+
+    best = None
+
+    def search(colours: list[int]) -> None:
+        nonlocal best
+        cells: dict[int, list[int]] = {}
+        for u, c in enumerate(colours):
+            cells.setdefault(c, []).append(u)
+        if len(cells) == size:
+            form = tuple(
+                tuple(sorted(colours[j] for j in adjacency[cells[c][0]])) for c in range(size)
+            )
+            if best is None or form < best:
+                best = form
+            return
+        target = min((c for c in cells if len(cells[c]) > 1), key=lambda c: (len(cells[c]), c))
+        for v in cells[target]:
+            search(refine([(c, u != v) for u, c in enumerate(colours)]))
+
+    search(refine([(len(row), len(preds[u]), u in row) for u, row in enumerate(adjacency)]))
+    return best
 
 
 def classify_all(
@@ -199,9 +243,9 @@ def classify_all(
     Each class is analyzed once, by ``certify._survey_row``, into a
     compact row: the periods, decided by closed-walk counts on the
     covering digraph except at multiples of k, the chaos iterate, the
-    theorem flags and the digraph adjacency.  Classes are bucketed by an
-    isomorphism signature of that adjacency and matched only within
-    their bucket.
+    theorem flags and the digraph adjacency.  Digraph classes are keyed
+    by the canonical form of that adjacency and numbered by first
+    appearance.
     """
     reps = enumerate_patterns(n, k, all_branches=all_branches)
     args = (reps, [p_max] * len(reps), [max_iterate] * len(reps))
@@ -212,19 +256,10 @@ def classify_all(
         rows = list(map(_survey_row, *args))
 
     records: list[ClassRecord] = []
-    buckets: dict[tuple, list[tuple[tuple, int]]] = {}
-    digraph_count = 0
+    digraph_ids: dict[tuple, int] = {}
     raw_total = 0
     for idx, (p, (present, chaos, center, nplus2, adjacency)) in enumerate(zip(reps, rows)):
-        bucket = buckets.setdefault(_iso_signature(adjacency), [])
-        graph = _nx_digraph(adjacency) if bucket else None
-        for other, digraph_id in bucket:
-            if DiGraphMatcher(graph, _nx_digraph(other)).is_isomorphic():
-                break
-        else:
-            digraph_id = digraph_count
-            digraph_count += 1
-            bucket.append((adjacency, digraph_id))
+        digraph_id = digraph_ids.setdefault(_canonical_form(adjacency), len(digraph_ids))
         size = _class_size(p)
         raw_total += size
         records.append(

@@ -3,8 +3,8 @@ periodic-point scan in ``Fraction`` arithmetic, kept for equivalence tests
 only.
 
 ``realize`` builds the piece table from ``Fraction`` marked-point
-coordinates and sorts it by (src, lo); the piece graph comes from
-``plmap._piece_graph``.  The scan subdivides cylinders by intersecting
+coordinates, sorts it by (src, lo) and reads the piece graph off the
+``Fraction`` ends.  The scan subdivides cylinders by intersecting
 their images with every piece of the current branch, solves the
 fixed-point equation on the cylinder's domain, locates a point's piece by
 a linear scan of its branch and checks least periods divisor by divisor.
@@ -26,7 +26,6 @@ from stardyn.plmap import (
     PLMap,
     RationalPoint,
     ScanResult,
-    _piece_graph,
     cylinder_cap,
     make_point,
 )
@@ -72,6 +71,24 @@ def realize(p):
         tuple((idx, q) for idx, q in enumerate(pieces) if q.src == b) for b in range(p.n + 1)
     )
     return PLMap(p, tuple(lengths), tuple(pieces), by_branch, *_piece_graph(pieces, lengths))
+
+
+def _piece_graph(pieces, lengths):
+    """``(images, successors, cells)`` of a piece list sorted by (src, lo),
+    read off the ``Fraction`` ends of each piece."""
+    cells = [[[] for _ in range(length)] for length in lengths]
+    images = []
+    for idx, q in enumerate(pieces):
+        cells[q.src][int(q.lo)].append((idx, q.hi.numerator, q.hi.denominator))
+        ends = sorted(q.slope * t + q.offset for t in (q.lo, q.hi))
+        if any(y.denominator != 1 for y in ends):
+            raise InconsistencyError(f"piece {idx} has a non-integer image endpoint")
+        images.append(tuple(map(int, ends)))
+    successors = tuple(
+        tuple(i for cell in cells[q.dst][ilo:ihi] for i, _, _ in cell)
+        for q, (ilo, ihi) in zip(pieces, images)
+    )
+    return tuple(images), successors, tuple(tuple(map(tuple, row)) for row in cells)
 
 
 def evaluate(m, x):

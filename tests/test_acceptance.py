@@ -14,7 +14,6 @@ import pytest
 
 from stardyn.certify import (
     Cascade,
-    arc,
     cover_digraph,
     find_cascade,
     find_genscramble,
@@ -25,7 +24,7 @@ from stardyn.certify import (
     verify_genscramble,
 )
 from stardyn.orders import baldwin_le, forced_periods, nod_le, sharkovskii_le
-from stardyn.patterns import enumerate_patterns, parse_pattern
+from stardyn.patterns import arc, enumerate_patterns, parse_pattern
 from stardyn.plmap import (
     UncountablePeriodicSet,
     image_of_arc,

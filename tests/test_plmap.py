@@ -490,17 +490,27 @@ def test_least_period_matches_divisor_rule():
 
 @pytest.mark.parametrize(
     "pieces, lengths",
+    # rows (src, lo, hi, dst, slope, offset, image of lo, image of hi)
     [
         # image [0, 1/2] ends inside a basic interval
-        ([Piece(1, F(0), F(1, 2), 1, 1, 0), Piece(1, F(1, 2), F(1), 1, 1, 0)], (0, 1)),
+        ([(1, (0, 1), (1, 2), 1, 1, 0, 0, 1), (1, (1, 2), (1, 1), 1, 1, 0, 0, 1)], (0, 1)),
         # a piece spanning two basic intervals
-        ([Piece(1, F(0), F(2), 1, 1, 0)], (0, 2)),
+        ([(1, (0, 1), (2, 1), 1, 1, 0, 0, 2)], (0, 2)),
         # an image running past the end of its branch
-        ([Piece(1, F(0), F(1), 1, 2, 0)], (0, 1)),
+        ([(1, (0, 1), (1, 1), 1, 2, 0, 0, 2)], (0, 1)),
         # a gap between two pieces
-        ([Piece(1, F(0), F(1, 2), 1, 2, 0), Piece(1, F(2, 3), F(1), 1, 3, -2)], (0, 1)),
+        ([(1, (0, 1), (1, 2), 1, 2, 0, 0, 1), (1, (2, 3), (1, 1), 1, 3, -2, 0, 1)], (0, 1)),
         # a branch left uncovered
-        ([Piece(1, F(0), F(1), 1, 1, 0)], (0, 1, 1)),
+        ([(1, (0, 1), (1, 1), 1, 1, 0, 0, 1)], (0, 1, 1)),
+        # the pieces of two branches interleaved
+        (
+            [
+                (1, (0, 1), (1, 2), 1, 2, 0, 0, 1),
+                (2, (0, 1), (1, 1), 2, 1, 0, 0, 1),
+                (1, (1, 2), (1, 1), 1, -2, 2, 1, 0),
+            ],
+            (0, 1, 1),
+        ),
     ],
 )
 def test_non_markov_piece_list_raises(pieces, lengths):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
 import sys
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stardyn.certify as certify_module
 import stardyn.patterns as patterns_module
@@ -372,21 +376,117 @@ def test_classify_all_analyzes_each_class_once(monkeypatch):
     assert calls == {"realize": 120, "cover_digraph": 120, "check_center_theorem": 120}
 
 
-@pytest.mark.parametrize("n,k", [(3, 6), (4, 6)])
-def test_digraph_classes_match_brute_force_isomorphism(n, k):
-    records = classify_all(n, k, 2, max_iterate=1).records
-    graphs = []
-    for r in records:
-        g = cover_digraph(r.pattern)
-        h = nx.DiGraph()
-        h.add_nodes_from(range(len(g.vertices)))
-        h.add_edges_from(g.edges())
-        graphs.append(h)
+@pytest.mark.parametrize(
+    "n,k,all_branches,digraph_classes",
+    # no two classes merge in the first two shapes and many do in the rest
+    [(3, 6, True, 120), (4, 6, True, 20), (2, 6, True, 64), (3, 5, False, 23), (3, 6, False, 184)],
+    ids=["3-6", "4-6", "2-6", "3-5-any-branches", "3-6-any-branches"],
+)
+def test_digraph_classes_match_brute_force_isomorphism(n, k, all_branches, digraph_classes):
+    records = classify_all(n, k, 2, max_iterate=1, all_branches=all_branches).records
+    graphs = [_nx_graph(cover_digraph(r.pattern).adjacency) for r in records]
     expected: list[int] = []
     for i, h in enumerate(graphs):
         first = next((j for j in range(i) if nx.is_isomorphic(h, graphs[j])), None)
         expected.append(max(expected, default=-1) + 1 if first is None else expected[first])
     assert [r.digraph_class for r in records] == expected
+    assert len(set(expected)) == digraph_classes
+
+
+def _nx_graph(adjacency):
+    h = nx.DiGraph()
+    h.add_nodes_from(range(len(adjacency)))
+    h.add_edges_from((i, j) for i, row in enumerate(adjacency) for j in row)
+    return h
+
+
+def _relabel(adjacency, perm):
+    """The digraph with vertex i renamed perm[i]."""
+    out = [()] * len(adjacency)
+    for i, row in enumerate(adjacency):
+        out[perm[i]] = tuple(sorted(perm[j] for j in row))
+    return tuple(out)
+
+
+def _cycles(*lengths):
+    """Disjoint directed cycles of the given lengths, numbered in order."""
+    adjacency, start = [], 0
+    for length in lengths:
+        adjacency += [((start + (i + 1) % length),) for i in range(length)]
+        start += length
+    return tuple(adjacency)
+
+
+def _complete(size, loops):
+    return tuple(tuple(j for j in range(size) if loops or j != i) for i in range(size))
+
+
+@pytest.mark.parametrize("length", range(3, 7))
+def test_canonical_form_of_a_directed_cycle(length):
+    # every vertex looks alike to refinement, so only individualization
+    # can order them
+    form = survey_module._canonical_form(_cycles(length))
+    assert sorted(map(len, form)) == [1] * length
+    for perm in itertools.permutations(range(length)):
+        assert survey_module._canonical_form(_relabel(_cycles(length), perm)) == form
+    assert survey_module._canonical_form(_cycles(length - 1, 1)) != form
+
+
+@pytest.mark.parametrize("size", range(1, 6))
+def test_canonical_form_of_a_complete_digraph(size):
+    # a complete digraph is its own relabelling, so its form is itself
+    for loops in (False, True):
+        assert survey_module._canonical_form(_complete(size, loops)) == _complete(size, loops)
+
+
+@pytest.mark.parametrize("lengths", [(3, 6), (2, 4), (1, 2, 3), (3, 3)])
+def test_canonical_form_of_disjoint_cycles(lengths):
+    # refinement leaves all cycle vertices in one cell, but only vertices
+    # of equal cycles are alike, so the form must be the least over every
+    # individualized vertex, not the first one tried
+    form = survey_module._canonical_form(_cycles(*lengths))
+    assert survey_module._canonical_form(_cycles(*reversed(lengths))) == form
+    rng = random.Random(sum(lengths))
+    for _ in range(20):
+        perm = rng.sample(range(sum(lengths)), sum(lengths))
+        assert survey_module._canonical_form(_relabel(_cycles(*lengths), perm)) == form
+
+
+def test_canonical_form_separates_a_six_cycle_from_two_three_cycles():
+    # equal degrees and equal refined colours, but not isomorphic
+    six, two_threes = _cycles(6), _cycles(3, 3)
+    assert not nx.is_isomorphic(_nx_graph(six), _nx_graph(two_threes))
+    assert survey_module._canonical_form(six) != survey_module._canonical_form(two_threes)
+
+
+@st.composite
+def _digraph_pairs(draw):
+    """A random digraph on 1 to 7 vertices, self-loops allowed, and a
+    relabelling of it with one arc possibly moved, so that the pair is
+    sometimes isomorphic and sometimes not, with equal arc counts."""
+    size = draw(st.integers(1, 7))
+    vertex = st.integers(0, size - 1)
+    arcs = draw(st.sets(st.tuples(vertex, vertex)))
+    moved = set(arcs)
+    if arcs and draw(st.booleans()):
+        moved.discard(draw(st.sampled_from(sorted(arcs))))
+        moved.add(draw(st.tuples(vertex, vertex)))
+    perm = draw(st.permutations(range(size)))
+
+    def adjacency(arc_set):
+        return tuple(tuple(sorted(j for i, j in arc_set if i == u)) for u in range(size))
+
+    return adjacency(arcs), _relabel(adjacency(moved), perm), perm
+
+
+@settings(max_examples=100, deadline=None)
+@given(_digraph_pairs())
+def test_canonical_form_decides_isomorphism_on_random_digraphs(pair):
+    g, h, perm = pair
+    form = survey_module._canonical_form(g)
+    assert survey_module._canonical_form(_relabel(g, perm)) == form
+    same = survey_module._canonical_form(h) == form
+    assert same == nx.is_isomorphic(_nx_graph(g), _nx_graph(h))
 
 
 def test_verify_paper_builds_one_digraph_per_report(monkeypatch):
@@ -428,6 +528,6 @@ def test_survey_path_builds_no_arc(monkeypatch):
         if name.split(".")[0] == "stardyn" and getattr(module, "arc", None) is original:
             monkeypatch.setattr(module, "arc", forbidden)
             patched.append(name)
-    assert {"stardyn", "stardyn.patterns", "stardyn.certify"} <= set(patched)
+    assert {"stardyn", "stardyn.patterns"} <= set(patched)
     assert classify_all(4, 6) == survey
     assert periodicity_report(parse_pattern(EX2), p_max=12) == report
