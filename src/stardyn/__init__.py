@@ -80,11 +80,8 @@ from .plmap import (
     Piece,
     RationalPoint,
     ScanResult,
-    Subtree,
     UncountablePeriodicSet,
     first_witness,
-    image_of_arc,
-    image_of_subtree,
     iter_cylinders,
     loop_point,
     make_point,
@@ -92,8 +89,6 @@ from .plmap import (
     periodic_points,
     realize,
     scramble_probe,
-    subtree_from_segments,
-    subtree_of_arc,
 )
 from .survey import (
     ClassRecord,
@@ -146,11 +141,8 @@ __all__ = [
     "Piece",
     "RationalPoint",
     "ScanResult",
-    "Subtree",
     "UncountablePeriodicSet",
     "first_witness",
-    "image_of_arc",
-    "image_of_subtree",
     "iter_cylinders",
     "loop_point",
     "make_point",
@@ -158,8 +150,6 @@ __all__ = [
     "periodic_points",
     "realize",
     "scramble_probe",
-    "subtree_from_segments",
-    "subtree_of_arc",
     # certify
     "BasicInterval",
     "Cascade",

@@ -17,17 +17,17 @@ for the periods the count cannot settle.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from operator import or_
 
 from .orders import forced_periods, sharkovskii_le
-from .patterns import CENTER_INDEX, MarkedPoint, StarPattern, validate
+from .patterns import CENTER_INDEX, MarkedPoint, StarPattern, _arc_masks, validate
 from .plmap import (
     InconsistencyError,
     PeriodicWitness,
     PLMap,
+    _cover_rows,
+    _image,
     _least_period_is,
     first_witness,
     oracle_scan,
@@ -111,30 +111,6 @@ def cover_digraph(p: StarPattern, m: PLMap | None = None) -> CoverDigraph:
     rows = _cover_rows(m)
     adjacency = tuple(tuple(j for j in range(len(rows)) if row >> j & 1) for row in rows)
     return CoverDigraph(p, tuple(basic_intervals(p)), adjacency)
-
-
-def _cover_rows(m: PLMap) -> list[int]:
-    """The image of every basic interval as a bitmask in the layout of
-    ``_arc_masks``: the union of the integer images of its pieces."""
-    offsets = list(itertools.accumulate(m.branch_lengths, initial=0))
-    spans = [
-        ((1 << (hi - lo)) - 1) << (offsets[q.dst] + lo) for q, (lo, hi) in zip(m.pieces, m.images)
-    ]
-    return [
-        functools.reduce(or_, [spans[i] for i, _, _ in cell]) for row in m.cells for cell in row
-    ]
-
-
-def _arc_masks(p: StarPattern) -> list[list[int]]:
-    """``masks[a][b]`` is the arc between marked points a and b as a
-    bitmask of basic intervals: bit i stands for vertex i of the covering
-    digraph, branch by branch outward from the center.  The intervals
-    between a point of rank r and the center are the r low bits of its
-    branch's block, and in a tree the arc between two points is the
-    symmetric difference of their paths to the center."""
-    index = {e: i for i, e in enumerate(sorted(p.placements))}  # as in ``basic_intervals``
-    down = [0] + [((1 << r) - 1) << (index[b, r] - r + 1) for b, r in p.placements]
-    return [[x ^ y for y in down] for x in down]
 
 
 def _through_center(masks: list[list[int]], a: MarkedPoint, b: MarkedPoint) -> bool:
@@ -544,17 +520,6 @@ def _find_genscramble(
                 if loop is not None:
                     return Genscramble(t, u, v, loop)
     return None
-
-
-def _image(rows: list[int], x: int) -> int:
-    """The image of a union of basic intervals (a bitmask): the union of
-    the image masks ``rows`` of its intervals."""
-    y = 0
-    while x:
-        low = x & -x
-        y |= rows[low.bit_length() - 1]
-        x ^= low
-    return y
 
 
 def _loop_search(u, v, first, masks, images, cap):

@@ -46,7 +46,6 @@ from .patterns import (
 )
 from .plmap import (
     CylinderCapExceeded,
-    UncountablePeriodicSet,
     cylinder_cap,
     oracle_scan,
     realize,
@@ -343,13 +342,10 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> tuple[Outputs, int]
         raise UsageError("--period must be a positive integer")
     p = _load_pattern(cfg.pattern_paths[0])
     m = realize(p)
-    try:
-        result = oracle_scan(m, args.period)
-        rows = [_witness_json(w) for w in result.witnesses]
-        if result.family is not None:
-            rows.append(_witness_json(result.family, family=True))
-    except UncountablePeriodicSet as e:
-        rows = [_witness_json(e.witness, family=True)]
+    result = oracle_scan(m, args.period)
+    rows = [_witness_json(w) for w in result.witnesses]
+    if result.family is not None:
+        rows.append(_witness_json(result.family, family=True))
     text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     return [(cfg.out, text)], 0
 

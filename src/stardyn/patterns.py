@@ -191,14 +191,14 @@ def validate(p: StarPattern, all_branches: bool = False) -> list[str]:
             f"expected {max(p.k - 1, 0)} placements for k={p.k}, got {len(p.placements)}"
         )
         return problems
-    by_branch: dict[int, list[int]] = {}
+    ranks_on: dict[int, list[int]] = {}
     for i in range(1, p.k):
         b, r = p.placements[i - 1]
         if not 1 <= b <= p.n:
             problems.append(f"point {i} on nonexistent branch {b}")
             continue
-        by_branch.setdefault(b, []).append(r)
-    for b, ranks in sorted(by_branch.items()):
+        ranks_on.setdefault(b, []).append(r)
+    for b, ranks in sorted(ranks_on.items()):
         seen = sorted(ranks)
         if seen != list(range(1, len(seen) + 1)):
             if len(set(seen)) < len(seen):
@@ -207,7 +207,7 @@ def validate(p: StarPattern, all_branches: bool = False) -> list[str]:
                 problems.append(f"branch b{b} has a rank gap: ranks {seen}")
     if all_branches:
         for b in range(1, p.n + 1):
-            if b not in by_branch:
+            if b not in ranks_on:
                 problems.append(f"branch b{b} empty while flagged all-branches")
     return problems
 
@@ -408,6 +408,18 @@ def arc_contains(outer: Arc, inner: Arc) -> bool:
     return inner.basic_ids() <= outer.basic_ids()
 
 
+def _arc_masks(p: StarPattern) -> list[list[int]]:
+    """``masks[a][b]`` is the arc between marked points a and b as a
+    bitmask of basic intervals: bit i stands for vertex i of the covering
+    digraph, branch by branch outward from the center.  The intervals
+    between a point of rank r and the center are the r low bits of its
+    branch's block, and in a tree the arc between two points is the
+    symmetric difference of their paths to the center."""
+    index = {e: i for i, e in enumerate(sorted(p.placements))}  # as in ``certify.basic_intervals``
+    down = [0] + [((1 << r) - 1) << (index[b, r] - r + 1) for b, r in p.placements]
+    return [[x ^ y for y in down] for x in down]
+
+
 # ---------------------------------------------------------- orbit specs
 
 @dataclass(frozen=True)
@@ -452,7 +464,7 @@ def validate_orbit_spec(s: FiniteOrbitSpec) -> list[str]:
         seen += 1
     if seen != s.k:
         problems.append("succ is not a single cycle")
-    by_branch: dict[int, list[int]] = {}
+    ranks_on: dict[int, list[int]] = {}
     for i in range(s.k):
         if i == s.center_point:
             continue
@@ -460,8 +472,8 @@ def validate_orbit_spec(s: FiniteOrbitSpec) -> list[str]:
         if not 1 <= b <= s.n:
             problems.append(f"point {i} on nonexistent branch {b}")
             continue
-        by_branch.setdefault(b, []).append(r)
-    for b, ranks in sorted(by_branch.items()):
+        ranks_on.setdefault(b, []).append(r)
+    for b, ranks in sorted(ranks_on.items()):
         if sorted(ranks) != list(range(1, len(ranks) + 1)):
             problems.append(f"branch b{b} ranks not contiguous from 1: {sorted(ranks)}")
     return problems

@@ -27,12 +27,15 @@ no periodic points, so the oracle's completeness is unaffected.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import or_
 
-from .patterns import CENTER_INDEX, Arc, MarkedPoint, StarPattern, validate
+from .patterns import CENTER_INDEX, Arc, MarkedPoint, StarPattern, _arc_masks, validate
 
 DEFAULT_CYLINDER_CAP = 10**6
 _CAP_ENV = "STARDYN_CYLINDER_CAP"
@@ -137,54 +140,17 @@ class ScanResult:
 
 
 @dataclass(frozen=True)
-class Subtree:
-    """A closed connected union of branch segments, e.g. the exact image
-    of an arc.  Segments are (branch, lo, hi) with lo < hi; when two or
-    more branches appear, every segment starts at the center."""
-
-    segments: tuple[tuple[int, Fraction, Fraction], ...]
-
-    @property
-    def touches_center(self) -> bool:
-        return any(lo == 0 for _, lo, _ in self.segments)
-
-    def contains(self, other: "Subtree") -> bool:
-        for b, lo, hi in other.segments:
-            if not any(
-                sb == b and slo <= lo and hi <= shi
-                for sb, slo, shi in self.segments
-            ):
-                return False
-        return True
-
-    def contains_point(self, pt: RationalPoint) -> bool:
-        if pt == CENTER:
-            return self.touches_center
-        return any(
-            b == pt.branch and lo <= pt.coord <= hi
-            for b, lo, hi in self.segments
-        )
-
-
-def subtree_from_segments(segs: dict[int, tuple[Fraction, Fraction]]) -> Subtree:
-    cleaned = {b: (lo, hi) for b, (lo, hi) in segs.items() if lo < hi}
-    if len(cleaned) > 1 and any(lo != 0 for lo, _ in cleaned.values()):
-        raise ValueError("disconnected subtree: multi-branch segments must reach the center")
-    return Subtree(tuple(sorted((b, lo, hi) for b, (lo, hi) in cleaned.items())))
-
-
-@dataclass(frozen=True)
 class PLMap:
     """The canonical PL realization of a pattern.
 
     ``branch_lengths[b]`` is the number of orbit points on branch b (the
     realized length); ``pieces`` partition every occupied branch and each
-    maps into a single closed branch.  ``by_branch[b]`` lists the
-    (index, piece) pairs of branch b in the order of ``pieces``.
+    maps into a single closed branch.  They are ordered by (src, lo), so
+    the pieces of one branch have consecutive indices.
 
     The piece graph: ``images[i]`` is the integer image ``(ilo, ihi)`` of
     piece i on its ``dst``, and ``successors[i]`` the indices of the
-    pieces inside it, in ``by_branch`` order.  ``cells[b][j]`` lists the
+    pieces inside it, in increasing order.  ``cells[b][j]`` lists the
     pieces of basic interval [j, j+1] of branch b as (index, numerator,
     denominator of the piece's right end).
     """
@@ -192,7 +158,6 @@ class PLMap:
     pattern: StarPattern
     branch_lengths: tuple[int, ...]  # index 0 unused
     pieces: tuple[Piece, ...]
-    by_branch: tuple[tuple[tuple[int, Piece], ...], ...] = field(repr=False, compare=False)
     images: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
     successors: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     cells: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...] = field(
@@ -201,11 +166,6 @@ class PLMap:
 
     def marked_point(self, i: MarkedPoint) -> RationalPoint:
         return _marked_point(self.pattern, i)
-
-    def pieces_on(self, branch: int) -> tuple[Piece, ...]:
-        if not 0 <= branch < len(self.by_branch):
-            return ()
-        return tuple(q for _, q in self.by_branch[branch])
 
     def evaluate(self, x: RationalPoint) -> RationalPoint:
         """Exact image of a point."""
@@ -266,7 +226,7 @@ def realize(p: StarPattern) -> PLMap:
 
 
 def _piece_graph(rows, lengths):
-    """``(pieces, by_branch, images, successors, cells)`` (see ``PLMap``)
+    """``(pieces, images, successors, cells)`` (see ``PLMap``)
     of integer piece rows ``(src, lo, hi, dst, slope, offset, ylo, yhi)``
     in (src, lo) order: ``lo`` and ``hi`` are reduced (numerator,
     denominator) pairs and ``ylo``, ``yhi`` their integer images on
@@ -276,7 +236,6 @@ def _piece_graph(rows, lengths):
     each maps onto a whole union of basic intervals of its ``dst``."""
     integers = [Fraction(r) for r in range(max(lengths) + 1)]
     cells = [[[] for _ in range(length)] for length in lengths]
-    by_branch = [[] for _ in lengths]
     ends = [(0, 1)] * len(lengths)  # where the next piece of each branch starts
     lows = [integers[0]] * len(lengths)  # the same points as Fractions
     pieces, images, last = [], [], 0
@@ -303,7 +262,6 @@ def _piece_graph(rows, lengths):
         cells[src][j].append((idx, hn, hd))
         images.append((ilo, ihi))
         pieces.append(q)
-        by_branch[src].append((idx, q))
         last = src
     if any(ends[b] != (lengths[b], 1) for b in range(1, len(lengths))):
         raise InconsistencyError("the pieces do not cover every branch — this is a bug")
@@ -316,7 +274,6 @@ def _piece_graph(rows, lengths):
     )
     return (
         tuple(pieces),
-        tuple(map(tuple, by_branch)),
         tuple(images),
         successors,
         tuple(tuple(tuple(cell) for cell in row) for row in cells),
@@ -324,8 +281,8 @@ def _piece_graph(rows, lengths):
 
 
 def _piece_at(m: PLMap, b: int, num: int, den: int) -> int:
-    """Index of the first piece of branch b, in ``by_branch`` order, that
-    contains the coordinate num/den (den > 0, point on the branch)."""
+    """Index of the first piece of branch b, in the order of ``pieces``,
+    that contains the coordinate num/den (den > 0, point on the branch)."""
     cell = m.cells[b][(num - 1) // den if num else 0]
     for idx, hn, hd in cell[:-1]:
         if num * hd <= hn * den:
@@ -348,40 +305,27 @@ def _step(m: PLMap, b: int, num: int, den: int) -> tuple[int, int]:
 
 # ------------------------------------------------------------- set images
 
-def subtree_of_arc(m: PLMap, a: Arc) -> Subtree:
-    """The arc as a geometric subtree of the realization."""
-    x, y = sorted((_marked_point(m.pattern, a.a), _marked_point(m.pattern, a.b)))
-    if x.branch in (0, y.branch):
-        return subtree_from_segments({y.branch: (x.coord, y.coord)})
-    return subtree_from_segments(
-        {x.branch: (Fraction(0), x.coord), y.branch: (Fraction(0), y.coord)}
-    )
+def _cover_rows(m: PLMap) -> list[int]:
+    """The image of every basic interval as a bitmask in the layout of
+    ``_arc_masks``: the union of the integer images of its pieces."""
+    offsets = list(itertools.accumulate(m.branch_lengths, initial=0))
+    spans = [
+        ((1 << (hi - lo)) - 1) << (offsets[q.dst] + lo) for q, (lo, hi) in zip(m.pieces, m.images)
+    ]
+    return [
+        functools.reduce(or_, [spans[i] for i, _, _ in cell]) for row in m.cells for cell in row
+    ]
 
 
-def image_of_subtree(m: PLMap, s: Subtree) -> Subtree:
-    """Exact image of a subtree under one application of the map."""
-    out: dict[int, tuple[Fraction, Fraction]] = {}
-    for b, lo, hi in s.segments:
-        for _, q in m.by_branch[b]:
-            olo, ohi = max(lo, q.lo), min(hi, q.hi)
-            if olo >= ohi:
-                continue
-            y1, y2 = q.slope * olo + q.offset, q.slope * ohi + q.offset
-            ilo, ihi = (y1, y2) if y1 <= y2 else (y2, y1)
-            if q.dst in out:
-                plo, phi = out[q.dst]
-                out[q.dst] = (min(plo, ilo), max(phi, ihi))
-            else:
-                out[q.dst] = (ilo, ihi)
-    return subtree_from_segments(out)
-
-
-def image_of_arc(m: PLMap, a: Arc, power: int = 1) -> Subtree:
-    """Exact image of an arc under ``power`` applications of the map."""
-    s = subtree_of_arc(m, a)
-    for _ in range(power):
-        s = image_of_subtree(m, s)
-    return s
+def _image(rows: list[int], x: int) -> int:
+    """The image of a union of basic intervals (a bitmask): the union of
+    the image masks ``rows`` of its intervals."""
+    y = 0
+    while x:
+        low = x & -x
+        y |= rows[low.bit_length() - 1]
+        x ^= low
+    return y
 
 
 # ------------------------------------------------------- periodic points
@@ -464,29 +408,32 @@ class Cylinder:
     itinerary: tuple[int, ...]
 
 
-def _walks(m: PLMap, p: int, cap: int | None):
+def _walks(m: PLMap, p: int, cap: int | None, steps, starts=None):
     """Depth-first stream of the walks of length p in the piece graph, as
     (b0, slope, offset, last piece, itinerary): the walk's cylinder on
     branch b0 maps by t -> slope*t + offset onto the image of its last
-    piece.  Every expanded walk counts toward the cap."""
+    piece.  A walk starts at one of the pieces ``starts`` (default: every
+    piece), and its piece i+1 is one of ``steps[i][piece i]``; the oracle
+    passes ``m.successors`` for every step.  Every expanded walk counts
+    toward the cap."""
     if p < 1:
         raise ValueError("period must be positive")
     limit = cylinder_cap(cap)
-    pieces, successors = m.pieces, m.successors
+    pieces, end = m.pieces, p - 1
     count = 0
-    stack = [
-        (1, q.src, q.slope, q.offset, idx, (idx,))
-        for idx, q in reversed(list(enumerate(pieces)))
-    ]
+    stack = []
+    for idx in reversed(range(len(pieces)) if starts is None else starts):
+        q = pieces[idx]
+        stack.append((0, q.src, q.slope, q.offset, idx, (idx,)))
     while stack:
         depth, b0, s, d, last, itin = stack.pop()
         count += 1
         if count > limit:
             raise CylinderCapExceeded(limit)
-        if depth == p:
+        if depth == end:
             yield b0, s, d, last, itin
             continue
-        for idx in successors[last]:
+        for idx in steps[depth][last]:
             q = pieces[idx]
             stack.append((depth + 1, b0, q.slope * s, q.slope * d + q.offset, idx, itin + (idx,)))
 
@@ -503,7 +450,7 @@ def iter_cylinders(m: PLMap, p: int, cap: int | None = None):
     """Depth-first stream of the monotone cylinders of the p-th iterate.
     Raises CylinderCapExceeded when more than the cap are expanded (env
     STARDYN_CYLINDER_CAP overrides the default of 10**6)."""
-    for b0, s, d, last, itin in _walks(m, p, cap):
+    for b0, s, d, last, itin in _walks(m, p, cap, (m.successors,) * (p - 1)):
         lo, hi = _domain(m, s, d, last)
         yield Cylinder(b0, lo, hi, s, d, m.pieces[last].dst, itin)
 
@@ -536,7 +483,7 @@ def oracle_scan(m: PLMap, p: int, cap: int | None = None, first_only: bool = Fal
 
     pieces, images = m.pieces, m.images
     cylinders = 0
-    for b0, s, d, last, itin in _walks(m, p, cap):
+    for b0, s, d, last, itin in _walks(m, p, cap, (m.successors,) * (p - 1)):
         cylinders += 1
         cur = pieces[last].dst
         ilo, ihi = images[last]
@@ -616,9 +563,24 @@ def first_witness(m: PLMap, p: int, cap: int | None = None) -> PeriodicWitness |
 def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
     """A point realizing a covering loop: given arcs I_0, ..., I_p with
     f(I_{i-1}) containing I_i, the center interior to no arc after the
-    first, and I_p containing I_0, returns x with f^p(x) = x and
-    f^i(x) in I_i, found by exact forward subdivision constrained to the
-    loop (equivalent to the nested-preimage shrink construction).
+    first, and I_p containing I_0, returns the least x in (branch,
+    coordinate) order with f^p(x) = x and f^i(x) in I_i for every i.
+
+    Arcs are bitmasks of basic intervals (``_arc_masks``), so each
+    covering is a subset test on an image (``_cover_rows``).  A point of
+    the loop whose orbit meets no piece end has one piece at each step,
+    which lies inside I_i and inside the image of the piece before it: it
+    lies in the cylinder of a walk of the piece graph restricted at step i
+    to the pieces inside I_i.  There it is the walk's one fixed point, or
+    the p-th iterate fixes the whole cylinder, whose left end is then a
+    smaller point of the loop.  A point whose orbit meets a piece end lies
+    on the center orbit, since every integer coordinate is a marked point
+    and every split point maps to the center; marked point i visits
+    (i + j) % k at step j, so it is checked directly.
+
+    The constrained walks count toward the cylinder cap: raises
+    CylinderCapExceeded past it (env STARDYN_CYLINDER_CAP overrides the
+    default of 10**6), and LoopError unless the arcs form a covering loop.
     """
     if len(loop) == 1:
         # a single self-covered arc is the one-step loop I, I
@@ -631,69 +593,36 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
     for i, a in enumerate(loop):
         if i >= 1 and a.through_center:
             raise LoopError(f"arc {i} has the center in its interior")
-    targets = [subtree_of_arc(m, a) for a in loop]
+    arcs = _arc_masks(m.pattern)
+    masks = [arcs[a.a][a.b] for a in loop]
+    rows = _cover_rows(m)
     for i in range(1, len(loop)):
-        if not image_of_subtree(m, targets[i - 1]).contains(targets[i]):
+        if masks[i] & ~_image(rows, masks[i - 1]):
             raise LoopError(f"covering fails at step {i}: f(I_{i - 1}) does not contain I_{i}")
-    if not targets[-1].contains(targets[0]):
+    if masks[0] & ~masks[-1]:
         raise LoopError("last arc does not contain the first")
 
-    p = len(loop) - 1
-    candidates: list[RationalPoint] = []
-    # constrained cylinders; degenerate (single point) cylinders are kept
-    # so orbits passing exactly through the center are not lost
-    stack = []
-    for b, lo, hi in targets[0].segments:
-        stack.append((0, b, lo, hi, 1, 0, b))
-    while stack:
-        depth, b0, lo, hi, s, d, cur = stack.pop()
-        if depth == p:
-            t = _affine_fixed_point(s, d, b0, cur, lo, hi)
-            if t is not None:
-                candidates.append(make_point(b0, lo if t is _IDENTITY else t))
-            continue
-        ilo, ihi = (s * lo + d, s * hi + d) if s >= 0 else (s * hi + d, s * lo + d)
-        tb, tlo, thi = _single_segment(targets[depth + 1])
-        for _, q in m.by_branch[cur]:
-            olo, ohi = max(ilo, q.lo), min(ihi, q.hi)
-            if olo > ohi:
-                continue
-            # constrain the next point to lie in the target arc
-            if q.dst == tb:
-                y1, y2 = q.slope * olo + q.offset, q.slope * ohi + q.offset
-                ylo, yhi = (y1, y2) if y1 <= y2 else (y2, y1)
-                clo, chi = max(ylo, tlo), min(yhi, thi)
-            elif tlo == 0:
-                # the target touches the center; a crossing at exactly 0 counts
-                y1, y2 = q.slope * olo + q.offset, q.slope * ohi + q.offset
-                ylo, yhi = (y1, y2) if y1 <= y2 else (y2, y1)
-                clo, chi = (Fraction(0), Fraction(0)) if ylo <= 0 <= yhi else (Fraction(1), Fraction(0))
-            else:
-                continue
-            if clo > chi:
-                continue
-            ns, nd = q.slope * s, q.slope * d + q.offset
-            t1, t2 = (clo - nd) / ns, (chi - nd) / ns
-            nlo, nhi = (t1, t2) if t1 <= t2 else (t2, t1)
-            nlo, nhi = max(nlo, lo), min(nhi, hi)
-            if nlo > nhi:
-                continue
-            stack.append((depth + 1, b0, nlo, nhi, ns, nd, q.dst))
-    for pt in sorted(set(candidates)):
-        if m.iterate(pt, p) != pt:
-            continue
-        ok = all(
-            targets[i].contains_point(m.iterate(pt, i)) for i in range(p + 1)
-        )
-        if ok:
-            return pt
-    raise InconsistencyError("verified loop yielded no fixed point — this is a bug")
-
-
-def _single_segment(s: Subtree) -> tuple[int, Fraction, Fraction]:
-    if len(s.segments) != 1:
-        raise LoopError("loop arcs after the first must lie in one branch")
-    return s.segments[0]
+    p, k = len(loop) - 1, m.pattern.k
+    candidates = [
+        m.marked_point(i)
+        for i in range(k)
+        if p % k == 0
+        and all(arcs[a.a][(i + j) % k] & ~x == 0 for j, (a, x) in enumerate(zip(loop, masks)))
+    ]
+    # the basic interval of each piece as a bit; pieces run in cell order
+    bits = [1 << v for v, cell in enumerate(c for row in m.cells for c in row) for _ in cell]
+    steps = [
+        tuple(tuple(j for j in succ if bits[j] & x) for succ in m.successors) for x in masks[1:-1]
+    ]
+    starts = [idx for idx, bit in enumerate(bits) if bit & masks[0]]
+    for b0, s, d, last, _ in _walks(m, p, None, steps, starts):
+        lo, hi = _domain(m, s, d, last)
+        t = _affine_fixed_point(s, d, b0, m.pieces[last].dst, lo, hi)
+        if t is not None:
+            candidates.append(make_point(b0, lo if t is _IDENTITY else t))
+    if not candidates:
+        raise InconsistencyError("verified loop yielded no fixed point — this is a bug")
+    return min(candidates)
 
 
 # ------------------------------------------------------------- diagnostics

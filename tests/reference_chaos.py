@@ -2,14 +2,16 @@
 ``Fraction`` subtrees, kept for equivalence tests only.
 
 Every arc is a ``Subtree`` of the realization, every image is computed
-piece by piece with ``image_of_arc``, containment compares segment
-endpoints, and "meets the open (u, v)" is a positive-length overlap.  The
-ordering test reads positions off ``Arc`` traversals.  It shares with
-``certify`` only the certificate type and the theorem checks.
+piece by piece with ``image_of_arc`` (both from ``reference_loop``),
+containment compares segment endpoints, and "meets the open (u, v)" is a
+positive-length overlap.  The ordering test reads positions off ``Arc``
+traversals.  It shares with ``certify`` only the certificate type and the
+theorem checks.
 """
 
 import itertools
 
+from reference_loop import image_of_arc, subtree_of_arc
 from stardyn.certify import (
     CenterTheoremCase,
     Genscramble,
@@ -18,7 +20,7 @@ from stardyn.certify import (
     basic_intervals,
 )
 from stardyn.patterns import arc
-from stardyn.plmap import image_of_arc, realize, subtree_of_arc
+from stardyn.plmap import realize
 
 
 def _overlaps_open_segment(tree, branch, lo, hi):

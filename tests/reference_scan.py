@@ -67,10 +67,7 @@ def realize(p):
                 pieces.append(Piece(b, lo, split, a_img.branch, -total, down_offset))
                 pieces.append(Piece(b, split, hi, b_img.branch, total, -down_offset))
     pieces.sort(key=lambda q: (q.src, q.lo))
-    by_branch = tuple(
-        tuple((idx, q) for idx, q in enumerate(pieces) if q.src == b) for b in range(p.n + 1)
-    )
-    return PLMap(p, tuple(lengths), tuple(pieces), by_branch, *_piece_graph(pieces, lengths))
+    return PLMap(p, tuple(lengths), tuple(pieces), *_piece_graph(pieces, lengths))
 
 
 def _piece_graph(pieces, lengths):

@@ -12,6 +12,7 @@ import random
 import numpy as np
 import pytest
 
+from reference_loop import image_of_arc, subtree_of_arc
 from stardyn.certify import (
     Cascade,
     cover_digraph,
@@ -27,10 +28,8 @@ from stardyn.orders import baldwin_le, forced_periods, nod_le, sharkovskii_le
 from stardyn.patterns import arc, enumerate_patterns, parse_pattern
 from stardyn.plmap import (
     UncountablePeriodicSet,
-    image_of_arc,
     periodic_points,
     realize,
-    subtree_of_arc,
 )
 from stardyn.survey import classify_all, filter_result
 from support import EX1, EX2, random_pattern

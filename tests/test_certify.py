@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import reference_chaos as ref_chaos
 import reference_digraph as ref_digraph
+import reference_loop as ref_loop
 import reference_scan as ref_scan
 import stardyn.certify as certify_module
 from stardyn.certify import (
@@ -47,13 +48,12 @@ from stardyn.certify import (
 from stardyn.orders import forced_periods
 from stardyn.patterns import arc, enumerate_patterns, parse_pattern
 from stardyn.plmap import (
+    LoopError,
     first_witness,
-    image_of_arc,
     loop_point,
     oracle_scan,
     periodic_points,
     realize,
-    subtree_of_arc,
 )
 from support import EX1, EX2, random_pattern
 
@@ -135,10 +135,10 @@ def test_digraph_matches_exact_images_random():
         g = cover_digraph(p)
         m = realize(p)
         for i, v in enumerate(g.vertices):
-            img = image_of_arc(m, arc(v.inner, v.outer, p))
+            img = ref_loop.image_of_arc(m, arc(v.inner, v.outer, p))
             for j, w in enumerate(g.vertices):
                 assert g.has_edge(i, j) == img.contains(
-                    subtree_of_arc(m, arc(w.inner, w.outer, p))
+                    ref_loop.subtree_of_arc(m, arc(w.inner, w.outer, p))
                 )
 
 
@@ -150,7 +150,7 @@ def test_cover_digraph_reads_the_given_realization(p1, p2):
 
 def _realization(m):
     """Every field of a realization, the ones equality skips included."""
-    return (m.pattern, m.branch_lengths, m.pieces, m.by_branch, m.images, m.successors, m.cells)
+    return (m.pattern, m.branch_lengths, m.pieces, m.images, m.successors, m.cells)
 
 
 def _check_integer_structure(p):
@@ -633,6 +633,15 @@ def _closed_walks(g, max_len):
                     stack.append((w, path + (w,)))
 
 
+def _loop_outcome(find, m, arcs):
+    """The point ``find`` returns for the loop, or the type and message of
+    the LoopError it raises."""
+    try:
+        return find(m, arcs)
+    except LoopError as e:
+        return type(e), str(e)
+
+
 def test_loop_lemma_soundness_on_examples(p1, p2):
     for p in (p1, p2):
         g = cover_digraph(p)
@@ -640,11 +649,12 @@ def test_loop_lemma_soundness_on_examples(p1, p2):
         for walk in _closed_walks(g, 5):
             arcs = [arc(*g.vertices[i].endpoints, p) for i in walk]
             x = loop_point(m, arcs)
+            assert x == ref_loop.loop_point(m, arcs), (p.to_text(), walk)
             steps = len(walk) - 1
             assert m.iterate(x, steps) == x
             for i, vi in enumerate(walk):
                 a = g.vertices[vi]
-                assert subtree_of_arc(m, arc(*a.endpoints, p)).contains_point(
+                assert ref_loop.subtree_of_arc(m, arc(*a.endpoints, p)).contains_point(
                     m.iterate(x, i)
                 )
 
@@ -658,7 +668,40 @@ def test_loop_lemma_soundness_sampled_patterns():
         for walk in itertools.islice(_closed_walks(g, 4), 40):
             arcs = [arc(*g.vertices[i].endpoints, p) for i in walk]
             x = loop_point(m, arcs)
+            assert x == ref_loop.loop_point(m, arcs), (p.to_text(), walk)
             assert m.iterate(x, len(walk) - 1) == x
+
+
+def test_loop_point_matches_reference_on_every_short_loop():
+    # every closed walk of length <= 4 of every class with n <= 3, k <= 4
+    loops = 0
+    for n in range(1, 4):
+        for k in range(2, 5):
+            for p in enumerate_patterns(n, k):
+                g = cover_digraph(p)
+                m = realize(p)
+                for walk in _closed_walks(g, 4):
+                    arcs = [arc(*g.vertices[i].endpoints, p) for i in walk]
+                    assert loop_point(m, arcs) == ref_loop.loop_point(m, arcs), (
+                        p.to_text(), walk
+                    )
+                    loops += 1
+    assert loops == 1034
+
+
+def test_loop_point_matches_reference_on_random_chains():
+    # arbitrary arc chains, most of them not covering loops: the same
+    # point, or a LoopError of the same type and message
+    rng = random.Random(37)
+    valid = 0
+    for _ in range(1000):
+        p = random_pattern(rng, rng.randint(1, 4), rng.randint(2, 7))
+        m = realize(p)
+        arcs = [arc(*rng.sample(range(p.k), 2), p) for _ in range(rng.randint(1, 4))]
+        got = _loop_outcome(loop_point, m, arcs)
+        assert got == _loop_outcome(ref_loop.loop_point, m, arcs), (p.to_text(), arcs)
+        valid += not isinstance(got, tuple)
+    assert valid > 200
 
 
 # ----------------------------------------------------------------- reports

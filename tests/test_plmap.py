@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_scan as ref
+from reference_loop import image_of_arc, image_of_subtree, subtree_from_segments, subtree_of_arc
 from stardyn.certify import OracleWitness, verify_certificate
 from stardyn.patterns import CENTER_INDEX, arc, enumerate_patterns, parse_pattern
 from stardyn.plmap import (
@@ -28,8 +29,6 @@ from stardyn.plmap import (
     RationalPoint,
     UncountablePeriodicSet,
     first_witness,
-    image_of_arc,
-    image_of_subtree,
     iter_cylinders,
     loop_point,
     make_point,
@@ -37,8 +36,6 @@ from stardyn.plmap import (
     periodic_points,
     realize,
     scramble_probe,
-    subtree_from_segments,
-    subtree_of_arc,
 )
 from stardyn.plmap import _least_period_is, _piece_graph
 from support import EX1, EX2, random_pattern
@@ -132,7 +129,7 @@ def test_empty_branch_has_no_pieces():
     assert all(q.src == 1 for q in m.pieces)
 
 
-# -------------------------------------------------------------- set images
+# ---------------------------------------------------- reference set images
 
 def test_image_goldens(m1, m2):
     p1, p2 = m1.pattern, m2.pattern
@@ -341,6 +338,13 @@ def test_loop_point_period_two(m1):
     assert x in {w.point for w in periodic_points(m1, 2)}
 
 
+def test_loop_point_counts_toward_the_cylinder_cap(m1, monkeypatch):
+    p = m1.pattern
+    monkeypatch.setenv("STARDYN_CYLINDER_CAP", "1")
+    with pytest.raises(CylinderCapExceeded):
+        loop_point(m1, [arc(0, 2, p), arc(1, 3, p), arc(0, 2, p)])
+
+
 def test_loop_point_itinerary_check(m2):
     p = m2.pattern
     loop = [arc(0, 2, p), arc(1, 3, p), arc(0, 2, p)]
@@ -351,6 +355,8 @@ def test_loop_point_itinerary_check(m2):
 
 def test_loop_point_rejects_non_loop(m1):
     p = m1.pattern
+    with pytest.raises(LoopError, match="at least one arc"):
+        loop_point(m1, [])
     with pytest.raises(LoopError, match="covering fails at step 1"):
         loop_point(m1, [arc(0, 4, p), arc(1, 3, p), arc(0, 4, p)])
     with pytest.raises(LoopError, match="interior"):
