@@ -5,7 +5,8 @@ The package is organized in layers:
 
 ``patterns``
     Combinatorial orbit patterns: parsing, validation, arcs between
-    marked points, enumeration up to branch relabeling.
+    marked points, basic intervals and the arcs they cover, enumeration
+    up to branch relabeling.
 ``orders``
     Period-forcing orders for interval and star maps.
 ``plmap``

@@ -21,13 +21,21 @@ import itertools
 from dataclasses import dataclass
 
 from .orders import forced_periods, sharkovskii_le
-from .patterns import CENTER_INDEX, MarkedPoint, StarPattern, _arc_masks, validate
+from .patterns import (
+    CENTER_INDEX,
+    BasicInterval,
+    MarkedPoint,
+    StarPattern,
+    _arc_masks,
+    _cover_rows,
+    _image,
+    basic_intervals,
+    validate,
+)
 from .plmap import (
     InconsistencyError,
     PeriodicWitness,
     PLMap,
-    _cover_rows,
-    _image,
     _least_period_is,
     first_witness,
     oracle_scan,
@@ -35,37 +43,7 @@ from .plmap import (
 )
 
 
-# ---------------------------------------------------------- basic intervals
-
-@dataclass(frozen=True)
-class BasicInterval:
-    """A minimal closed interval between adjacent marked points on one
-    branch; ``inner`` is the endpoint closer to the center (possibly the
-    center itself)."""
-
-    inner: MarkedPoint
-    outer: MarkedPoint
-    branch: int
-    outer_rank: int
-
-    @property
-    def label(self) -> str:
-        return f"[{self.inner},{self.outer}]"
-
-    @property
-    def endpoints(self) -> tuple[MarkedPoint, MarkedPoint]:
-        return (self.inner, self.outer)
-
-
-def basic_intervals(p: StarPattern) -> list[BasicInterval]:
-    """All basic intervals, ordered by (branch, rank from the center): one
-    per marked point, which is its outer end."""
-    point = {e: i for i, e in enumerate(p.placements, start=1)}
-    return [
-        BasicInterval(point.get((b, r - 1), CENTER_INDEX), point[b, r], b, r)
-        for b, r in sorted(p.placements)
-    ]
-
+# ---------------------------------------------------------- covering digraph
 
 @dataclass(frozen=True)
 class CoverDigraph:
@@ -97,18 +75,19 @@ class CoverDigraph:
         raise KeyError(f"no basic interval with endpoints {endpoints}")
 
 
-def cover_digraph(p: StarPattern, m: PLMap | None = None) -> CoverDigraph:
-    """The covering digraph of p, read off the piece graph of its
-    realization ``m`` (realized here when omitted).  The canonical map
-    sends each basic interval onto exactly the arc between its endpoints'
-    images, so the row of [j, j+1] on branch b is the union of the images
-    of the pieces in ``m.cells[b][j]``.  Raises ValueError when ``m``
-    realizes another pattern."""
-    if m is None:
-        m = realize(p)
-    elif m.pattern != p:
-        raise ValueError("the realization belongs to a different pattern")
-    rows = _cover_rows(m)
+def _require_valid(p: StarPattern, all_branches: bool = False) -> None:
+    problems = validate(p, all_branches=all_branches)
+    if problems:
+        raise ValueError("invalid pattern: " + "; ".join(problems))
+
+
+def cover_digraph(p: StarPattern) -> CoverDigraph:
+    """The covering digraph of a valid pattern p.  The canonical map sends
+    each basic interval onto exactly the arc between its endpoints'
+    images, so the digraph depends on the pattern alone
+    (``patterns._cover_rows``)."""
+    _require_valid(p)
+    rows = _cover_rows(p)
     adjacency = tuple(tuple(j for j in range(len(rows)) if row >> j & 1) for row in rows)
     return CoverDigraph(p, tuple(basic_intervals(p)), adjacency)
 
@@ -325,9 +304,7 @@ def check_center_theorem(p: StarPattern) -> CenterTheoremCase | None:
     third image of the center leaves the closed branch of the first image.
     Indices wrap modulo k, so for k = 3 the third image is the center
     itself, which lies on no branch and passes the hypothesis."""
-    problems = validate(p)
-    if problems:
-        raise ValueError("invalid pattern: " + "; ".join(problems))
+    _require_valid(p)
     k = p.k
     x1, x2, x3 = 1 % k, 2 % k, 3 % k
     if x3 != CENTER_INDEX and _branch_of(p, x3) == _branch_of(p, x1):
@@ -363,9 +340,7 @@ def check_nplus2_theorem(p: StarPattern) -> NPlus2Case | None:
     has every period >= 2 (case 1) or period 2 plus every period >= 4
     (case 2).  Returns None when the center-theorem hypothesis holds
     instead."""
-    problems = validate(p, all_branches=True)
-    if problems:
-        raise ValueError("invalid pattern: " + "; ".join(problems))
+    _require_valid(p, all_branches=True)
     if not nplus2_applies(p):
         raise ValueError(
             f"requires an orbit of size n+2 on all branches of an n-od with "
@@ -476,36 +451,28 @@ def find_genscramble(p: StarPattern, max_iterate: int = 2) -> Genscramble | None
     intervals, and containment is a subset test."""
     if max_iterate < 1:
         raise ValueError("max_iterate must be positive")
-    theorem = _theorem(p)
-    m = realize(p)
-    return _find_genscramble(p, m, cover_digraph(p, m), theorem, max_iterate)
+    return _find_genscramble(p, _theorem(p), max_iterate)
 
 
 def _find_genscramble(
-    p: StarPattern,
-    m: PLMap,
-    g: CoverDigraph,
-    theorem: CenterTheoremCase | NPlus2Case | None,
-    max_iterate: int,
+    p: StarPattern, theorem: CenterTheoremCase | NPlus2Case | None, max_iterate: int
 ) -> Genscramble | None:
-    """``find_genscramble`` on a given realization, covering digraph and
-    theorem certificate.  A theorem-derived loop is replayed on the
-    realization before it is returned; the pair scan reads only the
-    digraph."""
+    """``find_genscramble`` with the theorem certificate given.  A
+    theorem-derived loop is replayed (``verify_genscramble``) before it is
+    returned."""
     if theorem is not None:
         middle = (theorem.back,) if isinstance(theorem, CenterTheoremCase) else theorem.chain
         cert = Genscramble(1, theorem.u, theorem.v, (theorem.span,) + middle + (theorem.span,))
-        if not _verify_genscramble(p, m, cert):
+        if not verify_genscramble(p, cert):
             raise InconsistencyError(
                 f"{p.to_text()}: the chaos certificate {cert!r} derived from "
                 f"{theorem!r} fails its replay — this is a bug"
             )
         return cert
-    rows = [sum(1 << j for j in row) for row in g.adjacency]
-    arcs = _arc_masks(p)
+    rows, arcs = _cover_rows(p), _arc_masks(p)
     pairs = itertools.combinations(range(p.k), 2)
     masks = {(a, b): arcs[a][b] for a, b in pairs if not _through_center(arcs, a, b)}
-    cap = 2 * len(g.vertices) + 2
+    cap = 2 * len(rows) + 2
     images = masks
     for t in range(1, max_iterate + 1):
         images = {e: _image(rows, x) for e, x in images.items()}
@@ -561,7 +528,7 @@ def _loop_search(u, v, first, masks, images, cap):
 
 # ------------------------------------------------------------ verification
 
-def verify_certificate(p: StarPattern, cert: Certificate, p_max: int = 10) -> bool:
+def verify_certificate(p: StarPattern, cert: Certificate) -> bool:
     """Re-derive a certificate's claim from the pattern alone.  An absence
     replays the whole scan: it must complete with no witness after
     exactly the recorded number of cylinders."""
@@ -604,17 +571,13 @@ def _verify_cascade(p: StarPattern, cert: Cascade) -> bool:
 
 
 def verify_genscramble(p: StarPattern, cert: Genscramble) -> bool:
-    """Independent replay: recheck the ordering condition and every
-    covering with fresh exact images."""
-    return _verify_genscramble(p, realize(p), cert)
-
-
-def _verify_genscramble(p: StarPattern, m: PLMap, cert: Genscramble) -> bool:
-    """The replay on the realization's piece graph, independent of the
-    covering digraph: arcs are rank bitmasks (``_arc_masks``) and the
-    image of a basic interval is read off its pieces (``_cover_rows``).
-    A loop arc whose ends are not two distinct marked points, or an
-    iterate below 1, fails the replay."""
+    """Replay: recheck the ordering condition and every covering of the
+    t-th iterate, independent of the search.  Arcs are rank bitmasks
+    (``_arc_masks``) and a basic interval's image is the arc between its
+    endpoints' images (``_cover_rows``).  A loop arc whose ends are not
+    two distinct marked points, or an iterate below 1, fails the replay;
+    an invalid pattern raises ValueError."""
+    _require_valid(p)
     t, u, v = cert.iterate, cert.u, cert.v
     if not cert.loop or cert.loop[0] != tuple(sorted((u, v))) and cert.loop[0] != (u, v):
         return False
@@ -625,7 +588,7 @@ def _verify_genscramble(p: StarPattern, m: PLMap, cert: Genscramble) -> bool:
         return False
     if any(_through_center(arcs, a, b) for a, b in ((u, v), *cert.loop[1:])):
         return False
-    rows = _cover_rows(m)
+    rows = _cover_rows(p)
     masks = [arcs[a][b] for a, b in cert.loop]
     for s, d in itertools.pairwise(masks):
         for _ in range(t):
@@ -712,10 +675,11 @@ def _survey_row(p: StarPattern, p_max: int, max_iterate: int) -> tuple:
     adjacency).  The closed-walk count decides every period that k does
     not divide (``_period_counts``), period k is the center's, and only
     its other multiples go to the oracle, as in ``periodicity_report``.
-    A claimed period that counts 0 raises InconsistencyError."""
-    m = realize(p)
-    g = cover_digraph(p, m)
+    The realization is built only when such a multiple is in range.  A
+    claimed period that counts 0 raises InconsistencyError."""
     theorem = _theorem(p)
+    m = realize(p) if 2 * p.k <= p_max else None
+    g = cover_digraph(p)
     claims = _claims(p, g, theorem, frozenset(forced_periods(1, p.k, p_max)), p_max)
     counts = _period_counts(p.k, _walk_traces(g.adjacency, p_max))
     present = []
@@ -731,7 +695,7 @@ def _survey_row(p: StarPattern, p_max: int, max_iterate: int) -> tuple:
             found = q == p.k or _oracle_status(m, q, claims[q]).status == "present"
         if found:
             present.append(q)
-    chaos = _find_genscramble(p, m, g, theorem, max_iterate)
+    chaos = _find_genscramble(p, theorem, max_iterate)
     return (
         tuple(present),
         chaos.iterate if chaos is not None else None,
@@ -747,17 +711,17 @@ def periodicity_report(
     """Period-by-period account: structural certificates confirmed by the
     exact oracle, absences by exhaustive scan, chaos by loop search.
 
-    The one place a pattern is analyzed: it realizes the pattern, builds
-    the covering digraph and decides the theorem certificate once each,
-    and keeps the last two on the report (``theorem``, ``digraph``).
-    Every period that the closed-walk count decides (``_period_counts``)
-    is derived twice: the count and the oracle must agree."""
+    It realizes the pattern, builds the covering digraph and decides the
+    theorem certificate once each, and keeps the last two on the report
+    (``theorem``, ``digraph``).  Every period that the closed-walk count
+    decides (``_period_counts``) is derived twice: the count and the
+    oracle must agree."""
     if p_max < 1:
         raise ValueError("p_max must be positive")
     if max_iterate < 1:
         raise ValueError("max_iterate must be positive")
     m = realize(p)
-    g = cover_digraph(p, m)
+    g = cover_digraph(p)
     forced = frozenset(forced_periods(1, p.k, p_max))
     theorem = _theorem(p)
     claims = _claims(p, g, theorem, forced, p_max)
@@ -773,7 +737,7 @@ def periodicity_report(
                 f"period {q} but the exact oracle finds it {periods[q].status} — this is a bug"
             )
 
-    chaos = _find_genscramble(p, m, g, theorem, max_iterate)
+    chaos = _find_genscramble(p, theorem, max_iterate)
     commentary = [
         "closed walk lengths up to "
         f"{p_max}: {[q for q, t in enumerate(traces, 1) if t]}",

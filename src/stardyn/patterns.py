@@ -408,16 +408,67 @@ def arc_contains(outer: Arc, inner: Arc) -> bool:
     return inner.basic_ids() <= outer.basic_ids()
 
 
+@dataclass(frozen=True)
+class BasicInterval:
+    """A minimal closed interval between adjacent marked points on one
+    branch; ``inner`` is the endpoint closer to the center (possibly the
+    center itself)."""
+
+    inner: MarkedPoint
+    outer: MarkedPoint
+    branch: int
+    outer_rank: int
+
+    @property
+    def label(self) -> str:
+        return f"[{self.inner},{self.outer}]"
+
+    @property
+    def endpoints(self) -> tuple[MarkedPoint, MarkedPoint]:
+        return (self.inner, self.outer)
+
+
+def basic_intervals(p: StarPattern) -> list[BasicInterval]:
+    """All basic intervals, ordered by (branch, rank from the center): one
+    per marked point, which is its outer end."""
+    point = {e: i for i, e in enumerate(p.placements, start=1)}
+    return [
+        BasicInterval(point.get((b, r - 1), CENTER_INDEX), point[b, r], b, r)
+        for b, r in sorted(p.placements)
+    ]
+
+
 def _arc_masks(p: StarPattern) -> list[list[int]]:
     """``masks[a][b]`` is the arc between marked points a and b as a
-    bitmask of basic intervals: bit i stands for vertex i of the covering
-    digraph, branch by branch outward from the center.  The intervals
-    between a point of rank r and the center are the r low bits of its
-    branch's block, and in a tree the arc between two points is the
-    symmetric difference of their paths to the center."""
-    index = {e: i for i, e in enumerate(sorted(p.placements))}  # as in ``certify.basic_intervals``
+    bitmask of basic intervals: bit i stands for ``basic_intervals(p)[i]``,
+    branch by branch outward from the center.  The intervals between a
+    point of rank r and the center are the r low bits of its branch's
+    block, and in a tree the arc between two points is the symmetric
+    difference of their paths to the center."""
+    index = {e: i for i, e in enumerate(sorted(p.placements))}  # as in ``basic_intervals``
     down = [0] + [((1 << r) - 1) << (index[b, r] - r + 1) for b, r in p.placements]
     return [[x ^ y for y in down] for x in down]
+
+
+def _cover_rows(p: StarPattern) -> list[int]:
+    """The image of every basic interval under the canonical map, in the
+    order of ``basic_intervals`` and as an ``_arc_masks`` bitmask: the map
+    sends a basic interval onto exactly the arc between its endpoints'
+    images, so these rows (the covering digraph, the Markov graph of the
+    pattern) depend on the pattern alone."""
+    arcs, k = _arc_masks(p), p.k
+    return [arcs[(v.inner + 1) % k][(v.outer + 1) % k] for v in basic_intervals(p)]
+
+
+def _image(rows: list[int], x: int) -> int:
+    """The image of a union of basic intervals (a bitmask): the union of
+    the image masks ``rows`` of its intervals."""
+    y = 0
+    while x:
+        low = x & -x
+        y |= rows[low.bit_length() - 1]
+        x ^= low
+    return y
 
 
 # ---------------------------------------------------------- orbit specs

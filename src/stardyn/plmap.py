@@ -27,15 +27,21 @@ no periodic points, so the oracle's completeness is unaffected.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import or_
 
-from .patterns import CENTER_INDEX, Arc, MarkedPoint, StarPattern, _arc_masks, validate
+from .patterns import (
+    CENTER_INDEX,
+    Arc,
+    MarkedPoint,
+    StarPattern,
+    _arc_masks,
+    _cover_rows,
+    _image,
+    validate,
+)
 
 DEFAULT_CYLINDER_CAP = 10**6
 _CAP_ENV = "STARDYN_CYLINDER_CAP"
@@ -301,31 +307,6 @@ def _step(m: PLMap, b: int, num: int, den: int) -> tuple[int, int]:
     q = m.pieces[_piece_at(m, b, num, den)]
     y = q.slope * num + q.offset * den
     return (q.dst, y) if y else (0, 0)
-
-
-# ------------------------------------------------------------- set images
-
-def _cover_rows(m: PLMap) -> list[int]:
-    """The image of every basic interval as a bitmask in the layout of
-    ``_arc_masks``: the union of the integer images of its pieces."""
-    offsets = list(itertools.accumulate(m.branch_lengths, initial=0))
-    spans = [
-        ((1 << (hi - lo)) - 1) << (offsets[q.dst] + lo) for q, (lo, hi) in zip(m.pieces, m.images)
-    ]
-    return [
-        functools.reduce(or_, [spans[i] for i, _, _ in cell]) for row in m.cells for cell in row
-    ]
-
-
-def _image(rows: list[int], x: int) -> int:
-    """The image of a union of basic intervals (a bitmask): the union of
-    the image masks ``rows`` of its intervals."""
-    y = 0
-    while x:
-        low = x & -x
-        y |= rows[low.bit_length() - 1]
-        x ^= low
-    return y
 
 
 # ------------------------------------------------------- periodic points
@@ -595,7 +576,7 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
             raise LoopError(f"arc {i} has the center in its interior")
     arcs = _arc_masks(m.pattern)
     masks = [arcs[a.a][a.b] for a in loop]
-    rows = _cover_rows(m)
+    rows = _cover_rows(m.pattern)
     for i in range(1, len(loop)):
         if masks[i] & ~_image(rows, masks[i - 1]):
             raise LoopError(f"covering fails at step {i}: f(I_{i - 1}) does not contain I_{i}")

@@ -27,11 +27,10 @@ from dataclasses import dataclass
 
 from .certify import (
     _survey_row,
-    closed_walk_lengths,
+    _walk_traces,
     cover_digraph,
     find_cascade,
     periodicity_report,
-    self_loop_only_lengths,
 )
 from .orders import sharkovskii_le
 from .patterns import StarPattern, enumerate_patterns, parse_pattern
@@ -570,8 +569,9 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
     p2 = parse_pattern(str(REFERENCE_FACTS["example2"]))
     rep2 = periodicity_report(p2, p_max=p_max, max_iterate=max_iterate)
     horizon = 9
-    walks = closed_walk_lengths(rep2.digraph, horizon)
-    loops_only = self_loop_only_lengths(rep2.digraph, horizon)
+    traces = list(enumerate(_walk_traces(rep2.digraph.adjacency, horizon), 1))
+    walks = {q for q, t in traces if t}
+    loops_only = {q for q, t in traces if t == 1}
     odd_walks = {q for q in walks if q % 2 == 1}
     ok = odd_walks <= loops_only
     checks.append(

@@ -1,11 +1,21 @@
-"""Reference copy of the covering digraph built from ``Arc`` traversals,
-kept for equivalence tests only.
+"""Reference copies of the covering digraph, kept for equivalence tests
+only.
 
-The image of each basic interval is the arc between the successor images
-of its endpoints, as ``patterns.arc`` traverses it, and J is a successor
-of I when that traversal passes through J.  It shares with ``certify``
-only the vertex list and the digraph type, and reads no realization.
+``cover_digraph`` builds it from ``Arc`` traversals: the image of each
+basic interval is the arc between the successor images of its endpoints,
+as ``patterns.arc`` traverses it, and J is a successor of I when that
+traversal passes through J.  It shares with ``certify`` only the vertex
+list and the digraph type, and reads no realization.
+
+``cover_rows_from_pieces`` reads the same rows off a realization instead:
+the image of a basic interval is the union of the integer images of its
+pieces.  Its agreement with ``patterns._cover_rows`` is the Markov
+property of the canonical map.
 """
+
+import functools
+import itertools
+from operator import or_
 
 from stardyn.certify import CoverDigraph, basic_intervals
 from stardyn.patterns import arc
@@ -21,3 +31,16 @@ def cover_digraph(p):
         for i in range(len(verts))
     )
     return CoverDigraph(p, verts, adjacency)
+
+
+def cover_rows_from_pieces(m):
+    """The image of every basic interval of the realization ``m`` as a
+    bitmask in the layout of ``patterns._arc_masks``: the union of the
+    integer images ``m.images`` of the pieces in its cell of ``m.cells``."""
+    offsets = list(itertools.accumulate(m.branch_lengths, initial=0))
+    spans = [
+        ((1 << (hi - lo)) - 1) << (offsets[q.dst] + lo) for q, (lo, hi) in zip(m.pieces, m.images)
+    ]
+    return [
+        functools.reduce(or_, [spans[i] for i, _, _ in cell]) for row in m.cells for cell in row
+    ]

@@ -19,12 +19,10 @@ import reference_loop as ref_loop
 import reference_scan as ref_scan
 import stardyn.certify as certify_module
 from stardyn.certify import (
-    BasicInterval,
     Cascade,
     CenterOrbit,
     CenterTheoremCase,
     CoverDigraph,
-    ForcedPeriod,
     Genscramble,
     InconsistencyError,
     NPlus2Case,
@@ -45,8 +43,7 @@ from stardyn.certify import (
     verify_certificate,
     verify_genscramble,
 )
-from stardyn.orders import forced_periods
-from stardyn.patterns import arc, enumerate_patterns, parse_pattern
+from stardyn.patterns import StarPattern, _cover_rows, arc, enumerate_patterns, parse_pattern
 from stardyn.plmap import (
     LoopError,
     first_witness,
@@ -142,10 +139,17 @@ def test_digraph_matches_exact_images_random():
                 )
 
 
-def test_cover_digraph_reads_the_given_realization(p1, p2):
-    assert cover_digraph(p1, realize(p1)) == cover_digraph(p1)
-    with pytest.raises(ValueError, match="different pattern"):
-        cover_digraph(p1, realize(p2))
+def test_cover_digraph_and_chaos_replay_reject_invalid_patterns():
+    cert = Genscramble(1, 1, 2, ((1, 2), (1, 2)))
+    for broken in (
+        StarPattern(n=1, k=2, placements=((1, 2),)),  # rank gap
+        StarPattern(n=1, k=3, placements=((1, 1), (1, 1))),  # duplicate ranks
+        StarPattern(n=1, k=3, placements=((1, 1),)),  # a placement missing
+    ):
+        with pytest.raises(ValueError, match="invalid pattern"):
+            cover_digraph(broken)
+        with pytest.raises(ValueError, match="invalid pattern"):
+            verify_genscramble(broken, cert)
 
 
 def _realization(m):
@@ -154,11 +158,13 @@ def _realization(m):
 
 
 def _check_integer_structure(p):
-    """The integer realization and the digraph read off it equal the
-    ``Fraction`` realization and the ``Arc``-built digraph."""
+    """The integer realization equals the ``Fraction`` realization, the
+    union of its piece images equals the pattern's covering rows (the map
+    is Markov), and the digraph equals the ``Arc``-built digraph."""
     m = realize(p)
     assert _realization(m) == _realization(ref_scan.realize(p)), p.to_text()
-    assert cover_digraph(p, m) == ref_digraph.cover_digraph(p), p.to_text()
+    assert ref_digraph.cover_rows_from_pieces(m) == _cover_rows(p), p.to_text()
+    assert cover_digraph(p) == ref_digraph.cover_digraph(p), p.to_text()
 
 
 @pytest.mark.parametrize("k", range(2, 8))
@@ -269,7 +275,7 @@ def _closed_walk_count(adjacency, length):
 def test_walk_traces_count_closed_walks(p1, p2):
     for p in (p1, p2, parse_pattern("n=1 k=2; b1: 1")):
         m = realize(p)
-        for adjacency in (cover_digraph(p, m).adjacency, m.successors):
+        for adjacency in (cover_digraph(p).adjacency, m.successors):
             traces = certify_module._walk_traces(adjacency, 7)
             assert traces == [_closed_walk_count(adjacency, q) for q in range(1, 8)]
     # every entry of A^q reaches 9^(q-1): the packed fields must not overflow
@@ -290,7 +296,7 @@ COUNT_HORIZON = {2: 8, 3: 8, 4: 8, 5: 6, 6: 5}
 
 
 def _counts(m, bound):
-    traces = certify_module._walk_traces(cover_digraph(m.pattern, m).adjacency, bound)
+    traces = certify_module._walk_traces(cover_digraph(m.pattern).adjacency, bound)
     return certify_module._period_counts(m.pattern.k, traces)
 
 
@@ -312,7 +318,7 @@ def test_cover_digraph_traces_equal_piece_graph_traces(k):
     for n in range(1, 5):
         for p in enumerate_patterns(n, k):
             m = realize(p)
-            assert traces(cover_digraph(p, m).adjacency, 8) == traces(m.successors, 8), p.to_text()
+            assert traces(cover_digraph(p).adjacency, 8) == traces(m.successors, 8), p.to_text()
 
 
 @settings(max_examples=30, deadline=None)
@@ -579,7 +585,7 @@ def test_chaos_replay_matches_fraction_reference(k):
             assert verify_genscramble(p, cert)
             m = realize(p)
             for c in _tampered(cert):
-                got = _verdict(certify_module._verify_genscramble, p, m, c)
+                got = _verdict(verify_genscramble, p, c)
                 assert got == _verdict(ref_chaos.verify, p, m, c), (p.to_text(), c)
                 verdicts.add(got)
     assert verdicts == ({True, False} if k > 2 else set())
@@ -598,16 +604,16 @@ def test_chaos_matches_fraction_reference_on_random_patterns(rng, n, k, max_iter
 
 def test_chaos_search_and_replay_build_no_fraction(p1, p2, monkeypatch):
     swap = parse_pattern("n=1 k=2; b1: 1")
-    cases = [(p, realize(p), cover_digraph(p), certify_module._theorem(p)) for p in (p1, p2, swap)]
+    cases = [(p, certify_module._theorem(p)) for p in (p1, p2, swap)]
 
     def forbidden(cls, *args, **kwargs):
         raise AssertionError("a Fraction was built")
 
     monkeypatch.setattr(Fraction, "__new__", forbidden)
-    found = [certify_module._find_genscramble(p, m, g, th, 3) for p, m, g, th in cases]
+    found = [certify_module._find_genscramble(p, th, 3) for p, th in cases]
     assert [c is not None for c in found] == [True, True, False]
-    for (p, m, _, _), c in zip(cases, found[:2]):
-        assert all(certify_module._verify_genscramble(p, m, x) in (True, False) for x in _tampered(c))
+    for (p, _), c in zip(cases, found[:2]):
+        assert all(verify_genscramble(p, x) in (True, False) for x in _tampered(c))
 
 
 def test_oracle_absence_replays_the_whole_scan(p1):
@@ -814,7 +820,7 @@ def test_center_theorem_refuted_covering_raises(monkeypatch):
 
 
 def test_report_chaos_replay_failure_raises(p1, monkeypatch):
-    monkeypatch.setattr(certify_module, "_verify_genscramble", lambda p, m, cert: False)
+    monkeypatch.setattr(certify_module, "verify_genscramble", lambda p, cert: False)
     with pytest.raises(InconsistencyError, match="replay"):
         periodicity_report(p1)
 

@@ -213,7 +213,7 @@ def test_analyze_walk_count_disagreement_exits_1(ex1_file, monkeypatch, capsys):
 
 
 def test_analyze_chaos_replay_failure_exits_1(ex1_file, monkeypatch, capsys):
-    monkeypatch.setattr(certify_module, "_verify_genscramble", lambda p, m, cert: False)
+    monkeypatch.setattr(certify_module, "verify_genscramble", lambda p, cert: False)
     assert run(["analyze", "--pattern", ex1_file]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

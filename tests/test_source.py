@@ -35,3 +35,26 @@ def test_cli_imports_no_runtime_dependency():
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     runtime = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.MULTILINE | re.DOTALL)
     assert runtime is not None and runtime.group(1).strip() == ""
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules that one module imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("stardyn."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("stardyn.")}
+    return found
+
+
+def test_module_layering():
+    # the covering rule lives with the pure combinatorics, below the
+    # realization, and nothing below the survey reaches back up
+    imports = {path.stem: _package_imports(path) for path in SRC.glob("*.py")}
+    assert imports["patterns"] == imports["orders"] == set()
+    assert imports["plmap"] == {"patterns"}
+    assert imports["certify"] <= {"orders", "patterns", "plmap"}
+    assert not imports["survey"] & {"plmap", "cli"}

@@ -371,9 +371,15 @@ def test_classify_all_analyzes_each_class_once(monkeypatch):
         for module in (plmap_module, certify_module, survey_module):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    result = classify_all(3, 6, 10)
-    assert len(result.records) == 120
-    assert calls == {"realize": 120, "cover_digraph": 120, "check_center_theorem": 120}
+    # a class is realized only to scan a multiple of k above k: none is in
+    # range at (3,6) with pmax 10, and q = 8 and 12 are at (2,4) with pmax 13
+    for n, k, p_max, classes, realized in ((3, 6, 10, 120, 0), (2, 4, 13, 6, 6)):
+        calls.update(dict.fromkeys(calls, 0))
+        result = classify_all(n, k, p_max)
+        assert len(result.records) == classes
+        assert calls == {
+            "realize": realized, "cover_digraph": classes, "check_center_theorem": classes
+        }
 
 
 @pytest.mark.parametrize(
