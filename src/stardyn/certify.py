@@ -26,11 +26,10 @@ from .patterns import (
     BasicInterval,
     MarkedPoint,
     StarPattern,
-    _arc_masks,
-    _cover_rows,
     _image,
+    _Tables,
+    _tables,
     basic_intervals,
-    validate,
 )
 from .plmap import (
     InconsistencyError,
@@ -75,21 +74,17 @@ class CoverDigraph:
         raise KeyError(f"no basic interval with endpoints {endpoints}")
 
 
-def _require_valid(p: StarPattern, all_branches: bool = False) -> None:
-    problems = validate(p, all_branches=all_branches)
-    if problems:
-        raise ValueError("invalid pattern: " + "; ".join(problems))
-
-
 def cover_digraph(p: StarPattern) -> CoverDigraph:
     """The covering digraph of a valid pattern p.  The canonical map sends
     each basic interval onto exactly the arc between its endpoints'
-    images, so the digraph depends on the pattern alone
-    (``patterns._cover_rows``)."""
-    _require_valid(p)
-    rows = _cover_rows(p)
-    adjacency = tuple(tuple(j for j in range(len(rows)) if row >> j & 1) for row in rows)
-    return CoverDigraph(p, tuple(basic_intervals(p)), adjacency)
+    images, so the digraph depends on the pattern alone (the cover rows
+    of ``patterns._tables``)."""
+    return _digraph(_tables(p))
+
+
+def _digraph(tables: _Tables) -> CoverDigraph:
+    p = tables.pattern
+    return CoverDigraph(p, tuple(basic_intervals(p)), tables.adjacency)
 
 
 def _through_center(masks: list[list[int]], a: MarkedPoint, b: MarkedPoint) -> bool:
@@ -304,7 +299,11 @@ def check_center_theorem(p: StarPattern) -> CenterTheoremCase | None:
     third image of the center leaves the closed branch of the first image.
     Indices wrap modulo k, so for k = 3 the third image is the center
     itself, which lies on no branch and passes the hypothesis."""
-    _require_valid(p)
+    return _center_theorem(_tables(p))
+
+
+def _center_theorem(tables: _Tables) -> CenterTheoremCase | None:
+    p = tables.pattern
     k = p.k
     x1, x2, x3 = 1 % k, 2 % k, 3 % k
     if x3 != CENTER_INDEX and _branch_of(p, x3) == _branch_of(p, x1):
@@ -316,7 +315,7 @@ def check_center_theorem(p: StarPattern) -> CenterTheoremCase | None:
     else:
         case_id, u, v, back = 3, x2, CENTER_INDEX, (x1, x2)
     cert = CenterTheoremCase(case_id, u, v, (u, v), back)
-    masks, span = _arc_masks(p), cert.span
+    masks, span = tables.arcs, cert.span
     if not all(_covers(masks, s, d) for s, d in ((span, span), (span, back), (back, span))):
         raise _refuted(cert)
     return cert
@@ -340,12 +339,17 @@ def check_nplus2_theorem(p: StarPattern) -> NPlus2Case | None:
     has every period >= 2 (case 1) or period 2 plus every period >= 4
     (case 2).  Returns None when the center-theorem hypothesis holds
     instead."""
-    _require_valid(p, all_branches=True)
+    tables = _tables(p, all_branches=True)
     if not nplus2_applies(p):
         raise ValueError(
             f"requires an orbit of size n+2 on all branches of an n-od with "
             f"n >= 3; got n={p.n}, k={p.k}"
         )
+    return _nplus2_theorem(tables)
+
+
+def _nplus2_theorem(tables: _Tables) -> NPlus2Case | None:
+    p = tables.pattern
     if _branch_of(p, 3) != _branch_of(p, 1):
         return None
     if set(p.branch_points(p.branch_of(1))) != {1, 3}:
@@ -355,7 +359,7 @@ def check_nplus2_theorem(p: StarPattern) -> NPlus2Case | None:
     else:
         chain = ((CENTER_INDEX, 2), (1, 3), (CENTER_INDEX, 4))
         cert = NPlus2Case(2, CENTER_INDEX, 1, (CENTER_INDEX, 1), chain)
-    masks, span = _arc_masks(p), cert.span
+    masks, span = tables.arcs, cert.span
     steps = [(span, span), *itertools.pairwise((span, *cert.chain, span))]
     if not all(_covers(masks, s, d) for s, d in steps):
         raise _refuted(cert)
@@ -366,15 +370,15 @@ def check_nplus2_theorem(p: StarPattern) -> NPlus2Case | None:
     return cert
 
 
-def _theorem(p: StarPattern) -> CenterTheoremCase | NPlus2Case | None:
+def _theorem(tables: _Tables) -> CenterTheoremCase | NPlus2Case | None:
     """The certificate of whichever theorem applies.  The hypotheses
     exclude each other: with k = n+2 >= 5, x3 is off the center, so the
     center theorem holds exactly when x3 leaves the branch of x1 and the
     n+2 theorem exactly when it stays."""
-    center = check_center_theorem(p)
-    if center is not None or not nplus2_applies(p):
+    center = _center_theorem(tables)
+    if center is not None or not nplus2_applies(tables.pattern):
         return center
-    return check_nplus2_theorem(p)
+    return _nplus2_theorem(tables)
 
 
 # --------------------------------------------------------------- cascades
@@ -382,29 +386,30 @@ def _theorem(p: StarPattern) -> CenterTheoremCase | NPlus2Case | None:
 def find_cascade(g: CoverDigraph) -> Cascade | None:
     """Minimal certificate from a self-loop vertex lying on a cycle of
     length >= 2 (vertices distinct); ties broken by vertex order."""
+    return _find_cascade(g.adjacency, [v.endpoints for v in g.vertices])
+
+
+def _find_cascade(adjacency: tuple[tuple[int, ...], ...], ends: list[ArcEnds]) -> Cascade | None:
+    """``find_cascade`` on out-neighbour lists, with ``ends`` the
+    endpoints of each vertex."""
     best: tuple[int, int, list[int]] | None = None
-    for w in range(len(g.vertices)):
-        if not g.has_edge(w, w):
+    for w, row in enumerate(adjacency):
+        if w not in row:
             continue
         # breadth-first search for the shortest simple return w -> ... -> w
-        parents: dict[int, int] = {}
-        frontier = [j for j in g.adjacency[w] if j != w]
-        for j in frontier:
-            parents.setdefault(j, w)
-        dist = 1
-        found = None
+        parents = {j: w for j in row if j != w}
+        frontier, found = list(parents), None
         while frontier and found is None:
             nxt = []
             for j in frontier:
-                if g.has_edge(j, w):
+                if w in adjacency[j]:
                     found = j
                     break
-                for j2 in g.adjacency[j]:
+                for j2 in adjacency[j]:
                     if j2 != w and j2 not in parents:
                         parents[j2] = j
                         nxt.append(j2)
             frontier = nxt
-            dist += 1
         if found is None:
             continue
         path = [found]
@@ -417,8 +422,7 @@ def find_cascade(g: CoverDigraph) -> Cascade | None:
     if best is None:
         return None
     m, w, cycle = best
-    ends = tuple(g.vertices[i].endpoints for i in cycle)
-    return Cascade(base=g.vertices[w].endpoints, cycle=ends, m=m)
+    return Cascade(base=ends[w], cycle=tuple(ends[i] for i in cycle), m=m)
 
 
 # ---------------------------------------------------------- chaos search
@@ -451,25 +455,27 @@ def find_genscramble(p: StarPattern, max_iterate: int = 2) -> Genscramble | None
     intervals, and containment is a subset test."""
     if max_iterate < 1:
         raise ValueError("max_iterate must be positive")
-    return _find_genscramble(p, _theorem(p), max_iterate)
+    tables = _tables(p)
+    return _find_genscramble(tables, _theorem(tables), max_iterate)
 
 
 def _find_genscramble(
-    p: StarPattern, theorem: CenterTheoremCase | NPlus2Case | None, max_iterate: int
+    tables: _Tables, theorem: CenterTheoremCase | NPlus2Case | None, max_iterate: int
 ) -> Genscramble | None:
     """``find_genscramble`` with the theorem certificate given.  A
-    theorem-derived loop is replayed (``verify_genscramble``) before it is
-    returned."""
+    theorem-derived loop is replayed (``_verify_genscramble``) before it
+    is returned."""
+    p = tables.pattern
     if theorem is not None:
         middle = (theorem.back,) if isinstance(theorem, CenterTheoremCase) else theorem.chain
         cert = Genscramble(1, theorem.u, theorem.v, (theorem.span,) + middle + (theorem.span,))
-        if not verify_genscramble(p, cert):
+        if not _verify_genscramble(tables, cert):
             raise InconsistencyError(
                 f"{p.to_text()}: the chaos certificate {cert!r} derived from "
                 f"{theorem!r} fails its replay — this is a bug"
             )
         return cert
-    rows, arcs = _cover_rows(p), _arc_masks(p)
+    rows, arcs = tables.rows, tables.arcs
     pairs = itertools.combinations(range(p.k), 2)
     masks = {(a, b): arcs[a][b] for a, b in pairs if not _through_center(arcs, a, b)}
     cap = 2 * len(rows) + 2
@@ -574,21 +580,23 @@ def verify_genscramble(p: StarPattern, cert: Genscramble) -> bool:
     """Replay: recheck the ordering condition and every covering of the
     t-th iterate, independent of the search.  Arcs are rank bitmasks
     (``_arc_masks``) and a basic interval's image is the arc between its
-    endpoints' images (``_cover_rows``).  A loop arc whose ends are not
-    two distinct marked points, or an iterate below 1, fails the replay;
-    an invalid pattern raises ValueError."""
-    _require_valid(p)
+    endpoints' images (the cover rows of ``_tables``).  A loop arc whose
+    ends are not two distinct marked points, or an iterate below 1, fails
+    the replay; an invalid pattern raises ValueError."""
+    return _verify_genscramble(_tables(p), cert)
+
+
+def _verify_genscramble(tables: _Tables, cert: Genscramble) -> bool:
+    p, arcs, rows = tables.pattern, tables.arcs, tables.rows
     t, u, v = cert.iterate, cert.u, cert.v
     if not cert.loop or cert.loop[0] != tuple(sorted((u, v))) and cert.loop[0] != (u, v):
         return False
     if t < 1 or not all(0 <= a < p.k and 0 <= b < p.k and a != b for a, b in cert.loop):
         return False
-    arcs = _arc_masks(p)
     if not _ordering_holds(arcs, u, v, t):
         return False
     if any(_through_center(arcs, a, b) for a, b in ((u, v), *cert.loop[1:])):
         return False
-    rows = _cover_rows(p)
     masks = [arcs[a][b] for a, b in cert.loop]
     for s, d in itertools.pairwise(masks):
         for _ in range(t):
@@ -635,17 +643,18 @@ class PeriodicityReport:
 
 
 def _claims(
-    p: StarPattern, g: CoverDigraph, theorem: CenterTheoremCase | NPlus2Case | None,
+    tables: _Tables, theorem: CenterTheoremCase | NPlus2Case | None,
     forced: frozenset[int], p_max: int,
 ) -> dict[int, list[Certificate]]:
     """The structural certificates claiming each period up to p_max."""
+    p = tables.pattern
     claims: dict[int, list[Certificate]] = {q: [] for q in range(1, p_max + 1)}
     if p.k <= p_max:
         claims[p.k].append(CenterOrbit(p.k))
     for q in sorted(forced):
         if q != p.k and q <= p_max:
             claims[q].append(ForcedPeriod(q, p.k))
-    for cert in (theorem, find_cascade(g)):
+    for cert in (theorem, _find_cascade(tables.adjacency, tables.ends)):
         if cert is not None:
             for q in sorted(cert.claimed_periods(p_max)):
                 claims[q].append(cert)
@@ -669,19 +678,22 @@ def _oracle_status(m: PLMap, q: int, claims: list[Certificate]) -> PeriodStatus:
     return PeriodStatus("absent", (OracleAbsence(q, res.cylinders),))
 
 
-def _survey_row(p: StarPattern, p_max: int, max_iterate: int) -> tuple:
+def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[int]) -> tuple:
     """What a survey keeps of one pattern: (present periods, chaos iterate
     or None, center-theorem flag, n+2-theorem flag, covering digraph
-    adjacency).  The closed-walk count decides every period that k does
-    not divide (``_period_counts``), period k is the center's, and only
-    its other multiples go to the oracle, as in ``periodicity_report``.
-    The realization is built only when such a multiple is in range.  A
+    adjacency).  ``forced`` is ``forced_periods(1, p.k, p_max)``, the same
+    for every class of a survey.  The pattern is validated and its tables
+    derived once (``_tables``), for every step below.  The closed-walk
+    count decides every period that k does not divide
+    (``_period_counts``), period k is the center's, and only its other
+    multiples go to the oracle, as in ``periodicity_report``.  The
+    realization is built only when such a multiple is in range.  A
     claimed period that counts 0 raises InconsistencyError."""
-    theorem = _theorem(p)
+    tables = _tables(p)
+    theorem = _theorem(tables)
     m = realize(p) if 2 * p.k <= p_max else None
-    g = cover_digraph(p)
-    claims = _claims(p, g, theorem, frozenset(forced_periods(1, p.k, p_max)), p_max)
-    counts = _period_counts(p.k, _walk_traces(g.adjacency, p_max))
+    claims = _claims(tables, theorem, forced, p_max)
+    counts = _period_counts(p.k, _walk_traces(tables.adjacency, p_max))
     present = []
     for q in range(1, p_max + 1):
         if q in counts:
@@ -695,13 +707,13 @@ def _survey_row(p: StarPattern, p_max: int, max_iterate: int) -> tuple:
             found = q == p.k or _oracle_status(m, q, claims[q]).status == "present"
         if found:
             present.append(q)
-    chaos = _find_genscramble(p, theorem, max_iterate)
+    chaos = _find_genscramble(tables, theorem, max_iterate)
     return (
         tuple(present),
         chaos.iterate if chaos is not None else None,
         isinstance(theorem, CenterTheoremCase),
         isinstance(theorem, NPlus2Case),
-        g.adjacency,
+        tables.adjacency,
     )
 
 
@@ -711,20 +723,21 @@ def periodicity_report(
     """Period-by-period account: structural certificates confirmed by the
     exact oracle, absences by exhaustive scan, chaos by loop search.
 
-    It realizes the pattern, builds the covering digraph and decides the
-    theorem certificate once each, and keeps the last two on the report
-    (``theorem``, ``digraph``).  Every period that the closed-walk count
-    decides (``_period_counts``) is derived twice: the count and the
-    oracle must agree."""
+    It realizes the pattern, derives its tables (``_tables``), builds the
+    covering digraph and decides the theorem certificate once each, and
+    keeps the last two on the report (``theorem``, ``digraph``).  Every
+    period that the closed-walk count decides (``_period_counts``) is
+    derived twice: the count and the oracle must agree."""
     if p_max < 1:
         raise ValueError("p_max must be positive")
     if max_iterate < 1:
         raise ValueError("max_iterate must be positive")
     m = realize(p)
-    g = cover_digraph(p)
+    tables = _tables(p)
+    g = _digraph(tables)
     forced = frozenset(forced_periods(1, p.k, p_max))
-    theorem = _theorem(p)
-    claims = _claims(p, g, theorem, forced, p_max)
+    theorem = _theorem(tables)
+    claims = _claims(tables, theorem, forced, p_max)
     traces = _walk_traces(g.adjacency, p_max)
     counts = _period_counts(p.k, traces)
 
@@ -737,7 +750,7 @@ def periodicity_report(
                 f"period {q} but the exact oracle finds it {periods[q].status} — this is a bug"
             )
 
-    chaos = _find_genscramble(p, theorem, max_iterate)
+    chaos = _find_genscramble(tables, theorem, max_iterate)
     commentary = [
         "closed walk lengths up to "
         f"{p_max}: {[q for q, t in enumerate(traces, 1) if t]}",

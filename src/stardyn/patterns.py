@@ -68,14 +68,17 @@ class StarPattern:
 
     def branch_points(self, b: int) -> tuple[int, ...]:
         """Orbit indices on branch b ordered by increasing rank."""
-        pts = [i for i in range(1, self.k) if self.placements[i - 1][0] == b]
-        pts.sort(key=self.rank_of)
-        return tuple(pts)
+        return self.branches[b - 1] if 1 <= b <= self.n else ()
 
     @property
     def branches(self) -> tuple[tuple[int, ...], ...]:
-        """Per-branch index tuples in rank order (the serialized view)."""
-        return tuple(self.branch_points(b) for b in range(1, self.n + 1))
+        """Per-branch index tuples in rank order (the serialized view),
+        from one sorted pass over the placements."""
+        rows: list[list[int]] = [[] for _ in range(self.n)]
+        for (b, _), i in sorted(zip(self.placements, range(1, self.k))):
+            if 1 <= b <= self.n:
+                rows[b - 1].append(i)
+        return tuple(map(tuple, rows))
 
     def branch_size(self, b: int) -> int:
         return sum(1 for br, _ in self.placements if br == b)
@@ -428,14 +431,17 @@ class BasicInterval:
         return (self.inner, self.outer)
 
 
+def _interval_ends(p: StarPattern) -> list[tuple[MarkedPoint, MarkedPoint]]:
+    """The (inner, outer) ends of every basic interval, ordered by (branch,
+    rank from the center): one per marked point, which is its outer end."""
+    point = {e: i for i, e in enumerate(p.placements, start=1)}
+    return [(point.get((b, r - 1), CENTER_INDEX), point[b, r]) for b, r in sorted(p.placements)]
+
+
 def basic_intervals(p: StarPattern) -> list[BasicInterval]:
     """All basic intervals, ordered by (branch, rank from the center): one
     per marked point, which is its outer end."""
-    point = {e: i for i, e in enumerate(p.placements, start=1)}
-    return [
-        BasicInterval(point.get((b, r - 1), CENTER_INDEX), point[b, r], b, r)
-        for b, r in sorted(p.placements)
-    ]
+    return [BasicInterval(a, b, *p.placements[b - 1]) for a, b in _interval_ends(p)]
 
 
 def _arc_masks(p: StarPattern) -> list[list[int]]:
@@ -450,14 +456,36 @@ def _arc_masks(p: StarPattern) -> list[list[int]]:
     return [[x ^ y for y in down] for x in down]
 
 
-def _cover_rows(p: StarPattern) -> list[int]:
-    """The image of every basic interval under the canonical map, in the
-    order of ``basic_intervals`` and as an ``_arc_masks`` bitmask: the map
-    sends a basic interval onto exactly the arc between its endpoints'
-    images, so these rows (the covering digraph, the Markov graph of the
-    pattern) depend on the pattern alone."""
-    arcs, k = _arc_masks(p), p.k
-    return [arcs[(v.inner + 1) % k][(v.outer + 1) % k] for v in basic_intervals(p)]
+@dataclass(frozen=True, eq=False)
+class _Tables:
+    """The combinatorics of one valid pattern, derived once (``_tables``)
+    for every step that reads it.
+
+    ``ends[i]`` is basic interval i as its (inner, outer) marked points,
+    in the vertex order of ``basic_intervals``; ``arcs`` is ``_arc_masks``;
+    ``rows[i]`` is the image of interval i under the canonical map as an
+    arc mask, and ``adjacency[i]`` lists its bits: the covering digraph."""
+
+    pattern: StarPattern
+    ends: list[tuple[MarkedPoint, MarkedPoint]]
+    arcs: list[list[int]]
+    rows: list[int]
+    adjacency: tuple[tuple[int, ...], ...]
+
+
+def _tables(p: StarPattern, all_branches: bool = False) -> _Tables:
+    """Validate p once and derive its tables.  The canonical map sends a
+    basic interval onto exactly the arc between its endpoints' images, so
+    the cover rows (the covering digraph, the Markov graph of the
+    pattern) depend on the pattern alone.  Raises ValueError for an
+    invalid pattern."""
+    problems = validate(p, all_branches=all_branches)
+    if problems:
+        raise ValueError("invalid pattern: " + "; ".join(problems))
+    ends, arcs, k = _interval_ends(p), _arc_masks(p), p.k
+    rows = [arcs[(a + 1) % k][(b + 1) % k] for a, b in ends]
+    adjacency = tuple(tuple(j for j in range(len(rows)) if row >> j & 1) for row in rows)
+    return _Tables(p, ends, arcs, rows, adjacency)
 
 
 def _image(rows: list[int], x: int) -> int:

@@ -37,9 +37,8 @@ from .patterns import (
     Arc,
     MarkedPoint,
     StarPattern,
-    _arc_masks,
-    _cover_rows,
     _image,
+    _tables,
     validate,
 )
 
@@ -206,9 +205,8 @@ def realize(p: StarPattern) -> PLMap:
         raise ValueError("cannot realize an invalid pattern: " + "; ".join(problems))
     k = p.k
     where = ((0, 0),) + p.placements  # (branch, rank) of each marked point
-    chains = [[CENTER_INDEX] for _ in range(p.n + 1)]  # chains[b][r]: the point of rank r on b
-    for (b, _), i in sorted(zip(p.placements, range(1, k))):
-        chains[b].append(i)
+    # chains[b][r]: the point of rank r on b
+    chains = [[CENTER_INDEX]] + [[CENTER_INDEX, *pts] for pts in p.branches]
     lengths = [len(chain) - 1 for chain in chains]
 
     rows = []
@@ -336,13 +334,7 @@ def _proper_divisors(p: int) -> list[int]:
 def _on_center_orbit(m: PLMap, pt: RationalPoint) -> bool:
     if pt == CENTER:
         return True
-    if pt.coord.denominator != 1:
-        return False
-    p = m.pattern
-    r = int(pt.coord)
-    return any(
-        p.placements[i - 1] == (pt.branch, r) for i in range(1, p.k)
-    )
+    return pt.coord.denominator == 1 and (pt.branch, pt.coord.numerator) in m.pattern.placements
 
 
 def _least_period_is(m: PLMap, pt: RationalPoint, p: int) -> bool:
@@ -548,7 +540,7 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
     coordinate) order with f^p(x) = x and f^i(x) in I_i for every i.
 
     Arcs are bitmasks of basic intervals (``_arc_masks``), so each
-    covering is a subset test on an image (``_cover_rows``).  A point of
+    covering is a subset test on an image (rows of ``_tables``).  A point of
     the loop whose orbit meets no piece end has one piece at each step,
     which lies inside I_i and inside the image of the piece before it: it
     lies in the cylinder of a walk of the piece graph restricted at step i
@@ -574,9 +566,9 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
     for i, a in enumerate(loop):
         if i >= 1 and a.through_center:
             raise LoopError(f"arc {i} has the center in its interior")
-    arcs = _arc_masks(m.pattern)
+    tables = _tables(m.pattern)
+    arcs, rows = tables.arcs, tables.rows
     masks = [arcs[a.a][a.b] for a in loop]
-    rows = _cover_rows(m.pattern)
     for i in range(1, len(loop)):
         if masks[i] & ~_image(rows, masks[i - 1]):
             raise LoopError(f"covering fails at step {i}: f(I_{i - 1}) does not contain I_{i}")

@@ -23,7 +23,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .certify import (
     _survey_row,
@@ -32,7 +32,7 @@ from .certify import (
     find_cascade,
     periodicity_report,
 )
-from .orders import sharkovskii_le
+from .orders import forced_periods, sharkovskii_le
 from .patterns import StarPattern, enumerate_patterns, parse_pattern
 
 __all__ = [
@@ -151,7 +151,7 @@ def _class_size(p: StarPattern) -> int:
     """Number of raw patterns in the branch-relabeling class of ``p``: n!
     over the e! relabelings that only permute the e empty branches, the
     stabilizer of ``p``."""
-    empty = sum(1 for b in range(1, p.n + 1) if not p.branch_size(b))
+    empty = p.branches.count(())
     return math.factorial(p.n) // math.factorial(empty)
 
 
@@ -239,15 +239,18 @@ def classify_all(
     meets every branch are surveyed.  ``jobs > 1`` analyzes classes in
     parallel; the output is identical either way.
 
-    Each class is analyzed once, by ``certify._survey_row``, into a
-    compact row: the periods, decided by closed-walk counts on the
-    covering digraph except at multiples of k, the chaos iterate, the
-    theorem flags and the digraph adjacency.  Digraph classes are keyed
-    by the canonical form of that adjacency and numbered by first
-    appearance.
+    Each class is analyzed once, by ``certify._survey_row``, which
+    validates the pattern and derives its tables once, into a compact
+    row: the periods, decided by closed-walk counts on the covering
+    digraph except at multiples of k, the chaos iterate, the theorem
+    flags and the digraph adjacency.  The forced baseline depends only on
+    (k, p_max), so it is computed once here for every row.  Digraph
+    classes are keyed by the canonical form of that adjacency and
+    numbered by first appearance.
     """
     reps = enumerate_patterns(n, k, all_branches=all_branches)
-    args = (reps, [p_max] * len(reps), [max_iterate] * len(reps))
+    forced = frozenset(forced_periods(1, k, p_max))
+    args = (reps, [p_max] * len(reps), [max_iterate] * len(reps), [forced] * len(reps))
     if jobs > 1 and len(reps) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_survey_row, *args, chunksize=8))
@@ -256,17 +259,14 @@ def classify_all(
 
     records: list[ClassRecord] = []
     digraph_ids: dict[tuple, int] = {}
-    raw_total = 0
     for idx, (p, (present, chaos, center, nplus2, adjacency)) in enumerate(zip(reps, rows)):
         digraph_id = digraph_ids.setdefault(_canonical_form(adjacency), len(digraph_ids))
-        size = _class_size(p)
-        raw_total += size
         records.append(
             ClassRecord(
                 pattern=p,
                 branch_class=idx,
                 digraph_class=digraph_id,
-                class_size=size,
+                class_size=_class_size(p),
                 center_theorem=center,
                 nplus2=nplus2,
                 periods_present=present,
@@ -274,14 +274,7 @@ def classify_all(
                 chaos_iterate=chaos,
             )
         )
-    counts = SurveyCounts(
-        raw=raw_total,
-        branch_classes=len(records),
-        digraph_classes=len({r.digraph_class for r in records}),
-    )
-    return SurveyResult(
-        n=n, k=k, p_max=p_max, max_iterate=max_iterate, records=tuple(records), counts=counts
-    )
+    return SurveyResult(n, k, p_max, max_iterate, tuple(records), _counts(records))
 
 
 def filter_result(result: SurveyResult, name: str) -> SurveyResult:
@@ -296,18 +289,16 @@ def filter_result(result: SurveyResult, name: str) -> SurveyResult:
     if name not in SURVEY_FILTERS:
         raise ValueError(f"unknown survey filter: {name!r} (expected one of {SURVEY_FILTERS})")
     kept = tuple(r for r in result.records if not r.center_theorem)
-    counts = SurveyCounts(
-        raw=sum(r.class_size for r in kept),
-        branch_classes=len(kept),
-        digraph_classes=len({r.digraph_class for r in kept}),
-    )
-    return SurveyResult(
-        n=result.n,
-        k=result.k,
-        p_max=result.p_max,
-        max_iterate=result.max_iterate,
-        records=kept,
-        counts=counts,
+    return replace(result, records=kept, counts=_counts(kept))
+
+
+def _counts(records: tuple[ClassRecord, ...] | list[ClassRecord]) -> SurveyCounts:
+    """The class counts of a set of records: raw patterns, branch classes
+    and the distinct digraph classes among them."""
+    return SurveyCounts(
+        raw=sum(r.class_size for r in records),
+        branch_classes=len(records),
+        digraph_classes=len({r.digraph_class for r in records}),
     )
 
 
@@ -532,6 +523,9 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
     """
     checks: list[CheckResult] = []
 
+    def check(name: str, passed: bool, detail: str) -> None:
+        checks.append(CheckResult(name, passed, detail))
+
     checks.append(_check_digraph("example1-digraph", "example1"))
 
     p1 = parse_pattern(str(REFERENCE_FACTS["example1"]))
@@ -539,29 +533,21 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
     absent_expected = {q for q in REFERENCE_FACTS["example1_absent"] if q <= p_max}
     present_expected = set(range(1, p_max + 1)) - absent_expected
     ok = set(rep1.present) == present_expected and set(rep1.absent) == absent_expected
-    checks.append(
-        CheckResult(
-            name="example1-periodicity",
-            passed=ok,
-            detail=(
-                f"periods present {sorted(rep1.present)}, absent {sorted(rep1.absent)}; "
-                f"expected absent {sorted(absent_expected)}"
-            ),
-        )
+    check(
+        "example1-periodicity",
+        ok,
+        f"periods present {sorted(rep1.present)}, absent {sorted(rep1.absent)}; "
+        f"expected absent {sorted(absent_expected)}",
     )
 
     cascade = find_cascade(rep1.digraph)
     start = REFERENCE_FACTS["example1_cascade_start"]
     ok = cascade is not None and cascade.m == start
-    checks.append(
-        CheckResult(
-            name="example1-cascade",
-            passed=ok,
-            detail=(
-                f"shortest return cycle at a self-loop vertex has length "
-                f"{cascade.m if cascade else None}; expected {start}"
-            ),
-        )
+    check(
+        "example1-cascade",
+        ok,
+        f"shortest return cycle at a self-loop vertex has length "
+        f"{cascade.m if cascade else None}; expected {start}",
     )
 
     checks.append(_check_digraph("example2-digraph", "example2"))
@@ -574,40 +560,30 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
     loops_only = {q for q, t in traces if t == 1}
     odd_walks = {q for q in walks if q % 2 == 1}
     ok = odd_walks <= loops_only
-    checks.append(
-        CheckResult(
-            name="example2-odd-closed-walks",
-            passed=ok,
-            detail=(
-                f"odd closed-walk lengths up to {horizon}: {sorted(odd_walks)}; "
-                f"lengths realized only by repeating one self-loop: {sorted(loops_only)}"
-            ),
-        )
+    check(
+        "example2-odd-closed-walks",
+        ok,
+        f"odd closed-walk lengths up to {horizon}: {sorted(odd_walks)}; "
+        f"lengths realized only by repeating one self-loop: {sorted(loops_only)}",
     )
 
     expected2 = {q for q in REFERENCE_FACTS["example2_present"] if q <= p_max}
     ok = set(rep2.present) == expected2
-    checks.append(
-        CheckResult(
-            name="example2-periodicity",
-            passed=ok,
-            detail=f"periods present {sorted(rep2.present)}; expected {sorted(expected2)}",
-        )
+    check(
+        "example2-periodicity",
+        ok,
+        f"periods present {sorted(rep2.present)}; expected {sorted(expected2)}",
     )
 
     cert2 = rep2.chaos
     t_exp, u_exp, v_exp = REFERENCE_FACTS["example2_chaos"]
     ok = cert2 is not None and (cert2.iterate, cert2.u, cert2.v) == (t_exp, u_exp, v_exp)
-    checks.append(
-        CheckResult(
-            name="example2-chaos",
-            passed=ok,
-            detail=(
-                f"chaos certificate "
-                f"{(cert2.iterate, cert2.u, cert2.v) if cert2 else None}; "
-                f"expected iterate {t_exp} with orbit indices ({u_exp}, {v_exp})"
-            ),
-        )
+    check(
+        "example2-chaos",
+        ok,
+        f"chaos certificate "
+        f"{(cert2.iterate, cert2.u, cert2.v) if cert2 else None}; "
+        f"expected iterate {t_exp} with orbit indices ({u_exp}, {v_exp})",
     )
 
     quoted_modulus = int(REFERENCE_FACTS["example2_quoted_modulus"])
@@ -615,27 +591,21 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
         _cycle_length(lambda i: (i + 1) % quoted_modulus) != p2.k
         and _cycle_length(p2.successor) == p2.k
     )
-    checks.append(
-        CheckResult(
-            name="example2-successor-modulus",
-            passed=ok,
-            detail=(
-                "the quoted successor rule for the six-point example reduces indices "
-                "mod 5, which cannot close a six-point cycle; this library reduces "
-                "mod the orbit size (6) and flags the difference here instead of "
-                "silently correcting it"
-            ),
-        )
+    check(
+        "example2-successor-modulus",
+        ok,
+        "the quoted successor rule for the six-point example reduces indices "
+        "mod 5, which cannot close a six-point cycle; this library reduces "
+        "mod the orbit size (6) and flags the difference here instead of "
+        "silently correcting it",
     )
 
     below4 = tuple(m for m in range(1, 101) if sharkovskii_le(m, 4))
     expected_below4 = tuple(REFERENCE_FACTS["sharkovskii_below_four"])
-    checks.append(
-        CheckResult(
-            name="interval-order-below-four",
-            passed=below4 == expected_below4,
-            detail=f"periods forced by 4 on the interval: {list(below4)}; expected {list(expected_below4)}",
-        )
+    check(
+        "interval-order-below-four",
+        below4 == expected_below4,
+        f"periods forced by 4 on the interval: {list(below4)}; expected {list(expected_below4)}",
     )
 
     sweep_details = []
@@ -649,18 +619,16 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
             if not good:
                 sweep_details.append(f"{r.pattern_text}: theorem={r.center_theorem} periods={list(r.periods_present)} chaos={r.chaos_iterate}")
         sweep_ok = sweep_ok and len(result.records) == 1
-    checks.append(
-        CheckResult(
-            name="one-point-per-branch-sweep",
-            passed=sweep_ok,
-            detail=(
-                "every class with one orbit point per branch (2 <= n <= 5) satisfies the "
-                "center-map theorem, realizes all periods up to the horizon, and is "
-                "certified chaotic"
-                if sweep_ok
-                else "; ".join(sweep_details)
-            ),
-        )
+    check(
+        "one-point-per-branch-sweep",
+        sweep_ok,
+        (
+            "every class with one orbit point per branch (2 <= n <= 5) satisfies the "
+            "center-map theorem, realizes all periods up to the horizon, and is "
+            "certified chaotic"
+            if sweep_ok
+            else "; ".join(sweep_details)
+        ),
     )
 
     np2_details = []
@@ -677,18 +645,16 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
             if not good:
                 np2_details.append(f"{r.pattern_text}: periods={list(r.periods_present)} chaos={r.chaos_iterate}")
     np2_ok = np2_ok and saw_three_absent
-    checks.append(
-        CheckResult(
-            name="orbit-size-n-plus-2-sweep",
-            passed=np2_ok,
-            detail=(
-                "every all-branch class with n+2 orbit points (n in {3, 4}) realizes all "
-                "periods up to the horizon except possibly 3 and is certified chaotic; "
-                f"classes missing period 3 exist: {saw_three_absent}"
-                if np2_ok
-                else "; ".join(np2_details)
-            ),
-        )
+    check(
+        "orbit-size-n-plus-2-sweep",
+        np2_ok,
+        (
+            "every all-branch class with n+2 orbit points (n in {3, 4}) realizes all "
+            "periods up to the horizon except possibly 3 and is certified chaotic; "
+            f"classes missing period 3 exist: {saw_three_absent}"
+            if np2_ok
+            else "; ".join(np2_details)
+        ),
     )
 
     full36 = classify_all(3, 6, p_max, max_iterate=max_iterate)
@@ -714,18 +680,14 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
             f"(raw {level_counts['raw']}, branch {level_counts['branch']}, "
             f"digraph {level_counts['digraph']}); recorded as a convention discrepancy"
         )
-    checks.append(
-        CheckResult(
-            name="class-count-reconciliation",
-            passed=dyn_ok,
-            detail=(
-                f"classes without the center-map theorem at n=3, k=6: "
-                f"raw {level_counts['raw']}, branch {level_counts['branch']}, "
-                f"digraph {level_counts['digraph']}; {count_note}; every class has an "
-                f"evens-plus-one or cofinite period tail and a chaos certificate at "
-                f"iterate <= {max_iterate}: {dyn_ok}"
-            ),
-        )
+    check(
+        "class-count-reconciliation",
+        dyn_ok,
+        f"classes without the center-map theorem at n=3, k=6: "
+        f"raw {level_counts['raw']}, branch {level_counts['branch']}, "
+        f"digraph {level_counts['digraph']}; {count_note}; every class has an "
+        f"evens-plus-one or cofinite period tail and a chaos certificate at "
+        f"iterate <= {max_iterate}: {dyn_ok}",
     )
 
     return ReferenceReport(checks=tuple(checks))

@@ -19,7 +19,7 @@ from stardyn.certify import (
     _theorem,
     basic_intervals,
 )
-from stardyn.patterns import arc
+from stardyn.patterns import _tables, arc
 from stardyn.plmap import realize
 
 
@@ -53,7 +53,7 @@ def find_genscramble(p, max_iterate=2):
     if max_iterate < 1:
         raise ValueError("max_iterate must be positive")
     m = realize(p)
-    theorem = _theorem(p)
+    theorem = _theorem(_tables(p))
     if theorem is not None:
         middle = (theorem.back,) if isinstance(theorem, CenterTheoremCase) else theorem.chain
         cert = Genscramble(1, theorem.u, theorem.v, (theorem.span,) + middle + (theorem.span,))

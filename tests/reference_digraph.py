@@ -9,7 +9,7 @@ list and the digraph type, and reads no realization.
 
 ``cover_rows_from_pieces`` reads the same rows off a realization instead:
 the image of a basic interval is the union of the integer images of its
-pieces.  Its agreement with ``patterns._cover_rows`` is the Markov
+pieces.  Its agreement with the rows of ``patterns._tables`` is the Markov
 property of the canonical map.
 """
 

@@ -43,7 +43,7 @@ from stardyn.certify import (
     verify_certificate,
     verify_genscramble,
 )
-from stardyn.patterns import StarPattern, _cover_rows, arc, enumerate_patterns, parse_pattern
+from stardyn.patterns import StarPattern, _arc_masks, _tables, arc, enumerate_patterns, parse_pattern
 from stardyn.plmap import (
     LoopError,
     first_witness,
@@ -163,7 +163,7 @@ def _check_integer_structure(p):
     is Markov), and the digraph equals the ``Arc``-built digraph."""
     m = realize(p)
     assert _realization(m) == _realization(ref_scan.realize(p)), p.to_text()
-    assert ref_digraph.cover_rows_from_pieces(m) == _cover_rows(p), p.to_text()
+    assert ref_digraph.cover_rows_from_pieces(m) == _tables(p).rows, p.to_text()
     assert cover_digraph(p) == ref_digraph.cover_digraph(p), p.to_text()
 
 
@@ -185,7 +185,7 @@ def test_realize_and_digraph_match_references_on_random_patterns(rng, n, k):
 def test_arcs_disjoint_matches_arc_traversals():
     for n in range(1, 4):
         for p in enumerate_patterns(n, 5):
-            masks = certify_module._arc_masks(p)
+            masks = _arc_masks(p)
             arcs = {e: arc(*e, p) for e in itertools.combinations(range(p.k), 2)}
             for (e, x), (f, y) in itertools.product(arcs.items(), repeat=2):
                 shared = x.basic_ids() & y.basic_ids() or set(x.points) & set(y.points)
@@ -197,7 +197,7 @@ def test_arcs_disjoint_matches_arc_traversals():
 def test_arc_masks_match_arc_traversals(k):
     for n in range(1, 5):
         for p in enumerate_patterns(n, k):
-            masks = certify_module._arc_masks(p)
+            masks = _arc_masks(p)
             bit = {(w.branch, w.outer_rank): 1 << i for i, w in enumerate(basic_intervals(p))}
             for a, b in itertools.permutations(range(k), 2):
                 x = arc(a, b, p)
@@ -604,16 +604,17 @@ def test_chaos_matches_fraction_reference_on_random_patterns(rng, n, k, max_iter
 
 def test_chaos_search_and_replay_build_no_fraction(p1, p2, monkeypatch):
     swap = parse_pattern("n=1 k=2; b1: 1")
-    cases = [(p, certify_module._theorem(p)) for p in (p1, p2, swap)]
+    tables = [_tables(p) for p in (p1, p2, swap)]
+    cases = [(t, certify_module._theorem(t)) for t in tables]
 
     def forbidden(cls, *args, **kwargs):
         raise AssertionError("a Fraction was built")
 
     monkeypatch.setattr(Fraction, "__new__", forbidden)
-    found = [certify_module._find_genscramble(p, th, 3) for p, th in cases]
+    found = [certify_module._find_genscramble(t, th, 3) for t, th in cases]
     assert [c is not None for c in found] == [True, True, False]
-    for (p, _), c in zip(cases, found[:2]):
-        assert all(verify_genscramble(p, x) in (True, False) for x in _tampered(c))
+    for (t, _), c in zip(cases, found[:2]):
+        assert all(verify_genscramble(t.pattern, x) in (True, False) for x in _tampered(c))
 
 
 def test_oracle_absence_replays_the_whole_scan(p1):
@@ -820,7 +821,8 @@ def test_center_theorem_refuted_covering_raises(monkeypatch):
 
 
 def test_report_chaos_replay_failure_raises(p1, monkeypatch):
-    monkeypatch.setattr(certify_module, "verify_genscramble", lambda p, cert: False)
+    # the report replays its theorem-derived loop on its own tables
+    monkeypatch.setattr(certify_module, "_verify_genscramble", lambda t, cert: False)
     with pytest.raises(InconsistencyError, match="replay"):
         periodicity_report(p1)
 

@@ -150,8 +150,9 @@ def test_analyze_dot_and_json_files(ex1_file, tmp_path, capsys):
 
 
 def test_analyze_dot_and_json_realize_once(ex1_file, tmp_path, monkeypatch, capsys):
-    # the DOT text comes from the report's digraph; names counted at every binding
-    calls = {"realize": 0, "cover_digraph": 0}
+    # the DOT text comes from the report's digraph, which the report reads
+    # off its one table; names counted at every binding
+    calls = {"realize": 0, "cover_digraph": 0, "_tables": 0}
     for name in calls:
         original = getattr(certify_module, name)
 
@@ -164,7 +165,7 @@ def test_analyze_dot_and_json_realize_once(ex1_file, tmp_path, monkeypatch, caps
                 monkeypatch.setattr(module, name, counted)
     dot, rep = str(tmp_path / "g.dot"), str(tmp_path / "r.json")
     assert run(["analyze", "--pattern", ex1_file, "--dot", dot, "--json", rep]) == 0
-    assert calls == {"realize": 1, "cover_digraph": 1}
+    assert calls == {"realize": 1, "cover_digraph": 0, "_tables": 1}
 
 
 def test_analyze_dot_format_stdout(ex1_file, capsys):
@@ -213,7 +214,7 @@ def test_analyze_walk_count_disagreement_exits_1(ex1_file, monkeypatch, capsys):
 
 
 def test_analyze_chaos_replay_failure_exits_1(ex1_file, monkeypatch, capsys):
-    monkeypatch.setattr(certify_module, "verify_genscramble", lambda p, cert: False)
+    monkeypatch.setattr(certify_module, "_verify_genscramble", lambda t, cert: False)
     assert run(["analyze", "--pattern", ex1_file]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

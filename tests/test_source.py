@@ -58,3 +58,17 @@ def test_module_layering():
     assert imports["plmap"] == {"patterns"}
     assert imports["certify"] <= {"orders", "patterns", "plmap"}
     assert not imports["survey"] & {"plmap", "cli"}
+
+
+def test_certify_and_survey_never_validate_directly():
+    # a pattern is validated by the table builder ``patterns._tables``, the
+    # parsers or ``realize``; certify and survey read the tables
+    for name in ("certify", "survey"):
+        tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+        calls = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "validate" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+        assert calls == [], name

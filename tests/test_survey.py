@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import stardyn.certify as certify_module
 import stardyn.patterns as patterns_module
-import stardyn.plmap as plmap_module
 import stardyn.survey as survey_module
 from stardyn.certify import (
     CenterTheoremCase,
@@ -23,6 +22,7 @@ from stardyn.certify import (
     cover_digraph,
     periodicity_report,
 )
+from stardyn.cli import run
 from stardyn.orders import forced_periods
 from stardyn.patterns import canonicalize, parse_pattern
 from stardyn.survey import (
@@ -37,7 +37,7 @@ from stardyn.survey import (
     tail_tag,
     verify_paper,
 )
-from support import EX1, EX2
+from support import EX1, EX2, random_pattern
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +162,38 @@ def test_summary_consistent_with_report(survey_3_6):
         assert r.chaos_iterate == (chaos.iterate if chaos is not None else None)
         assert r.center_theorem == isinstance(report.theorem, CenterTheoremCase)
         assert r.nplus2 == isinstance(report.theorem, NPlus2Case)
+
+
+@st.composite
+def _row_cases(draw):
+    """A valid pattern with n = 1..5 and k = 2..8, empty branches allowed,
+    or one with k = n+2 and every branch used (the n+2 theorem's shape),
+    with a horizon that reaches 2k, where the survey asks the oracle, when
+    k <= 5, and a chaos search depth."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 5))
+    nplus2 = draw(st.booleans())
+    k = n + 2 if nplus2 else draw(st.integers(2, 8))
+    p = random_pattern(rng, n, k, all_branches=nplus2)
+    p_max = draw(st.integers(2 * k, 2 * k + 2) if k <= 5 else st.integers(1, k + 1))
+    return p, p_max, draw(st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_row_cases())
+def test_survey_row_agrees_with_report(case):
+    # the row counts closed walks where the report asks the oracle
+    p, p_max, max_iterate = case
+    forced = frozenset(forced_periods(1, p.k, p_max))
+    present, chaos, center, nplus2, adjacency = certify_module._survey_row(
+        p, p_max, max_iterate, forced
+    )
+    report = periodicity_report(p, p_max=p_max, max_iterate=max_iterate)
+    assert set(present) == report.present, p.to_text()
+    assert chaos == (report.chaos.iterate if report.chaos is not None else None)
+    assert center == isinstance(report.theorem, CenterTheoremCase)
+    assert nplus2 == isinstance(report.theorem, NPlus2Case)
+    assert adjacency == report.digraph.adjacency
 
 
 def test_parallel_jobs_match_serial(survey_3_5):
@@ -358,19 +390,33 @@ def test_class_count_check_documents_convention():
 # ---------------------------------------------------------------------------
 
 
-def test_classify_all_analyzes_each_class_once(monkeypatch):
-    # every module-level name bound to each function is counted
-    calls = {"realize": 0, "cover_digraph": 0, "check_center_theorem": 0}
-    for name in calls:
-        original = getattr(certify_module, name)
+def _count_calls(monkeypatch, names):
+    """Count the calls of each named ``stardyn`` function, at every
+    module-level name bound to it."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = next(
+            getattr(module, name)
+            for module in (certify_module, patterns_module)
+            if hasattr(module, name)
+        )
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in (plmap_module, certify_module, survey_module):
-            if getattr(module, name, None) is original:
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "stardyn" and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_classify_all_analyzes_each_class_once(monkeypatch):
+    # a row derives one table per class and no public certify entry point
+    # runs on the survey path
+    calls = _count_calls(
+        monkeypatch, ("realize", "cover_digraph", "check_center_theorem", "_tables")
+    )
     # a class is realized only to scan a multiple of k above k: none is in
     # range at (3,6) with pmax 10, and q = 8 and 12 are at (2,4) with pmax 13
     for n, k, p_max, classes, realized in ((3, 6, 10, 120, 0), (2, 4, 13, 6, 6)):
@@ -378,8 +424,15 @@ def test_classify_all_analyzes_each_class_once(monkeypatch):
         result = classify_all(n, k, p_max)
         assert len(result.records) == classes
         assert calls == {
-            "realize": realized, "cover_digraph": classes, "check_center_theorem": classes
+            "realize": realized, "cover_digraph": 0, "check_center_theorem": 0, "_tables": classes
         }
+
+
+def test_classify_all_validates_and_masks_once_per_class(monkeypatch):
+    calls = _count_calls(monkeypatch, ("validate", "_arc_masks"))
+    result = classify_all(4, 6)
+    assert len(result.records) == 20
+    assert calls == {"validate": 20, "_arc_masks": 20}
 
 
 @pytest.mark.parametrize(
@@ -496,22 +549,15 @@ def test_canonical_form_decides_isomorphism_on_random_digraphs(pair):
 
 
 def test_verify_paper_builds_one_digraph_per_report(monkeypatch):
-    # the two digraph checks build their own; every other digraph belongs to
+    # the two digraph checks build their own; every other table belongs to
     # a report or to the row of a survey class
-    calls = {"periodicity_report": 0, "cover_digraph": 0, "_survey_row": 0}
-    for name in calls:
-        original = getattr(certify_module, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        for module in (certify_module, survey_module):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+    calls = _count_calls(
+        monkeypatch, ("periodicity_report", "cover_digraph", "_survey_row", "_tables")
+    )
     assert verify_paper().all_passed
     assert calls["_survey_row"] > 0
-    assert calls["cover_digraph"] == calls["periodicity_report"] + calls["_survey_row"] + 2
+    assert calls["cover_digraph"] == 2
+    assert calls["_tables"] == calls["periodicity_report"] + calls["_survey_row"] + 2
 
 
 def test_classify_all_raises_when_a_claimed_period_counts_zero(monkeypatch):
@@ -519,6 +565,26 @@ def test_classify_all_raises_when_a_claimed_period_counts_zero(monkeypatch):
     monkeypatch.setattr(certify_module, "_walk_traces", lambda adjacency, bound: [0] * bound)
     with pytest.raises(InconsistencyError, match="claim period 1 but the closed-walk count"):
         classify_all(3, 5)
+
+
+@pytest.mark.parametrize(
+    "name,fault,message",
+    [
+        ("_verify_genscramble", lambda t, cert: False, "fails its replay"),
+        ("_covers", lambda masks, src, dst: False, "fail although its hypothesis holds"),
+    ],
+    ids=["chaos-replay", "theorem-coverings"],
+)
+def test_survey_path_faults_raise(name, fault, message, monkeypatch, capsys):
+    # every class at (3,4) has a center-theorem certificate, whose coverings
+    # and derived chaos loop a survey row checks
+    monkeypatch.setattr(certify_module, name, fault)
+    with pytest.raises(InconsistencyError, match=message):
+        classify_all(3, 4)
+    assert run(["survey", "--n", "3", "--k", "4", "--jobs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "inconsistency" in captured.err and message in captured.err
 
 
 def test_survey_path_builds_no_arc(monkeypatch):
