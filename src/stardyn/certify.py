@@ -683,15 +683,16 @@ def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[
     or None, center-theorem flag, n+2-theorem flag, covering digraph
     adjacency).  ``forced`` is ``forced_periods(1, p.k, p_max)``, the same
     for every class of a survey.  The pattern is validated and its tables
-    derived once (``_tables``), for every step below.  The closed-walk
-    count decides every period that k does not divide
-    (``_period_counts``), period k is the center's, and only its other
-    multiples go to the oracle, as in ``periodicity_report``.  The
-    realization is built only when such a multiple is in range.  A
-    claimed period that counts 0 raises InconsistencyError."""
-    tables = _tables(p)
-    theorem = _theorem(tables)
+    derived once, for every step below.  The closed-walk count decides
+    every period that k does not divide (``_period_counts``), period k is
+    the center's, and only its other multiples go to the oracle, as in
+    ``periodicity_report``.  The realization is built only when such a
+    multiple is in range, and then the tables are its own
+    (``PLMap.tables``); otherwise they come from ``_tables``.  A claimed
+    period that counts 0 raises InconsistencyError."""
     m = realize(p) if 2 * p.k <= p_max else None
+    tables = m.tables if m else _tables(p)
+    theorem = _theorem(tables)
     claims = _claims(tables, theorem, forced, p_max)
     counts = _period_counts(p.k, _walk_traces(tables.adjacency, p_max))
     present = []
@@ -723,17 +724,18 @@ def periodicity_report(
     """Period-by-period account: structural certificates confirmed by the
     exact oracle, absences by exhaustive scan, chaos by loop search.
 
-    It realizes the pattern, derives its tables (``_tables``), builds the
-    covering digraph and decides the theorem certificate once each, and
-    keeps the last two on the report (``theorem``, ``digraph``).  Every
-    period that the closed-walk count decides (``_period_counts``) is
-    derived twice: the count and the oracle must agree."""
+    It realizes the pattern, reads its tables off the realization
+    (``PLMap.tables``), builds the covering digraph and decides the
+    theorem certificate once each, and keeps the last two on the report
+    (``theorem``, ``digraph``).  Every period that the closed-walk count
+    decides (``_period_counts``) is derived twice: the count and the
+    oracle must agree."""
     if p_max < 1:
         raise ValueError("p_max must be positive")
     if max_iterate < 1:
         raise ValueError("max_iterate must be positive")
     m = realize(p)
-    tables = _tables(p)
+    tables = m.tables
     g = _digraph(tables)
     forced = frozenset(forced_periods(1, p.k, p_max))
     theorem = _theorem(tables)

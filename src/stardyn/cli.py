@@ -27,10 +27,10 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from .certify import (
     InconsistencyError,
+    _point_json,
     cover_digraph,
     periodicity_report,
     render_dot,
@@ -59,7 +59,7 @@ from .survey import (
     verify_paper,
 )
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 _FORMATS = ("json", "csv", "dot", "text")
 
@@ -76,29 +76,6 @@ _SUBCOMMAND_FORMATS = {
 
 class UsageError(Exception):
     """Bad arguments or inputs; reported with a synopsis on stderr."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by all subcommands."""
-
-    subcommand: str
-    pattern_paths: tuple[str, ...]
-    p_max: int
-    max_iterate: int
-    format: str
-    out: str | None
-    jobs: int
-
-    def __post_init__(self) -> None:
-        if self.p_max < 1:
-            raise UsageError("--pmax must be a positive integer")
-        if self.max_iterate < 1:
-            raise UsageError("--max-iterate must be a positive integer")
-        if self.jobs < 1:
-            raise UsageError("--jobs must be a positive integer")
-        if self.format not in _FORMATS:
-            raise UsageError(f"unknown format {self.format!r}; choose from {_FORMATS}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -177,31 +154,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _check_args(args: argparse.Namespace) -> None:
+    """Check the run parameters shared by all subcommands and fill in the
+    subcommand's default format; raises UsageError."""
     try:
         cylinder_cap()
     except ValueError as e:
         raise UsageError(str(e)) from None
-    fmt = args.format
     allowed = _SUBCOMMAND_FORMATS[args.subcommand]
-    if fmt is None:
-        fmt = allowed[0]
-    elif fmt not in allowed:
+    if args.format is None:
+        args.format = allowed[0]
+    elif args.format not in allowed:
         raise UsageError(
-            f"format {fmt!r} is not available for {args.subcommand!r}; choose from {allowed}"
+            f"format {args.format!r} is not available for {args.subcommand!r}; "
+            f"choose from {allowed}"
         )
-    paths = []
-    if getattr(args, "pattern", None):
-        paths.append(args.pattern)
-    return RunConfig(
-        subcommand=args.subcommand,
-        pattern_paths=tuple(paths),
-        p_max=args.pmax,
-        max_iterate=args.max_iterate,
-        format=fmt,
-        out=args.out,
-        jobs=args.jobs,
-    )
+    if args.pmax < 1:
+        raise UsageError("--pmax must be a positive integer")
+    if args.max_iterate < 1:
+        raise UsageError("--max-iterate must be a positive integer")
+    if args.jobs < 1:
+        raise UsageError("--jobs must be a positive integer")
 
 
 def _load_pattern(path: str) -> StarPattern:
@@ -230,33 +203,33 @@ def _json_text(payload: dict | list) -> str:
 Outputs = list[tuple[str | None, str]]
 
 
-def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> tuple[Outputs, int]:
-    p = _load_pattern(cfg.pattern_paths[0])
+def _cmd_analyze(args: argparse.Namespace) -> tuple[Outputs, int]:
+    p = _load_pattern(args.pattern)
     outputs: Outputs = []
     report = report_text = dot_text = None
-    if args.json or cfg.format == "json":
-        report = periodicity_report(p, p_max=cfg.p_max, max_iterate=cfg.max_iterate)
+    if args.json or args.format == "json":
+        report = periodicity_report(p, p_max=args.pmax, max_iterate=args.max_iterate)
         report_text = _json_text(report_to_json(report))
-    if args.dot or cfg.format == "dot":
+    if args.dot or args.format == "dot":
         dot_text = render_dot(report.digraph if report else cover_digraph(p))
     if args.dot:
         outputs.append((args.dot, dot_text))
     if args.json:
         outputs.append((args.json, report_text))
-    main_text = dot_text if cfg.format == "dot" else report_text
-    if cfg.out:
-        outputs.append((cfg.out, main_text))
+    main_text = dot_text if args.format == "dot" else report_text
+    if args.out:
+        outputs.append((args.out, main_text))
     elif not (args.dot or args.json):
         outputs.append((None, main_text))
     return outputs, 0
 
 
-def _cmd_enumerate(args: argparse.Namespace, cfg: RunConfig) -> tuple[Outputs, int]:
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[Outputs, int]:
     try:
         patterns = enumerate_patterns(args.n, args.k, all_branches=args.all_branches)
     except PatternError as e:
         raise UsageError(str(e)) from None
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "n": args.n,
             "k": args.k,
@@ -266,30 +239,30 @@ def _cmd_enumerate(args: argparse.Namespace, cfg: RunConfig) -> tuple[Outputs, i
         text = _json_text(payload)
     else:
         text = "".join(p.to_text() + "\n" for p in patterns)
-    return [(cfg.out, text)], 0
+    return [(args.out, text)], 0
 
 
-def _cmd_survey(args: argparse.Namespace, cfg: RunConfig) -> tuple[Outputs, int]:
+def _cmd_survey(args: argparse.Namespace) -> tuple[Outputs, int]:
     try:
         result = classify_all(
             args.n,
             args.k,
-            cfg.p_max,
-            max_iterate=cfg.max_iterate,
-            jobs=cfg.jobs,
+            args.pmax,
+            max_iterate=args.max_iterate,
+            jobs=args.jobs,
         )
     except PatternError as e:
         raise UsageError(str(e)) from None
     if args.filter:
         result = filter_result(result, args.filter)
-    if cfg.format == "csv":
+    if args.format == "csv":
         text = emit_table(result.records, "csv")
     else:
         text = _json_text(survey_to_json(result))
-    return [(cfg.out, text)], 0
+    return [(args.out, text)], 0
 
 
-def _cmd_orders(args: argparse.Namespace, cfg: RunConfig) -> tuple[Outputs, int]:
+def _cmd_orders(args: argparse.Namespace) -> tuple[Outputs, int]:
     pair_mode = args.m is not None or args.k is not None
     set_mode = args.segment is not None or args.bound is not None
     if pair_mode == set_mode:
@@ -323,12 +296,12 @@ def _cmd_orders(args: argparse.Namespace, cfg: RunConfig) -> tuple[Outputs, int]
             text = " ".join(str(m) for m in sorted(forced)) + "\n"
     except ValueError as e:
         raise UsageError(str(e)) from None
-    return [(cfg.out, text)], 0
+    return [(args.out, text)], 0
 
 
 def _witness_json(w, *, family: bool = False) -> dict:
     payload = {
-        "point": {"branch": w.point.branch, "coord": f"{w.point.coord.numerator}/{w.point.coord.denominator}"},
+        "point": _point_json(w.point),
         "period": w.period,
         "on_center_orbit": w.on_center_orbit,
     }
@@ -337,22 +310,22 @@ def _witness_json(w, *, family: bool = False) -> dict:
     return payload
 
 
-def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> tuple[Outputs, int]:
+def _cmd_oracle(args: argparse.Namespace) -> tuple[Outputs, int]:
     if args.period < 1:
         raise UsageError("--period must be a positive integer")
-    p = _load_pattern(cfg.pattern_paths[0])
+    p = _load_pattern(args.pattern)
     m = realize(p)
     result = oracle_scan(m, args.period)
     rows = [_witness_json(w) for w in result.witnesses]
     if result.family is not None:
         rows.append(_witness_json(result.family, family=True))
     text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-    return [(cfg.out, text)], 0
+    return [(args.out, text)], 0
 
 
-def _cmd_verify_paper(args: argparse.Namespace, cfg: RunConfig) -> tuple[Outputs, int]:
-    report = verify_paper(p_max=cfg.p_max, max_iterate=cfg.max_iterate)
-    if args.json or cfg.format == "json":
+def _cmd_verify_paper(args: argparse.Namespace) -> tuple[Outputs, int]:
+    report = verify_paper(p_max=args.pmax, max_iterate=args.max_iterate)
+    if args.json or args.format == "json":
         text = _json_text(report.to_json())
     else:
         lines = [
@@ -362,9 +335,9 @@ def _cmd_verify_paper(args: argparse.Namespace, cfg: RunConfig) -> tuple[Outputs
         lines.append(f"{sum(c.passed for c in report.checks)}/{len(report.checks)} {verdict}")
         text = "".join(line + "\n" for line in lines)
     if report.all_passed:
-        return [(cfg.out, text)], 0
+        return [(args.out, text)], 0
     sys.stderr.write("stardyn: inconsistency: reference verification failed\n")
-    return [(cfg.out, text)], 1
+    return [(args.out, text)], 1
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -408,8 +381,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        cfg = _config_from_args(args)
-        outputs, code = _HANDLERS[args.subcommand](args, cfg)
+        _check_args(args)
+        outputs, code = _HANDLERS[args.subcommand](args)
     except UsageError as e:
         sys.stderr.write(parser.format_usage())
         sys.stderr.write(f"stardyn: error: {e}\n")

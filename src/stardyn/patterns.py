@@ -371,37 +371,26 @@ def _segment_id(p: StarPattern, x: MarkedPoint, y: MarkedPoint) -> tuple[int, in
 
 def _descent_to_center(p: StarPattern, a: MarkedPoint) -> list[MarkedPoint]:
     """Marked points from a down to the center, inclusive."""
-    b = p.branch_of(a)
-    ordered = p.branch_points(b)
-    below = [i for i in ordered if p.rank_of(i) <= p.rank_of(a)]
-    below.sort(key=p.rank_of, reverse=True)
-    return below + [CENTER_INDEX]
+    if a == CENTER_INDEX:
+        return [CENTER_INDEX]
+    b, r = p.placements[a - 1]
+    return [*p.branches[b - 1][r - 1::-1], CENTER_INDEX]
 
 
 def arc(a: MarkedPoint, b: MarkedPoint, p: StarPattern) -> Arc:
-    """The unique arc from a to b with its ordered marked-point traversal."""
+    """The unique arc from a to b with its ordered marked-point traversal:
+    the descent from a to the center, then the ascent to b, less the tail
+    the two descents share."""
     for x in (a, b):
         if not 0 <= x < p.k:
             raise PatternError(f"marked point {x} out of range for k={p.k}")
     if a == b:
         raise PatternError("arc endpoints must be distinct")
-    if a == CENTER_INDEX:
-        up = _descent_to_center(p, b)
-        return Arc(p, a, b, tuple(reversed(up)))
-    if b == CENTER_INDEX:
-        return Arc(p, a, b, tuple(_descent_to_center(p, a)))
-    ba, bb = p.branch_of(a), p.branch_of(b)
-    if ba == bb:
-        ordered = p.branch_points(ba)
-        ra, rb = p.rank_of(a), p.rank_of(b)
-        lo, hi = min(ra, rb), max(ra, rb)
-        run = [i for i in ordered if lo <= p.rank_of(i) <= hi]
-        if ra > rb:
-            run.reverse()
-        return Arc(p, a, b, tuple(run))
-    down = _descent_to_center(p, a)
-    up = _descent_to_center(p, b)
-    return Arc(p, a, b, tuple(down + list(reversed(up))[1:]))
+    down, up = _descent_to_center(p, a), _descent_to_center(p, b)
+    while len(down) > 1 and len(up) > 1 and down[-2] == up[-2]:
+        down.pop()
+        up.pop()
+    return Arc(p, a, b, tuple(down + up[-2::-1]))
 
 
 def arc_contains(outer: Arc, inner: Arc) -> bool:

@@ -13,12 +13,15 @@ exact.
 The map is Markov over its pieces: each piece lies in one basic interval
 and maps onto a whole union of basic intervals, so ``realize`` records
 every piece's integer image and its successors (the pieces inside that
-image) once.  A cylinder of the p-th iterate is then a walk of length p
+image) once.  It is built on, and carries, the pattern's table
+(``patterns._tables``: the one validation, the basic intervals and the
+cover rows).  A cylinder of the p-th iterate is then a walk of length p
 in this piece graph: it maps onto the image of its last piece, and its
 composite slope and offset stay integers.  The exhaustive oracle walks
-the graph in integers and builds a ``Fraction`` only for an accepted
-fixed point; a point's piece is located in integers by a per-branch
-table indexed by basic interval.
+the graph in integers, solves every fixed point by one integer rule
+(``_fixed_point``) and builds a ``Fraction`` only for an accepted fixed
+point; a point's piece is located in integers by a per-branch table
+indexed by basic interval.
 
 Patterns may leave branches empty; those are not realized.  A continuous
 extension constant equal to f(center) exists on an empty branch and adds
@@ -38,8 +41,8 @@ from .patterns import (
     MarkedPoint,
     StarPattern,
     _image,
+    _Tables,
     _tables,
-    validate,
 )
 
 DEFAULT_CYLINDER_CAP = 10**6
@@ -157,7 +160,8 @@ class PLMap:
     piece i on its ``dst``, and ``successors[i]`` the indices of the
     pieces inside it, in increasing order.  ``cells[b][j]`` lists the
     pieces of basic interval [j, j+1] of branch b as (index, numerator,
-    denominator of the piece's right end).
+    denominator of the piece's right end).  ``tables`` is the pattern's
+    table (``patterns._tables``) that the realization is built on.
     """
 
     pattern: StarPattern
@@ -168,6 +172,7 @@ class PLMap:
     cells: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...] = field(
         repr=False, compare=False
     )
+    tables: _Tables = field(repr=False, compare=False)
 
     def marked_point(self, i: MarkedPoint) -> RationalPoint:
         return _marked_point(self.pattern, i)
@@ -191,42 +196,39 @@ def _marked_point(p: StarPattern, i: MarkedPoint) -> RationalPoint:
 
 
 def realize(p: StarPattern) -> PLMap:
-    """Build the canonical realization; requires a valid pattern.
+    """Build the canonical realization on the pattern's table
+    (``_tables``, which raises ValueError for an invalid pattern).
 
     The piece table is built in integers straight from the placements:
     basic interval [r-1, r] of a branch maps onto the arc between the
     images of its end points, and when that arc crosses the center, with
     ends at ranks a and b on two branches, the interval splits at
-    (r-1) + a/(a+b).  Each piece is entered once as an integer row with
-    the images of its ends, in (src, lo) order; ``Fraction`` appears only
-    in the ``lo``/``hi`` field values."""
-    problems = validate(p)
-    if problems:
-        raise ValueError("cannot realize an invalid pattern: " + "; ".join(problems))
+    (r-1) + a/(a+b).  The table's basic intervals run in (branch, rank)
+    order, so each piece is entered once as an integer row with the images
+    of its ends, in (src, lo) order; ``Fraction`` appears only in the
+    ``lo``/``hi`` field values."""
+    tables = _tables(p)
     k = p.k
     where = ((0, 0),) + p.placements  # (branch, rank) of each marked point
-    # chains[b][r]: the point of rank r on b
-    chains = [[CENTER_INDEX]] + [[CENTER_INDEX, *pts] for pts in p.branches]
-    lengths = [len(chain) - 1 for chain in chains]
-
+    lengths = [0] * (p.n + 1)
     rows = []
-    for b in range(1, p.n + 1):
-        chain = chains[b]
-        for r in range(1, len(chain)):
-            ab, ac = where[(chain[r - 1] + 1) % k]
-            bb, bc = where[(chain[r] + 1) % k]
-            if ab == bb or not ac or not bc:
-                slope = bc - ac
-                rows.append((b, (r - 1, 1), (r, 1), ab or bb, slope, ac - slope * (r - 1), ac, bc))
-            else:
-                # image arc crosses the center: split at its preimage
-                total = ac + bc
-                down_offset = ac + (r - 1) * total
-                g = gcd(down_offset, total)
-                split = (down_offset // g, total // g)
-                rows.append((b, (r - 1, 1), split, ab, -total, down_offset, ac, 0))
-                rows.append((b, split, (r, 1), bb, total, -down_offset, 0, bc))
-    return PLMap(p, tuple(lengths), *_piece_graph(rows, lengths))
+    for inner, outer in tables.ends:
+        b, r = where[outer]
+        lengths[b] = r
+        ab, ac = where[(inner + 1) % k]
+        bb, bc = where[(outer + 1) % k]
+        if ab == bb or not ac or not bc:
+            slope = bc - ac
+            rows.append((b, (r - 1, 1), (r, 1), ab or bb, slope, ac - slope * (r - 1), ac, bc))
+        else:
+            # image arc crosses the center: split at its preimage
+            total = ac + bc
+            down_offset = ac + (r - 1) * total
+            g = gcd(down_offset, total)
+            split = (down_offset // g, total // g)
+            rows.append((b, (r - 1, 1), split, ab, -total, down_offset, ac, 0))
+            rows.append((b, split, (r, 1), bb, total, -down_offset, 0, bc))
+    return PLMap(p, tuple(lengths), *_piece_graph(rows, lengths), tables)
 
 
 def _piece_graph(rows, lengths):
@@ -353,20 +355,6 @@ def _least_period_is(m: PLMap, pt: RationalPoint, p: int) -> bool:
 _IDENTITY = "identity"
 
 
-def _affine_fixed_point(s: int, d: int, b0: int, cur: int, lo: Fraction, hi: Fraction):
-    """Fixed points of t -> s*t + d, taking [lo, hi] on branch b0 into
-    branch cur: ``_IDENTITY`` when every point is fixed, else the one fixed
-    coordinate (0, the center, whatever the branches), or None."""
-    if s == 1:
-        if d != 0:
-            return None
-        if cur == b0:
-            return _IDENTITY
-        return Fraction(0) if lo <= 0 <= hi else None
-    t = Fraction(d, 1 - s)
-    return t if lo <= t <= hi and (cur == b0 or t == 0) else None
-
-
 @dataclass(frozen=True)
 class Cylinder:
     """A maximal interval on which the p-th iterate is a single affine map:
@@ -419,6 +407,29 @@ def _domain(m: PLMap, s: int, d: int, last: int) -> tuple[Fraction, Fraction]:
     return (t1, t2) if s > 0 else (t2, t1)
 
 
+def _fixed_point(m: PLMap, b0: int, s: int, d: int, last: int):
+    """Fixed points of a walk's composite t -> s*t + d, from its cylinder
+    on branch b0 onto the image [ilo, ihi] of its last piece: ``_IDENTITY``
+    when every point is fixed, else the one fixed coordinate (0, the
+    center, whatever the branches), or None.
+
+    The slope s is never 0 and the cylinder maps bijectively onto
+    [ilo, ihi], so the fixed point t = d/(1-s) lies in the cylinder iff it
+    lies in [ilo, ihi]: the test is an integer cross-multiplication."""
+    same_branch = m.pieces[last].dst == b0
+    if d == 0:  # t = 0, the center, lies in the image iff its low end does
+        if s == 1 and same_branch:
+            return _IDENTITY
+        return Fraction(0) if m.images[last][0] == 0 else None
+    if not same_branch or s == 1:
+        return None
+    ilo, ihi = m.images[last]
+    e = 1 - s
+    if (ilo * e <= d <= ihi * e) if e > 0 else (ihi * e <= d <= ilo * e):
+        return Fraction(d, e)
+    return None
+
+
 def iter_cylinders(m: PLMap, p: int, cap: int | None = None):
     """Depth-first stream of the monotone cylinders of the p-th iterate.
     Raises CylinderCapExceeded when more than the cap are expanded (env
@@ -435,49 +446,32 @@ def oracle_scan(m: PLMap, p: int, cap: int | None = None, first_only: bool = Fal
     Finds every point of least period exactly p.  When an iterate is the
     identity on a nondegenerate cylinder the family is uncountable; the
     scan then reports one representative and flags the result incomplete.
-
-    The slope s of a walk is never 0 and its cylinder maps bijectively
-    onto the image [ilo, ihi] of its last piece, so the fixed point
-    t = d/(1-s) lies in the cylinder iff it lies in [ilo, ihi]: the test
-    is an integer cross-multiplication.
     """
     found: list[PeriodicWitness] = []
     seen: set[RationalPoint] = set()
-
-    def emit(pt: RationalPoint, itin: tuple[int, ...]) -> PeriodicWitness | None:
-        if pt in seen:
-            return None
-        seen.add(pt)
-        if not _least_period_is(m, pt, p):
-            return None
-        w = PeriodicWitness(pt, p, itin, _on_center_orbit(m, pt))
-        found.append(w)
-        return w
-
-    pieces, images = m.pieces, m.images
     cylinders = 0
     for b0, s, d, last, itin in _walks(m, p, cap, (m.successors,) * (p - 1)):
         cylinders += 1
-        cur = pieces[last].dst
-        ilo, ihi = images[last]
-        if d == 0:  # the fixed point is t = 0, the center, whatever the branches
-            if s == 1 and cur == b0:
-                lo, hi = _domain(m, s, d, last)
-                t = _identity_cylinder_representative(m, p, b0, lo, hi, itin)
-                if t is not None:
-                    pt = make_point(b0, t)
-                    fam = PeriodicWitness(pt, p, itin, _on_center_orbit(m, pt))
-                    if fam.point not in seen:
-                        found.append(fam)
-                    return ScanResult(tuple(found), cylinders, fam, False)
-            elif ilo <= 0 <= ihi:
-                emit(CENTER, itin)
-        elif cur == b0 and s != 1:
-            e = 1 - s
-            if (ilo * e <= d <= ihi * e) if e > 0 else (ihi * e <= d <= ilo * e):
-                emit(make_point(b0, Fraction(d, e)), itin)
-        if found and first_only:
-            return ScanResult(tuple(found), cylinders, None, False)
+        t = _fixed_point(m, b0, s, d, last)
+        if t is None:
+            continue
+        if t is _IDENTITY:
+            lo, hi = _domain(m, s, d, last)
+            t = _identity_cylinder_representative(m, p, b0, lo, hi, itin)
+            if t is not None:
+                pt = make_point(b0, t)
+                fam = PeriodicWitness(pt, p, itin, _on_center_orbit(m, pt))
+                if fam.point not in seen:
+                    found.append(fam)
+                return ScanResult(tuple(found), cylinders, fam, False)
+            continue
+        pt = make_point(b0, t)
+        if pt not in seen:
+            seen.add(pt)
+            if _least_period_is(m, pt, p):
+                found.append(PeriodicWitness(pt, p, itin, _on_center_orbit(m, pt)))
+                if first_only:
+                    return ScanResult(tuple(found), cylinders, None, False)
     found.sort(key=lambda w: (w.point.branch, w.point.coord))
     return ScanResult(tuple(found), cylinders, None, True)
 
@@ -486,17 +480,19 @@ def _identity_cylinder_representative(m, p, b0, lo, hi, itin) -> Fraction | None
     """The p-th iterate fixes [lo, hi] pointwise.  Unless some proper-divisor
     iterate is also the identity here (then every point has a smaller period
     and None is returned), points of smaller period form a finite exception
-    set and any other point of the interval has least period exactly p."""
+    set and any other point of the interval has least period exactly p.
+    A prefix walk's fixed point is in that set only if it lies in
+    [lo, hi]."""
     bad: set[Fraction] = set()
     for dd in _proper_divisors(p):
-        ds, doff, dcur = 1, 0, b0
+        ds, doff = 1, 0
         for idx in itin[:dd]:
             q = m.pieces[idx]
-            ds, doff, dcur = q.slope * ds, q.slope * doff + q.offset, q.dst
-        t = _affine_fixed_point(ds, doff, b0, dcur, lo, hi)
+            ds, doff = q.slope * ds, q.slope * doff + q.offset
+        t = _fixed_point(m, b0, ds, doff, itin[dd - 1])
         if t is _IDENTITY:
             return None
-        if t is not None:
+        if t is not None and lo <= t <= hi:
             bad.add(t)
     steps = len(bad) + 2
     for j in range(steps + 1):
@@ -540,7 +536,7 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
     coordinate) order with f^p(x) = x and f^i(x) in I_i for every i.
 
     Arcs are bitmasks of basic intervals (``_arc_masks``), so each
-    covering is a subset test on an image (rows of ``_tables``).  A point of
+    covering is a subset test on an image (rows of ``m.tables``).  A point of
     the loop whose orbit meets no piece end has one piece at each step,
     which lies inside I_i and inside the image of the piece before it: it
     lies in the cylinder of a walk of the piece graph restricted at step i
@@ -566,8 +562,7 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
     for i, a in enumerate(loop):
         if i >= 1 and a.through_center:
             raise LoopError(f"arc {i} has the center in its interior")
-    tables = _tables(m.pattern)
-    arcs, rows = tables.arcs, tables.rows
+    arcs, rows = m.tables.arcs, m.tables.rows
     masks = [arcs[a.a][a.b] for a in loop]
     for i in range(1, len(loop)):
         if masks[i] & ~_image(rows, masks[i - 1]):
@@ -589,10 +584,11 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
     ]
     starts = [idx for idx, bit in enumerate(bits) if bit & masks[0]]
     for b0, s, d, last, _ in _walks(m, p, None, steps, starts):
-        lo, hi = _domain(m, s, d, last)
-        t = _affine_fixed_point(s, d, b0, m.pieces[last].dst, lo, hi)
+        t = _fixed_point(m, b0, s, d, last)
+        if t is _IDENTITY:
+            t = _domain(m, s, d, last)[0]
         if t is not None:
-            candidates.append(make_point(b0, lo if t is _IDENTITY else t))
+            candidates.append(make_point(b0, t))
     if not candidates:
         raise InconsistencyError("verified loop yielded no fixed point — this is a bug")
     return min(candidates)

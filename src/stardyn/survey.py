@@ -26,9 +26,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .certify import (
+    CoverDigraph,
     _survey_row,
     _walk_traces,
-    cover_digraph,
     find_cascade,
     periodicity_report,
 )
@@ -485,9 +485,7 @@ def _diff_edges(found: set, expected: frozenset) -> str:
     return "; ".join(parts) if parts else "edge sets match"
 
 
-def _check_digraph(name: str, pattern_key: str) -> CheckResult:
-    p = parse_pattern(str(REFERENCE_FACTS[pattern_key]))
-    g = cover_digraph(p)
+def _check_digraph(name: str, pattern_key: str, g: CoverDigraph) -> CheckResult:
     vertices = tuple(b.label for b in g.vertices)
     expected_vertices = tuple(REFERENCE_FACTS[f"{pattern_key}_vertices"])
     found = set(g.edge_labels())
@@ -526,10 +524,9 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
     def check(name: str, passed: bool, detail: str) -> None:
         checks.append(CheckResult(name, passed, detail))
 
-    checks.append(_check_digraph("example1-digraph", "example1"))
-
     p1 = parse_pattern(str(REFERENCE_FACTS["example1"]))
     rep1 = periodicity_report(p1, p_max=p_max, max_iterate=max_iterate)
+    checks.append(_check_digraph("example1-digraph", "example1", rep1.digraph))
     absent_expected = {q for q in REFERENCE_FACTS["example1_absent"] if q <= p_max}
     present_expected = set(range(1, p_max + 1)) - absent_expected
     ok = set(rep1.present) == present_expected and set(rep1.absent) == absent_expected
@@ -550,10 +547,9 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
         f"{cascade.m if cascade else None}; expected {start}",
     )
 
-    checks.append(_check_digraph("example2-digraph", "example2"))
-
     p2 = parse_pattern(str(REFERENCE_FACTS["example2"]))
     rep2 = periodicity_report(p2, p_max=p_max, max_iterate=max_iterate)
+    checks.append(_check_digraph("example2-digraph", "example2", rep2.digraph))
     horizon = 9
     traces = list(enumerate(_walk_traces(rep2.digraph.adjacency, horizon), 1))
     walks = {q for q, t in traces if t}

@@ -7,21 +7,21 @@ compares segment ends.  ``loop_point`` subdivides the loop's first arc by
 forward ``Fraction`` intervals, constrained at each step to the next arc,
 keeps degenerate (single point) cylinders, and verifies every candidate
 by iterating the map.  It relies on nothing from ``plmap`` but its data
-types, the ``Piece`` table, ``PLMap.iterate`` and ``_affine_fixed_point``.
+types, the ``Piece`` table and ``PLMap.iterate``; its fixed-point rule is
+the ``Fraction`` copy in ``reference_scan``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from reference_scan import _IDENTITY, _affine_fixed_point
 from stardyn.patterns import Arc
 from stardyn.plmap import (
-    _IDENTITY,
     CENTER,
     InconsistencyError,
     LoopError,
     PLMap,
     RationalPoint,
-    _affine_fixed_point,
     make_point,
 )
 

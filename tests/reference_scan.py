@@ -9,12 +9,13 @@ their images with every piece of the current branch, solves the
 fixed-point equation on the cylinder's domain, locates a point's piece by
 a linear scan of its branch and checks least periods divisor by divisor.
 It relies on nothing from ``plmap`` but its data types, the ``Piece``
-table, and the cap reader.
+table, and the cap reader; the pattern's table comes from
+``patterns._tables``, which validates it.
 """
 
 from fractions import Fraction
 
-from stardyn.patterns import CENTER_INDEX, validate
+from stardyn.patterns import CENTER_INDEX, _tables
 from stardyn.plmap import (
     CENTER,
     Cylinder,
@@ -43,9 +44,7 @@ def realize(p):
     """Each basic interval [r-1, r] maps arclength-linearly onto the arc
     between its endpoints' images, split at the preimage of the center
     when that arc crosses it."""
-    problems = validate(p)
-    if problems:
-        raise ValueError("cannot realize an invalid pattern: " + "; ".join(problems))
+    tables = _tables(p)
     lengths = [0] + [p.branch_size(b) for b in range(1, p.n + 1)]
     pieces = []
     for b in range(1, p.n + 1):
@@ -67,7 +66,7 @@ def realize(p):
                 pieces.append(Piece(b, lo, split, a_img.branch, -total, down_offset))
                 pieces.append(Piece(b, split, hi, b_img.branch, total, -down_offset))
     pieces.sort(key=lambda q: (q.src, q.lo))
-    return PLMap(p, tuple(lengths), tuple(pieces), *_piece_graph(pieces, lengths))
+    return PLMap(p, tuple(lengths), tuple(pieces), *_piece_graph(pieces, lengths), tables)
 
 
 def _piece_graph(pieces, lengths):

@@ -61,9 +61,9 @@ def test_module_layering():
 
 
 def test_certify_and_survey_never_validate_directly():
-    # a pattern is validated by the table builder ``patterns._tables``, the
-    # parsers or ``realize``; certify and survey read the tables
-    for name in ("certify", "survey"):
+    # a pattern is validated by the table builder ``patterns._tables`` or
+    # the parsers; plmap, certify and survey read the tables
+    for name in ("plmap", "certify", "survey"):
         tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
         calls = [
             node.lineno

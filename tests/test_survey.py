@@ -24,7 +24,8 @@ from stardyn.certify import (
 )
 from stardyn.cli import run
 from stardyn.orders import forced_periods
-from stardyn.patterns import canonicalize, parse_pattern
+from stardyn.patterns import arc, canonicalize, parse_pattern
+from stardyn.plmap import loop_point, realize
 from stardyn.survey import (
     REFERENCE_FACTS,
     SURVEY_FILTERS,
@@ -428,6 +429,22 @@ def test_classify_all_analyzes_each_class_once(monkeypatch):
         }
 
 
+def test_validate_runs_once_per_report_and_per_realized_class(monkeypatch):
+    # ``realize`` validates through the table it is built on, and the
+    # report, ``loop_point`` and a realized survey row read ``PLMap.tables``
+    p = parse_pattern(EX2)
+    m = realize(p)
+    calls = _count_calls(monkeypatch, ("validate",))
+    periodicity_report(p)
+    assert calls == {"validate": 1}
+    calls["validate"] = 0
+    loop_point(m, [arc(0, 2, p), arc(1, 3, p), arc(0, 2, p)])
+    assert calls == {"validate": 0}
+    # every (2,4) class is realized to scan q = 8 and 12
+    assert len(classify_all(2, 4, 13).records) == 6
+    assert calls == {"validate": 6}
+
+
 def test_classify_all_validates_and_masks_once_per_class(monkeypatch):
     calls = _count_calls(monkeypatch, ("validate", "_arc_masks"))
     result = classify_all(4, 6)
@@ -549,15 +566,15 @@ def test_canonical_form_decides_isomorphism_on_random_digraphs(pair):
 
 
 def test_verify_paper_builds_one_digraph_per_report(monkeypatch):
-    # the two digraph checks build their own; every other table belongs to
-    # a report or to the row of a survey class
+    # the two digraph checks read the reports' digraphs; every table
+    # belongs to a report or to the row of a survey class
     calls = _count_calls(
         monkeypatch, ("periodicity_report", "cover_digraph", "_survey_row", "_tables")
     )
     assert verify_paper().all_passed
     assert calls["_survey_row"] > 0
-    assert calls["cover_digraph"] == 2
-    assert calls["_tables"] == calls["periodicity_report"] + calls["_survey_row"] + 2
+    assert calls["cover_digraph"] == 0
+    assert calls["_tables"] == calls["periodicity_report"] + calls["_survey_row"]
 
 
 def test_classify_all_raises_when_a_claimed_period_counts_zero(monkeypatch):
