@@ -35,6 +35,7 @@ from .plmap import (
     InconsistencyError,
     PeriodicWitness,
     PLMap,
+    _closing,
     _least_period_is,
     first_witness,
     oracle_scan,
@@ -661,18 +662,18 @@ def _claims(
     return claims
 
 
-def _oracle_status(m: PLMap, q: int, claims: list[Certificate]) -> PeriodStatus:
-    """Period q decided by the exact oracle: a claimed period by its first
-    witness, any other by the exhaustive scan."""
+def _oracle_status(m: PLMap, q: int, claims: list[Certificate], closing) -> PeriodStatus:
+    """Period q decided by the exact oracle with ``_closing`` tables: a
+    claimed period by its first witness, any other by the exhaustive scan."""
     if claims:
-        w = first_witness(m, q)
+        w = first_witness(m, q, closing=closing)
         if w is None:
             raise InconsistencyError(
                 f"certificates {claims!r} claim period {q} but the "
                 f"exact oracle finds no such point — this is a bug"
             )
         return PeriodStatus("present", tuple(claims) + (OracleWitness(w),))
-    res = oracle_scan(m, q)
+    res = oracle_scan(m, q, closing=closing)
     if res.witnesses:
         return PeriodStatus("present", (OracleWitness(res.witnesses[0]),))
     return PeriodStatus("absent", (OracleAbsence(q, res.cylinders),))
@@ -692,6 +693,7 @@ def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[
     period that counts 0 raises InconsistencyError."""
     m = realize(p) if 2 * p.k <= p_max else None
     tables = m.tables if m else _tables(p)
+    closing = _closing(m, p_max - 1) if m else None
     theorem = _theorem(tables)
     claims = _claims(tables, theorem, forced, p_max)
     counts = _period_counts(p.k, _walk_traces(tables.adjacency, p_max))
@@ -705,7 +707,7 @@ def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[
                 )
             found = counts[q] > 0
         else:
-            found = q == p.k or _oracle_status(m, q, claims[q]).status == "present"
+            found = q == p.k or _oracle_status(m, q, claims[q], closing).status == "present"
         if found:
             present.append(q)
     chaos = _find_genscramble(tables, theorem, max_iterate)
@@ -742,10 +744,11 @@ def periodicity_report(
     claims = _claims(tables, theorem, forced, p_max)
     traces = _walk_traces(g.adjacency, p_max)
     counts = _period_counts(p.k, traces)
+    closing = _closing(m, p_max - 1)
 
     periods: dict[int, PeriodStatus] = {}
     for q in range(1, p_max + 1):
-        periods[q] = _oracle_status(m, q, claims[q])
+        periods[q] = _oracle_status(m, q, claims[q], closing)
         if q in counts and (counts[q] > 0) != (periods[q].status == "present"):
             raise InconsistencyError(
                 f"{p.to_text()}: the closed-walk count gives {counts[q]} points of "

@@ -21,7 +21,12 @@ composite slope and offset stay integers.  The exhaustive oracle walks
 the graph in integers, solves every fixed point by one integer rule
 (``_fixed_point``) and builds a ``Fraction`` only for an accepted fixed
 point; a point's piece is located in integers by a per-branch table
-indexed by basic interval.
+indexed by basic interval.  A walk's fixed point lies both in the basic
+interval of its first piece and in the image of its last, so a walk can
+close only if that image meets that interval on the same branch or, for
+an interval at the center, holds the center.  The oracle skips every
+subtree in which no walk can close, but counts its walks and nodes, so
+cylinder counts and the cap are those of the full tree.
 
 Patterns may leave branches empty; those are not realized.  A continuous
 extension constant equal to f(center) exists on an empty branch and adds
@@ -139,6 +144,8 @@ class ScanResult:
 
     ``family`` is a representative of an interval of least-period-p points
     when one exists (the scan stops there and ``complete`` is False).
+    ``cylinders`` counts every walk of the full tree up to where the scan
+    stopped, the skipped walks that cannot close included.
     """
 
     witnesses: tuple[PeriodicWitness, ...]
@@ -369,34 +376,66 @@ class Cylinder:
     itinerary: tuple[int, ...]
 
 
-def _walks(m: PLMap, p: int, cap: int | None, steps, starts=None):
+def _walks(m: PLMap, p: int, cap: int | None, steps=None, starts=None, closing=None):
     """Depth-first stream of the walks of length p in the piece graph, as
-    (b0, slope, offset, last piece, itinerary): the walk's cylinder on
+    (b0, slope, offset, last piece, path, leaves): the walk's cylinder on
     branch b0 maps by t -> slope*t + offset onto the image of its last
-    piece.  A walk starts at one of the pieces ``starts`` (default: every
-    piece), and its piece i+1 is one of ``steps[i][piece i]``; the oracle
-    passes ``m.successors`` for every step.  Every expanded walk counts
-    toward the cap."""
+    piece, ``path`` holds its pieces until the next walk, and ``leaves``
+    counts the walks of the full tree up to this one.  A walk starts at one
+    of the pieces ``starts`` (default: every piece), and its piece i+1 is
+    one of ``steps[i][piece i]`` (default: ``m.successors``).  With the
+    oracle's ``_closing`` tables it skips each subtree in which no walk can
+    close, as such walks have no fixed point.  Every node of the full tree
+    counts toward the cap: a skipped subtree's all at once, at its root."""
     if p < 1:
         raise ValueError("period must be positive")
     limit = cylinder_cap(cap)
     pieces, end = m.pieces, p - 1
-    count = 0
-    stack = []
-    for idx in reversed(range(len(pieces)) if starts is None else starts):
-        q = pieces[idx]
-        stack.append((0, q.src, q.slope, q.offset, idx, (idx,)))
-    while stack:
-        depth, b0, s, d, last, itin = stack.pop()
-        count += 1
-        if count > limit:
-            raise CylinderCapExceeded(limit)
-        if depth == end:
-            yield b0, s, d, last, itin
-            continue
-        for idx in steps[depth][last]:
-            q = pieces[idx]
-            stack.append((depth + 1, b0, q.slope * s, q.slope * d + q.offset, idx, itin + (idx,)))
+    steps = steps or (m.successors,) * end
+    count = leaves = 0
+    path = [0] * p
+    for first in range(len(pieces)) if starts is None else starts:
+        q = pieces[first]
+        alive = closing[0][first] if closing else None
+        stack = [(end, q.slope, q.offset, first)]  # r, the steps left, first
+        while stack:
+            r, s, d, last = stack.pop()
+            skip = alive and not alive[r] >> last & 1
+            count += closing[2][r][last] if skip else 1
+            if count > limit:
+                raise CylinderCapExceeded(limit)
+            if skip:
+                leaves += closing[1][r][last]
+                continue
+            path[end - r] = last
+            if not r:
+                leaves += 1
+                yield q.src, s, d, last, path, leaves
+                continue
+            for idx in steps[end - r][last]:
+                nxt = pieces[idx]
+                stack.append((r - 1, nxt.slope * s, nxt.slope * d + nxt.offset, idx))
+
+
+def _closing(m: PLMap, depth: int):
+    """The oracle's skip tables for walks of up to depth + 1 pieces, by the
+    steps left r: bit x of ``alive[first][r]`` is set when r steps from piece
+    x can end at a piece that closes a walk from piece ``first`` (see the
+    module docstring); ``leaves[r][x]`` and ``nodes[r][x]`` count the walks
+    and the tree nodes below x."""
+    succ = [(2 << ys[-1]) - (1 << ys[0]) for ys in m.successors]  # each a run of indices
+    alive, leaves, nodes = [], [[1] * len(succ)], [[1] * len(succ)]
+    for first in m.pieces:
+        b0, j = first.src, int(first.lo)  # on basic interval [j, j+1] of branch b0
+        masks = [sum(1 << y for y, (q, (ilo, ihi)) in enumerate(zip(m.pieces, m.images))
+                     if q.dst == b0 and ilo <= j + 1 and ihi >= j or j == ilo == 0)]
+        while len(masks) <= depth:
+            masks.append(sum(1 << x for x, nxt in enumerate(succ) if nxt & masks[-1]))
+        alive.append(masks)
+    for _ in range(depth):
+        leaves.append([sum(leaves[-1][y] for y in ys) for ys in m.successors])
+        nodes.append([n + w for n, w in zip(nodes[-1], leaves[-1])])
+    return alive, leaves, nodes
 
 
 def _domain(m: PLMap, s: int, d: int, last: int) -> tuple[Fraction, Fraction]:
@@ -434,33 +473,36 @@ def iter_cylinders(m: PLMap, p: int, cap: int | None = None):
     """Depth-first stream of the monotone cylinders of the p-th iterate.
     Raises CylinderCapExceeded when more than the cap are expanded (env
     STARDYN_CYLINDER_CAP overrides the default of 10**6)."""
-    for b0, s, d, last, itin in _walks(m, p, cap, (m.successors,) * (p - 1)):
+    for b0, s, d, last, path, _ in _walks(m, p, cap):
         lo, hi = _domain(m, s, d, last)
-        yield Cylinder(b0, lo, hi, s, d, m.pieces[last].dst, itin)
+        yield Cylinder(b0, lo, hi, s, d, m.pieces[last].dst, tuple(path))
 
 
-def oracle_scan(m: PLMap, p: int, cap: int | None = None, first_only: bool = False) -> ScanResult:
+def oracle_scan(
+    m: PLMap, p: int, cap: int | None = None, first_only: bool = False, closing=None
+) -> ScanResult:
     """Subdivide the p-th iterate into monotone cylinders and solve the
     affine fixed-point equation on each.
 
     Finds every point of least period exactly p.  When an iterate is the
     identity on a nondegenerate cylinder the family is uncountable; the
     scan then reports one representative and flags the result incomplete.
+    Walks that cannot close are skipped but count toward ``cylinders``
+    and the cap; ``closing`` reuses ``_closing`` tables across periods.
     """
+    closing = closing or _closing(m, p - 1)
     found: list[PeriodicWitness] = []
     seen: set[RationalPoint] = set()
-    cylinders = 0
-    for b0, s, d, last, itin in _walks(m, p, cap, (m.successors,) * (p - 1)):
-        cylinders += 1
+    for b0, s, d, last, path, cylinders in _walks(m, p, cap, closing=closing):
         t = _fixed_point(m, b0, s, d, last)
         if t is None:
             continue
         if t is _IDENTITY:
             lo, hi = _domain(m, s, d, last)
-            t = _identity_cylinder_representative(m, p, b0, lo, hi, itin)
+            t = _identity_cylinder_representative(m, p, b0, lo, hi, path)
             if t is not None:
                 pt = make_point(b0, t)
-                fam = PeriodicWitness(pt, p, itin, _on_center_orbit(m, pt))
+                fam = PeriodicWitness(pt, p, tuple(path), _on_center_orbit(m, pt))
                 if fam.point not in seen:
                     found.append(fam)
                 return ScanResult(tuple(found), cylinders, fam, False)
@@ -469,11 +511,11 @@ def oracle_scan(m: PLMap, p: int, cap: int | None = None, first_only: bool = Fal
         if pt not in seen:
             seen.add(pt)
             if _least_period_is(m, pt, p):
-                found.append(PeriodicWitness(pt, p, itin, _on_center_orbit(m, pt)))
+                found.append(PeriodicWitness(pt, p, tuple(path), _on_center_orbit(m, pt)))
                 if first_only:
                     return ScanResult(tuple(found), cylinders, None, False)
     found.sort(key=lambda w: (w.point.branch, w.point.coord))
-    return ScanResult(tuple(found), cylinders, None, True)
+    return ScanResult(tuple(found), sum(closing[1][p - 1]), None, True)
 
 
 def _identity_cylinder_representative(m, p, b0, lo, hi, itin) -> Fraction | None:
@@ -520,10 +562,10 @@ def periodic_points(m: PLMap, p: int, cap: int | None = None) -> list[PeriodicWi
     return list(res.witnesses)
 
 
-def first_witness(m: PLMap, p: int, cap: int | None = None) -> PeriodicWitness | None:
+def first_witness(m: PLMap, p: int, cap: int | None = None, closing=None) -> PeriodicWitness | None:
     """One point of least period exactly p, or None after exhausting every
-    cylinder (which proves absence)."""
-    res = oracle_scan(m, p, cap=cap, first_only=True)
+    cylinder (which proves absence); ``closing`` as in ``oracle_scan``."""
+    res = oracle_scan(m, p, cap=cap, first_only=True, closing=closing)
     return res.witnesses[0] if res.witnesses else None
 
 
@@ -583,7 +625,7 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
         tuple(tuple(j for j in succ if bits[j] & x) for succ in m.successors) for x in masks[1:-1]
     ]
     starts = [idx for idx, bit in enumerate(bits) if bit & masks[0]]
-    for b0, s, d, last, _ in _walks(m, p, None, steps, starts):
+    for b0, s, d, last, _, _ in _walks(m, p, None, steps, starts):
         t = _fixed_point(m, b0, s, d, last)
         if t is _IDENTITY:
             t = _domain(m, s, d, last)[0]

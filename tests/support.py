@@ -1,9 +1,20 @@
 """Shared helpers for the test suite."""
 
-from stardyn.patterns import parse_pattern
+from functools import cache
+
+from stardyn.patterns import enumerate_patterns, parse_pattern
+from stardyn.plmap import realize
 
 EX1 = "n=3 k=5; b1: 1 3; b2: 2; b3: 4"
 EX2 = "n=3 k=6; b1: 1 3 5; b2: 2; b3: 4"
+
+
+@cache
+def realized_classes(n, k):
+    """The realization of every class of shape (n, k), empty branches
+    allowed (``enumerate_patterns`` order), built once per test session.
+    A class with every branch occupied has ``all(m.branch_lengths[1:])``."""
+    return tuple(realize(p) for p in enumerate_patterns(n, k))
 
 
 def random_pattern(rng, n, k, all_branches=False):

@@ -747,7 +747,7 @@ def test_report_full_periodicity_small_star():
 
 
 def test_report_consistency_error_is_loud(p1, monkeypatch):
-    monkeypatch.setattr(certify_module, "first_witness", lambda m, q: None)
+    monkeypatch.setattr(certify_module, "first_witness", lambda m, q, **kwargs: None)
     with pytest.raises(InconsistencyError, match="bug"):
         periodicity_report(p1)
 

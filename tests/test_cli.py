@@ -197,7 +197,7 @@ def test_analyze_unwritable_out_exits_2(ex1_file, capsys):
 
 
 def test_analyze_inconsistency_exits_1(ex1_file, monkeypatch, capsys):
-    monkeypatch.setattr(certify_module, "first_witness", lambda m, q: None)
+    monkeypatch.setattr(certify_module, "first_witness", lambda m, q, **kwargs: None)
     assert run(["analyze", "--pattern", ex1_file]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

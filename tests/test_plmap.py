@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_scan as ref
+import stardyn.plmap as plmap_module
 from reference_loop import image_of_arc, image_of_subtree, subtree_from_segments, subtree_of_arc
-from stardyn.certify import OracleWitness, verify_certificate
-from stardyn.patterns import CENTER_INDEX, arc, enumerate_patterns, parse_pattern
+from stardyn.certify import OracleWitness, periodicity_report, verify_certificate
+from stardyn.patterns import CENTER_INDEX, arc, parse_pattern
 from stardyn.plmap import (
     CENTER,
     CylinderCapExceeded,
@@ -37,8 +38,8 @@ from stardyn.plmap import (
     realize,
     scramble_probe,
 )
-from stardyn.plmap import _least_period_is, _piece_graph
-from support import EX1, EX2, random_pattern
+from stardyn.plmap import _closing, _fixed_point, _least_period_is, _piece_graph, _walks
+from support import EX1, EX2, random_pattern, realized_classes
 
 F = Fraction
 
@@ -428,7 +429,10 @@ def _drain(cylinders):
 
 def _check_against_reference(m, scan_pmax, cap=None):
     """Scans for p <= scan_pmax, and cylinders and the cap threshold for
-    p < scan_pmax, equal those of the reference copy of the Fraction DFS."""
+    p < scan_pmax, equal those of the reference copy of the Fraction DFS.
+    The oracle skips the walks that cannot close but counts every node of
+    the full tree, so a scan that runs to the end of the tree needs the
+    same cap as ``iter_cylinders``."""
     nodes = 0  # of the walk tree down to depth p: each one counts toward the cap
     for p in range(1, scan_pmax + 1):
         for first_only in (False, True):
@@ -445,18 +449,58 @@ def _check_against_reference(m, scan_pmax, cap=None):
         with pytest.raises(CylinderCapExceeded):
             list(iter_cylinders(m, p, cap=nodes - 1))
         assert list(iter_cylinders(m, p, cap=nodes)) == cylinders
+        for first_only in (False, True):
+            scan = oracle_scan(m, p, first_only=first_only)
+            assert oracle_scan(m, p, cap=nodes, first_only=first_only) == scan
+            if scan.complete:
+                with pytest.raises(CylinderCapExceeded):
+                    oracle_scan(m, p, cap=nodes - 1, first_only=first_only)
 
 
 @pytest.mark.parametrize("k", sorted(REFERENCE_HORIZON))
 def test_walk_scan_matches_fraction_reference_on_every_class(k):
     for n in range(1, 5):
-        for pat in enumerate_patterns(n, k, all_branches=True):
-            _check_against_reference(realize(pat), REFERENCE_HORIZON[k])
+        for m in realized_classes(n, k):
+            if all(m.branch_lengths[1:]):
+                _check_against_reference(m, REFERENCE_HORIZON[k])
 
 
 def test_walk_scan_matches_fraction_reference_on_examples(m1, m2):
     for m in (m1, m2, realize(parse_pattern("n=1 k=2; b1: 1"))):
         _check_against_reference(m, 9)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_skip_keeps_every_walk_with_a_fixed_point(k):
+    # enumerate_patterns(3, k) holds every class with at most three occupied
+    # branches.  Every walk of the full tree (the stream of iter_cylinders)
+    # with a fixed point must pass the oracle's skip test at each of its
+    # pieces, with the steps left after that piece.
+    for m in realized_classes(3, k):
+        alive = _closing(m, 2 * k - 1)[0]
+        for q in range(1, 2 * k + 1):
+            for b0, s, d, last, path, _ in _walks(m, q, None):
+                if _fixed_point(m, b0, s, d, last) is not None:
+                    row = alive[path[0]]
+                    assert all(row[q - 1 - i] >> x & 1 for i, x in enumerate(path)), (
+                        m.pattern.to_text(), q, path
+                    )
+
+
+def test_skip_cuts_the_fixed_point_solves_of_example2(monkeypatch):
+    # up to where they stop, the report's 18 scans pass 31,848 walks (their
+    # ``cylinders``); the oracle solves only the walks that can close
+    calls = 0
+    solve = plmap_module._fixed_point
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    monkeypatch.setattr(plmap_module, "_fixed_point", counted)
+    periodicity_report(parse_pattern(EX2), 18)
+    assert calls == 14_145
 
 
 def _probe_points(m):
@@ -475,23 +519,25 @@ def _probe_points(m):
 
 def test_evaluate_matches_linear_scan_with_domain_errors():
     for n in range(1, 5):
-        for pat in enumerate_patterns(n, 5):  # empty branches included
-            m = realize(pat)
+        for m in realized_classes(n, 5):  # empty branches included
             for x in _probe_points(m):
-                assert _outcome(m.evaluate, x) == _outcome(ref.evaluate, m, x), (pat.to_text(), x)
+                assert _outcome(m.evaluate, x) == _outcome(ref.evaluate, m, x), (
+                    m.pattern.to_text(), x
+                )
 
 
 def test_least_period_matches_divisor_rule():
     for n in range(1, 5):
-        for pat in enumerate_patterns(n, 5, all_branches=True):
-            m = realize(pat)
+        for m in realized_classes(n, 5):
+            if not all(m.branch_lengths[1:]):
+                continue  # the empty-branch classes repeat smaller n
             pts = _probe_points(m)
             pts += [w.point for q in range(1, 5) for w in oracle_scan(m, q).witnesses]
             for x in pts:
                 for p in range(1, 7):
                     assert _outcome(_least_period_is, m, x, p) == _outcome(
                         ref.least_period_is, m, x, p
-                    ), (pat.to_text(), x, p)
+                    ), (m.pattern.to_text(), x, p)
 
 
 @pytest.mark.parametrize(
