@@ -27,6 +27,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 
 from .certify import (
     InconsistencyError,
@@ -39,10 +40,11 @@ from .certify import (
 from .orders import baldwin_le, forced_periods, nod_le, sharkovskii_le
 from .patterns import (
     EnumerationCapExceeded,
+    InvalidPatternError,
     PatternError,
     StarPattern,
+    _parse,
     enumerate_patterns,
-    parse_pattern,
 )
 from .plmap import (
     CylinderCapExceeded,
@@ -178,6 +180,9 @@ def _check_args(args: argparse.Namespace) -> None:
 
 
 def _load_pattern(path: str) -> StarPattern:
+    """The pattern in the file, parsed but not yet validated: a command
+    validates it once, where it builds the pattern's tables, inside
+    ``_pattern_file``."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [line.strip() for line in fh]
@@ -187,9 +192,20 @@ def _load_pattern(path: str) -> StarPattern:
     if len(lines) != 1:
         raise UsageError(f"pattern file {path!r} must contain exactly one pattern")
     try:
-        return parse_pattern(lines[0])
+        return _parse(lines[0])
     except PatternError as e:
         raise UsageError(f"invalid pattern in {path!r}: {e}") from None
+
+
+@contextmanager
+def _pattern_file(path: str):
+    """Report a loaded pattern that fails validation as a usage error
+    naming its file, as ``_load_pattern`` reports one that fails to
+    parse."""
+    try:
+        yield
+    except InvalidPatternError as e:
+        raise UsageError(f"invalid pattern in {path!r}: {e.args[0]}") from None
 
 
 def _json_text(payload: dict | list) -> str:
@@ -207,11 +223,12 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[Outputs, int]:
     p = _load_pattern(args.pattern)
     outputs: Outputs = []
     report = report_text = dot_text = None
-    if args.json or args.format == "json":
-        report = periodicity_report(p, p_max=args.pmax, max_iterate=args.max_iterate)
-        report_text = _json_text(report_to_json(report))
-    if args.dot or args.format == "dot":
-        dot_text = render_dot(report.digraph if report else cover_digraph(p))
+    with _pattern_file(args.pattern):
+        if args.json or args.format == "json":
+            report = periodicity_report(p, p_max=args.pmax, max_iterate=args.max_iterate)
+            report_text = _json_text(report_to_json(report))
+        if args.dot or args.format == "dot":
+            dot_text = render_dot(report.digraph if report else cover_digraph(p))
     if args.dot:
         outputs.append((args.dot, dot_text))
     if args.json:
@@ -314,12 +331,14 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[Outputs, int]:
     if args.period < 1:
         raise UsageError("--period must be a positive integer")
     p = _load_pattern(args.pattern)
-    m = realize(p)
+    with _pattern_file(args.pattern):
+        m = realize(p)
     result = oracle_scan(m, args.period)
     rows = [_witness_json(w) for w in result.witnesses]
     if result.family is not None:
         rows.append(_witness_json(result.family, family=True))
-    text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    encode = json.JSONEncoder(sort_keys=True).encode
+    text = "".join(encode(row) + "\n" for row in rows)
     return [(args.out, text)], 0
 
 

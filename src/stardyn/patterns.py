@@ -35,6 +35,14 @@ class PatternSyntaxError(PatternError):
         self.position = position
 
 
+class InvalidPatternError(PatternError):
+    """A pattern that breaks an invariant of ``validate``, raised where
+    its tables are built (``_tables``); ``args[0]`` joins the problems."""
+
+    def __str__(self) -> str:
+        return "invalid pattern: " + self.args[0]
+
+
 class EnumerationCapExceeded(RuntimeError):
     """Pattern enumeration would exceed the configured cap."""
 
@@ -133,6 +141,16 @@ def parse_pattern(text: str, all_branches: bool = False) -> StarPattern:
     center.  Raises PatternSyntaxError with a character position for
     malformed text and PatternError for semantic violations.
     """
+    pattern = _parse(text)
+    problems = validate(pattern, all_branches=all_branches)
+    if problems:
+        raise PatternError("; ".join(problems))
+    return pattern
+
+
+def _parse(text: str) -> StarPattern:
+    """``parse_pattern`` without the final ``validate``: every orbit index
+    is placed once, at consecutive ranks, but n and k are not checked."""
     m = _HEADER_RE.match(text)
     if not m:
         raise PatternSyntaxError("expected header 'n=<int> k=<int>'", 0)
@@ -155,11 +173,7 @@ def parse_pattern(text: str, all_branches: bool = False) -> StarPattern:
     if label != n:
         raise PatternError(f"header says n={n} but found {label} branch sections")
     _check_index_cover(k, branches)
-    pattern = _pattern_from_branches(n, k, branches)
-    problems = validate(pattern, all_branches=all_branches)
-    if problems:
-        raise PatternError("; ".join(problems))
-    return pattern
+    return _pattern_from_branches(n, k, branches)
 
 
 def pattern_from_json_dict(obj: dict, all_branches: bool = False) -> StarPattern:
@@ -466,11 +480,11 @@ def _tables(p: StarPattern, all_branches: bool = False) -> _Tables:
     """Validate p once and derive its tables.  The canonical map sends a
     basic interval onto exactly the arc between its endpoints' images, so
     the cover rows (the covering digraph, the Markov graph of the
-    pattern) depend on the pattern alone.  Raises ValueError for an
-    invalid pattern."""
+    pattern) depend on the pattern alone.  Raises InvalidPatternError (a
+    ValueError) for an invalid pattern."""
     problems = validate(p, all_branches=all_branches)
     if problems:
-        raise ValueError("invalid pattern: " + "; ".join(problems))
+        raise InvalidPatternError("; ".join(problems))
     ends, arcs, k = _interval_ends(p), _arc_masks(p), p.k
     rows = [arcs[(a + 1) % k][(b + 1) % k] for a, b in ends]
     adjacency = tuple(tuple(j for j in range(len(rows)) if row >> j & 1) for row in rows)

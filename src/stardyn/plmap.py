@@ -18,15 +18,21 @@ image) once.  It is built on, and carries, the pattern's table
 cover rows).  A cylinder of the p-th iterate is then a walk of length p
 in this piece graph: it maps onto the image of its last piece, and its
 composite slope and offset stay integers.  The exhaustive oracle walks
-the graph in integers, solves every fixed point by one integer rule
-(``_fixed_point``) and builds a ``Fraction`` only for an accepted fixed
-point; a point's piece is located in integers by a per-branch table
-indexed by basic interval.  A walk's fixed point lies both in the basic
-interval of its first piece and in the image of its last, so a walk can
-close only if that image meets that interval on the same branch or, for
-an interval at the center, holds the center.  The oracle skips every
-subtree in which no walk can close, but counts its walks and nodes, so
-cylinder counts and the cap are those of the full tree.
+the graph in integers and solves every fixed point by one integer rule
+(``_fixed_point``), as a reduced numerator and denominator.  A fixed
+point x of a walk of length p lies in the walk's cylinder, so its j-th
+image f^j(x) is the composite of the walk's first j pieces: x has least
+period p iff no proper divisor j of p returns it, which the scan decides
+by replaying those prefixes in integers over x's denominator.  Points are
+deduplicated and sorted in integers, and a ``Fraction`` is built only for
+a listed point.  Evaluating an arbitrary point locates its piece in
+integers by a per-branch table indexed by basic interval.  A walk's fixed
+point lies both in the basic interval of its first piece and in the image
+of its last, so a walk can close only if that image meets that interval
+on the same branch or, for an interval at the center, holds the center.
+The oracle skips every subtree in which no walk can close, but counts its
+walks and nodes, so cylinder counts and the cap are those of the full
+tree.
 
 Patterns may leave branches empty; those are not realized.  A continuous
 extension constant equal to f(center) exists on an empty branch and adds
@@ -38,6 +44,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 from .patterns import (
@@ -340,16 +347,16 @@ def _proper_divisors(p: int) -> list[int]:
     return [d for d in range(1, p) if p % d == 0]
 
 
-def _on_center_orbit(m: PLMap, pt: RationalPoint) -> bool:
-    if pt == CENTER:
-        return True
-    return pt.coord.denominator == 1 and (pt.branch, pt.coord.numerator) in m.pattern.placements
+def _on_center_orbit(m: PLMap, b: int, num: int, den: int) -> bool:
+    """Whether the point num/den (reduced) on branch b is a marked point."""
+    return not num or den == 1 and (b, num) in m.pattern.placements
 
 
 def _least_period_is(m: PLMap, pt: RationalPoint, p: int) -> bool:
     """Whether pt has least period exactly p: one forward pass in integers
     over the point's denominator, locating each piece by coordinate and
-    stopping at the first return."""
+    stopping at the first return.  It needs no walk, so it replays a
+    witness independently of the scan (``certify.verify_certificate``)."""
     den = pt.coord.denominator
     start = b, num = pt.branch, pt.coord.numerator
     for i in range(1, p + 1):
@@ -357,6 +364,45 @@ def _least_period_is(m: PLMap, pt: RationalPoint, p: int) -> bool:
         if (b, num) == start:
             return i == p
     return False
+
+
+def _least_period_on_walk(m: PLMap, path, b0: int, num: int, den: int) -> bool:
+    """Whether the fixed point num/den (reduced) on branch b0 of the walk
+    ``path`` has least period exactly p = len(path).  The point lies in
+    the walk's cylinder, so its j-th image is the composite of the first j
+    pieces of ``path``; it is replayed in integers over den.  The p-th
+    image is the point itself, so its least period divides p and is p
+    unless it is at most p/2: unless the j-th image is the point for some
+    j <= p/2 (the same numerator, and the same branch unless the point is
+    the center)."""
+    y, pieces = num, m.pieces
+    for j in range(len(path) // 2):
+        q = pieces[path[j]]
+        y = q.slope * y + q.offset * den
+        if y == num and (not num or q.dst == b0):
+            return False
+    return True
+
+
+def _compare(x, y) -> int:
+    """The (branch, coordinate) order of two points given as (branch,
+    numerator, denominator, ...) with positive denominators, by integer
+    cross-multiplication."""
+    return x[0] - y[0] or x[1] * y[2] - y[1] * x[2]
+
+
+def _listed(m: PLMap, p: int, found) -> tuple[PeriodicWitness, ...]:
+    """The witnesses of least period p of (branch, numerator, denominator,
+    itinerary) entries: one ``Fraction`` per point off the center."""
+    return tuple(
+        PeriodicWitness(
+            RationalPoint(b, Fraction(num, den)) if num else CENTER,
+            p,
+            itin,
+            _on_center_orbit(m, b, num, den),
+        )
+        for b, num, den, itin in found
+    )
 
 
 _IDENTITY = "identity"
@@ -449,8 +495,9 @@ def _domain(m: PLMap, s: int, d: int, last: int) -> tuple[Fraction, Fraction]:
 def _fixed_point(m: PLMap, b0: int, s: int, d: int, last: int):
     """Fixed points of a walk's composite t -> s*t + d, from its cylinder
     on branch b0 onto the image [ilo, ihi] of its last piece: ``_IDENTITY``
-    when every point is fixed, else the one fixed coordinate (0, the
-    center, whatever the branches), or None.
+    when every point is fixed, else the one fixed coordinate as a reduced
+    pair (numerator, denominator) with a positive denominator ((0, 1) is
+    the center, whatever the branches), or None.
 
     The slope s is never 0 and the cylinder maps bijectively onto
     [ilo, ihi], so the fixed point t = d/(1-s) lies in the cylinder iff it
@@ -459,13 +506,16 @@ def _fixed_point(m: PLMap, b0: int, s: int, d: int, last: int):
     if d == 0:  # t = 0, the center, lies in the image iff its low end does
         if s == 1 and same_branch:
             return _IDENTITY
-        return Fraction(0) if m.images[last][0] == 0 else None
+        return (0, 1) if m.images[last][0] == 0 else None
     if not same_branch or s == 1:
         return None
     ilo, ihi = m.images[last]
     e = 1 - s
-    if (ilo * e <= d <= ihi * e) if e > 0 else (ihi * e <= d <= ilo * e):
-        return Fraction(d, e)
+    if e < 0:
+        d, e = -d, -e
+    if ilo * e <= d <= ihi * e:
+        g = gcd(d, e)
+        return d // g, e // g
     return None
 
 
@@ -489,10 +539,17 @@ def oracle_scan(
     scan then reports one representative and flags the result incomplete.
     Walks that cannot close are skipped but count toward ``cylinders``
     and the cap; ``closing`` reuses ``_closing`` tables across periods.
+
+    The scan stays in integers until it lists a point.  A fixed point x
+    lies in its walk's cylinder, so f^j(x) is the composite of the walk's
+    first j pieces, and x has least period p iff no proper divisor j of p
+    has f^j(x) = x (``_least_period_on_walk``).  Points are deduplicated
+    as (branch, numerator, denominator) and sorted by integer
+    cross-multiplication; a ``Fraction`` is built once per listed point.
     """
     closing = closing or _closing(m, p - 1)
-    found: list[PeriodicWitness] = []
-    seen: set[RationalPoint] = set()
+    found: list[tuple[int, int, int, tuple[int, ...]]] = []
+    seen: set[tuple[int, int, int]] = set()
     for b0, s, d, last, path, cylinders in _walks(m, p, cap, closing=closing):
         t = _fixed_point(m, b0, s, d, last)
         if t is None:
@@ -502,20 +559,21 @@ def oracle_scan(
             t = _identity_cylinder_representative(m, p, b0, lo, hi, path)
             if t is not None:
                 pt = make_point(b0, t)
-                fam = PeriodicWitness(pt, p, tuple(path), _on_center_orbit(m, pt))
-                if fam.point not in seen:
-                    found.append(fam)
-                return ScanResult(tuple(found), cylinders, fam, False)
+                key = (pt.branch, t.numerator, t.denominator)
+                fam = PeriodicWitness(pt, p, tuple(path), _on_center_orbit(m, *key))
+                listed = _listed(m, p, found) + (() if key in seen else (fam,))
+                return ScanResult(listed, cylinders, fam, False)
             continue
-        pt = make_point(b0, t)
-        if pt not in seen:
-            seen.add(pt)
-            if _least_period_is(m, pt, p):
-                found.append(PeriodicWitness(pt, p, tuple(path), _on_center_orbit(m, pt)))
+        num, den = t
+        key = (b0 if num else 0, num, den)
+        if key not in seen:
+            seen.add(key)
+            if _least_period_on_walk(m, path, b0, num, den):
+                found.append(key + (tuple(path),))
                 if first_only:
-                    return ScanResult(tuple(found), cylinders, None, False)
-    found.sort(key=lambda w: (w.point.branch, w.point.coord))
-    return ScanResult(tuple(found), sum(closing[1][p - 1]), None, True)
+                    return ScanResult(_listed(m, p, found), cylinders, None, False)
+    found.sort(key=cmp_to_key(_compare))
+    return ScanResult(_listed(m, p, found), sum(closing[1][p - 1]), None, True)
 
 
 def _identity_cylinder_representative(m, p, b0, lo, hi, itin) -> Fraction | None:
@@ -534,8 +592,10 @@ def _identity_cylinder_representative(m, p, b0, lo, hi, itin) -> Fraction | None
         t = _fixed_point(m, b0, ds, doff, itin[dd - 1])
         if t is _IDENTITY:
             return None
-        if t is not None and lo <= t <= hi:
-            bad.add(t)
+        if t is not None:
+            t = Fraction(*t)
+            if lo <= t <= hi:
+                bad.add(t)
     steps = len(bad) + 2
     for j in range(steps + 1):
         t = lo + (hi - lo) * Fraction(j, steps)
@@ -628,9 +688,9 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
     for b0, s, d, last, _, _ in _walks(m, p, None, steps, starts):
         t = _fixed_point(m, b0, s, d, last)
         if t is _IDENTITY:
-            t = _domain(m, s, d, last)[0]
-        if t is not None:
-            candidates.append(make_point(b0, t))
+            candidates.append(make_point(b0, _domain(m, s, d, last)[0]))
+        elif t is not None:
+            candidates.append(make_point(b0, Fraction(*t)))
     if not candidates:
         raise InconsistencyError("verified loop yielded no fixed point — this is a bug")
     return min(candidates)

@@ -14,6 +14,7 @@ from jsonschema import validate
 
 import stardyn.certify as certify_module
 import stardyn.cli as cli_module
+import stardyn.patterns as patterns_module
 import stardyn.plmap as plmap_module
 import stardyn.survey as survey_module
 from stardyn.cli import run
@@ -129,6 +130,50 @@ def test_analyze_invalid_pattern_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid pattern" in captured.err
+
+
+# the commands that read a pattern file
+PATTERN_COMMANDS = [["analyze"], ["analyze", "--format", "dot"], ["oracle", "--period", "2"]]
+
+
+@pytest.mark.parametrize("call", PATTERN_COMMANDS, ids=["analyze", "dot", "oracle"])
+@pytest.mark.parametrize(
+    "text, problems",
+    [
+        ("n=1 k=1; b1:", "orbit size k=1 must be at least 2"),
+        ("n=0 k=1", "branch count n=0 must be at least 1; orbit size k=1 must be at least 2"),
+    ],
+    ids=["k1", "n0"],
+)
+def test_pattern_failing_validation_exits_2(call, text, problems, tmp_path, capsys):
+    # the file parses; its pattern fails where the command validates it
+    bad = tmp_path / "bad.pat"
+    bad.write_text(text + "\n", encoding="utf-8")
+    assert run(call + ["--pattern", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        cli_module._build_parser().format_usage()
+        + f"stardyn: error: invalid pattern in {str(bad)!r}: {problems}\n"
+    )
+
+
+@pytest.mark.parametrize("call", PATTERN_COMMANDS, ids=["analyze", "dot", "oracle"])
+def test_pattern_file_is_validated_once(call, ex2_file, monkeypatch, capsys):
+    # counted at every binding of ``validate``
+    calls = 0
+    original = patterns_module.validate
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stardyn" and getattr(module, "validate", None) is original:
+            monkeypatch.setattr(module, "validate", counted)
+    assert run(call + ["--pattern", ex2_file]) == 0
+    assert calls == 1
 
 
 def test_analyze_empty_pattern_file_exits_2(tmp_path, capsys):

@@ -6,7 +6,9 @@ realization and captured from the first exact run; they are regression
 anchors, independent of later refactors.
 """
 
+import functools
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -501,6 +503,88 @@ def test_skip_cuts_the_fixed_point_solves_of_example2(monkeypatch):
     monkeypatch.setattr(plmap_module, "_fixed_point", counted)
     periodicity_report(parse_pattern(EX2), 18)
     assert calls == 14_145
+
+
+def _least_period_rule_outcomes(m, pmax, cap=None):
+    """For every fixed point the oracle's walks accept at periods up to
+    pmax, whether the integer rule on the walk and the replay by
+    ``_least_period_is`` agree that its least period is the walk's length.
+    Returns the rule's verdicts, or stops at the cap."""
+    verdicts = []
+    for q in range(1, pmax + 1):
+        closing = _closing(m, q - 1)
+        try:
+            for b0, s, d, last, path, _ in _walks(m, q, cap, closing=closing):
+                t = _fixed_point(m, b0, s, d, last)
+                if t is None or t is plmap_module._IDENTITY:
+                    continue
+                num, den = t
+                assert den > 0 and math.gcd(num, den) == 1
+                rule = plmap_module._least_period_on_walk(m, path, b0, num, den)
+                assert rule == _least_period_is(m, make_point(b0, F(num, den)), q), (
+                    m.pattern.to_text(), q, path
+                )
+                verdicts.append(rule)
+        except CylinderCapExceeded:
+            break
+    return verdicts
+
+
+@pytest.mark.parametrize("k", sorted(REFERENCE_HORIZON))
+def test_least_period_on_the_walk_matches_replay_on_every_class(k):
+    verdicts = [
+        v
+        for n in range(1, 5)
+        for m in realized_classes(n, k)
+        for v in _least_period_rule_outcomes(m, REFERENCE_HORIZON[k])
+    ]
+    # both verdicts occur, so the rule is tested both ways
+    assert set(verdicts) == {True, False}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 5), st.integers(2, 8))
+def test_least_period_on_the_walk_matches_replay_on_random_patterns(rng, n, k):
+    _least_period_rule_outcomes(realize(random_pattern(rng, n, k)), 8, cap=2000)
+
+
+def test_oracle_lists_example2_without_stepping_and_one_fraction_a_point(m2, monkeypatch):
+    steps = built = 0
+    step, new = plmap_module._step, Fraction.__new__
+
+    def counted_step(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    def counted_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(plmap_module, "_step", counted_step)
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    scan = oracle_scan(m2, 16)
+    monkeypatch.undo()
+    assert len(scan.witnesses) == 4320
+    assert (steps, built) == (0, 4320)
+
+
+def test_exact_order_separates_rationals_whose_floats_tie():
+    # (branch, numerator, denominator, itinerary) entries, as the oracle
+    # sorts them; within a branch every coordinate has the same float
+    third = F(1, 3)
+    entries = [(0, 0, 1, ())] + [
+        (b, c.numerator, c.denominator, ())
+        for b in (1, 2)
+        for c in (third + F(i, 10**30) for i in range(-4, 5))
+    ]
+    assert len({float(F(num, den)) for b, num, den, _ in entries if b}) == 1
+    rng = random.Random(5)
+    for _ in range(20):
+        rng.shuffle(entries)
+        exact = sorted(entries, key=functools.cmp_to_key(plmap_module._compare))
+        assert exact == sorted(entries, key=lambda e: (e[0], F(e[1], e[2])))
 
 
 def _probe_points(m):
