@@ -682,7 +682,8 @@ def _oracle_status(m: PLMap, q: int, claims: list[Certificate], closing) -> Peri
 def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[int]) -> tuple:
     """What a survey keeps of one pattern: (present periods, chaos iterate
     or None, center-theorem flag, n+2-theorem flag, covering digraph
-    adjacency).  ``forced`` is ``forced_periods(1, p.k, p_max)``, the same
+    adjacency, its closed-walk counts tr(A^1..A^p_max) as a tuple).
+    ``forced`` is ``forced_periods(1, p.k, p_max)``, the same
     for every class of a survey.  The pattern is validated and its tables
     derived once, for every step below.  The closed-walk count decides
     every period that k does not divide (``_period_counts``), period k is
@@ -696,7 +697,8 @@ def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[
     closing = _closing(m, p_max - 1) if m else None
     theorem = _theorem(tables)
     claims = _claims(tables, theorem, forced, p_max)
-    counts = _period_counts(p.k, _walk_traces(tables.adjacency, p_max))
+    traces = _walk_traces(tables.adjacency, p_max)
+    counts = _period_counts(p.k, traces)
     present = []
     for q in range(1, p_max + 1):
         if q in counts:
@@ -717,6 +719,7 @@ def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[
         isinstance(theorem, CenterTheoremCase),
         isinstance(theorem, NPlus2Case),
         tables.adjacency,
+        tuple(traces),
     )
 
 

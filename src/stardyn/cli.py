@@ -26,12 +26,12 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from contextlib import contextmanager
+from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 from .certify import (
     InconsistencyError,
-    _point_json,
     cover_digraph,
     periodicity_report,
     render_dot,
@@ -54,6 +54,8 @@ from .plmap import (
 )
 from .survey import (
     SURVEY_FILTERS,
+    ClassRecord,
+    SurveyResult,
     classify_all,
     emit_table,
     filter_result,
@@ -275,8 +277,40 @@ def _cmd_survey(args: argparse.Namespace) -> tuple[Outputs, int]:
     if args.format == "csv":
         text = emit_table(result.records, "csv")
     else:
-        text = _json_text(survey_to_json(result))
+        text = _survey_json_text(result)
     return [(args.out, text)], 0
+
+
+def _survey_json_text(result: SurveyResult) -> str:
+    """``_json_text(survey_to_json(result))``, byte for byte, with only the
+    header through the generic encoder.  "rows" sorts last among the
+    payload's keys, so the payload without rows ends in ``"rows": []``;
+    the rows, from the fixed template of ``_record_json``, go between
+    those brackets."""
+    text = _json_text(survey_to_json(replace(result, records=())))
+    if not result.records:
+        return text
+    rows = ",\n".join(map(_record_json, result.records))
+    return text[: -len("]\n}\n")] + "\n" + rows + "\n  ]\n}\n"
+
+
+def _record_json(r: ClassRecord) -> str:
+    """One survey row (``survey.TABLE_COLUMNS`` order) as
+    ``json.dumps(..., indent=2)`` writes it inside the payload's "rows"."""
+    periods = ",\n        ".join(map(str, r.periods_present))
+    periods = f"[\n        {periods}\n      ]" if periods else "[]"
+    return (
+        "    [\n"
+        f"      {encode_basestring_ascii(r.pattern_text)},\n"
+        f"      {r.branch_class},\n"
+        f"      {r.digraph_class},\n"
+        f"      {'true' if r.center_theorem else 'false'},\n"
+        f"      {'true' if r.nplus2 else 'false'},\n"
+        f"      {periods},\n"
+        f"      {encode_basestring_ascii(r.tail)},\n"
+        f"      {'null' if r.chaos_iterate is None else r.chaos_iterate}\n"
+        "    ]"
+    )
 
 
 def _cmd_orders(args: argparse.Namespace) -> tuple[Outputs, int]:
@@ -316,15 +350,15 @@ def _cmd_orders(args: argparse.Namespace) -> tuple[Outputs, int]:
     return [(args.out, text)], 0
 
 
-def _witness_json(w, *, family: bool = False) -> dict:
-    payload = {
-        "point": _point_json(w.point),
-        "period": w.period,
-        "on_center_orbit": w.on_center_orbit,
-    }
-    if family:
-        payload["uncountable_family"] = True
-    return payload
+def _witness_line(w, last: str = "") -> str:
+    """One oracle row as ``json.dumps(..., sort_keys=True)`` writes it;
+    ``last`` is the family's flag, whose key sorts after the others."""
+    coord = w.point.coord
+    return (
+        f'{{"on_center_orbit": {"true" if w.on_center_orbit else "false"}, '
+        f'"period": {w.period}, "point": {{"branch": {w.point.branch}, '
+        f'"coord": "{coord.numerator}/{coord.denominator}"}}{last}}}\n'
+    )
 
 
 def _cmd_oracle(args: argparse.Namespace) -> tuple[Outputs, int]:
@@ -334,12 +368,10 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[Outputs, int]:
     with _pattern_file(args.pattern):
         m = realize(p)
     result = oracle_scan(m, args.period)
-    rows = [_witness_json(w) for w in result.witnesses]
+    rows = [_witness_line(w) for w in result.witnesses]
     if result.family is not None:
-        rows.append(_witness_json(result.family, family=True))
-    encode = json.JSONEncoder(sort_keys=True).encode
-    text = "".join(encode(row) + "\n" for row in rows)
-    return [(args.out, text)], 0
+        rows.append(_witness_line(result.family, ', "uncountable_family": true'))
+    return [(args.out, "".join(rows))], 0
 
 
 def _cmd_verify_paper(args: argparse.Namespace) -> tuple[Outputs, int]:
@@ -360,6 +392,8 @@ def _cmd_verify_paper(args: argparse.Namespace) -> tuple[Outputs, int]:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stardyn-")
     try:

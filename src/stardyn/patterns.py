@@ -82,9 +82,10 @@ class StarPattern:
     def branches(self) -> tuple[tuple[int, ...], ...]:
         """Per-branch index tuples in rank order (the serialized view),
         from one sorted pass over the placements."""
-        rows: list[list[int]] = [[] for _ in range(self.n)]
+        n = self.n
+        rows: list[list[int]] = [[] for _ in range(n)]
         for (b, _), i in sorted(zip(self.placements, range(1, self.k))):
-            if 1 <= b <= self.n:
+            if 0 < b <= n:
                 rows[b - 1].append(i)
         return tuple(map(tuple, rows))
 
@@ -92,11 +93,15 @@ class StarPattern:
         return sum(1 for br, _ in self.placements if br == b)
 
     def to_text(self) -> str:
-        parts = [f"n={self.n} k={self.k}"]
-        for b, pts in enumerate(self.branches, start=1):
-            body = " ".join(str(i) for i in pts)
-            parts.append(f"b{b}: {body}" if body else f"b{b}:")
-        return "; ".join(parts)
+        """The one-line form ``n=3 k=5; b1: 1 3; b2: 2; b3: 4``, built
+        straight from one sorted pass over the placements, as
+        ``branches``."""
+        n = self.n
+        rows = [[f"b{b}:"] for b in range(1, n + 1)]
+        for (b, _), i in sorted(zip(self.placements, range(1, self.k))):
+            if 0 < b <= n:
+                rows[b - 1].append(str(i))
+        return "; ".join([f"n={n} k={self.k}", *map(" ".join, rows)])
 
     def to_json_dict(self) -> dict:
         return {

@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .certify import (
@@ -151,8 +150,20 @@ def _class_size(p: StarPattern) -> int:
     """Number of raw patterns in the branch-relabeling class of ``p``: n!
     over the e! relabelings that only permute the e empty branches, the
     stabilizer of ``p``."""
-    empty = p.branches.count(())
+    empty = p.n - len({b for b, _ in p.placements})
     return math.factorial(p.n) // math.factorial(empty)
+
+
+def _degree_codes(adjacency: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The sorted (out-degree, in-degree, self-loop) codes of a digraph's
+    vertices, each packed into one small int, (out * (size + 1) + in) * 2
+    + loop: an isomorphism invariant."""
+    step = 2 * (len(adjacency) + 1)
+    codes = [len(row) * step + (u in row) for u, row in enumerate(adjacency)]
+    for row in adjacency:
+        for j in row:
+            codes[j] += 2
+    return tuple(sorted(codes))
 
 
 def _canonical_form(adjacency: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -243,24 +254,49 @@ def classify_all(
     validates the pattern and derives its tables once, into a compact
     row: the periods, decided by closed-walk counts on the covering
     digraph except at multiples of k, the chaos iterate, the theorem
-    flags and the digraph adjacency.  The forced baseline depends only on
-    (k, p_max), so it is computed once here for every row.  Digraph
-    classes are keyed by the canonical form of that adjacency and
-    numbered by first appearance.
+    flags, the digraph adjacency and its closed-walk counts.  The forced
+    baseline depends only on (k, p_max), so it is computed once here for
+    every row.
+
+    Digraph classes are numbered by first appearance.  Each class is first
+    keyed by a cheap isomorphism invariant of its digraph: the sorted
+    vertex codes of ``_degree_codes`` and the closed-walk counts.  A class
+    whose key is new gets the next digraph id with no canonical form.
+    Only when a key repeats are canonical forms (``_canonical_form``)
+    computed, once per digraph: for the earlier class that holds the key,
+    then for each later one, and the form decides the id.  This is exact:
+    isomorphic digraphs have equal keys, so a new key proves a new class,
+    and within one key the canonical form decides isomorphism as before.
+    A key maps to the row index of its first class until it repeats, and
+    then to None, as every class under it has its form in ``forms``.
     """
     reps = enumerate_patterns(n, k, all_branches=all_branches)
     forced = frozenset(forced_periods(1, k, p_max))
     args = (reps, [p_max] * len(reps), [max_iterate] * len(reps), [forced] * len(reps))
     if jobs > 1 and len(reps) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_survey_row, *args, chunksize=8))
     else:
         rows = list(map(_survey_row, *args))
 
     records: list[ClassRecord] = []
-    digraph_ids: dict[tuple, int] = {}
-    for idx, (p, (present, chaos, center, nplus2, adjacency)) in enumerate(zip(reps, rows)):
-        digraph_id = digraph_ids.setdefault(_canonical_form(adjacency), len(digraph_ids))
+    buckets: dict[tuple, int | None] = {}
+    forms: dict[tuple, int] = {}
+    classes = 0
+    for idx, (p, (present, chaos, center, nplus2, adjacency, traces)) in enumerate(zip(reps, rows)):
+        key = (_degree_codes(adjacency), traces)
+        first = buckets.setdefault(key, idx)
+        if first == idx:
+            digraph_id = classes
+        else:
+            if first is not None:
+                forms[_canonical_form(rows[first][4])] = records[first].digraph_class
+                buckets[key] = None
+            digraph_id = forms.setdefault(_canonical_form(adjacency), classes)
+        if digraph_id == classes:
+            classes += 1
         records.append(
             ClassRecord(
                 pattern=p,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -329,6 +330,54 @@ def test_survey_csv_matches_library(capsys):
     assert out == emit_table(classify_all(3, 4, 10).records, "csv")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        "--n 3 --k 5",
+        "--n 2 --k 6 --pmax 4",
+        # two rows without a chaos certificate
+        "--n 2 --k 4 --pmax 6 --max-iterate 1",
+        "--n 3 --k 6 --filter theorem1-inapplicable",
+        # every (3,4) class has the center theorem, so no row is left
+        "--n 3 --k 4 --filter theorem1-inapplicable",
+        "--n 3 --k 5 --format csv",
+    ],
+)
+def test_survey_output_equals_the_generic_encoders(call, capsys):
+    # rows are written from a fixed template; the bytes are those of
+    # json.dumps (or the library's CSV table)
+    args = call.split()
+    assert run(["survey", *args]) == 0
+    out = capsys.readouterr().out
+    opts = dict(zip(args[::2], args[1::2]))
+    result = classify_all(
+        int(opts["--n"]),
+        int(opts["--k"]),
+        int(opts.get("--pmax", 10)),
+        max_iterate=int(opts.get("--max-iterate", 2)),
+    )
+    if "--filter" in opts:
+        result = survey_module.filter_result(result, opts["--filter"])
+    if opts.get("--format") == "csv":
+        assert out == emit_table(result.records, "csv")
+    else:
+        assert out == json.dumps(survey_module.survey_to_json(result), indent=2, sort_keys=True) + "\n"
+    if "--max-iterate" in opts:
+        assert sum(r.chaos_iterate is None for r in result.records) == 2
+    if opts.get("--filter") and opts["--k"] == "4":
+        assert result.records == () and '"rows": []' in out
+
+
+def test_survey_row_template_on_edge_values():
+    # an empty period set and a missing chaos iterate, which no survey
+    # at a positive horizon produces together
+    result = classify_all(2, 4, 6, max_iterate=1)
+    odd = dataclasses.replace(result.records[0], periods_present=(), chaos_iterate=None)
+    result = dataclasses.replace(result, records=(odd, *result.records[1:]))
+    expected = json.dumps(survey_module.survey_to_json(result), indent=2, sort_keys=True) + "\n"
+    assert cli_module._survey_json_text(result) == expected
+
+
 def test_survey_unknown_filter_is_parse_error(capsys):
     assert run(["survey", "--n", "3", "--k", "6", "--filter", "nosuch"]) == 2
 
@@ -389,6 +438,32 @@ def test_oracle_uncountable_family_flagged(tmp_path, capsys):
     for payload in payloads:
         validate(payload, schema)
     assert any(p.get("uncountable_family") for p in payloads)
+
+
+@pytest.mark.parametrize(
+    "text,period,lines",
+    [(EX2, 16, 4320), (EX1, 2, 2), ("n=1 k=2; b1: 1", 2, 2)],
+    ids=["example2", "example1", "family"],
+)
+def test_oracle_lines_equal_the_generic_encoder(text, period, lines, tmp_path, capsys):
+    # rows are written from a fixed template; the bytes are those of
+    # json.dumps with sorted keys, which puts the family's flag last
+    path = tmp_path / "p.pat"
+    path.write_text(text + "\n", encoding="utf-8")
+    assert run(["oracle", "--pattern", str(path), "--period", str(period)]) == 0
+    result = plmap_module.oracle_scan(plmap_module.realize(patterns_module.parse_pattern(text)), period)
+    rows = [
+        {
+            "point": certify_module._point_json(w.point),
+            "period": w.period,
+            "on_center_orbit": w.on_center_orbit,
+        }
+        for w in result.witnesses + ((result.family,) if result.family else ())
+    ]
+    if result.family is not None:
+        rows[-1]["uncountable_family"] = True
+    assert capsys.readouterr().out == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    assert len(rows) == lines
 
 
 def test_oracle_bad_period_exits_2(ex1_file, capsys):

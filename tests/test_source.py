@@ -37,6 +37,14 @@ def test_cli_imports_no_runtime_dependency():
     assert runtime is not None and runtime.group(1).strip() == ""
 
 
+def test_cli_import_leaves_process_pools_out():
+    # ``concurrent.futures`` is imported only by a survey with --jobs > 1
+    code = "import sys, stardyn.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
+
+
 def _package_imports(path: Path) -> set[str]:
     """The package modules that one module imports."""
     found = set()

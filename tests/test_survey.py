@@ -186,7 +186,7 @@ def test_survey_row_agrees_with_report(case):
     # the row counts closed walks where the report asks the oracle
     p, p_max, max_iterate = case
     forced = frozenset(forced_periods(1, p.k, p_max))
-    present, chaos, center, nplus2, adjacency = certify_module._survey_row(
+    present, chaos, center, nplus2, adjacency, traces = certify_module._survey_row(
         p, p_max, max_iterate, forced
     )
     report = periodicity_report(p, p_max=p_max, max_iterate=max_iterate)
@@ -195,6 +195,7 @@ def test_survey_row_agrees_with_report(case):
     assert center == isinstance(report.theorem, CenterTheoremCase)
     assert nplus2 == isinstance(report.theorem, NPlus2Case)
     assert adjacency == report.digraph.adjacency
+    assert traces == tuple(certify_module._walk_traces(adjacency, p_max))
 
 
 def test_parallel_jobs_match_serial(survey_3_5):
@@ -467,6 +468,49 @@ def test_digraph_classes_match_brute_force_isomorphism(n, k, all_branches, digra
         expected.append(max(expected, default=-1) + 1 if first is None else expected[first])
     assert [r.digraph_class for r in records] == expected
     assert len(set(expected)) == digraph_classes
+
+
+def _canonical_form_ids(records):
+    """Digraph ids from the canonical form of every class, numbered by
+    first appearance: the classing before invariant keys were added."""
+    ids: dict = {}
+    forms = (survey_module._canonical_form(cover_digraph(r.pattern).adjacency) for r in records)
+    return [ids.setdefault(form, len(ids)) for form in forms]
+
+
+@pytest.mark.parametrize(
+    "n,k,p_max,all_branches,jobs",
+    # many classes merge in the first four shapes and none in the last two;
+    # the 15,120 classes at (2,8) run once, in parallel, to save time
+    [
+        (2, 6, 10, True, (1, 2)),
+        (2, 7, 10, True, (1, 2)),
+        (2, 8, 2, True, (2,)),
+        (3, 6, 10, False, (1, 2)),
+        (3, 7, 10, True, (1, 2)),
+        (4, 8, 3, True, (1, 2)),
+    ],
+    ids=["2-6", "2-7", "2-8-pmax2", "3-6-any-branches", "3-7", "4-8-pmax3"],
+)
+def test_invariant_keys_give_the_canonical_form_ids(n, k, p_max, all_branches, jobs):
+    results = [
+        classify_all(n, k, p_max, max_iterate=1, all_branches=all_branches, jobs=j) for j in jobs
+    ]
+    assert [r.digraph_class for r in results[0].records] == _canonical_form_ids(results[0].records)
+    assert all(result == results[0] for result in results)
+
+
+def test_canonical_form_runs_only_where_keys_collide(monkeypatch):
+    # at (3,7) 36 of the 1,200 classes share a key with an earlier class
+    # or are the earlier class of such a key; none of them merge
+    calls = []
+    original = survey_module._canonical_form
+    monkeypatch.setattr(
+        survey_module, "_canonical_form", lambda adjacency: calls.append(1) or original(adjacency)
+    )
+    result = classify_all(3, 7)
+    assert result.counts.digraph_classes == len(result.records) == 1200
+    assert len(calls) == 36
 
 
 def _nx_graph(adjacency):
