@@ -18,7 +18,6 @@ for the periods the count cannot settle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .orders import forced_periods, sharkovskii_le
 from .patterns import (
@@ -27,6 +26,7 @@ from .patterns import (
     MarkedPoint,
     StarPattern,
     _image,
+    _Record,
     _Tables,
     _tables,
     basic_intervals,
@@ -45,8 +45,7 @@ from .plmap import (
 
 # ---------------------------------------------------------- covering digraph
 
-@dataclass(frozen=True)
-class CoverDigraph:
+class CoverDigraph(_Record):
     """Covering relation restricted to basic intervals: I -> J iff the arc
     between the successor images of I's endpoints contains J."""
 
@@ -168,23 +167,20 @@ def _period_counts(k: int, traces: list[int]) -> dict[int, int]:
 ArcEnds = tuple[MarkedPoint, MarkedPoint]
 
 
-@dataclass(frozen=True)
-class CenterOrbit:
+class CenterOrbit(_Record):
     """The marked orbit itself: the center is periodic with period k."""
 
     period: int
 
 
-@dataclass(frozen=True)
-class ForcedPeriod:
+class ForcedPeriod(_Record):
     """Period forced by the center's period through the interval order."""
 
     period: int
     source_period: int
 
 
-@dataclass(frozen=True)
-class CenterTheoremCase:
+class CenterTheoremCase(_Record):
     """Hypothesis: the third image of the center avoids the closed branch
     of the first.  Conclusion: points of every period, through the verified
     coverings A -> A, A -> B, B -> A with A = [u, v]."""
@@ -199,8 +195,7 @@ class CenterTheoremCase:
         return set(range(1, p_max + 1))
 
 
-@dataclass(frozen=True)
-class NPlus2Case:
+class NPlus2Case(_Record):
     """Orbit of size n+2 revisiting the first branch at the third step.
     Case 1 yields every period >= 2; case 2 yields period 2 and every
     period >= 4, through the verified chain A -> A -> B1 [-> B2 -> B3] -> A
@@ -216,8 +211,7 @@ class NPlus2Case:
         return {q for q in range(2, p_max + 1) if self.case_id == 1 or q != 3}
 
 
-@dataclass(frozen=True)
-class Cascade:
+class Cascade(_Record):
     """A self-loop vertex on a cycle of length m >= 2: closed walks of
     every length >= m exist, hence points of every period >= m."""
 
@@ -229,8 +223,7 @@ class Cascade:
         return set(range(self.m, p_max + 1))
 
 
-@dataclass(frozen=True)
-class Genscramble:
+class Genscramble(_Record):
     """Li-Yorke chaos certificate for the t-th iterate g: an ordered pair
     (u, v) with g(v) < u < v <= g(u) along the arc between their images,
     plus a covering loop B0 = [u, v], ..., Bp containing B0, with B1 inside
@@ -242,15 +235,13 @@ class Genscramble:
     loop: tuple[ArcEnds, ...]
 
 
-@dataclass(frozen=True)
-class OracleWitness:
+class OracleWitness(_Record):
     """An exact periodic point confirming presence."""
 
     witness: PeriodicWitness
 
 
-@dataclass(frozen=True)
-class OracleAbsence:
+class OracleAbsence(_Record):
     """Exhaustive scan found no point of this least period."""
 
     period: int
@@ -423,7 +414,7 @@ def _find_cascade(adjacency: tuple[tuple[int, ...], ...], ends: list[ArcEnds]) -
     if best is None:
         return None
     m, w, cycle = best
-    return Cascade(base=ends[w], cycle=tuple(ends[i] for i in cycle), m=m)
+    return Cascade(ends[w], tuple(ends[i] for i in cycle), m)
 
 
 # ---------------------------------------------------------- chaos search
@@ -616,14 +607,12 @@ def _verify_genscramble(tables: _Tables, cert: Genscramble) -> bool:
 
 # ----------------------------------------------------------------- report
 
-@dataclass(frozen=True)
-class PeriodStatus:
+class PeriodStatus(_Record):
     status: str  # "present" | "absent"
     certificates: tuple[Certificate, ...]
 
 
-@dataclass(frozen=True)
-class PeriodicityReport:
+class PeriodicityReport(_Record):
     pattern: StarPattern
     p_max: int
     max_iterate: int

@@ -27,7 +27,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 
 from .certify import (
@@ -287,7 +286,7 @@ def _survey_json_text(result: SurveyResult) -> str:
     payload's keys, so the payload without rows ends in ``"rows": []``;
     the rows, from the fixed template of ``_record_json``, go between
     those brackets."""
-    text = _json_text(survey_to_json(replace(result, records=())))
+    text = _json_text(survey_to_json(result._replace(records=())))
     if not result.records:
         return text
     rows = ",\n".join(map(_record_json, result.records))

@@ -15,7 +15,111 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from operator import attrgetter, ge, gt, le, lt
+
+_setattr = object.__setattr__
+_MISSING = object()
+
+
+def _ordering(op):
+    """The rich comparison ``op`` of two records of one class, by their
+    shown fields."""
+
+    def compare(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return op(self._key(self), self._key(other))
+
+    return compare
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass declares its fields as annotations in its own body, with
+    optional defaults, in the order its constructor takes them.  Records
+    are built positionally or by keyword, cannot be changed, compare equal
+    only to a record of the same class with equal fields, hash by those
+    fields, print as ``Name(field=value, ...)`` and pickle by their
+    fields.  Class keywords: ``hidden`` names fields left out of ``repr``,
+    ``==`` and the hash; ``order=True`` orders the records of one class
+    by their fields; ``eq=False`` keeps identity equality.  The methods
+    are shared by every subclass and read its field tuples, so defining a
+    record runs no generated code.  A subclass built in bulk may take its
+    fields as named parameters of its own ``__init__``, setting each with
+    ``_setattr``: that skips the shared argument binding.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, hidden=(), order=False, eq=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = fields
+        cls._places = tuple(enumerate(fields))
+        cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+        cls._shown = shown = tuple(name for name in fields if name not in hidden)
+        # a tuple of the shown fields for two or more, the bare value for one
+        cls._key = attrgetter(*shown)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        if order:
+            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_ordering, (lt, le, gt, ge))
+
+    def __init__(self, *args, **kwargs):
+        places = self._places
+        if kwargs or len(args) != len(places):
+            args = self._bind(args, kwargs)
+        for i, name in places:
+            _setattr(self, name, args[i])
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values of a call with keywords, defaults or a wrong
+        number of arguments; TypeError as a function call would raise."""
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = list(args)
+        for field in fields[len(args) :]:
+            value = kwargs.pop(field, _MISSING)
+            if value is _MISSING:
+                value = self._defaults.get(field, _MISSING)
+                if value is _MISSING:
+                    raise TypeError(f"{name}() missing required argument: {field!r}")
+            values.append(value)
+        for key in kwargs:
+            if key in fields:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+        return values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed."""
+        values = {name: getattr(self, name) for name in self._fields}
+        values.update(changes)
+        return type(self)(**values)
+
 
 # A marked point is an orbit index: 0 is the center, 1..k-1 the rest.
 MarkedPoint = int
@@ -47,8 +151,7 @@ class EnumerationCapExceeded(RuntimeError):
     """Pattern enumeration would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
-class StarPattern:
+class StarPattern(_Record):
     """Orbit pattern of the center of an n-od.
 
     ``placements[i-1]`` is the (branch, rank) of orbit point i, with
@@ -116,7 +219,7 @@ def _pattern_from_branches(n: int, k: int, branches) -> StarPattern:
     for b, pts in enumerate(branches, start=1):
         for r, i in enumerate(pts, start=1):
             placements[i - 1] = (b, r)
-    return StarPattern(n=n, k=k, placements=tuple(placements))
+    return StarPattern(n, k, tuple(placements))
 
 
 def _check_index_cover(k: int, branches) -> None:
@@ -341,8 +444,7 @@ def enumerate_patterns(
 
 # ----------------------------------------------------------------- arcs
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(_Record):
     """Ordered arc between two marked points of one pattern.
 
     ``points`` is the full traversal, every marked point met on the way
@@ -419,8 +521,7 @@ def arc_contains(outer: Arc, inner: Arc) -> bool:
     return inner.basic_ids() <= outer.basic_ids()
 
 
-@dataclass(frozen=True)
-class BasicInterval:
+class BasicInterval(_Record):
     """A minimal closed interval between adjacent marked points on one
     branch; ``inner`` is the endpoint closer to the center (possibly the
     center itself)."""
@@ -464,8 +565,7 @@ def _arc_masks(p: StarPattern) -> list[list[int]]:
     return [[x ^ y for y in down] for x in down]
 
 
-@dataclass(frozen=True, eq=False)
-class _Tables:
+class _Tables(_Record, eq=False):
     """The combinatorics of one valid pattern, derived once (``_tables``)
     for every step that reads it.
 
@@ -509,8 +609,7 @@ def _image(rows: list[int], x: int) -> int:
 
 # ---------------------------------------------------------- orbit specs
 
-@dataclass(frozen=True)
-class FiniteOrbitSpec:
+class FiniteOrbitSpec(_Record):
     """A finite invariant cycle that need not contain the center.
 
     Points are 0..k-1.  ``center_point`` names the point that is the

@@ -42,7 +42,6 @@ no periodic points, so the oracle's completeness is unaffected.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
@@ -53,6 +52,8 @@ from .patterns import (
     MarkedPoint,
     StarPattern,
     _image,
+    _Record,
+    _setattr,
     _Tables,
     _tables,
 )
@@ -105,14 +106,17 @@ class InconsistencyError(RuntimeError):
     a property of the pattern."""
 
 
-@dataclass(frozen=True, order=True)
-class RationalPoint:
+class RationalPoint(_Record, order=True):
     """A point of the star: branch index (0 for the center) and exact
     coordinate in rank units.  coordinate 0 is the center and always
     carries branch 0."""
 
     branch: int
     coord: Fraction
+
+    def __init__(self, branch: int, coord: Fraction):
+        _setattr(self, "branch", branch)
+        _setattr(self, "coord", coord)
 
 
 CENTER = RationalPoint(0, Fraction(0))
@@ -125,8 +129,7 @@ def make_point(branch: int, coord: Fraction | int) -> RationalPoint:
     return RationalPoint(branch, c)
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(_Record):
     """One affine piece: [lo, hi] on src maps to slope*t + offset on dst."""
 
     src: int
@@ -137,16 +140,28 @@ class Piece:
     offset: int
 
 
-@dataclass(frozen=True)
-class PeriodicWitness:
+class PeriodicWitness(_Record):
+    """A periodic point with its least period, its itinerary of pieces and
+    whether it lies on the center's orbit.  This record and its point are
+    built once per listed point, so both set their fields in an
+    ``__init__`` of their own, which costs less per record than the shared
+    one of ``_Record``."""
+
     point: RationalPoint
     period: int
     itinerary: tuple[int, ...]
     on_center_orbit: bool
 
+    def __init__(
+        self, point: RationalPoint, period: int, itinerary: tuple[int, ...], on_center_orbit: bool
+    ):
+        _setattr(self, "point", point)
+        _setattr(self, "period", period)
+        _setattr(self, "itinerary", itinerary)
+        _setattr(self, "on_center_orbit", on_center_orbit)
 
-@dataclass(frozen=True)
-class ScanResult:
+
+class ScanResult(_Record):
     """Raw outcome of a cylinder scan for one period.
 
     ``family`` is a representative of an interval of least-period-p points
@@ -161,8 +176,7 @@ class ScanResult:
     complete: bool
 
 
-@dataclass(frozen=True)
-class PLMap:
+class PLMap(_Record, hidden=("images", "successors", "cells", "tables")):
     """The canonical PL realization of a pattern.
 
     ``branch_lengths[b]`` is the number of orbit points on branch b (the
@@ -175,18 +189,17 @@ class PLMap:
     pieces inside it, in increasing order.  ``cells[b][j]`` lists the
     pieces of basic interval [j, j+1] of branch b as (index, numerator,
     denominator of the piece's right end).  ``tables`` is the pattern's
-    table (``patterns._tables``) that the realization is built on.
+    table (``patterns._tables``) that the realization is built on.  These
+    four derived fields are left out of ``repr`` and ``==``.
     """
 
     pattern: StarPattern
     branch_lengths: tuple[int, ...]  # index 0 unused
     pieces: tuple[Piece, ...]
-    images: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
-    successors: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-    cells: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...] = field(
-        repr=False, compare=False
-    )
-    tables: _Tables = field(repr=False, compare=False)
+    images: tuple[tuple[int, int], ...]
+    successors: tuple[tuple[int, ...], ...]
+    cells: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
+    tables: _Tables
 
     def marked_point(self, i: MarkedPoint) -> RationalPoint:
         return _marked_point(self.pattern, i)
@@ -408,8 +421,7 @@ def _listed(m: PLMap, p: int, found) -> tuple[PeriodicWitness, ...]:
 _IDENTITY = "identity"
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(_Record):
     """A maximal interval on which the p-th iterate is a single affine map:
     t in [lo, hi] on branch ``b0`` maps to slope*t + offset on ``branch``."""
 

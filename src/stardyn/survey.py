@@ -18,11 +18,10 @@ order facts, class counts) and reports pass/fail with diffs.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+import os
 
 from .certify import (
     CoverDigraph,
@@ -32,7 +31,7 @@ from .certify import (
     periodicity_report,
 )
 from .orders import forced_periods, sharkovskii_le
-from .patterns import StarPattern, enumerate_patterns, parse_pattern
+from .patterns import StarPattern, _Record, enumerate_patterns, parse_pattern
 
 __all__ = [
     "ClassRecord",
@@ -74,8 +73,7 @@ SURVEY_FILTERS = ("theorem1-inapplicable", "center-theorem-inapplicable")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(_Record):
     """Summary of one branch-relabeling class of patterns.
 
     ``pattern`` is the canonical (lexicographically least) representative.
@@ -104,8 +102,7 @@ class ClassRecord:
         return self.pattern.to_text()
 
 
-@dataclass(frozen=True)
-class SurveyCounts:
+class SurveyCounts(_Record):
     """Class counts at the three equivalence levels."""
 
     raw: int
@@ -113,8 +110,7 @@ class SurveyCounts:
     digraph_classes: int
 
 
-@dataclass(frozen=True)
-class SurveyResult:
+class SurveyResult(_Record):
     """Outcome of :func:`classify_all`: one record per branch class."""
 
     n: int
@@ -232,6 +228,17 @@ def _canonical_form(adjacency: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, 
     return best
 
 
+# classes per task sent to a worker process
+_CHUNK = 8
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def classify_all(
     n: int,
     k: int,
@@ -248,7 +255,9 @@ def classify_all(
     together with class counts at the raw, branch-relabeling, and
     digraph-isomorphism levels.  By default only patterns whose orbit
     meets every branch are surveyed.  ``jobs > 1`` analyzes classes in
-    parallel; the output is identical either way.
+    parallel, in chunks of ``_CHUNK``, with no more worker processes than
+    the CPUs this process may use or the chunks, and serially when that
+    bound is 1; the output is identical either way.
 
     Each class is analyzed once, by ``certify._survey_row``, which
     validates the pattern and derives its tables once, into a compact
@@ -273,11 +282,12 @@ def classify_all(
     reps = enumerate_patterns(n, k, all_branches=all_branches)
     forced = frozenset(forced_periods(1, k, p_max))
     args = (reps, [p_max] * len(reps), [max_iterate] * len(reps), [forced] * len(reps))
-    if jobs > 1 and len(reps) > 1:
+    workers = min(jobs, _usable_cpus(), -(-len(reps) // _CHUNK))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_survey_row, *args, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_survey_row, *args, chunksize=_CHUNK))
     else:
         rows = list(map(_survey_row, *args))
 
@@ -297,18 +307,9 @@ def classify_all(
             digraph_id = forms.setdefault(_canonical_form(adjacency), classes)
         if digraph_id == classes:
             classes += 1
+        tail = tail_tag(set(present), p_max)
         records.append(
-            ClassRecord(
-                pattern=p,
-                branch_class=idx,
-                digraph_class=digraph_id,
-                class_size=_class_size(p),
-                center_theorem=center,
-                nplus2=nplus2,
-                periods_present=present,
-                tail=tail_tag(set(present), p_max),
-                chaos_iterate=chaos,
-            )
+            ClassRecord(p, idx, digraph_id, _class_size(p), center, nplus2, present, tail, chaos)
         )
     return SurveyResult(n, k, p_max, max_iterate, tuple(records), _counts(records))
 
@@ -325,7 +326,7 @@ def filter_result(result: SurveyResult, name: str) -> SurveyResult:
     if name not in SURVEY_FILTERS:
         raise ValueError(f"unknown survey filter: {name!r} (expected one of {SURVEY_FILTERS})")
     kept = tuple(r for r in result.records if not r.center_theorem)
-    return replace(result, records=kept, counts=_counts(kept))
+    return result._replace(records=kept, counts=_counts(kept))
 
 
 def _counts(records: tuple[ClassRecord, ...] | list[ClassRecord]) -> SurveyCounts:
@@ -370,6 +371,8 @@ def emit_table(records: list[ClassRecord] | tuple[ClassRecord, ...], format: str
         payload = {"columns": list(TABLE_COLUMNS), "rows": rows}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(TABLE_COLUMNS)
@@ -402,6 +405,8 @@ def parse_table(text: str, format: str = "json") -> list[list]:
             raise ValueError("table columns do not match the published layout")
         return [list(row) for row in payload["rows"]]
     if format == "csv":
+        import csv
+
         reader = csv.reader(io.StringIO(text))
         header = next(reader)
         if header != list(TABLE_COLUMNS):
@@ -446,15 +451,13 @@ def survey_to_json(result: SurveyResult) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ReferenceReport:
+class ReferenceReport(_Record):
     checks: tuple[CheckResult, ...]
 
     @property

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -372,8 +371,8 @@ def test_survey_row_template_on_edge_values():
     # an empty period set and a missing chaos iterate, which no survey
     # at a positive horizon produces together
     result = classify_all(2, 4, 6, max_iterate=1)
-    odd = dataclasses.replace(result.records[0], periods_present=(), chaos_iterate=None)
-    result = dataclasses.replace(result, records=(odd, *result.records[1:]))
+    odd = result.records[0]._replace(periods_present=(), chaos_iterate=None)
+    result = result._replace(records=(odd, *result.records[1:]))
     expected = json.dumps(survey_module.survey_to_json(result), indent=2, sort_keys=True) + "\n"
     assert cli_module._survey_json_text(result) == expected
 
@@ -580,12 +579,13 @@ def test_jobs_flag_does_not_change_output(capsys, monkeypatch):
     assert run(["survey", "--n", "3", "--k", "5", "--jobs", "3"]) == 0
     assert capsys.readouterr().out == serial
     # errors raised in worker processes read the same as in-process ones;
-    # (2, 4) still scans period 8, a multiple of k
-    monkeypatch.setenv("STARDYN_CYLINDER_CAP", "50")
-    message = "stardyn: resource cap exceeded: cylinder cap 50 exceeded\n"
-    assert run(["survey", "--n", "2", "--k", "4", "--jobs", "1"]) == 3
+    # (2, 5) still scans period 10, a multiple of k, and its 36 classes
+    # make more than one chunk, so --jobs 2 starts a pool
+    monkeypatch.setenv("STARDYN_CYLINDER_CAP", "10")
+    message = "stardyn: resource cap exceeded: cylinder cap 10 exceeded\n"
+    assert run(["survey", "--n", "2", "--k", "5", "--jobs", "1"]) == 3
     assert capsys.readouterr().err == message
-    assert run(["survey", "--n", "2", "--k", "4", "--jobs", "2"]) == 3
+    assert run(["survey", "--n", "2", "--k", "5", "--jobs", "2"]) == 3
     assert capsys.readouterr().err == message
 
 

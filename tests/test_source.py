@@ -38,11 +38,36 @@ def test_cli_imports_no_runtime_dependency():
 
 
 def test_cli_import_leaves_process_pools_out():
-    # ``concurrent.futures`` is imported only by a survey with --jobs > 1
-    code = "import sys, stardyn.cli; print('concurrent.futures' in sys.modules)"
+    # every CLI call pays for its imports: ``concurrent.futures`` is imported
+    # only by a survey with --jobs > 1, ``csv`` only by a CSV table, and
+    # nothing loads ``dataclasses`` or the ``inspect`` it pulls in
+    unwanted = ["concurrent.futures", "dataclasses", "inspect", "csv"]
+    code = f"import sys, stardyn.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+
+
+BUILDERS = ("exec", "eval", "compile")
+
+
+def test_package_generates_no_code():
+    # records come from ``patterns._Record``, which runs no generated code:
+    # no module imports ``dataclasses`` or calls exec, eval or compile
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                found.append(f"{path.name}:{node.lineno} imports dataclasses")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in BUILDERS:
+                found.append(f"{path.name}:{node.lineno} calls {node.func.id}")
+    assert found == []
 
 
 def _package_imports(path: Path) -> set[str]:

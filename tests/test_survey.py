@@ -204,6 +204,49 @@ def test_parallel_jobs_match_serial(survey_3_5):
     assert emit_table(par.records, "json") == emit_table(survey_3_5.records, "json")
 
 
+class _SerialPool:
+    """A stand-in for ProcessPoolExecutor that records its size and maps
+    in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "n,k,jobs,cpus,workers",
+    # 12 classes are 2 chunks of 8; 120 classes are 15
+    [
+        (3, 5, 100_000, 64, 2),
+        (3, 6, 100_000, 4, 4),
+        (3, 6, 3, 64, 3),
+        (3, 6, 2, 1, None),
+        (3, 4, 8, 8, None),
+    ],
+)
+def test_jobs_bound_the_pool(n, k, jobs, cpus, workers, monkeypatch):
+    # the pool gets min(jobs, usable CPUs, chunks) workers, and none at all
+    # when that is 1; no process is started here
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(survey_module, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    result = classify_all(n, k, 6, jobs=jobs)
+    assert _SerialPool.sizes == ([] if workers is None else [workers])
+    assert result == classify_all(n, k, 6)
+
+
 def test_classify_deterministic_bytes(survey_3_5):
     again = classify_all(3, 5, 10)
     assert emit_table(again.records, "json") == emit_table(survey_3_5.records, "json")
