@@ -633,22 +633,25 @@ class PeriodicityReport(_Record):
 
 
 def _claims(
-    tables: _Tables, theorem: CenterTheoremCase | NPlus2Case | None,
+    k: int, theorem: CenterTheoremCase | NPlus2Case | None, cascade: Cascade | None,
+    forced: frozenset[int], q: int,
+) -> list[Certificate]:
+    """The structural certificates claiming period q."""
+    own = [CenterOrbit(k)] if q == k else [ForcedPeriod(q, k)] if q in forced else []
+    return own + [c for c in (theorem, cascade) if c is not None and q in c.claimed_periods(q)]
+
+
+def _claimed(
+    k: int, theorem: CenterTheoremCase | NPlus2Case | None, cascade: Cascade | None,
     forced: frozenset[int], p_max: int,
-) -> dict[int, list[Certificate]]:
-    """The structural certificates claiming each period up to p_max."""
-    p = tables.pattern
-    claims: dict[int, list[Certificate]] = {q: [] for q in range(1, p_max + 1)}
-    if p.k <= p_max:
-        claims[p.k].append(CenterOrbit(p.k))
-    for q in sorted(forced):
-        if q != p.k and q <= p_max:
-            claims[q].append(ForcedPeriod(q, p.k))
-    for cert in (theorem, _find_cascade(tables.adjacency, tables.ends)):
+) -> set[int]:
+    """The periods up to p_max that ``_claims`` finds a certificate for,
+    without building one."""
+    claimed = {q for q in forced | {k} if q <= p_max}
+    for cert in (theorem, cascade):
         if cert is not None:
-            for q in sorted(cert.claimed_periods(p_max)):
-                claims[q].append(cert)
-    return claims
+            claimed |= cert.claimed_periods(p_max)
+    return claimed
 
 
 def _oracle_status(m: PLMap, q: int, claims: list[Certificate], closing) -> PeriodStatus:
@@ -680,25 +683,31 @@ def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[
     ``periodicity_report``.  The realization is built only when such a
     multiple is in range, and then the tables are its own
     (``PLMap.tables``); otherwise they come from ``_tables``.  A claimed
-    period that counts 0 raises InconsistencyError."""
+    period that counts 0 raises InconsistencyError.  The claimed periods
+    are a set of ints (``_claimed``); certificate records are built only
+    to name them in that error and for the oracle's periods."""
     m = realize(p) if 2 * p.k <= p_max else None
     tables = m.tables if m else _tables(p)
     closing = _closing(m, p_max - 1) if m else None
     theorem = _theorem(tables)
-    claims = _claims(tables, theorem, forced, p_max)
+    cascade = _find_cascade(tables.adjacency, tables.ends)
+    claimed = _claimed(p.k, theorem, cascade, forced, p_max)
     traces = _walk_traces(tables.adjacency, p_max)
     counts = _period_counts(p.k, traces)
     present = []
     for q in range(1, p_max + 1):
         if q in counts:
-            if claims[q] and not counts[q]:
+            if q in claimed and not counts[q]:
+                claims = _claims(p.k, theorem, cascade, forced, q)
                 raise InconsistencyError(
-                    f"{p.to_text()}: certificates {claims[q]!r} claim period {q} but "
+                    f"{p.to_text()}: certificates {claims!r} claim period {q} but "
                     f"the closed-walk count finds no such point — this is a bug"
                 )
             found = counts[q] > 0
         else:
-            found = q == p.k or _oracle_status(m, q, claims[q], closing).status == "present"
+            found = q == p.k or _oracle_status(
+                m, q, _claims(p.k, theorem, cascade, forced, q), closing
+            ).status == "present"
         if found:
             present.append(q)
     chaos = _find_genscramble(tables, theorem, max_iterate)
@@ -733,14 +742,14 @@ def periodicity_report(
     g = _digraph(tables)
     forced = frozenset(forced_periods(1, p.k, p_max))
     theorem = _theorem(tables)
-    claims = _claims(tables, theorem, forced, p_max)
+    cascade = _find_cascade(tables.adjacency, tables.ends)
     traces = _walk_traces(g.adjacency, p_max)
     counts = _period_counts(p.k, traces)
     closing = _closing(m, p_max - 1)
 
     periods: dict[int, PeriodStatus] = {}
     for q in range(1, p_max + 1):
-        periods[q] = _oracle_status(m, q, claims[q], closing)
+        periods[q] = _oracle_status(m, q, _claims(p.k, theorem, cascade, forced, q), closing)
         if q in counts and (counts[q] > 0) != (periods[q].status == "present"):
             raise InconsistencyError(
                 f"{p.to_text()}: the closed-walk count gives {counts[q]} points of "

@@ -214,11 +214,13 @@ class StarPattern(_Record):
         }
 
 
-def _pattern_from_branches(n: int, k: int, branches) -> StarPattern:
+def _pattern_from_branches(n: int, k: int, branches, pairs=None) -> StarPattern:
+    """The pattern of per-branch index tuples; ``pairs[b][r]``, when given,
+    is the (b, r) tuple to place, shared by every pattern built from it."""
     placements: list[tuple[int, int]] = [(0, 0)] * (k - 1)
     for b, pts in enumerate(branches, start=1):
         for r, i in enumerate(pts, start=1):
-            placements[i - 1] = (b, r)
+            placements[i - 1] = pairs[b][r] if pairs else (b, r)
     return StarPattern(n, k, tuple(placements))
 
 
@@ -426,7 +428,9 @@ def enumerate_patterns(
     branch sequences, so the representatives are generated directly
     (orderly generation): every set of j nonempty sequences covering
     1..k-1, for j = n under ``all_branches`` and j = 1..n otherwise,
-    sorted, behind n-j empty branches.  No raw pattern is visited.
+    sorted, behind n-j empty branches.  No raw pattern is visited.  The
+    placements of every representative share one table of the n(k-1)
+    (branch, rank) pairs.
 
     Raises EnumerationCapExceeded, before generating anything, if more
     than ``cap`` raw patterns have the shape (``_raw_pattern_count``).
@@ -439,7 +443,8 @@ def enumerate_patterns(
     reps = sorted(
         ((),) * (n - len(seqs)) + seqs for seqs in _sequence_sets(k - 1, fewest, n)
     )
-    return [_pattern_from_branches(n, k, brs) for brs in reps]
+    pairs = [[(b, r) for r in range(k)] for b in range(n + 1)]
+    return [_pattern_from_branches(n, k, brs, pairs) for brs in reps]
 
 
 # ----------------------------------------------------------------- arcs

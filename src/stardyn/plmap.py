@@ -26,13 +26,23 @@ period p iff no proper divisor j of p returns it, which the scan decides
 by replaying those prefixes in integers over x's denominator.  Points are
 deduplicated and sorted in integers, and a ``Fraction`` is built only for
 a listed point.  Evaluating an arbitrary point locates its piece in
-integers by a per-branch table indexed by basic interval.  A walk's fixed
-point lies both in the basic interval of its first piece and in the image
-of its last, so a walk can close only if that image meets that interval
-on the same branch or, for an interval at the center, holds the center.
-The oracle skips every subtree in which no walk can close, but counts its
-walks and nodes, so cylinder counts and the cap are those of the full
-tree.
+integers by a per-branch table indexed by basic interval.
+
+A walk's cylinder lies in the basic interval [j, j+1] of its first piece
+and maps bijectively onto the integer image [ilo, ihi] of its last.  A
+fixed point off the integers therefore lies inside both, so the image is
+on the same branch and contains [j, j+1]; conversely such a walk always
+has a fixed point, as its cylinder maps onto a superset of itself.  A walk
+whose image only touches [j, j+1] at an end, or only holds the center, can
+fix only an integer point, and every integer point is a marked point, of
+least period k.  An identity cylinder equals its image, which is then
+[j, j+1].  So at every period but k the oracle walks only into subtrees
+where some walk's image covers its first interval, and every walk it
+solves has a fixed point.  At period k, where the marked points are
+listed, it keeps the looser rule: the image meets [j, j+1] on the same
+branch or, for an interval at the center, holds the center.  The oracle
+counts the walks and nodes of every subtree it skips, so cylinder counts
+and the cap are those of the full tree.
 
 Patterns may leave branches empty; those are not realized.  A continuous
 extension constant equal to f(center) exists on an empty branch and adds
@@ -167,7 +177,7 @@ class ScanResult(_Record):
     ``family`` is a representative of an interval of least-period-p points
     when one exists (the scan stops there and ``complete`` is False).
     ``cylinders`` counts every walk of the full tree up to where the scan
-    stopped, the skipped walks that cannot close included.
+    stopped, the walks the oracle skips included.
     """
 
     witnesses: tuple[PeriodicWitness, ...]
@@ -442,9 +452,12 @@ def _walks(m: PLMap, p: int, cap: int | None, steps=None, starts=None, closing=N
     counts the walks of the full tree up to this one.  A walk starts at one
     of the pieces ``starts`` (default: every piece), and its piece i+1 is
     one of ``steps[i][piece i]`` (default: ``m.successors``).  With the
-    oracle's ``_closing`` tables it skips each subtree in which no walk can
-    close, as such walks have no fixed point.  Every node of the full tree
-    counts toward the cap: a skipped subtree's all at once, at its root."""
+    oracle's ``_closing`` tables it skips each subtree in which no walk's
+    last image covers the basic interval of its first piece (at p = k: meets
+    it, or holds the center), as such walks fix no point of least period p
+    but the marked points (see the module docstring).  Every node of the
+    full tree counts toward the cap: a skipped subtree's all at once, at its
+    root."""
     if p < 1:
         raise ValueError("period must be positive")
     limit = cylinder_cap(cap)
@@ -454,7 +467,7 @@ def _walks(m: PLMap, p: int, cap: int | None, steps=None, starts=None, closing=N
     path = [0] * p
     for first in range(len(pieces)) if starts is None else starts:
         q = pieces[first]
-        alive = closing[0][first] if closing else None
+        alive = closing[3 if p == m.pattern.k else 0][first] if closing else None
         stack = [(end, q.slope, q.offset, first)]  # r, the steps left, first
         while stack:
             r, s, d, last = stack.pop()
@@ -478,22 +491,39 @@ def _walks(m: PLMap, p: int, cap: int | None, steps=None, starts=None, closing=N
 def _closing(m: PLMap, depth: int):
     """The oracle's skip tables for walks of up to depth + 1 pieces, by the
     steps left r: bit x of ``alive[first][r]`` is set when r steps from piece
-    x can end at a piece that closes a walk from piece ``first`` (see the
-    module docstring); ``leaves[r][x]`` and ``nodes[r][x]`` count the walks
-    and the tree nodes below x."""
+    x can end at a piece whose image, on the branch of piece ``first``,
+    contains its basic interval [j, j+1]; ``touch[first][r]`` is the same
+    for an image that meets [j, j+1] on that branch or, for j = 0, holds the
+    center.  Only walks of length k use ``touch``, to find the marked points
+    (see the module docstring), so it is built to r = k - 1, and only when
+    k <= depth + 1.  The pieces of one basic interval share both tables.
+    ``leaves[r][x]`` and ``nodes[r][x]`` count the walks and the tree nodes
+    below x.  Returns (alive, leaves, nodes, touch)."""
     succ = [(2 << ys[-1]) - (1 << ys[0]) for ys in m.successors]  # each a run of indices
-    alive, leaves, nodes = [], [[1] * len(succ)], [[1] * len(succ)]
-    for first in m.pieces:
-        b0, j = first.src, int(first.lo)  # on basic interval [j, j+1] of branch b0
-        masks = [sum(1 << y for y, (q, (ilo, ihi)) in enumerate(zip(m.pieces, m.images))
-                     if q.dst == b0 and ilo <= j + 1 and ihi >= j or j == ilo == 0)]
-        while len(masks) <= depth:
-            masks.append(sum(1 << x for x, nxt in enumerate(succ) if nxt & masks[-1]))
-        alive.append(masks)
+
+    def reach(mask, r):
+        masks = [mask]
+        while len(masks) <= r:
+            if len(masks) > 2 and masks[-1] == masks[-3]:  # they alternate from here on
+                masks.append(masks[-2])
+            else:
+                masks.append(sum(1 << x for x, nxt in enumerate(succ) if nxt & masks[-1]))
+        return masks
+
+    alive, touch, ends = [], [], list(enumerate(zip(m.pieces, m.images)))
+    for b0, row in enumerate(m.cells):  # pieces run in cell order
+        for j, cell in enumerate(row):
+            covers = sum(1 << y for y, (q, (ilo, ihi)) in ends if q.dst == b0 and ilo <= j < ihi)
+            alive += [reach(covers, depth)] * len(cell)
+            if m.pattern.k <= depth + 1:
+                meets = sum(1 << y for y, (q, (ilo, ihi)) in ends
+                            if q.dst == b0 and ilo <= j + 1 and ihi >= j or j == ilo == 0)
+                touch += [reach(meets, m.pattern.k - 1)] * len(cell)
+    leaves, nodes = [[1] * len(succ)], [[1] * len(succ)]
     for _ in range(depth):
         leaves.append([sum(leaves[-1][y] for y in ys) for ys in m.successors])
         nodes.append([n + w for n, w in zip(nodes[-1], leaves[-1])])
-    return alive, leaves, nodes
+    return alive, leaves, nodes, touch
 
 
 def _domain(m: PLMap, s: int, d: int, last: int) -> tuple[Fraction, Fraction]:
@@ -549,8 +579,14 @@ def oracle_scan(
     Finds every point of least period exactly p.  When an iterate is the
     identity on a nondegenerate cylinder the family is uncountable; the
     scan then reports one representative and flags the result incomplete.
-    Walks that cannot close are skipped but count toward ``cylinders``
-    and the cap; ``closing`` reuses ``_closing`` tables across periods.
+    At p != k it solves only the walks whose last image covers the basic
+    interval of their first piece.  Each of them has a fixed point, and
+    they include every walk with a fixed point off the integers or an
+    identity cylinder: any other walk fixes at most a marked point, of
+    least period k (see the module docstring).  At p = k it also solves
+    those whose image meets that interval or holds the center.  Skipped walks count toward
+    ``cylinders`` and the cap; ``closing`` reuses ``_closing`` tables
+    across periods.
 
     The scan stays in integers until it lists a point.  A fixed point x
     lies in its walk's cylinder, so f^j(x) is the composite of the walk's

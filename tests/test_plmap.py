@@ -475,23 +475,66 @@ def test_walk_scan_matches_fraction_reference_on_examples(m1, m2):
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_skip_keeps_every_walk_with_a_fixed_point(k):
     # enumerate_patterns(3, k) holds every class with at most three occupied
-    # branches.  Every walk of the full tree (the stream of iter_cylinders)
-    # with a fixed point must pass the oracle's skip test at each of its
-    # pieces, with the steps left after that piece.
+    # branches.  One pass over every walk of the full tree (the stream of
+    # iter_cylinders) checks both skip tables at each piece of a walk, with
+    # the steps left after that piece.  The loose table, which period k
+    # uses and which reaches depth k - 1, must pass every walk with a fixed
+    # point; the strict one every walk whose fixed point has least period
+    # q != k, and every identity cylinder.
+    strict = 0
     for m in realized_classes(3, k):
-        alive = _closing(m, 2 * k - 1)[0]
+        alive, _, _, touch = _closing(m, 2 * k - 1)
         for q in range(1, 2 * k + 1):
             for b0, s, d, last, path, _ in _walks(m, q, None):
-                if _fixed_point(m, b0, s, d, last) is not None:
+                t = _fixed_point(m, b0, s, d, last)
+                if t is None:
+                    continue
+                if q <= k:
+                    row = touch[path[0]]
+                    assert all(row[q - 1 - i] >> x & 1 for i, x in enumerate(path)), (
+                        m.pattern.to_text(), q, path
+                    )
+                if t is plmap_module._IDENTITY or q != k and plmap_module._least_period_on_walk(
+                    m, path, b0, *t
+                ):
+                    strict += 1
                     row = alive[path[0]]
                     assert all(row[q - 1 - i] >> x & 1 for i, x in enumerate(path)), (
                         m.pattern.to_text(), q, path
                     )
+    assert strict > 0
 
 
-def test_skip_cuts_the_fixed_point_solves_of_example2(monkeypatch):
-    # up to where they stop, the report's 18 scans pass 31,848 walks (their
-    # ``cylinders``); the oracle solves only the walks that can close
+def _expanded_walks_have_fixed_points(m, pmax, cap=None):
+    """At every period q <= pmax but k, every walk the oracle's skip tables
+    let through has a fixed point; stops at the cap.  Returns how many
+    walks it checked."""
+    closing, checked = _closing(m, pmax - 1), 0
+    for q in range(1, pmax + 1):
+        if q == m.pattern.k:
+            continue
+        try:
+            for b0, s, d, last, path, _ in _walks(m, q, cap, closing=closing):
+                assert _fixed_point(m, b0, s, d, last) is not None, (m.pattern.to_text(), q, path)
+                checked += 1
+        except CylinderCapExceeded:
+            break
+    return checked
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_skip_expands_only_walks_with_a_fixed_point(k):
+    assert sum(_expanded_walks_have_fixed_points(m, 2 * k) for m in realized_classes(3, k)) > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 5), st.integers(2, 8))
+def test_skip_expands_only_walks_with_a_fixed_point_on_random_patterns(rng, n, k):
+    _expanded_walks_have_fixed_points(realize(random_pattern(rng, n, k)), 8, cap=2000)
+
+
+def _fixed_point_solves(monkeypatch, text, p_max):
+    """How many walks ``periodicity_report(text, p_max)`` solves."""
     calls = 0
     solve = plmap_module._fixed_point
 
@@ -501,8 +544,21 @@ def test_skip_cuts_the_fixed_point_solves_of_example2(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(plmap_module, "_fixed_point", counted)
-    periodicity_report(parse_pattern(EX2), 18)
-    assert calls == 14_145
+    periodicity_report(parse_pattern(text), p_max)
+    return calls
+
+
+def test_skip_cuts_the_fixed_point_solves_of_example2(monkeypatch):
+    # up to where they stop, the report's 18 scans pass 31,848 walks (their
+    # ``cylinders``); the oracle solves only the walks whose last image
+    # covers their first interval, and at q = 6 those that meet it
+    assert _fixed_point_solves(monkeypatch, EX2, 18) == 26
+
+
+def test_skip_cuts_the_fixed_point_solves_of_a_relabeled_example2(monkeypatch):
+    # the same pattern with branches 1 and 2 swapped solves one walk a
+    # period, but three at q = 6
+    assert _fixed_point_solves(monkeypatch, "n=3 k=6; b1: 2; b2: 1 3 5; b3: 4", 18) == 20
 
 
 def _least_period_rule_outcomes(m, pmax, cap=None):

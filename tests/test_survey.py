@@ -671,6 +671,41 @@ def test_classify_all_raises_when_a_claimed_period_counts_zero(monkeypatch):
         classify_all(3, 5)
 
 
+def test_classify_all_builds_no_forced_period_or_center_orbit(monkeypatch):
+    # a survey row decides the claimed periods as ints; below 2k it never
+    # asks the oracle, so no record of a forced period or the center's
+    # orbit is built, while a report builds both
+    built = []
+    for cls in (certify_module.ForcedPeriod, certify_module.CenterOrbit):
+
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    classify_all(3, 6)
+    assert built == []
+    periodicity_report(parse_pattern(EX2), 10)
+    assert set(built) == {"ForcedPeriod", "CenterOrbit"}
+
+
+@pytest.mark.parametrize("n,k", [(3, 4), (3, 5), (3, 6), (2, 7)])
+def test_claimed_periods_are_those_with_a_certificate(n, k):
+    # the survey's int set and the report's records name the same periods
+    p_max = 2 * k + 1
+    forced = frozenset(forced_periods(1, k, p_max))
+    for p in patterns_module.enumerate_patterns(n, k):
+        tables = patterns_module._tables(p)
+        theorem = certify_module._theorem(tables)
+        cascade = certify_module._find_cascade(tables.adjacency, tables.ends)
+        claims = {
+            q: certify_module._claims(k, theorem, cascade, forced, q) for q in range(1, p_max + 1)
+        }
+        assert certify_module._claimed(k, theorem, cascade, forced, p_max) == {
+            q for q, certs in claims.items() if certs
+        }, p.to_text()
+
+
 @pytest.mark.parametrize(
     "name,fault,message",
     [
