@@ -83,7 +83,6 @@ from .plmap import (
     ScanResult,
     UncountablePeriodicSet,
     first_witness,
-    iter_cylinders,
     loop_point,
     make_point,
     oracle_scan,
@@ -100,7 +99,6 @@ from .survey import (
     classify_all,
     emit_table,
     filter_result,
-    parse_table,
     survey_to_json,
     tail_tag,
     verify_paper,
@@ -144,7 +142,6 @@ __all__ = [
     "ScanResult",
     "UncountablePeriodicSet",
     "first_witness",
-    "iter_cylinders",
     "loop_point",
     "make_point",
     "oracle_scan",
@@ -189,7 +186,6 @@ __all__ = [
     "classify_all",
     "emit_table",
     "filter_result",
-    "parse_table",
     "survey_to_json",
     "tail_tag",
     "verify_paper",

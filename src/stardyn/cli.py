@@ -9,15 +9,15 @@ orders        query the period-forcing orders
 oracle        exact periodic points of the canonical realization
 verify-paper  recompute all quoted reference facts and report pass/fail
 
-Exit codes: 0 success, 1 analysis inconsistency (a certified claim and the
-exact oracle disagree, or a reference check fails), 2 usage error, 3
-resource cap exceeded.  Usage errors print a synopsis to stderr and
-produce no partial output.  Identical inputs yield byte-identical output;
-``--out`` writes atomically (temp file + rename).  The environment
-variable ``STARDYN_CYLINDER_CAP`` overrides the oracle's subdivision cap.
-A survey decides every period that the orbit size k does not divide by
-counting closed walks, and scans only the multiples of k above k, so in
-a survey the cap bounds only those scans.
+Exit codes: 0 success, 1 analysis inconsistency (a certified claim or a
+walk count and the exact oracle disagree, or a reference check fails), 2
+usage error, 3 resource cap exceeded.  Usage errors print a synopsis to
+stderr and produce no partial output.  Identical inputs yield
+byte-identical output; ``--out`` writes atomically (temp file + rename).
+The environment variable ``STARDYN_CYLINDER_CAP`` overrides the oracle's
+subdivision cap.  A survey decides every period that the orbit size k
+does not divide by counting closed walks, and scans only the multiples of
+k above k, so in a survey the cap bounds only those scans.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from json.encoder import encode_basestring_ascii
 
 from .certify import (
     InconsistencyError,
+    _period_counts,
+    _walk_traces,
     cover_digraph,
     periodicity_report,
     render_dot,
@@ -366,7 +368,14 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[Outputs, int]:
     p = _load_pattern(args.pattern)
     with _pattern_file(args.pattern):
         m = realize(p)
-    result = oracle_scan(m, args.period)
+    q, result = args.period, oracle_scan(m, args.period)
+    # a complete listing at a period k does not divide is counted a second way
+    counts = _period_counts(p.k, _walk_traces(m.tables.adjacency, q)) if result.complete else {}
+    if counts.get(q, len(result.witnesses)) != len(result.witnesses):
+        raise InconsistencyError(
+            f"{p.to_text()}: the closed-walk count gives {counts[q]} points of period "
+            f"{q} but the exact oracle lists {len(result.witnesses)} — this is a bug"
+        )
     rows = [_witness_line(w) for w in result.witnesses]
     if result.family is not None:
         rows.append(_witness_line(result.family, ', "uncountable_family": true'))

@@ -44,6 +44,22 @@ branch or, for an interval at the center, holds the center.  The oracle
 counts the walks and nodes of every subtree it skips, so cylinder counts
 and the cap are those of the full tree.
 
+A full listing at a period p != k solves one walk per orbit.  A point of
+least period p != k lies on no piece end (marked points have period k,
+and split points map to the center, so are not periodic).  So it has
+exactly one walk, the other points of its orbit have that walk's
+rotations, and the walk is aperiodic, as a walk u^j fixes only a point of
+period len(u).  Exactly one rotation is a Lyndon word (the edge shift's
+orbits are its primitive necklaces), so the scan solves the Lyndon walks
+alone and replays each orbit in integers; an integer fixed point is a
+marked point.  No Lyndon walk has an identity cylinder.  Its composite
+slope is +1, so every piece has slope +-1 and is a whole basic interval
+mapped onto one: the cylinder is a basic interval I0 whose two ends, both
+marked points, f^p fixes, so k | p.  Then f^k maps I0 onto itself fixing
+its ends, so it is the identity there, and the walk is u^(p/k) for the
+walk u of its first k pieces, which is not Lyndon at p != k.
+``first_witness`` and period k keep the walk-by-walk scan.
+
 Patterns may leave branches empty; those are not realized.  A continuous
 extension constant equal to f(center) exists on an empty branch and adds
 no periodic points, so the oracle's completeness is unaffected.
@@ -53,8 +69,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import cmp_to_key
-from math import gcd
+from math import gcd, lcm
 
 from .patterns import (
     CENTER_INDEX,
@@ -366,10 +381,6 @@ def cylinder_cap(cap: int | None = None) -> int:
     return value
 
 
-def _proper_divisors(p: int) -> list[int]:
-    return [d for d in range(1, p) if p % d == 0]
-
-
 def _on_center_orbit(m: PLMap, b: int, num: int, den: int) -> bool:
     """Whether the point num/den (reduced) on branch b is a marked point."""
     return not num or den == 1 and (b, num) in m.pattern.placements
@@ -407,11 +418,11 @@ def _least_period_on_walk(m: PLMap, path, b0: int, num: int, den: int) -> bool:
     return True
 
 
-def _compare(x, y) -> int:
-    """The (branch, coordinate) order of two points given as (branch,
-    numerator, denominator, ...) with positive denominators, by integer
-    cross-multiplication."""
-    return x[0] - y[0] or x[1] * y[2] - y[1] * x[2]
+def _sorted(found):
+    """Entries (branch, numerator, denominator > 0, ...) in (branch, coordinate)
+    order, by the integer num * (c // den) over the lcm c of the denominators."""
+    c = lcm(*(e[2] for e in found))
+    return sorted(found, key=lambda e: (e[0], e[1] * (c // e[2])))
 
 
 def _listed(m: PLMap, p: int, found) -> tuple[PeriodicWitness, ...]:
@@ -431,20 +442,7 @@ def _listed(m: PLMap, p: int, found) -> tuple[PeriodicWitness, ...]:
 _IDENTITY = "identity"
 
 
-class Cylinder(_Record):
-    """A maximal interval on which the p-th iterate is a single affine map:
-    t in [lo, hi] on branch ``b0`` maps to slope*t + offset on ``branch``."""
-
-    b0: int
-    lo: Fraction
-    hi: Fraction
-    slope: int
-    offset: int
-    branch: int
-    itinerary: tuple[int, ...]
-
-
-def _walks(m: PLMap, p: int, cap: int | None, steps=None, starts=None, closing=None):
+def _walks(m: PLMap, p: int, cap, steps=None, starts=None, closing=None, lyndon=False):
     """Depth-first stream of the walks of length p in the piece graph, as
     (b0, slope, offset, last piece, path, leaves): the walk's cylinder on
     branch b0 maps by t -> slope*t + offset onto the image of its last
@@ -457,20 +455,30 @@ def _walks(m: PLMap, p: int, cap: int | None, steps=None, starts=None, closing=N
     it, or holds the center), as such walks fix no point of least period p
     but the marked points (see the module docstring).  Every node of the
     full tree counts toward the cap: a skipped subtree's all at once, at its
-    root."""
+    root.
+
+    With ``lyndon`` (and the tables) it yields only the walks whose pieces
+    form a Lyndon word, less in index order than each proper rotation.  It
+    expands only prefixes of those (Duval; Fredricksen-Kessler-Maiorana):
+    with ``per`` the length of the longest Lyndon prefix, piece i is at
+    least piece i - per, and a greater one makes per = i + 1; a word is
+    Lyndon iff per is its length.  The cap then counts the full tree at
+    the outset."""
     if p < 1:
         raise ValueError("period must be positive")
     limit = cylinder_cap(cap)
     pieces, end = m.pieces, p - 1
     steps = steps or (m.successors,) * end
     count = leaves = 0
+    if lyndon and sum(closing[2][end]) > limit:
+        raise CylinderCapExceeded(limit)
     path = [0] * p
     for first in range(len(pieces)) if starts is None else starts:
         q = pieces[first]
         alive = closing[3 if p == m.pattern.k else 0][first] if closing else None
-        stack = [(end, q.slope, q.offset, first)]  # r, the steps left, first
+        stack = [(end, q.slope, q.offset, first, 1)]  # r, the steps left; per
         while stack:
-            r, s, d, last = stack.pop()
+            r, s, d, last, per = stack.pop()
             skip = alive and not alive[r] >> last & 1
             count += closing[2][r][last] if skip else 1
             if count > limit:
@@ -478,14 +486,19 @@ def _walks(m: PLMap, p: int, cap: int | None, steps=None, starts=None, closing=N
             if skip:
                 leaves += closing[1][r][last]
                 continue
-            path[end - r] = last
+            i = end - r
+            path[i] = last
             if not r:
+                if lyndon and per < p:
+                    continue
                 leaves += 1
                 yield q.src, s, d, last, path, leaves
                 continue
-            for idx in steps[end - r][last]:
-                nxt = pieces[idx]
-                stack.append((r - 1, nxt.slope * s, nxt.slope * d + nxt.offset, idx))
+            low = path[i + 1 - per] if lyndon else 0  # per is read only with lyndon
+            for idx in steps[i][last]:
+                if idx >= low:
+                    nxt, grown = pieces[idx], per if idx == low else i + 2
+                    stack.append((r - 1, nxt.slope * s, nxt.slope * d + nxt.offset, idx, grown))
 
 
 def _closing(m: PLMap, depth: int):
@@ -561,15 +574,6 @@ def _fixed_point(m: PLMap, b0: int, s: int, d: int, last: int):
     return None
 
 
-def iter_cylinders(m: PLMap, p: int, cap: int | None = None):
-    """Depth-first stream of the monotone cylinders of the p-th iterate.
-    Raises CylinderCapExceeded when more than the cap are expanded (env
-    STARDYN_CYLINDER_CAP overrides the default of 10**6)."""
-    for b0, s, d, last, path, _ in _walks(m, p, cap):
-        lo, hi = _domain(m, s, d, last)
-        yield Cylinder(b0, lo, hi, s, d, m.pieces[last].dst, tuple(path))
-
-
 def oracle_scan(
     m: PLMap, p: int, cap: int | None = None, first_only: bool = False, closing=None
 ) -> ScanResult:
@@ -584,21 +588,29 @@ def oracle_scan(
     they include every walk with a fixed point off the integers or an
     identity cylinder: any other walk fixes at most a marked point, of
     least period k (see the module docstring).  At p = k it also solves
-    those whose image meets that interval or holds the center.  Skipped walks count toward
-    ``cylinders`` and the cap; ``closing`` reuses ``_closing`` tables
-    across periods.
+    those whose image meets that interval or holds the center.  Skipped
+    walks count toward ``cylinders`` and the cap; ``closing`` reuses
+    ``_closing`` tables across periods.
 
     The scan stays in integers until it lists a point.  A fixed point x
     lies in its walk's cylinder, so f^j(x) is the composite of the walk's
     first j pieces, and x has least period p iff no proper divisor j of p
     has f^j(x) = x (``_least_period_on_walk``).  Points are deduplicated
-    as (branch, numerator, denominator) and sorted by integer
-    cross-multiplication; a ``Fraction`` is built once per listed point.
+    as (branch, numerator, denominator) and sorted by an integer key
+    (``_sorted``); a ``Fraction`` is built once per listed point.
+
+    A full listing at p != k solves the Lyndon walks alone (``_walks``)
+    and lists each one's orbit (``_orbit``): a point of least period
+    p != k lies on no piece end, so it has one walk, which is aperiodic,
+    and its orbit's points have that walk's rotations, of which one is
+    Lyndon.  No Lyndon walk has an identity cylinder, as such a walk
+    repeats the walk of its first k pieces (see the module docstring).
     """
     closing = closing or _closing(m, p - 1)
+    lyndon = not first_only and p != m.pattern.k
     found: list[tuple[int, int, int, tuple[int, ...]]] = []
     seen: set[tuple[int, int, int]] = set()
-    for b0, s, d, last, path, cylinders in _walks(m, p, cap, closing=closing):
+    for b0, s, d, last, path, cylinders in _walks(m, p, cap, closing=closing, lyndon=lyndon):
         t = _fixed_point(m, b0, s, d, last)
         if t is None:
             continue
@@ -613,6 +625,9 @@ def oracle_scan(
                 return ScanResult(listed, cylinders, fam, False)
             continue
         num, den = t
+        if lyndon:  # an integer fixed point is a marked point, of period k
+            found += _orbit(m, path, b0, num, den) if den > 1 else ()
+            continue
         key = (b0 if num else 0, num, den)
         if key not in seen:
             seen.add(key)
@@ -620,8 +635,24 @@ def oracle_scan(
                 found.append(key + (tuple(path),))
                 if first_only:
                     return ScanResult(_listed(m, p, found), cylinders, None, False)
-    found.sort(key=cmp_to_key(_compare))
-    return ScanResult(_listed(m, p, found), sum(closing[1][p - 1]), None, True)
+    return ScanResult(_listed(m, p, _sorted(found)), sum(closing[1][p - 1]), None, True)
+
+
+def _orbit(m: PLMap, path, b0: int, num: int, den: int):
+    """The orbit of the fixed point num/den (reduced, not an integer) on
+    branch b0 of the walk ``path``, as (branch, numerator, denominator,
+    itinerary) entries: point j is the walk's first j pieces applied, over
+    the same denominator, and has the walk rotated by j.  Raises
+    InconsistencyError if the orbit returns before step len(path)."""
+    walk, pieces = tuple(path), m.pieces
+    entries, y = [(b0, num, den, walk)], num
+    for j in range(1, len(walk)):
+        q = pieces[walk[j - 1]]
+        y = q.slope * y + q.offset * den
+        if y == num and q.dst == b0:
+            raise InconsistencyError(f"orbit back at step {j} of {len(walk)} — this is a bug")
+        entries.append((q.dst, y, den, walk[j:] + walk[:j]))
+    return entries
 
 
 def _identity_cylinder_representative(m, p, b0, lo, hi, itin) -> Fraction | None:
@@ -632,7 +663,7 @@ def _identity_cylinder_representative(m, p, b0, lo, hi, itin) -> Fraction | None
     A prefix walk's fixed point is in that set only if it lies in
     [lo, hi]."""
     bad: set[Fraction] = set()
-    for dd in _proper_divisors(p):
+    for dd in (d for d in range(1, p) if p % d == 0):
         ds, doff = 1, 0
         for idx in itin[:dd]:
             q = m.pieces[idx]

@@ -45,7 +45,6 @@ __all__ = [
     "filter_result",
     "tail_tag",
     "emit_table",
-    "parse_table",
     "verify_paper",
     "survey_to_json",
 ]
@@ -390,42 +389,6 @@ def emit_table(records: list[ClassRecord] | tuple[ClassRecord, ...], format: str
                 ]
             )
         return buf.getvalue()
-    raise ValueError(f"unknown table format: {format!r} (expected 'json' or 'csv')")
-
-
-def parse_table(text: str, format: str = "json") -> list[list]:
-    """Parse :func:`emit_table` output back into typed rows.
-
-    Both formats decode to the same typed row values, so a JSON table and
-    a CSV table of the same records compare equal after parsing.
-    """
-    if format == "json":
-        payload = json.loads(text)
-        if payload.get("columns") != list(TABLE_COLUMNS):
-            raise ValueError("table columns do not match the published layout")
-        return [list(row) for row in payload["rows"]]
-    if format == "csv":
-        import csv
-
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header != list(TABLE_COLUMNS):
-            raise ValueError("table columns do not match the published layout")
-        rows = []
-        for rec in reader:
-            rows.append(
-                [
-                    rec[0],
-                    int(rec[1]),
-                    int(rec[2]),
-                    rec[3] == "true",
-                    rec[4] == "true",
-                    [int(q) for q in rec[5].split()] if rec[5] else [],
-                    rec[6],
-                    None if rec[7] == "" else int(rec[7]),
-                ]
-            )
-        return rows
     raise ValueError(f"unknown table format: {format!r} (expected 'json' or 'csv')")
 
 

@@ -11,14 +11,17 @@ a linear scan of its branch and checks least periods divisor by divisor.
 It relies on nothing from ``plmap`` but its data types, the ``Piece``
 table, and the cap reader; the pattern's table comes from
 ``patterns._tables``, which validates it.
+
+``walk_cylinders`` is the stream the tests compare against that
+reference: the cylinders of the integer piece-graph walks of
+``plmap._walks``.
 """
 
 from fractions import Fraction
 
-from stardyn.patterns import CENTER_INDEX, _tables
+from stardyn.patterns import CENTER_INDEX, _Record, _tables
 from stardyn.plmap import (
     CENTER,
-    Cylinder,
     CylinderCapExceeded,
     DomainError,
     InconsistencyError,
@@ -27,11 +30,35 @@ from stardyn.plmap import (
     PLMap,
     RationalPoint,
     ScanResult,
+    _domain,
+    _walks,
     cylinder_cap,
     make_point,
 )
 
 _IDENTITY = "identity"
+
+
+class Cylinder(_Record):
+    """A maximal interval on which the p-th iterate is a single affine map:
+    t in [lo, hi] on branch ``b0`` maps to slope*t + offset on ``branch``."""
+
+    b0: int
+    lo: Fraction
+    hi: Fraction
+    slope: int
+    offset: int
+    branch: int
+    itinerary: tuple[int, ...]
+
+
+def walk_cylinders(m: PLMap, p: int, cap: int | None = None):
+    """Depth-first stream of the monotone cylinders of the p-th iterate.
+    Raises CylinderCapExceeded when more than the cap are expanded (env
+    STARDYN_CYLINDER_CAP overrides the default of 10**6)."""
+    for b0, s, d, last, path, _ in _walks(m, p, cap):
+        lo, hi = _domain(m, s, d, last)
+        yield Cylinder(b0, lo, hi, s, d, m.pieces[last].dst, tuple(path))
 
 
 def _marked_point(p, i):

@@ -477,6 +477,66 @@ def test_oracle_cap_exceeded_exits_3(ex2_file, monkeypatch, capsys):
     assert "resource cap" in captured.err
 
 
+def test_oracle_cap_counts_the_full_walk_tree(ex2_file, monkeypatch, capsys):
+    # the orbit listing expands about 1,800 of the 23,116 nodes of the walk
+    # tree at period 16, and the cap still counts them all, at the outset
+    m = plmap_module.realize(patterns_module.parse_pattern(EX2))
+    nodes = sum(plmap_module._closing(m, 15)[2][15])
+    assert nodes == 23116
+    argv = ["oracle", "--pattern", ex2_file, "--period", "16"]
+    assert run(argv) == 0
+    full = capsys.readouterr().out
+    monkeypatch.setenv("STARDYN_CYLINDER_CAP", str(nodes))
+    assert run(argv) == 0
+    assert capsys.readouterr().out == full
+    monkeypatch.setenv("STARDYN_CYLINDER_CAP", str(nodes - 1))
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"stardyn: resource cap exceeded: cylinder cap {nodes - 1} exceeded\n"
+
+
+def test_oracle_listing_that_disagrees_with_the_walk_count_exits_1(ex2_file, monkeypatch, capsys):
+    # at a period that k does not divide the listing is counted again from
+    # the covering digraph's closed walks; a dropped point is caught
+    scan = cli_module.oracle_scan
+
+    def dropping(m, p):
+        res = scan(m, p)
+        return plmap_module.ScanResult(res.witnesses[1:], res.cylinders, res.family, res.complete)
+
+    monkeypatch.setattr(cli_module, "oracle_scan", dropping)
+    assert run(["oracle", "--pattern", ex2_file, "--period", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"stardyn: inconsistency: {EX2}: the closed-walk count gives 80 points of period 8 "
+        "but the exact oracle lists 79 — this is a bug\n"
+    )
+
+
+# a map whose pieces of slope +-1 form a cycle, so f^k is the identity on a
+# basic interval: sha256 of the oracle's stdout as the walk-by-walk scan
+# wrote it for every map, the family at q = k, and a listing at a multiple
+# of k and off one
+UNIT_CYCLE = "n=3 k=6; b1: 1 4; b2: 2 5; b3: 3"
+UNIT_CYCLE_DIGESTS = {
+    6: "3d78d0fe597bcf6f66f99c077886825a0fa5b97b70463bc6793c38e3a08c049f",
+    11: "427857f3ebe283c21f6a0278b75364c11abe5a96330d78055c2d0ade371c4a11",
+    12: "d39795f2c2ded04162266794da43b0287686c0810bfba74d9a22dc02118e353e",
+}
+
+
+@pytest.mark.parametrize("period", sorted(UNIT_CYCLE_DIGESTS))
+def test_oracle_output_of_a_unit_slope_cycle_map_is_unchanged(period, tmp_path, capsys):
+    path = tmp_path / "unit.pat"
+    path.write_text(UNIT_CYCLE + "\n", encoding="utf-8")
+    assert run(["oracle", "--pattern", str(path), "--period", str(period)]) == 0
+    out = capsys.readouterr().out
+    assert ("uncountable_family" in out) == (period == 6)
+    assert hashlib.sha256(out.encode()).hexdigest() == UNIT_CYCLE_DIGESTS[period]
+
+
 @pytest.mark.parametrize(
     "workload, args",
     [

@@ -6,7 +6,6 @@ realization and captured from the first exact run; they are regression
 anchors, independent of later refactors.
 """
 
-import functools
 import itertools
 import math
 import pickle
@@ -20,6 +19,7 @@ from hypothesis import strategies as st
 import reference_scan as ref
 import stardyn.plmap as plmap_module
 from reference_loop import image_of_arc, image_of_subtree, subtree_from_segments, subtree_of_arc
+from reference_scan import walk_cylinders
 from stardyn.certify import OracleWitness, periodicity_report, verify_certificate
 from stardyn.patterns import CENTER_INDEX, arc, parse_pattern
 from stardyn.plmap import (
@@ -30,9 +30,9 @@ from stardyn.plmap import (
     LoopError,
     Piece,
     RationalPoint,
+    ScanResult,
     UncountablePeriodicSet,
     first_witness,
-    iter_cylinders,
     loop_point,
     make_point,
     oracle_scan,
@@ -234,7 +234,7 @@ def test_oracle_least_period_partitions_fixed_points(m1):
     # fixed points of the 6th iterate are exactly the least-period 1, 2, 3, 6 points
     expected = sum(len(periodic_points(m1, d)) for d in (1, 2, 3, 6))
     sols = set()
-    for c in iter_cylinders(m1, 6):
+    for c in walk_cylinders(m1, 6):
         if c.slope == 1:
             continue
         t = F(c.offset, 1 - c.slope)
@@ -248,7 +248,7 @@ def test_per_cylinder_completeness(m1, m2):
     # a cylinder mapped affinely over itself contains a fixed point of the iterate
     for m in (m1, m2):
         for p in (1, 2, 3, 4):
-            for c in iter_cylinders(m, p):
+            for c in walk_cylinders(m, p):
                 if c.branch != c.b0:
                     continue
                 y1, y2 = c.slope * c.lo + c.offset, c.slope * c.hi + c.offset
@@ -434,7 +434,7 @@ def _check_against_reference(m, scan_pmax, cap=None):
     p < scan_pmax, equal those of the reference copy of the Fraction DFS.
     The oracle skips the walks that cannot close but counts every node of
     the full tree, so a scan that runs to the end of the tree needs the
-    same cap as ``iter_cylinders``."""
+    same cap as ``walk_cylinders``."""
     nodes = 0  # of the walk tree down to depth p: each one counts toward the cap
     for p in range(1, scan_pmax + 1):
         for first_only in (False, True):
@@ -444,13 +444,13 @@ def _check_against_reference(m, scan_pmax, cap=None):
         if p == scan_pmax:
             return
         cylinders, error = _drain(ref.iter_cylinders(m, p, cap=cap))
-        assert _drain(iter_cylinders(m, p, cap=cap)) == (cylinders, error)
+        assert _drain(walk_cylinders(m, p, cap=cap)) == (cylinders, error)
         if error is not None:
             return  # capped, as is every deeper period
         nodes += len(cylinders)
         with pytest.raises(CylinderCapExceeded):
-            list(iter_cylinders(m, p, cap=nodes - 1))
-        assert list(iter_cylinders(m, p, cap=nodes)) == cylinders
+            list(walk_cylinders(m, p, cap=nodes - 1))
+        assert list(walk_cylinders(m, p, cap=nodes)) == cylinders
         for first_only in (False, True):
             scan = oracle_scan(m, p, first_only=first_only)
             assert oracle_scan(m, p, cap=nodes, first_only=first_only) == scan
@@ -476,7 +476,7 @@ def test_walk_scan_matches_fraction_reference_on_examples(m1, m2):
 def test_skip_keeps_every_walk_with_a_fixed_point(k):
     # enumerate_patterns(3, k) holds every class with at most three occupied
     # branches.  One pass over every walk of the full tree (the stream of
-    # iter_cylinders) checks both skip tables at each piece of a walk, with
+    # walk_cylinders) checks both skip tables at each piece of a walk, with
     # the steps left after that piece.  The loose table, which period k
     # uses and which reaches depth k - 1, must pass every walk with a fixed
     # point; the strict one every walk whose fixed point has least period
@@ -551,14 +551,17 @@ def _fixed_point_solves(monkeypatch, text, p_max):
 def test_skip_cuts_the_fixed_point_solves_of_example2(monkeypatch):
     # up to where they stop, the report's 18 scans pass 31,848 walks (their
     # ``cylinders``); the oracle solves only the walks whose last image
-    # covers their first interval, and at q = 6 those that meet it
-    assert _fixed_point_solves(monkeypatch, EX2, 18) == 26
+    # covers their first interval, and at q = 6 those that meet it.  The
+    # full scans of the odd periods, all absent, expand only Lyndon walks,
+    # and a walk with a fixed point there repeats that of a smaller period,
+    # so they solve none
+    assert _fixed_point_solves(monkeypatch, EX2, 18) == 18
 
 
 def test_skip_cuts_the_fixed_point_solves_of_a_relabeled_example2(monkeypatch):
-    # the same pattern with branches 1 and 2 swapped solves one walk a
-    # period, but three at q = 6
-    assert _fixed_point_solves(monkeypatch, "n=3 k=6; b1: 2; b2: 1 3 5; b3: 4", 18) == 20
+    # the same pattern with branches 1 and 2 swapped solves one walk at
+    # each even period, but three at q = 6, and none at an odd one
+    assert _fixed_point_solves(monkeypatch, "n=3 k=6; b1: 2; b2: 1 3 5; b3: 4", 18) == 12
 
 
 def _least_period_rule_outcomes(m, pmax, cap=None):
@@ -628,7 +631,8 @@ def test_oracle_lists_example2_without_stepping_and_one_fraction_a_point(m2, mon
 
 def test_exact_order_separates_rationals_whose_floats_tie():
     # (branch, numerator, denominator, itinerary) entries, as the oracle
-    # sorts them; within a branch every coordinate has the same float
+    # sorts them (``_sorted``); within a branch every coordinate has the
+    # same float
     third = F(1, 3)
     entries = [(0, 0, 1, ())] + [
         (b, c.numerator, c.denominator, ())
@@ -639,8 +643,87 @@ def test_exact_order_separates_rationals_whose_floats_tie():
     rng = random.Random(5)
     for _ in range(20):
         rng.shuffle(entries)
-        exact = sorted(entries, key=functools.cmp_to_key(plmap_module._compare))
+        exact = plmap_module._sorted(entries)
         assert exact == sorted(entries, key=lambda e: (e[0], F(e[1], e[2])))
+
+
+# ------------------------------------------------- one Lyndon walk per orbit
+
+def _orbit_listings_match_reference(m, pmax, cap=None):
+    """Full scans at every period q <= pmax but k equal those of the
+    Fraction reference: points, order, itineraries and ``cylinders``, or
+    the same cap error.  Where the scan lists orbits and k does not divide
+    q, it expands one Lyndon walk per orbit.  Returns how many scans
+    listed orbits."""
+    listed = 0
+    for q in range(1, pmax + 1):
+        if q == m.pattern.k:
+            continue
+        scan = _outcome(oracle_scan, m, q, cap=cap)
+        assert scan == _outcome(ref.oracle_scan, m, q, cap=cap), (m.pattern.to_text(), q)
+        if not isinstance(scan, ScanResult):
+            continue
+        listed += 1
+        if q % m.pattern.k:
+            walks = sum(1 for _ in _walks(m, q, cap, closing=_closing(m, q - 1), lyndon=True))
+            assert walks * q == len(scan.witnesses), (m.pattern.to_text(), q)
+    return listed
+
+
+@pytest.mark.parametrize("k", sorted(REFERENCE_HORIZON))
+def test_orbit_listing_matches_fraction_reference_on_every_class(k):
+    listed = sum(
+        _orbit_listings_match_reference(m, REFERENCE_HORIZON[k])
+        for n in range(1, 5)
+        for m in realized_classes(n, k)
+        if all(m.branch_lengths[1:])
+    )
+    # k = 2 has one class, the swap, whose one piece is a unit-slope cycle;
+    # its scans off period 2 list orbits too (the fixed point 1/2 at q = 1)
+    assert listed > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 5), st.integers(2, 8))
+def test_orbit_listing_matches_reference_on_random_patterns(rng, n, k):
+    # the cap bounds the reference's cost on high-entropy patterns
+    _orbit_listings_match_reference(realize(random_pattern(rng, n, k)), 6, cap=1000)
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+def test_example2_solves_one_walk_an_orbit_at_period_16(perm, monkeypatch):
+    # under every relabeling of the branches: 4,320 points, 270 orbits of
+    # 16, and 270 fixed-point solves (the walk-by-walk scan made 4,415)
+    branches = [""] * 3
+    for b, points in enumerate(("1 3 5", "2", "4")):
+        branches[perm[b]] = points
+    text = "n=3 k=6; " + "; ".join(f"b{b}: {pts}" for b, pts in enumerate(branches, 1))
+    m = realize(parse_pattern(text))
+    calls = 0
+    solve = plmap_module._fixed_point
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    monkeypatch.setattr(plmap_module, "_fixed_point", counted)
+    assert (len(oracle_scan(m, 16).witnesses), calls) == (4320, 270)
+
+
+def test_orbit_replay_raises_when_the_walk_repeats(m2):
+    # each period-2 orbit replayed from the walk of either point, with the
+    # points and walks the scan lists; a walk that repeats a shorter one
+    # returns its point early, which is a bug
+    ws = {w.point: w for w in periodic_points(m2, 2)}
+    for w in ws.values():
+        num, den = w.point.coord.numerator, w.point.coord.denominator
+        orbit = plmap_module._orbit(m2, list(w.itinerary), w.point.branch, num, den)
+        assert [(RationalPoint(b, F(y, d)), itin) for b, y, d, itin in orbit] == [
+            (x, ws[x].itinerary) for x in (w.point, m2.evaluate(w.point))
+        ]
+        with pytest.raises(InconsistencyError, match="orbit back at step 2 of 4"):
+            plmap_module._orbit(m2, list(w.itinerary) * 2, w.point.branch, num, den)
 
 
 def _probe_points(m):

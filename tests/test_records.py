@@ -16,9 +16,12 @@ from stardyn.plmap import PLMap, RationalPoint, realize
 
 
 def _record_types() -> list[type]:
+    """The record types of the package, and ``Cylinder``, which moved with
+    the cylinder stream that only the tests use to ``reference_scan``."""
     found = []
-    for info in pkgutil.iter_modules(stardyn.__path__):
-        module = importlib.import_module(f"stardyn.{info.name}")
+    names = [f"stardyn.{info.name}" for info in pkgutil.iter_modules(stardyn.__path__)]
+    for name in names + ["reference_scan"]:
+        module = importlib.import_module(name)
         found += [
             obj
             for obj in vars(module).values()

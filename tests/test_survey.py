@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import stardyn.certify as certify_module
 import stardyn.patterns as patterns_module
 import stardyn.survey as survey_module
+from reference_table import parse_table
 from stardyn.certify import (
     CenterTheoremCase,
     InconsistencyError,
@@ -33,7 +34,6 @@ from stardyn.survey import (
     classify_all,
     emit_table,
     filter_result,
-    parse_table,
     survey_to_json,
     tail_tag,
     verify_paper,
