@@ -62,7 +62,6 @@ from .patterns import (
     PatternSyntaxError,
     StarPattern,
     arc,
-    arc_contains,
     canonicalize,
     enumerate_patterns,
     iter_patterns,
@@ -117,7 +116,6 @@ __all__ = [
     "PatternSyntaxError",
     "StarPattern",
     "arc",
-    "arc_contains",
     "canonicalize",
     "enumerate_patterns",
     "iter_patterns",

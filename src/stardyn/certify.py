@@ -170,11 +170,15 @@ ArcEnds = tuple[MarkedPoint, MarkedPoint]
 class CenterOrbit(_Record):
     """The marked orbit itself: the center is periodic with period k."""
 
+    kind = "center_orbit"
+
     period: int
 
 
 class ForcedPeriod(_Record):
     """Period forced by the center's period through the interval order."""
+
+    kind = "forced_period"
 
     period: int
     source_period: int
@@ -184,6 +188,8 @@ class CenterTheoremCase(_Record):
     """Hypothesis: the third image of the center avoids the closed branch
     of the first.  Conclusion: points of every period, through the verified
     coverings A -> A, A -> B, B -> A with A = [u, v]."""
+
+    kind = "center_theorem"
 
     case_id: int
     u: MarkedPoint
@@ -201,6 +207,8 @@ class NPlus2Case(_Record):
     period >= 4, through the verified chain A -> A -> B1 [-> B2 -> B3] -> A
     (plus the disjoint two-cycle B1 <-> B2 in case 2)."""
 
+    kind = "nplus2_theorem"
+
     case_id: int
     u: MarkedPoint
     v: MarkedPoint
@@ -214,6 +222,8 @@ class NPlus2Case(_Record):
 class Cascade(_Record):
     """A self-loop vertex on a cycle of length m >= 2: closed walks of
     every length >= m exist, hence points of every period >= m."""
+
+    kind = "cascade"
 
     base: ArcEnds
     cycle: tuple[ArcEnds, ...]
@@ -229,6 +239,8 @@ class Genscramble(_Record):
     plus a covering loop B0 = [u, v], ..., Bp containing B0, with B1 inside
     [g(v), u] and the second-to-last arc disjoint from the open (u, v)."""
 
+    kind = "genscramble"
+
     iterate: int
     u: MarkedPoint
     v: MarkedPoint
@@ -238,11 +250,15 @@ class Genscramble(_Record):
 class OracleWitness(_Record):
     """An exact periodic point confirming presence."""
 
+    kind = "oracle_witness"
+
     witness: PeriodicWitness
 
 
 class OracleAbsence(_Record):
     """Exhaustive scan found no point of this least period."""
+
+    kind = "oracle_absence"
 
     period: int
     cylinders: int
@@ -793,62 +809,26 @@ def _point_json(pt) -> dict:
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    if isinstance(cert, CenterOrbit):
-        return {"kind": "center_orbit", "period": cert.period}
-    if isinstance(cert, ForcedPeriod):
-        return {
-            "kind": "forced_period",
-            "period": cert.period,
-            "source_period": cert.source_period,
-        }
-    if isinstance(cert, CenterTheoremCase):
-        return {
-            "kind": "center_theorem",
-            "case": cert.case_id,
-            "u": cert.u,
-            "v": cert.v,
-            "span": list(cert.span),
-            "back": list(cert.back),
-        }
-    if isinstance(cert, NPlus2Case):
-        return {
-            "kind": "nplus2_theorem",
-            "case": cert.case_id,
-            "u": cert.u,
-            "v": cert.v,
-            "span": list(cert.span),
-            "chain": [list(e) for e in cert.chain],
-        }
-    if isinstance(cert, Cascade):
-        return {
-            "kind": "cascade",
-            "base": list(cert.base),
-            "cycle": [list(e) for e in cert.cycle],
-            "m": cert.m,
-        }
-    if isinstance(cert, Genscramble):
-        return {
-            "kind": "genscramble",
-            "iterate": cert.iterate,
-            "u": cert.u,
-            "v": cert.v,
-            "loop": [list(e) for e in cert.loop],
-        }
+    """A certificate as JSON: its class's ``kind``, then its fields in
+    order, with tuples as lists and ``case_id`` as ``case``.  An oracle
+    witness is written as its point, period and center-orbit flag."""
     if isinstance(cert, OracleWitness):
         w = cert.witness
         return {
-            "kind": "oracle_witness",
+            "kind": cert.kind,
             "point": _point_json(w.point),
             "period": w.period,
             "on_center_orbit": w.on_center_orbit,
         }
-    if isinstance(cert, OracleAbsence):
-        return {
-            "kind": "oracle_absence",
-            "period": cert.period,
-            "cylinders": cert.cylinders,
-        }
-    raise TypeError(f"unknown certificate {cert!r}")
+    out = {"kind": cert.kind}
+    for name in cert._fields:
+        out["case" if name == "case_id" else name] = _json_value(getattr(cert, name))
+    return out
+
+
+def _json_value(value):
+    """A field value with every tuple, nested ones too, as a list."""
+    return [_json_value(x) for x in value] if isinstance(value, tuple) else value
 
 
 def report_to_json(r: PeriodicityReport) -> dict:

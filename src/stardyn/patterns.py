@@ -12,7 +12,6 @@ realization lives in plmap.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from operator import attrgetter, ge, gt, le, lt
@@ -468,32 +467,6 @@ class Arc(_Record):
         """True when the center is interior to the arc."""
         return CENTER_INDEX in self.points[1:-1]
 
-    def basic_ids(self) -> frozenset[tuple[int, int]]:
-        """Decomposition into basic intervals, as (branch, outer rank) ids."""
-        ids = set()
-        for x, y in itertools.pairwise(self.points):
-            ids.add(_segment_id(self.pattern, x, y))
-        return frozenset(ids)
-
-    def position_of(self, x: MarkedPoint) -> int | None:
-        """Traversal index of x on the arc (arclength from a), or None."""
-        try:
-            return self.points.index(x)
-        except ValueError:
-            return None
-
-
-def _segment_id(p: StarPattern, x: MarkedPoint, y: MarkedPoint) -> tuple[int, int]:
-    # x, y adjacent marked points (one may be the center)
-    if x == CENTER_INDEX:
-        return (p.branch_of(y), p.rank_of(y))
-    if y == CENTER_INDEX:
-        return (p.branch_of(x), p.rank_of(x))
-    bx, by = p.branch_of(x), p.branch_of(y)
-    if bx != by:
-        raise PatternError("segment endpoints straddle the center")
-    return (bx, max(p.rank_of(x), p.rank_of(y)))
-
 
 def _descent_to_center(p: StarPattern, a: MarkedPoint) -> list[MarkedPoint]:
     """Marked points from a down to the center, inclusive."""
@@ -517,13 +490,6 @@ def arc(a: MarkedPoint, b: MarkedPoint, p: StarPattern) -> Arc:
         down.pop()
         up.pop()
     return Arc(p, a, b, tuple(down + up[-2::-1]))
-
-
-def arc_contains(outer: Arc, inner: Arc) -> bool:
-    """Whether ``inner`` lies inside ``outer`` (same pattern required)."""
-    if outer.pattern != inner.pattern:
-        raise PatternError("arcs belong to different patterns")
-    return inner.basic_ids() <= outer.basic_ids()
 
 
 class BasicInterval(_Record):

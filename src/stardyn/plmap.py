@@ -33,16 +33,15 @@ and maps bijectively onto the integer image [ilo, ihi] of its last.  A
 fixed point off the integers therefore lies inside both, so the image is
 on the same branch and contains [j, j+1]; conversely such a walk always
 has a fixed point, as its cylinder maps onto a superset of itself.  A walk
-whose image only touches [j, j+1] at an end, or only holds the center, can
+whose image shares only an end with [j, j+1], or only holds the center, can
 fix only an integer point, and every integer point is a marked point, of
 least period k.  An identity cylinder equals its image, which is then
 [j, j+1].  So at every period but k the oracle walks only into subtrees
 where some walk's image covers its first interval, and every walk it
 solves has a fixed point.  At period k, where the marked points are
-listed, it keeps the looser rule: the image meets [j, j+1] on the same
-branch or, for an interval at the center, holds the center.  The oracle
-counts the walks and nodes of every subtree it skips, so cylinder counts
-and the cap are those of the full tree.
+listed, it walks the whole tree.  The oracle counts the walks and nodes
+of every subtree it skips, so cylinder counts and the cap are those of
+the full tree.
 
 A full listing at a period p != k solves one walk per orbit.  A point of
 least period p != k lies on no piece end (marked points have period k,
@@ -450,12 +449,11 @@ def _walks(m: PLMap, p: int, cap, steps=None, starts=None, closing=None, lyndon=
     counts the walks of the full tree up to this one.  A walk starts at one
     of the pieces ``starts`` (default: every piece), and its piece i+1 is
     one of ``steps[i][piece i]`` (default: ``m.successors``).  With the
-    oracle's ``_closing`` tables it skips each subtree in which no walk's
-    last image covers the basic interval of its first piece (at p = k: meets
-    it, or holds the center), as such walks fix no point of least period p
-    but the marked points (see the module docstring).  Every node of the
-    full tree counts toward the cap: a skipped subtree's all at once, at its
-    root.
+    oracle's ``_closing`` tables it skips, at every p but k, each subtree in
+    which no walk's last image covers the basic interval of its first
+    piece, as such walks fix no point of least period p but the marked
+    points (see the module docstring).  Every node of the full tree counts
+    toward the cap: a skipped subtree's all at once, at its root.
 
     With ``lyndon`` (and the tables) it yields only the walks whose pieces
     form a Lyndon word, less in index order than each proper rotation.  It
@@ -475,7 +473,7 @@ def _walks(m: PLMap, p: int, cap, steps=None, starts=None, closing=None, lyndon=
     path = [0] * p
     for first in range(len(pieces)) if starts is None else starts:
         q = pieces[first]
-        alive = closing[3 if p == m.pattern.k else 0][first] if closing else None
+        alive = closing[0][first] if closing and p != m.pattern.k else None
         stack = [(end, q.slope, q.offset, first, 1)]  # r, the steps left; per
         while stack:
             r, s, d, last, per = stack.pop()
@@ -502,16 +500,12 @@ def _walks(m: PLMap, p: int, cap, steps=None, starts=None, closing=None, lyndon=
 
 
 def _closing(m: PLMap, depth: int):
-    """The oracle's skip tables for walks of up to depth + 1 pieces, by the
+    """The oracle's skip table for walks of up to depth + 1 pieces, by the
     steps left r: bit x of ``alive[first][r]`` is set when r steps from piece
     x can end at a piece whose image, on the branch of piece ``first``,
-    contains its basic interval [j, j+1]; ``touch[first][r]`` is the same
-    for an image that meets [j, j+1] on that branch or, for j = 0, holds the
-    center.  Only walks of length k use ``touch``, to find the marked points
-    (see the module docstring), so it is built to r = k - 1, and only when
-    k <= depth + 1.  The pieces of one basic interval share both tables.
-    ``leaves[r][x]`` and ``nodes[r][x]`` count the walks and the tree nodes
-    below x.  Returns (alive, leaves, nodes, touch)."""
+    contains its basic interval [j, j+1].  The pieces of one basic interval
+    share it.  ``leaves[r][x]`` and ``nodes[r][x]`` count the walks and the
+    tree nodes below x.  Returns (alive, leaves, nodes)."""
     succ = [(2 << ys[-1]) - (1 << ys[0]) for ys in m.successors]  # each a run of indices
 
     def reach(mask, r):
@@ -523,20 +517,16 @@ def _closing(m: PLMap, depth: int):
                 masks.append(sum(1 << x for x, nxt in enumerate(succ) if nxt & masks[-1]))
         return masks
 
-    alive, touch, ends = [], [], list(enumerate(zip(m.pieces, m.images)))
+    alive, ends = [], list(enumerate(zip(m.pieces, m.images)))
     for b0, row in enumerate(m.cells):  # pieces run in cell order
         for j, cell in enumerate(row):
             covers = sum(1 << y for y, (q, (ilo, ihi)) in ends if q.dst == b0 and ilo <= j < ihi)
             alive += [reach(covers, depth)] * len(cell)
-            if m.pattern.k <= depth + 1:
-                meets = sum(1 << y for y, (q, (ilo, ihi)) in ends
-                            if q.dst == b0 and ilo <= j + 1 and ihi >= j or j == ilo == 0)
-                touch += [reach(meets, m.pattern.k - 1)] * len(cell)
     leaves, nodes = [[1] * len(succ)], [[1] * len(succ)]
     for _ in range(depth):
         leaves.append([sum(leaves[-1][y] for y in ys) for ys in m.successors])
         nodes.append([n + w for n, w in zip(nodes[-1], leaves[-1])])
-    return alive, leaves, nodes, touch
+    return alive, leaves, nodes
 
 
 def _domain(m: PLMap, s: int, d: int, last: int) -> tuple[Fraction, Fraction]:
@@ -587,10 +577,9 @@ def oracle_scan(
     interval of their first piece.  Each of them has a fixed point, and
     they include every walk with a fixed point off the integers or an
     identity cylinder: any other walk fixes at most a marked point, of
-    least period k (see the module docstring).  At p = k it also solves
-    those whose image meets that interval or holds the center.  Skipped
-    walks count toward ``cylinders`` and the cap; ``closing`` reuses
-    ``_closing`` tables across periods.
+    least period k (see the module docstring).  At p = k it solves every
+    walk.  Skipped walks count toward ``cylinders`` and the cap;
+    ``closing`` reuses ``_closing`` tables across periods.
 
     The scan stays in integers until it lists a point.  A fixed point x
     lies in its walk's cylinder, so f^j(x) is the composite of the walk's

@@ -19,8 +19,16 @@ from stardyn.certify import (
     _theorem,
     basic_intervals,
 )
-from stardyn.patterns import _tables, arc
+from stardyn.patterns import Arc, MarkedPoint, _tables, arc
 from stardyn.plmap import realize
+
+
+def position_of(self: Arc, x: MarkedPoint) -> int | None:
+    """Traversal index of x on the arc (arclength from a), or None."""
+    try:
+        return self.points.index(x)
+    except ValueError:
+        return None
 
 
 def _overlaps_open_segment(tree, branch, lo, hi):
@@ -43,7 +51,7 @@ def ordering_holds(p, u, v, t):
     if gu == gv:
         return False
     span = arc(gu, gv, p)
-    pos_u, pos_v = span.position_of(u), span.position_of(v)
+    pos_u, pos_v = position_of(span, u), position_of(span, v)
     if pos_u is None or pos_v is None:
         return False
     return pos_v < pos_u < len(span.points) - 1

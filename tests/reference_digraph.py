@@ -1,5 +1,6 @@
-"""Reference copies of the covering digraph, kept for equivalence tests
-only.
+"""Reference copies of the covering digraph, and of the decomposition of an
+``Arc`` into basic intervals that it is built from, kept for equivalence
+tests only.
 
 ``cover_digraph`` builds it from ``Arc`` traversals: the image of each
 basic interval is the arc between the successor images of its endpoints,
@@ -18,13 +19,40 @@ import itertools
 from operator import or_
 
 from stardyn.certify import CoverDigraph, basic_intervals
-from stardyn.patterns import arc
+from stardyn.patterns import CENTER_INDEX, Arc, MarkedPoint, PatternError, StarPattern, arc
+
+
+def basic_ids(self: Arc) -> frozenset[tuple[int, int]]:
+    """Decomposition into basic intervals, as (branch, outer rank) ids."""
+    ids = set()
+    for x, y in itertools.pairwise(self.points):
+        ids.add(_segment_id(self.pattern, x, y))
+    return frozenset(ids)
+
+
+def _segment_id(p: StarPattern, x: MarkedPoint, y: MarkedPoint) -> tuple[int, int]:
+    # x, y adjacent marked points (one may be the center)
+    if x == CENTER_INDEX:
+        return (p.branch_of(y), p.rank_of(y))
+    if y == CENTER_INDEX:
+        return (p.branch_of(x), p.rank_of(x))
+    bx, by = p.branch_of(x), p.branch_of(y)
+    if bx != by:
+        raise PatternError("segment endpoints straddle the center")
+    return (bx, max(p.rank_of(x), p.rank_of(y)))
+
+
+def arc_contains(outer: Arc, inner: Arc) -> bool:
+    """Whether ``inner`` lies inside ``outer`` (same pattern required)."""
+    if outer.pattern != inner.pattern:
+        raise PatternError("arcs belong to different patterns")
+    return basic_ids(inner) <= basic_ids(outer)
 
 
 def cover_digraph(p):
     verts = tuple(basic_intervals(p))
     image_ids = [
-        arc(p.successor(v.inner), p.successor(v.outer), p).basic_ids() for v in verts
+        basic_ids(arc(p.successor(v.inner), p.successor(v.outer), p)) for v in verts
     ]
     adjacency = tuple(
         tuple(j for j, w in enumerate(verts) if (w.branch, w.outer_rank) in image_ids[i])

@@ -6,8 +6,11 @@ basic interval, read off the pattern) before the module existed.
 """
 
 import itertools
+import json
 import random
+import typing
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +56,8 @@ from stardyn.plmap import (
     realize,
 )
 from support import EX1, EX2, random_pattern
+
+SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
 EX1_EDGES = {
     ("[0,1]", "[0,1]"),
@@ -187,8 +192,9 @@ def test_arcs_disjoint_matches_arc_traversals():
         for p in enumerate_patterns(n, 5):
             masks = _arc_masks(p)
             arcs = {e: arc(*e, p) for e in itertools.combinations(range(p.k), 2)}
+            ids = {e: ref_digraph.basic_ids(x) for e, x in arcs.items()}
             for (e, x), (f, y) in itertools.product(arcs.items(), repeat=2):
-                shared = x.basic_ids() & y.basic_ids() or set(x.points) & set(y.points)
+                shared = ids[e] & ids[f] or set(x.points) & set(y.points)
                 disjoint = certify_module._arcs_disjoint(masks, e, f)
                 assert disjoint == (not shared), (p.to_text(), e, f)
 
@@ -201,7 +207,8 @@ def test_arc_masks_match_arc_traversals(k):
             bit = {(w.branch, w.outer_rank): 1 << i for i, w in enumerate(basic_intervals(p))}
             for a, b in itertools.permutations(range(k), 2):
                 x = arc(a, b, p)
-                assert masks[a][b] == sum(bit[i] for i in x.basic_ids()), (p.to_text(), a, b)
+                ids = ref_digraph.basic_ids(x)
+                assert masks[a][b] == sum(bit[i] for i in ids), (p.to_text(), a, b)
                 assert certify_module._through_center(masks, a, b) == x.through_center
                 for t in (1, 2, 3):
                     assert certify_module._ordering_holds(masks, a, b, t) == (
@@ -805,6 +812,53 @@ def test_certificate_json_round_shapes(p1):
     assert set(j) == {"kind", "point", "period", "on_center_orbit"}
     num, den = j["point"]["coord"].split("/")
     assert int(num) >= 0 and int(den) >= 1
+
+
+CENTER_THEOREM_CLASS = "n=3 k=4; b1: 1; b2: 2; b3: 3"
+
+# one certificate of each kind and its JSON, recorded before the JSON was
+# written from the certificate's own fields: (pattern, period or "chaos",
+# index among that period's certificates, dict)
+CERTIFICATE_JSON = [
+    (EX1, 5, 0, {"kind": "center_orbit", "period": 5}),
+    (EX1, 2, 0, {"kind": "forced_period", "period": 2, "source_period": 5}),
+    (CENTER_THEOREM_CLASS, 1, 1, {
+        "kind": "center_theorem", "case": 1, "u": 0, "v": 1, "span": [0, 1], "back": [2, 0],
+    }),
+    (EX1, 2, 1, {
+        "kind": "nplus2_theorem", "case": 2, "u": 0, "v": 1, "span": [0, 1],
+        "chain": [[0, 2], [1, 3], [0, 4]],
+    }),
+    (EX1, 4, 2, {
+        "kind": "cascade", "base": [0, 1], "cycle": [[0, 1], [0, 2], [1, 3], [0, 4], [0, 1]],
+        "m": 4,
+    }),
+    (EX2, "chaos", 0, {
+        "kind": "genscramble", "iterate": 2, "u": 0, "v": 2, "loop": [[0, 2], [0, 4], [0, 2]],
+    }),
+    (EX2, 8, 1, {
+        "kind": "oracle_witness", "point": {"branch": 1, "coord": "37/33"}, "period": 8,
+        "on_center_orbit": False,
+    }),
+    (EX2, 9, 0, {"kind": "oracle_absence", "period": 9, "cylinders": 310}),
+]
+
+
+@pytest.mark.parametrize(
+    "text,period,index,expected", CERTIFICATE_JSON, ids=[c[3]["kind"] for c in CERTIFICATE_JSON]
+)
+def test_certificate_json_is_pinned(text, period, index, expected):
+    r = periodicity_report(parse_pattern(text))
+    cert = r.chaos if period == "chaos" else r.periods[period].certificates[index]
+    assert certificate_to_json(cert) == expected
+
+
+def test_certificate_kinds_are_the_schema_enum():
+    kinds = [cls.kind for cls in typing.get_args(certify_module.Certificate)]
+    schema = json.loads((SCHEMAS / "report.schema.json").read_text(encoding="utf-8"))
+    enum = schema["$defs"]["certificate"]["properties"]["kind"]["enum"]
+    assert len(kinds) == len(set(kinds)) == 8
+    assert set(kinds) == set(enum) == {c[3]["kind"] for c in CERTIFICATE_JSON}
 
 
 def test_inconsistency_error_is_one_class_in_plmap_and_certify():

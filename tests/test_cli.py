@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from jsonschema import validate
+from jsonschema import ValidationError, validate
 
 import stardyn.certify as certify_module
 import stardyn.cli as cli_module
@@ -107,6 +107,22 @@ def test_analyze_report_schema_and_content(ex1_file, capsys):
     assert payload["periods"]["3"]["status"] == "absent"
     assert payload["periods"]["5"]["status"] == "present"
     assert payload["chaos"]["status"] == "certified"
+
+
+def test_analyze_report_without_chaos_fits_the_schema(tmp_path, capsys):
+    # the swap has no chaos certificate: its report carries "cert": null,
+    # which the schema allows only with the status "not_found"
+    swap = tmp_path / "swap.txt"
+    swap.write_text("n=1 k=2; b1: 1\n", encoding="utf-8")
+    assert run(["analyze", "--pattern", str(swap), "--pmax", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["chaos"] == {"cert": None, "status": "not_found"}
+    schema = load_schema("report.schema.json")
+    validate(payload, schema)
+    cert = {"kind": "genscramble", "iterate": 1, "u": 0, "v": 1, "loop": [[0, 1], [0, 1]]}
+    for chaos in ({"status": "certified", "cert": None}, {"status": "not_found", "cert": cert}):
+        with pytest.raises(ValidationError):
+            validate({**payload, "chaos": chaos}, schema)
 
 
 def test_analyze_pmax_controls_period_keys(ex1_file, capsys):

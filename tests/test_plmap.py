@@ -476,24 +476,18 @@ def test_walk_scan_matches_fraction_reference_on_examples(m1, m2):
 def test_skip_keeps_every_walk_with_a_fixed_point(k):
     # enumerate_patterns(3, k) holds every class with at most three occupied
     # branches.  One pass over every walk of the full tree (the stream of
-    # walk_cylinders) checks both skip tables at each piece of a walk, with
-    # the steps left after that piece.  The loose table, which period k
-    # uses and which reaches depth k - 1, must pass every walk with a fixed
-    # point; the strict one every walk whose fixed point has least period
-    # q != k, and every identity cylinder.
+    # walk_cylinders) checks the skip table at each piece of a walk, with
+    # the steps left after that piece: it must pass every walk whose fixed
+    # point has least period q != k, and every identity cylinder.  Period k
+    # walks the whole tree.
     strict = 0
     for m in realized_classes(3, k):
-        alive, _, _, touch = _closing(m, 2 * k - 1)
+        alive, _, _ = _closing(m, 2 * k - 1)
         for q in range(1, 2 * k + 1):
             for b0, s, d, last, path, _ in _walks(m, q, None):
                 t = _fixed_point(m, b0, s, d, last)
                 if t is None:
                     continue
-                if q <= k:
-                    row = touch[path[0]]
-                    assert all(row[q - 1 - i] >> x & 1 for i, x in enumerate(path)), (
-                        m.pattern.to_text(), q, path
-                    )
                 if t is plmap_module._IDENTITY or q != k and plmap_module._least_period_on_walk(
                     m, path, b0, *t
                 ):
@@ -503,6 +497,16 @@ def test_skip_keeps_every_walk_with_a_fixed_point(k):
                         m.pattern.to_text(), q, path
                     )
     assert strict > 0
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_period_k_walks_the_whole_tree(k):
+    # the marked points have period k, so at k the skip table is not read
+    for m in realized_classes(3, k):
+        pruned = _walks(m, k, None, closing=_closing(m, k - 1))
+        assert [(*w[:4], tuple(w[4]), w[5]) for w in pruned] == [
+            (*w[:4], tuple(w[4]), w[5]) for w in _walks(m, k, None)
+        ], m.pattern.to_text()
 
 
 def _expanded_walks_have_fixed_points(m, pmax, cap=None):
@@ -551,10 +555,10 @@ def _fixed_point_solves(monkeypatch, text, p_max):
 def test_skip_cuts_the_fixed_point_solves_of_example2(monkeypatch):
     # up to where they stop, the report's 18 scans pass 31,848 walks (their
     # ``cylinders``); the oracle solves only the walks whose last image
-    # covers their first interval, and at q = 6 those that meet it.  The
-    # full scans of the odd periods, all absent, expand only Lyndon walks,
-    # and a walk with a fixed point there repeats that of a smaller period,
-    # so they solve none
+    # covers their first interval, and at q = 6 every walk up to the first
+    # witness.  The full scans of the odd periods, all absent, expand only
+    # Lyndon walks, and a walk with a fixed point there repeats that of a
+    # smaller period, so they solve none
     assert _fixed_point_solves(monkeypatch, EX2, 18) == 18
 
 

@@ -105,3 +105,19 @@ def test_certify_and_survey_never_validate_directly():
             and "validate" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
         ]
         assert calls == [], name
+
+
+def test_all_names_exactly_the_public_imports():
+    # ``__all__`` lists every public name that ``__init__`` imports, and
+    # nothing else but the version
+    tree = ast.parse(Path(stardyn.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    public = [name for name in imported if not name.startswith("_")]
+    assert len(stardyn.__all__) == len(set(stardyn.__all__))
+    assert set(stardyn.__all__) == set(public) | {"__version__"}
+    assert [name for name in stardyn.__all__ if not hasattr(stardyn, name)] == []
