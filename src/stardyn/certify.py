@@ -695,13 +695,14 @@ def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[
     for every class of a survey.  The pattern is validated and its tables
     derived once, for every step below.  The closed-walk count decides
     every period that k does not divide (``_period_counts``), period k is
-    the center's, and only its other multiples go to the oracle, as in
-    ``periodicity_report``.  The realization is built only when such a
-    multiple is in range, and then the tables are its own
-    (``PLMap.tables``); otherwise they come from ``_tables``.  A claimed
-    period that counts 0 raises InconsistencyError.  The claimed periods
-    are a set of ints (``_claimed``); certificate records are built only
-    to name them in that error and for the oracle's periods."""
+    the center's, and only its other multiples go to the oracle, which is
+    asked only whether a point exists (``first_witness``).  The
+    realization is built only when such a multiple is in range, and then
+    the tables are its own (``PLMap.tables``); otherwise they come from
+    ``_tables``.  A claimed period that the count or the oracle finds
+    absent raises InconsistencyError.  The claimed periods are a set of
+    ints (``_claimed``); certificate records are built only to name them
+    in that error."""
     m = realize(p) if 2 * p.k <= p_max else None
     tables = m.tables if m else _tables(p)
     closing = _closing(m, p_max - 1) if m else None
@@ -713,17 +714,16 @@ def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[
     present = []
     for q in range(1, p_max + 1):
         if q in counts:
-            if q in claimed and not counts[q]:
-                claims = _claims(p.k, theorem, cascade, forced, q)
-                raise InconsistencyError(
-                    f"{p.to_text()}: certificates {claims!r} claim period {q} but "
-                    f"the closed-walk count finds no such point — this is a bug"
-                )
             found = counts[q] > 0
         else:
-            found = q == p.k or _oracle_status(
-                m, q, _claims(p.k, theorem, cascade, forced, q), closing
-            ).status == "present"
+            found = q == p.k or first_witness(m, q, closing=closing) is not None
+        if q in claimed and not found:
+            claims = _claims(p.k, theorem, cascade, forced, q)
+            raise InconsistencyError(
+                f"{p.to_text()}: certificates {claims!r} claim period {q} but the "
+                f"{'closed-walk count' if q in counts else 'exact oracle'} finds no such "
+                "point — this is a bug"
+            )
         if found:
             present.append(q)
     chaos = _find_genscramble(tables, theorem, max_iterate)

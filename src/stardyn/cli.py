@@ -14,10 +14,12 @@ walk count and the exact oracle disagree, or a reference check fails), 2
 usage error, 3 resource cap exceeded.  Usage errors print a synopsis to
 stderr and produce no partial output.  Identical inputs yield
 byte-identical output; ``--out`` writes atomically (temp file + rename).
-The environment variable ``STARDYN_CYLINDER_CAP`` overrides the oracle's
-subdivision cap.  A survey decides every period that the orbit size k
-does not divide by counting closed walks, and scans only the multiples of
-k above k, so in a survey the cap bounds only those scans.
+The environment variable ``STARDYN_CYLINDER_CAP`` overrides the cap on
+the oracle's work: the walk-tree nodes it expands and the points it
+lists.  A survey decides every period that the orbit size k does not
+divide by counting closed walks, and asks the oracle for a witness only
+at the multiples of k above k, so in a survey the cap bounds only those
+scans.
 """
 
 from __future__ import annotations

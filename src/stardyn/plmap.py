@@ -19,11 +19,7 @@ cover rows).  A cylinder of the p-th iterate is then a walk of length p
 in this piece graph: it maps onto the image of its last piece, and its
 composite slope and offset stay integers.  The exhaustive oracle walks
 the graph in integers and solves every fixed point by one integer rule
-(``_fixed_point``), as a reduced numerator and denominator.  A fixed
-point x of a walk of length p lies in the walk's cylinder, so its j-th
-image f^j(x) is the composite of the walk's first j pieces: x has least
-period p iff no proper divisor j of p returns it, which the scan decides
-by replaying those prefixes in integers over x's denominator.  Points are
+(``_fixed_point``), as a reduced numerator and denominator.  Points are
 deduplicated and sorted in integers, and a ``Fraction`` is built only for
 a listed point.  Evaluating an arbitrary point locates its piece in
 integers by a per-branch table indexed by basic interval.
@@ -39,25 +35,29 @@ least period k.  An identity cylinder equals its image, which is then
 [j, j+1].  So at every period but k the oracle walks only into subtrees
 where some walk's image covers its first interval, and every walk it
 solves has a fixed point.  At period k, where the marked points are
-listed, it walks the whole tree.  The oracle counts the walks and nodes
-of every subtree it skips, so cylinder counts and the cap are those of
-the full tree.
+listed, it walks the whole tree.  The oracle counts the walks of every
+subtree it skips, so cylinder counts are those of the full tree, while
+the cap counts only the nodes it expands and the points it lists.
 
-A full listing at a period p != k solves one walk per orbit.  A point of
-least period p != k lies on no piece end (marked points have period k,
-and split points map to the center, so are not periodic).  So it has
-exactly one walk, the other points of its orbit have that walk's
-rotations, and the walk is aperiodic, as a walk u^j fixes only a point of
-period len(u).  Exactly one rotation is a Lyndon word (the edge shift's
-orbits are its primitive necklaces), so the scan solves the Lyndon walks
-alone and replays each orbit in integers; an integer fixed point is a
-marked point.  No Lyndon walk has an identity cylinder.  Its composite
-slope is +1, so every piece has slope +-1 and is a whole basic interval
-mapped onto one: the cylinder is a basic interval I0 whose two ends, both
-marked points, f^p fixes, so k | p.  Then f^k maps I0 onto itself fixing
-its ends, so it is the identity there, and the walk is u^(p/k) for the
-walk u of its first k pieces, which is not Lyndon at p != k.
-``first_witness`` and period k keep the walk-by-walk scan.
+A least period is read off the walk's word.  An integer fixed point is
+a marked point, of least period k.  A fixed point x off the integers,
+like its whole orbit, lies on no piece end (split points map to the
+center, so are not periodic), so it has one walk w of length p and is
+w's one fixed point unless w's cylinder is an identity one.  If w is its
+own rotation by a proper divisor j of p, f^j(x) is w's fixed point too,
+so it is x; if x has least period j < p, w is u^(p/j) for its walk u of
+length j.  So x has least period p iff w is primitive, equal to none of
+its proper rotations.  An identity cylinder's walk at p != k is not: its
+composite slope is +1, so every piece has slope +-1 and is a whole basic
+interval mapped onto one, the cylinder is a basic interval I0 whose
+ends, marked points, f^p fixes, so k | p, f^k is the identity on I0, and
+the walk is u^(p/k) for the walk u of its first k pieces.
+
+A full listing at p != k solves one walk per orbit: the orbit's points
+have the rotations of its primitive walk, of which exactly one is a
+Lyndon word (the edge shift's orbits are its primitive necklaces), and
+it replays each orbit in integers.  ``first_witness`` and period k keep
+the walk-by-walk scan.
 
 Patterns may leave branches empty; those are not realized.  A continuous
 extension constant equal to f(center) exists on an empty branch and adds
@@ -399,22 +399,13 @@ def _least_period_is(m: PLMap, pt: RationalPoint, p: int) -> bool:
     return False
 
 
-def _least_period_on_walk(m: PLMap, path, b0: int, num: int, den: int) -> bool:
-    """Whether the fixed point num/den (reduced) on branch b0 of the walk
-    ``path`` has least period exactly p = len(path).  The point lies in
-    the walk's cylinder, so its j-th image is the composite of the first j
-    pieces of ``path``; it is replayed in integers over den.  The p-th
-    image is the point itself, so its least period divides p and is p
-    unless it is at most p/2: unless the j-th image is the point for some
-    j <= p/2 (the same numerator, and the same branch unless the point is
-    the center)."""
-    y, pieces = num, m.pieces
-    for j in range(len(path) // 2):
-        q = pieces[path[j]]
-        y = q.slope * y + q.offset * den
-        if y == num and (not num or q.dst == b0):
-            return False
-    return True
+def _primitive(path) -> bool:
+    """Whether the walk ``path`` equals none of its proper rotations: for
+    no proper divisor j of its length p is it its own shift by j.  A fixed
+    point of a walk of length p off the integers has least period p iff
+    its walk is primitive (see the module docstring)."""
+    p = len(path)
+    return all(path[j:] != path[:-j] for j in range(1, p) if p % j == 0)
 
 
 def _sorted(found):
@@ -452,24 +443,27 @@ def _walks(m: PLMap, p: int, cap, steps=None, starts=None, closing=None, lyndon=
     oracle's ``_closing`` tables it skips, at every p but k, each subtree in
     which no walk's last image covers the basic interval of its first
     piece, as such walks fix no point of least period p but the marked
-    points (see the module docstring).  Every node of the full tree counts
-    toward the cap: a skipped subtree's all at once, at its root.
+    points (see the module docstring).
 
     With ``lyndon`` (and the tables) it yields only the walks whose pieces
     form a Lyndon word, less in index order than each proper rotation.  It
     expands only prefixes of those (Duval; Fredricksen-Kessler-Maiorana):
     with ``per`` the length of the longest Lyndon prefix, piece i is at
     least piece i - per, and a greater one makes per = i + 1; a word is
-    Lyndon iff per is its length.  The cap then counts the full tree at
-    the outset."""
+    Lyndon iff per is its length.
+
+    The cap counts the work done: one for each node popped and expanded,
+    nothing for a skipped subtree, and with ``lyndon`` p more for each walk
+    yielded, the orbit that a listing builds from it.  The nodes expanded
+    are at most those of the full tree, and the walks yielded at most its
+    leaves over p, as the p rotations of a Lyndon walk are distinct walks.
+    So the count is at most twice the full tree's nodes."""
     if p < 1:
         raise ValueError("period must be positive")
     limit = cylinder_cap(cap)
     pieces, end = m.pieces, p - 1
     steps = steps or (m.successors,) * end
     count = leaves = 0
-    if lyndon and sum(closing[2][end]) > limit:
-        raise CylinderCapExceeded(limit)
     path = [0] * p
     for first in range(len(pieces)) if starts is None else starts:
         q = pieces[first]
@@ -477,13 +471,12 @@ def _walks(m: PLMap, p: int, cap, steps=None, starts=None, closing=None, lyndon=
         stack = [(end, q.slope, q.offset, first, 1)]  # r, the steps left; per
         while stack:
             r, s, d, last, per = stack.pop()
-            skip = alive and not alive[r] >> last & 1
-            count += closing[2][r][last] if skip else 1
-            if count > limit:
-                raise CylinderCapExceeded(limit)
-            if skip:
+            if alive and not alive[r] >> last & 1:
                 leaves += closing[1][r][last]
                 continue
+            count += 1 + (p if lyndon and not r and per == p else 0)
+            if count > limit:
+                raise CylinderCapExceeded(limit)
             i = end - r
             path[i] = last
             if not r:
@@ -504,8 +497,8 @@ def _closing(m: PLMap, depth: int):
     steps left r: bit x of ``alive[first][r]`` is set when r steps from piece
     x can end at a piece whose image, on the branch of piece ``first``,
     contains its basic interval [j, j+1].  The pieces of one basic interval
-    share it.  ``leaves[r][x]`` and ``nodes[r][x]`` count the walks and the
-    tree nodes below x.  Returns (alive, leaves, nodes)."""
+    share it.  ``leaves[r][x]`` counts the walks below x.  Returns (alive,
+    leaves)."""
     succ = [(2 << ys[-1]) - (1 << ys[0]) for ys in m.successors]  # each a run of indices
 
     def reach(mask, r):
@@ -522,11 +515,10 @@ def _closing(m: PLMap, depth: int):
         for j, cell in enumerate(row):
             covers = sum(1 << y for y, (q, (ilo, ihi)) in ends if q.dst == b0 and ilo <= j < ihi)
             alive += [reach(covers, depth)] * len(cell)
-    leaves, nodes = [[1] * len(succ)], [[1] * len(succ)]
+    leaves = [[1] * len(succ)]
     for _ in range(depth):
         leaves.append([sum(leaves[-1][y] for y in ys) for ys in m.successors])
-        nodes.append([n + w for n, w in zip(nodes[-1], leaves[-1])])
-    return alive, leaves, nodes
+    return alive, leaves
 
 
 def _domain(m: PLMap, s: int, d: int, last: int) -> tuple[Fraction, Fraction]:
@@ -578,28 +570,27 @@ def oracle_scan(
     they include every walk with a fixed point off the integers or an
     identity cylinder: any other walk fixes at most a marked point, of
     least period k (see the module docstring).  At p = k it solves every
-    walk.  Skipped walks count toward ``cylinders`` and the cap;
-    ``closing`` reuses ``_closing`` tables across periods.
+    walk.  Skipped walks count toward ``cylinders`` but not toward the cap
+    (``_walks``); ``closing`` reuses ``_closing`` tables across periods.
 
-    The scan stays in integers until it lists a point.  A fixed point x
-    lies in its walk's cylinder, so f^j(x) is the composite of the walk's
-    first j pieces, and x has least period p iff no proper divisor j of p
-    has f^j(x) = x (``_least_period_on_walk``).  Points are deduplicated
-    as (branch, numerator, denominator) and sorted by an integer key
-    (``_sorted``); a ``Fraction`` is built once per listed point.
-
-    A full listing at p != k solves the Lyndon walks alone (``_walks``)
-    and lists each one's orbit (``_orbit``): a point of least period
-    p != k lies on no piece end, so it has one walk, which is aperiodic,
-    and its orbit's points have that walk's rotations, of which one is
-    Lyndon.  No Lyndon walk has an identity cylinder, as such a walk
-    repeats the walk of its first k pieces (see the module docstring).
+    A least period is read off the walk's word (see the module
+    docstring): an integer fixed point has least period k, any other p iff
+    its walk is primitive (``_primitive``).  So at p != k a walk that is
+    not costs no solve, and an identity cylinder's family turns up at
+    p = k alone.  Points are deduplicated as (branch, numerator,
+    denominator) and sorted by an integer key (``_sorted``); a
+    ``Fraction`` is built once per listed point.  A full listing at p != k
+    solves the Lyndon walks alone (``_walks``) and lists each one's orbit
+    (``_orbit``).
     """
     closing = closing or _closing(m, p - 1)
-    lyndon = not first_only and p != m.pattern.k
+    k = m.pattern.k
+    lyndon = not first_only and p != k
     found: list[tuple[int, int, int, tuple[int, ...]]] = []
     seen: set[tuple[int, int, int]] = set()
     for b0, s, d, last, path, cylinders in _walks(m, p, cap, closing=closing, lyndon=lyndon):
+        if p != k and not lyndon and not _primitive(path):
+            continue
         t = _fixed_point(m, b0, s, d, last)
         if t is None:
             continue
@@ -614,13 +605,15 @@ def oracle_scan(
                 return ScanResult(listed, cylinders, fam, False)
             continue
         num, den = t
-        if lyndon:  # an integer fixed point is a marked point, of period k
-            found += _orbit(m, path, b0, num, den) if den > 1 else ()
+        if den == 1 and p != k:  # a marked point, of least period k
+            continue
+        if lyndon:
+            found += _orbit(m, path, b0, num, den)
             continue
         key = (b0 if num else 0, num, den)
         if key not in seen:
             seen.add(key)
-            if _least_period_on_walk(m, path, b0, num, den):
+            if den == 1 or _primitive(path):
                 found.append(key + (tuple(path),))
                 if first_only:
                     return ScanResult(_listed(m, p, found), cylinders, None, False)

@@ -14,9 +14,11 @@ table, and the cap reader; the pattern's table comes from
 
 ``walk_cylinders`` is the stream the tests compare against that
 reference: the cylinders of the integer piece-graph walks of
-``plmap._walks``.
+``plmap._walks``.  ``oracle_work`` reads the oracle's cylinder-cap count
+off that full tree.
 """
 
+import math
 from fractions import Fraction
 
 from stardyn.patterns import CENTER_INDEX, _Record, _tables
@@ -249,3 +251,42 @@ def oracle_scan(m, p, cap=None, first_only=False):
             return ScanResult(tuple(found), cylinders, None, False)
     found.sort(key=lambda w: (w.point.branch, w.point.coord))
     return ScanResult(tuple(found), cylinders, None, True)
+
+
+def oracle_work(m, p, cylinders, first_only, scan):
+    """The cylinder-cap count of the ``plmap.oracle_scan`` call that gave
+    ``scan``, read off ``cylinders``, every cylinder of the p-th iterate in
+    depth-first order, by the rules the oracle states and without its
+    tables or its counter.  A prefix of a walk is alive at p = k, and at
+    any other p when some walk through it ends at an image that contains,
+    on the same branch, the basic interval of its first piece.  The oracle
+    pops a prefix whose proper prefixes it expanded, in a full listing at
+    p != k only a prenecklace (no suffix less than the prefix of its
+    length), and expands it if it is alive.  Each expanded prefix counts
+    one, and each expanded Lyndon walk of a listing p more, for the orbit
+    listed.  An incomplete scan counts up to the walk it stopped at."""
+    lyndon = not first_only and p != m.pattern.k
+    stop = None if scan.complete else (scan.family or scan.witnesses[-1]).itinerary
+    alive = set()
+    for c in cylinders:
+        j = math.floor(c.lo)
+        ylo, yhi = sorted((c.slope * c.lo + c.offset, c.slope * c.hi + c.offset))
+        if p == m.pattern.k or c.branch == c.b0 and ylo <= j and j + 1 <= yhi:
+            alive.update(c.itinerary[:i] for i in range(1, p + 1))
+    expanded, count = {(): True}, 0
+    for c in cylinders:
+        w = c.itinerary
+        for i in range(1, p + 1):
+            u = w[:i]
+            if u not in expanded:
+                expanded[u] = (
+                    expanded[w[: i - 1]]
+                    and u in alive
+                    and (not lyndon or all(u[j:] >= u[: i - j] for j in range(1, i)))
+                )
+                count += expanded[u]
+        if lyndon and expanded[w] and all(w[j:] + w[:j] > w for j in range(1, p)):
+            count += p
+        if w == stop:
+            break
+    return count

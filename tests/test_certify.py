@@ -12,6 +12,7 @@ import typing
 from fractions import Fraction
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -859,6 +860,28 @@ def test_certificate_kinds_are_the_schema_enum():
     enum = schema["$defs"]["certificate"]["properties"]["kind"]["enum"]
     assert len(kinds) == len(set(kinds)) == 8
     assert set(kinds) == set(enum) == {c[3]["kind"] for c in CERTIFICATE_JSON}
+
+
+def test_certificate_schema_checks_each_kind_by_its_fields():
+    # every pinned certificate fits the report schema in a period's list;
+    # a kind without its fields, one with a field of the wrong type, and
+    # one with a field of another kind do not
+    schema = json.loads((SCHEMAS / "report.schema.json").read_text(encoding="utf-8"))
+    report = report_to_json(periodicity_report(parse_pattern(EX2), 9))
+
+    def fits(cert):
+        doc = {**report, "periods": {**report["periods"], "9": {"status": "absent", "certs": [cert]}}}
+        try:
+            jsonschema.validate(doc, schema)
+        except jsonschema.ValidationError:
+            return False
+        return True
+
+    for *_, cert in CERTIFICATE_JSON:
+        assert fits(cert), cert
+    assert not fits({"kind": "cascade"})
+    assert not fits({"kind": "oracle_absence", "period": "three", "cylinders": 310})
+    assert not fits({"kind": "oracle_absence", "period": 9, "cylinders": 310, "m": 4})
 
 
 def test_inconsistency_error_is_one_class_in_plmap_and_certify():

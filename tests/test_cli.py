@@ -19,6 +19,7 @@ import stardyn.plmap as plmap_module
 import stardyn.survey as survey_module
 from stardyn.cli import run
 from stardyn.survey import classify_all, emit_table
+import reference_scan as ref
 from support import EX1, EX2
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -493,23 +494,46 @@ def test_oracle_cap_exceeded_exits_3(ex2_file, monkeypatch, capsys):
     assert "resource cap" in captured.err
 
 
-def test_oracle_cap_counts_the_full_walk_tree(ex2_file, monkeypatch, capsys):
-    # the orbit listing expands about 1,800 of the 23,116 nodes of the walk
-    # tree at period 16, and the cap still counts them all, at the outset
+def test_oracle_cap_counts_the_nodes_expanded_and_points_listed(ex2_file, monkeypatch, capsys):
+    # the orbit listing at period 16 expands 1,766 of the 23,116 nodes of
+    # the walk tree and lists 4,320 points; the cap counts those, as
+    # ``oracle_work`` reads them off the whole tree, not the oracle's counter
     m = plmap_module.realize(patterns_module.parse_pattern(EX2))
-    nodes = sum(plmap_module._closing(m, 15)[2][15])
-    assert nodes == 23116
+    scan = plmap_module.oracle_scan(m, 16)
+    work = ref.oracle_work(m, 16, list(ref.walk_cylinders(m, 16)), False, scan)
+    assert (work, len(scan.witnesses)) == (6086, 4320)
     argv = ["oracle", "--pattern", ex2_file, "--period", "16"]
     assert run(argv) == 0
     full = capsys.readouterr().out
-    monkeypatch.setenv("STARDYN_CYLINDER_CAP", str(nodes))
+    monkeypatch.setenv("STARDYN_CYLINDER_CAP", str(work))
     assert run(argv) == 0
     assert capsys.readouterr().out == full
-    monkeypatch.setenv("STARDYN_CYLINDER_CAP", str(nodes - 1))
+    monkeypatch.setenv("STARDYN_CYLINDER_CAP", str(work - 1))
     assert run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"stardyn: resource cap exceeded: cylinder cap {nodes - 1} exceeded\n"
+    assert captured.err == f"stardyn: resource cap exceeded: cylinder cap {work - 1} exceeded\n"
+
+
+def test_oracle_listing_of_a_million_points_exits_3(ex2_file, monkeypatch, capsys):
+    # at period 28 the listing holds about 1.4 million points, so it stops
+    # at the default cap long before it expands a million nodes
+    monkeypatch.delenv("STARDYN_CYLINDER_CAP", raising=False)
+    assert run(["oracle", "--pattern", ex2_file, "--period", "28"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "stardyn: resource cap exceeded: cylinder cap 1000000 exceeded\n"
+
+
+def test_analyze_of_example2_reaches_period_200(ex2_file, monkeypatch, capsys):
+    # the cap counts the work done, so under the default cap example 2
+    # runs to pmax 200; the sha256 is that of the same run when the cap
+    # counted the whole walk tree and was lifted to 10**80
+    monkeypatch.delenv("STARDYN_CYLINDER_CAP", raising=False)
+    assert run(["analyze", "--pattern", ex2_file, "--pmax", "200"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "ac246324a6ba8bebc4198e6f7a132b3a2ced18c58516870c46412f1b4147f8bc"
+    )
 
 
 def test_oracle_listing_that_disagrees_with_the_walk_count_exits_1(ex2_file, monkeypatch, capsys):
@@ -655,8 +679,9 @@ def test_jobs_flag_does_not_change_output(capsys, monkeypatch):
     assert run(["survey", "--n", "3", "--k", "5", "--jobs", "3"]) == 0
     assert capsys.readouterr().out == serial
     # errors raised in worker processes read the same as in-process ones;
-    # (2, 5) still scans period 10, a multiple of k, and its 36 classes
-    # make more than one chunk, so --jobs 2 starts a pool
+    # (2, 5) still asks the oracle for a witness at period 10, a multiple
+    # of k, and its 36 classes make more than one chunk, so --jobs 2
+    # starts a pool
     monkeypatch.setenv("STARDYN_CYLINDER_CAP", "10")
     message = "stardyn: resource cap exceeded: cylinder cap 10 exceeded\n"
     assert run(["survey", "--n", "2", "--k", "5", "--jobs", "1"]) == 3

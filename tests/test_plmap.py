@@ -20,7 +20,13 @@ import reference_scan as ref
 import stardyn.plmap as plmap_module
 from reference_loop import image_of_arc, image_of_subtree, subtree_from_segments, subtree_of_arc
 from reference_scan import walk_cylinders
-from stardyn.certify import OracleWitness, periodicity_report, verify_certificate
+from stardyn.certify import (
+    OracleWitness,
+    _period_counts,
+    _walk_traces,
+    periodicity_report,
+    verify_certificate,
+)
 from stardyn.patterns import CENTER_INDEX, arc, parse_pattern
 from stardyn.plmap import (
     CENTER,
@@ -429,18 +435,48 @@ def _drain(cylinders):
     return out, None
 
 
+def _scan_matches_reference(m, p, cap=None, first_only=False):
+    """The oracle's scan at period p equals that of the reference copy of
+    the Fraction DFS, and returns its outcome.  The oracle's cap count is
+    at most twice the full tree's nodes (``_walks``), which the reference
+    counts, so where the reference completes within the cap the oracle
+    runs at twice it.  Where the reference is capped, the oracle at the cap
+    raises the same error or completes; then each witness replays
+    (``_least_period_is``), and at a period that k does not divide the
+    closed-walk count agrees with the listing, or with a first witness on
+    whether one exists."""
+    limit = plmap_module.cylinder_cap(cap)
+    expected = _outcome(ref.oracle_scan, m, p, cap=limit, first_only=first_only)
+    if isinstance(expected, ScanResult):
+        scan = _outcome(oracle_scan, m, p, cap=2 * limit, first_only=first_only)
+        assert scan == expected, (m.pattern.to_text(), p, first_only)
+        return scan
+    scan = _outcome(oracle_scan, m, p, cap=limit, first_only=first_only)
+    if not isinstance(scan, ScanResult):
+        assert scan == expected, (m.pattern.to_text(), p, first_only)
+        return scan
+    assert all(_least_period_is(m, w.point, p) for w in scan.witnesses), (m.pattern.to_text(), p)
+    k = m.pattern.k
+    if p % k:
+        count = _period_counts(k, _walk_traces(m.tables.adjacency, p))[p]
+        if scan.complete and not first_only:
+            assert len(scan.witnesses) == count, (m.pattern.to_text(), p)
+        else:
+            assert bool(scan.witnesses) == bool(count), (m.pattern.to_text(), p, first_only)
+    return scan
+
+
 def _check_against_reference(m, scan_pmax, cap=None):
-    """Scans for p <= scan_pmax, and cylinders and the cap threshold for
-    p < scan_pmax, equal those of the reference copy of the Fraction DFS.
-    The oracle skips the walks that cannot close but counts every node of
-    the full tree, so a scan that runs to the end of the tree needs the
-    same cap as ``walk_cylinders``."""
+    """Scans for p <= scan_pmax equal those of the reference copy of the
+    Fraction DFS (``_scan_matches_reference``).  For p < scan_pmax the
+    cylinders and their cap threshold equal the reference's, and the
+    oracle's cap threshold is its work as ``ref.oracle_work`` reads it off
+    the reference's tree: the nodes it expands and the points it lists,
+    at most twice the tree's nodes."""
     nodes = 0  # of the walk tree down to depth p: each one counts toward the cap
     for p in range(1, scan_pmax + 1):
         for first_only in (False, True):
-            assert _outcome(oracle_scan, m, p, cap=cap, first_only=first_only) == _outcome(
-                ref.oracle_scan, m, p, cap=cap, first_only=first_only
-            ), (m.pattern.to_text(), p, first_only)
+            _scan_matches_reference(m, p, cap, first_only)
         if p == scan_pmax:
             return
         cylinders, error = _drain(ref.iter_cylinders(m, p, cap=cap))
@@ -453,10 +489,12 @@ def _check_against_reference(m, scan_pmax, cap=None):
         assert list(walk_cylinders(m, p, cap=nodes)) == cylinders
         for first_only in (False, True):
             scan = oracle_scan(m, p, first_only=first_only)
-            assert oracle_scan(m, p, cap=nodes, first_only=first_only) == scan
-            if scan.complete:
+            work = ref.oracle_work(m, p, cylinders, first_only, scan)
+            assert work <= 2 * nodes, (m.pattern.to_text(), p, first_only)
+            assert oracle_scan(m, p, cap=work, first_only=first_only) == scan
+            if work:
                 with pytest.raises(CylinderCapExceeded):
-                    oracle_scan(m, p, cap=nodes - 1, first_only=first_only)
+                    oracle_scan(m, p, cap=work - 1, first_only=first_only)
 
 
 @pytest.mark.parametrize("k", sorted(REFERENCE_HORIZON))
@@ -472,6 +510,14 @@ def test_walk_scan_matches_fraction_reference_on_examples(m1, m2):
         _check_against_reference(m, 9)
 
 
+def _word_rule(m, q, path, den):
+    """Whether a fixed point with denominator den of the walk ``path`` of
+    length q has least period q by the oracle's rule: an integer point has
+    least period k, any other one q iff the walk is primitive.
+    ``_least_period_rule_outcomes`` checks it against the replay."""
+    return q == m.pattern.k if den == 1 else plmap_module._primitive(path)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_skip_keeps_every_walk_with_a_fixed_point(k):
     # enumerate_patterns(3, k) holds every class with at most three occupied
@@ -482,15 +528,13 @@ def test_skip_keeps_every_walk_with_a_fixed_point(k):
     # walks the whole tree.
     strict = 0
     for m in realized_classes(3, k):
-        alive, _, _ = _closing(m, 2 * k - 1)
+        alive, _ = _closing(m, 2 * k - 1)
         for q in range(1, 2 * k + 1):
             for b0, s, d, last, path, _ in _walks(m, q, None):
                 t = _fixed_point(m, b0, s, d, last)
                 if t is None:
                     continue
-                if t is plmap_module._IDENTITY or q != k and plmap_module._least_period_on_walk(
-                    m, path, b0, *t
-                ):
+                if t is plmap_module._IDENTITY or q != k and _word_rule(m, q, path, t[1]):
                     strict += 1
                     row = alive[path[0]]
                     assert all(row[q - 1 - i] >> x & 1 for i, x in enumerate(path)), (
@@ -556,10 +600,12 @@ def test_skip_cuts_the_fixed_point_solves_of_example2(monkeypatch):
     # up to where they stop, the report's 18 scans pass 31,848 walks (their
     # ``cylinders``); the oracle solves only the walks whose last image
     # covers their first interval, and at q = 6 every walk up to the first
-    # witness.  The full scans of the odd periods, all absent, expand only
-    # Lyndon walks, and a walk with a fixed point there repeats that of a
-    # smaller period, so they solve none
-    assert _fixed_point_solves(monkeypatch, EX2, 18) == 18
+    # witness.  Off q = 6 a walk that repeats a shorter one costs no solve,
+    # so each present period solves its first witness's walk alone.  The
+    # full scans of the odd periods, all absent, expand only Lyndon walks,
+    # and a walk with a fixed point there repeats that of a smaller period,
+    # so they solve none
+    assert _fixed_point_solves(monkeypatch, EX2, 18) == 10
 
 
 def test_skip_cuts_the_fixed_point_solves_of_a_relabeled_example2(monkeypatch):
@@ -570,9 +616,9 @@ def test_skip_cuts_the_fixed_point_solves_of_a_relabeled_example2(monkeypatch):
 
 def _least_period_rule_outcomes(m, pmax, cap=None):
     """For every fixed point the oracle's walks accept at periods up to
-    pmax, whether the integer rule on the walk and the replay by
-    ``_least_period_is`` agree that its least period is the walk's length.
-    Returns the rule's verdicts, or stops at the cap."""
+    pmax, whether the rule on the walk's word (``_word_rule``) and the
+    replay by ``_least_period_is`` agree that its least period is the
+    walk's length.  Returns the rule's verdicts, or stops at the cap."""
     verdicts = []
     for q in range(1, pmax + 1):
         closing = _closing(m, q - 1)
@@ -583,7 +629,7 @@ def _least_period_rule_outcomes(m, pmax, cap=None):
                     continue
                 num, den = t
                 assert den > 0 and math.gcd(num, den) == 1
-                rule = plmap_module._least_period_on_walk(m, path, b0, num, den)
+                rule = _word_rule(m, q, path, den)
                 assert rule == _least_period_is(m, make_point(b0, F(num, den)), q), (
                     m.pattern.to_text(), q, path
                 )
@@ -656,20 +702,19 @@ def test_exact_order_separates_rationals_whose_floats_tie():
 def _orbit_listings_match_reference(m, pmax, cap=None):
     """Full scans at every period q <= pmax but k equal those of the
     Fraction reference: points, order, itineraries and ``cylinders``, or
-    the same cap error.  Where the scan lists orbits and k does not divide
+    the same cap error (``_scan_matches_reference``).  Where the scan lists orbits and k does not divide
     q, it expands one Lyndon walk per orbit.  Returns how many scans
     listed orbits."""
     listed = 0
     for q in range(1, pmax + 1):
         if q == m.pattern.k:
             continue
-        scan = _outcome(oracle_scan, m, q, cap=cap)
-        assert scan == _outcome(ref.oracle_scan, m, q, cap=cap), (m.pattern.to_text(), q)
+        scan = _scan_matches_reference(m, q, cap)
         if not isinstance(scan, ScanResult):
             continue
         listed += 1
         if q % m.pattern.k:
-            walks = sum(1 for _ in _walks(m, q, cap, closing=_closing(m, q - 1), lyndon=True))
+            walks = sum(1 for _ in _walks(m, q, None, closing=_closing(m, q - 1), lyndon=True))
             assert walks * q == len(scan.witnesses), (m.pattern.to_text(), q)
     return listed
 

@@ -664,6 +664,13 @@ def test_verify_paper_builds_one_digraph_per_report(monkeypatch):
     assert calls["_tables"] == calls["periodicity_report"] + calls["_survey_row"]
 
 
+def test_classify_all_raises_when_the_oracle_finds_a_claimed_period_absent(monkeypatch):
+    # 12 is forced at k = 6, and a survey asks the oracle for a witness there
+    monkeypatch.setattr(certify_module, "first_witness", lambda m, q, **kwargs: None)
+    with pytest.raises(InconsistencyError, match="claim period 12 but the exact oracle"):
+        classify_all(3, 6, 13)
+
+
 def test_classify_all_raises_when_a_claimed_period_counts_zero(monkeypatch):
     # period 1 is forced for every class, so a zero count contradicts its claim
     monkeypatch.setattr(certify_module, "_walk_traces", lambda adjacency, bound: [0] * bound)
@@ -672,9 +679,10 @@ def test_classify_all_raises_when_a_claimed_period_counts_zero(monkeypatch):
 
 
 def test_classify_all_builds_no_forced_period_or_center_orbit(monkeypatch):
-    # a survey row decides the claimed periods as ints; below 2k it never
-    # asks the oracle, so no record of a forced period or the center's
-    # orbit is built, while a report builds both
+    # a survey row decides the claimed periods as ints, and asks the oracle
+    # at a multiple of k above k only for a witness, so no record of a
+    # forced period or the center's orbit is built, below 2k or above it
+    # (12 is forced at k = 6), while a report builds both
     built = []
     for cls in (certify_module.ForcedPeriod, certify_module.CenterOrbit):
 
@@ -684,6 +692,8 @@ def test_classify_all_builds_no_forced_period_or_center_orbit(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counted)
     classify_all(3, 6)
+    assert built == []
+    classify_all(3, 6, 13)
     assert built == []
     periodicity_report(parse_pattern(EX2), 10)
     assert set(built) == {"ForcedPeriod", "CenterOrbit"}
