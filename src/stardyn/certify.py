@@ -37,6 +37,8 @@ from .plmap import (
     PLMap,
     _closing,
     _least_period_is,
+    _listed,
+    _scan,
     first_witness,
     oracle_scan,
     realize,
@@ -672,7 +674,8 @@ def _claimed(
 
 def _oracle_status(m: PLMap, q: int, claims: list[Certificate], closing) -> PeriodStatus:
     """Period q decided by the exact oracle with ``_closing`` tables: a
-    claimed period by its first witness, any other by the exhaustive scan."""
+    claimed period by its first witness, any other by the exhaustive scan,
+    whose first listed point alone is built as a record."""
     if claims:
         w = first_witness(m, q, closing=closing)
         if w is None:
@@ -681,10 +684,10 @@ def _oracle_status(m: PLMap, q: int, claims: list[Certificate], closing) -> Peri
                 f"exact oracle finds no such point — this is a bug"
             )
         return PeriodStatus("present", tuple(claims) + (OracleWitness(w),))
-    res = oracle_scan(m, q, closing=closing)
-    if res.witnesses:
-        return PeriodStatus("present", (OracleWitness(res.witnesses[0]),))
-    return PeriodStatus("absent", (OracleAbsence(q, res.cylinders),))
+    found, cylinders, _, _ = _scan(m, q, None, False, closing)
+    if found:
+        return PeriodStatus("present", (OracleWitness(_listed(m, q, found[:1])[0]),))
+    return PeriodStatus("absent", (OracleAbsence(q, cylinders),))
 
 
 def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[int]) -> tuple:

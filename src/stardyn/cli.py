@@ -51,8 +51,9 @@ from .patterns import (
 )
 from .plmap import (
     CylinderCapExceeded,
+    _on_center_orbit,
+    _scan,
     cylinder_cap,
-    oracle_scan,
     realize,
 )
 from .survey import (
@@ -353,34 +354,40 @@ def _cmd_orders(args: argparse.Namespace) -> tuple[Outputs, int]:
     return [(args.out, text)], 0
 
 
-def _witness_line(w, last: str = "") -> str:
-    """One oracle row as ``json.dumps(..., sort_keys=True)`` writes it;
-    ``last`` is the family's flag, whose key sorts after the others."""
-    coord = w.point.coord
-    return (
-        f'{{"on_center_orbit": {"true" if w.on_center_orbit else "false"}, '
-        f'"period": {w.period}, "point": {{"branch": {w.point.branch}, '
-        f'"coord": "{coord.numerator}/{coord.denominator}"}}{last}}}\n'
-    )
+_ORACLE_ROW = '{"on_center_orbit": %s, "period": %d, "point": {"branch": %d, "coord": "%d/%d"}%s}\n'
+
+
+def _oracle_rows(m, q: int, entries, last: str = "") -> list[str]:
+    """The oracle rows of ``plmap._scan``'s entries, as
+    ``json.dumps(..., sort_keys=True)`` writes their witnesses; ``last`` is
+    the family's flag, whose key sorts after the others."""
+    return [
+        _ORACLE_ROW
+        % ("true" if _on_center_orbit(m, b, num, den) else "false", q, b, num, den, last)
+        for b, num, den, _, _ in entries
+    ]
 
 
 def _cmd_oracle(args: argparse.Namespace) -> tuple[Outputs, int]:
+    """The listing of ``oracle_scan``, written from the scan's integer
+    entries (``plmap._scan``): no record is built for a listed point."""
     if args.period < 1:
         raise UsageError("--period must be a positive integer")
     p = _load_pattern(args.pattern)
     with _pattern_file(args.pattern):
         m = realize(p)
-    q, result = args.period, oracle_scan(m, args.period)
+    q = args.period
+    found, _, family, complete = _scan(m, q, None, False, None)
     # a complete listing at a period k does not divide is counted a second way
-    counts = _period_counts(p.k, _walk_traces(m.tables.adjacency, q)) if result.complete else {}
-    if counts.get(q, len(result.witnesses)) != len(result.witnesses):
+    counts = _period_counts(p.k, _walk_traces(m.tables.adjacency, q)) if complete else {}
+    if counts.get(q, len(found)) != len(found):
         raise InconsistencyError(
             f"{p.to_text()}: the closed-walk count gives {counts[q]} points of period "
-            f"{q} but the exact oracle lists {len(result.witnesses)} — this is a bug"
+            f"{q} but the exact oracle lists {len(found)} — this is a bug"
         )
-    rows = [_witness_line(w) for w in result.witnesses]
-    if result.family is not None:
-        rows.append(_witness_line(result.family, ', "uncountable_family": true'))
+    rows = _oracle_rows(m, q, found)
+    if family is not None:
+        rows += _oracle_rows(m, q, [family], ', "uncountable_family": true')
     return [(args.out, "".join(rows))], 0
 
 

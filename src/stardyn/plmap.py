@@ -20,9 +20,11 @@ in this piece graph: it maps onto the image of its last piece, and its
 composite slope and offset stay integers.  The exhaustive oracle walks
 the graph in integers and solves every fixed point by one integer rule
 (``_fixed_point``), as a reduced numerator and denominator.  Points are
-deduplicated and sorted in integers, and a ``Fraction`` is built only for
-a listed point.  Evaluating an arbitrary point locates its piece in
-integers by a per-branch table indexed by basic interval.
+deduplicated and sorted in integers (``_scan``), the points of one orbit
+share one walk, and a point's ``Fraction`` and itinerary are built only
+with its record (``_listed``); ``stardyn oracle`` writes its rows from the
+integers and builds no record.  Evaluating an arbitrary point locates its
+piece in integers by a per-branch table indexed by basic interval.
 
 A walk's cylinder lies in the basic interval [j, j+1] of its first piece
 and maps bijectively onto the integer image [ilo, ihi] of its last.  A
@@ -416,16 +418,17 @@ def _sorted(found):
 
 
 def _listed(m: PLMap, p: int, found) -> tuple[PeriodicWitness, ...]:
-    """The witnesses of least period p of (branch, numerator, denominator,
-    itinerary) entries: one ``Fraction`` per point off the center."""
+    """The witnesses of least period p of ``_scan``'s (branch, numerator,
+    denominator, walk, j) entries: one ``Fraction`` per point off the
+    center, and the itinerary, the walk rotated by j, built here."""
     return tuple(
         PeriodicWitness(
             RationalPoint(b, Fraction(num, den)) if num else CENTER,
             p,
-            itin,
+            walk[j:] + walk[:j],
             _on_center_orbit(m, b, num, den),
         )
-        for b, num, den, itin in found
+        for b, num, den, walk, j in found
     )
 
 
@@ -577,16 +580,30 @@ def oracle_scan(
     docstring): an integer fixed point has least period k, any other p iff
     its walk is primitive (``_primitive``).  So at p != k a walk that is
     not costs no solve, and an identity cylinder's family turns up at
-    p = k alone.  Points are deduplicated as (branch, numerator,
-    denominator) and sorted by an integer key (``_sorted``); a
-    ``Fraction`` is built once per listed point.  A full listing at p != k
-    solves the Lyndon walks alone (``_walks``) and lists each one's orbit
-    (``_orbit``).
+    p = k alone.  A full listing at p != k solves the Lyndon walks alone
+    (``_walks``) and lists each one's orbit (``_orbit``).  The scan runs
+    in integers (``_scan``); the records, one ``Fraction`` and one
+    itinerary per listed point, are built here (``_listed``).
     """
+    found, cylinders, family, complete = _scan(m, p, cap, first_only, closing)
+    family = _listed(m, p, [family])[0] if family else None
+    return ScanResult(_listed(m, p, found), cylinders, family, complete)
+
+
+def _scan(m: PLMap, p: int, cap, first_only: bool, closing):
+    """``oracle_scan`` in integers: (found, cylinders, family, complete),
+    where each entry of ``found`` is (branch, numerator, denominator,
+    walk, j) for a listed point num/den (reduced, den > 0; (0, 0, 1) is
+    the center) whose itinerary is the tuple ``walk`` rotated by j.  The
+    points of one orbit share one ``walk``.  A complete listing is in
+    (branch, coordinate) order (``_sorted``).  When the scan meets an
+    uncountable family, ``family`` is its representative's entry, with
+    which ``found`` ends unless the point is already listed; otherwise
+    ``family`` is None."""
     closing = closing or _closing(m, p - 1)
     k = m.pattern.k
     lyndon = not first_only and p != k
-    found: list[tuple[int, int, int, tuple[int, ...]]] = []
+    found: list[tuple[int, int, int, tuple[int, ...], int]] = []
     seen: set[tuple[int, int, int]] = set()
     for b0, s, d, last, path, cylinders in _walks(m, p, cap, closing=closing, lyndon=lyndon):
         if p != k and not lyndon and not _primitive(path):
@@ -598,11 +615,10 @@ def oracle_scan(
             lo, hi = _domain(m, s, d, last)
             t = _identity_cylinder_representative(m, p, b0, lo, hi, path)
             if t is not None:
-                pt = make_point(b0, t)
-                key = (pt.branch, t.numerator, t.denominator)
-                fam = PeriodicWitness(pt, p, tuple(path), _on_center_orbit(m, *key))
-                listed = _listed(m, p, found) + (() if key in seen else (fam,))
-                return ScanResult(listed, cylinders, fam, False)
+                fam = (b0 if t else 0, t.numerator, t.denominator, tuple(path), 0)
+                if fam[:3] not in seen:
+                    found.append(fam)
+                return found, cylinders, fam, False
             continue
         num, den = t
         if den == 1 and p != k:  # a marked point, of least period k
@@ -614,26 +630,27 @@ def oracle_scan(
         if key not in seen:
             seen.add(key)
             if den == 1 or _primitive(path):
-                found.append(key + (tuple(path),))
+                found.append(key + (tuple(path), 0))
                 if first_only:
-                    return ScanResult(_listed(m, p, found), cylinders, None, False)
-    return ScanResult(_listed(m, p, _sorted(found)), sum(closing[1][p - 1]), None, True)
+                    return found, cylinders, None, False
+    return _sorted(found), sum(closing[1][p - 1]), None, True
 
 
 def _orbit(m: PLMap, path, b0: int, num: int, den: int):
     """The orbit of the fixed point num/den (reduced, not an integer) on
-    branch b0 of the walk ``path``, as (branch, numerator, denominator,
-    itinerary) entries: point j is the walk's first j pieces applied, over
-    the same denominator, and has the walk rotated by j.  Raises
+    branch b0 of the walk ``path``, as ``_scan``'s (branch, numerator,
+    denominator, walk, j) entries: point j is the walk's first j pieces
+    applied, over the same denominator, and its itinerary is the walk
+    rotated by j.  Every entry holds the same ``walk`` tuple.  Raises
     InconsistencyError if the orbit returns before step len(path)."""
     walk, pieces = tuple(path), m.pieces
-    entries, y = [(b0, num, den, walk)], num
+    entries, y = [(b0, num, den, walk, 0)], num
     for j in range(1, len(walk)):
         q = pieces[walk[j - 1]]
         y = q.slope * y + q.offset * den
         if y == num and q.dst == b0:
             raise InconsistencyError(f"orbit back at step {j} of {len(walk)} — this is a bug")
-        entries.append((q.dst, y, den, walk[j:] + walk[:j]))
+        entries.append((q.dst, y, den, walk, j))
     return entries
 
 

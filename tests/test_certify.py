@@ -50,6 +50,7 @@ from stardyn.certify import (
 from stardyn.patterns import StarPattern, _arc_masks, _tables, arc, enumerate_patterns, parse_pattern
 from stardyn.plmap import (
     LoopError,
+    PeriodicWitness,
     first_witness,
     loop_point,
     oracle_scan,
@@ -745,6 +746,28 @@ def test_report_example2(p2):
         (cert,) = r.periods[q].certificates
         assert isinstance(cert, OracleAbsence) and cert.cylinders > 0
     assert any("self-loop" in line for line in r.commentary)
+
+
+def test_report_builds_one_witness_record_a_present_period(monkeypatch):
+    # period 3 is present and claimed by no certificate: the exhaustive
+    # scan lists 6 points, and the report builds a record only for the
+    # first, the witness it keeps
+    p = parse_pattern("n=2 k=6; b1: 1 3; b2: 2 5 4")
+    listing = oracle_scan(realize(p), 3).witnesses
+    built = 0
+    init = PeriodicWitness.__init__
+
+    def counted(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(PeriodicWitness, "__init__", counted)
+    r = periodicity_report(p, p_max=12)
+    monkeypatch.undo()
+    (cert,) = r.periods[3].certificates
+    assert len(listing) == 6 and cert == OracleWitness(listing[0])
+    assert built == len(r.present)
 
 
 def test_report_full_periodicity_small_star():

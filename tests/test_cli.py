@@ -458,12 +458,19 @@ def test_oracle_uncountable_family_flagged(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text,period,lines",
-    [(EX2, 16, 4320), (EX1, 2, 2), ("n=1 k=2; b1: 1", 2, 2)],
-    ids=["example2", "example1", "family"],
+    [
+        (EX2, 6, 30),
+        (EX2, 16, 4320),
+        (EX2, 20, 30000),
+        (EX1, 2, 2),
+        ("n=1 k=2; b1: 1", 2, 2),
+    ],
+    ids=["example2-6", "example2", "example2-20", "example1", "family"],
 )
 def test_oracle_lines_equal_the_generic_encoder(text, period, lines, tmp_path, capsys):
-    # rows are written from a fixed template; the bytes are those of
-    # json.dumps with sorted keys, which puts the family's flag last
+    # rows are written from the scan's integers with a fixed template; the
+    # bytes are those of json.dumps, with sorted keys, of the records that
+    # oracle_scan lists, which puts the family's flag last
     path = tmp_path / "p.pat"
     path.write_text(text + "\n", encoding="utf-8")
     assert run(["oracle", "--pattern", str(path), "--period", str(period)]) == 0
@@ -480,6 +487,30 @@ def test_oracle_lines_equal_the_generic_encoder(text, period, lines, tmp_path, c
         rows[-1]["uncountable_family"] = True
     assert capsys.readouterr().out == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     assert len(rows) == lines
+    if period == 6:
+        # the center on branch 0 and the marked points, on the center's orbit
+        assert rows[0] == {
+            "point": {"branch": 0, "coord": "0/1"}, "period": 6, "on_center_orbit": True
+        }
+        assert sum(row["on_center_orbit"] for row in rows) == 6
+
+
+def test_oracle_builds_no_record_for_a_listed_point(ex2_file, monkeypatch, capsys):
+    # stardyn oracle writes its 4,320 rows at period 16 from the scan's
+    # integers: no witness and no point record is built
+    built = {plmap_module.PeriodicWitness: 0, plmap_module.RationalPoint: 0}
+    for cls in built:
+        init = cls.__init__
+
+        def counted(self, *args, cls=cls, init=init):
+            built[cls] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert run(["oracle", "--pattern", ex2_file, "--period", "16"]) == 0
+    monkeypatch.undo()
+    assert capsys.readouterr().out.count("\n") == 4320
+    assert list(built.values()) == [0, 0]
 
 
 def test_oracle_bad_period_exits_2(ex1_file, capsys):
@@ -539,13 +570,13 @@ def test_analyze_of_example2_reaches_period_200(ex2_file, monkeypatch, capsys):
 def test_oracle_listing_that_disagrees_with_the_walk_count_exits_1(ex2_file, monkeypatch, capsys):
     # at a period that k does not divide the listing is counted again from
     # the covering digraph's closed walks; a dropped point is caught
-    scan = cli_module.oracle_scan
+    scan = cli_module._scan
 
-    def dropping(m, p):
-        res = scan(m, p)
-        return plmap_module.ScanResult(res.witnesses[1:], res.cylinders, res.family, res.complete)
+    def dropping(*args):
+        found, cylinders, family, complete = scan(*args)
+        return found[1:], cylinders, family, complete
 
-    monkeypatch.setattr(cli_module, "oracle_scan", dropping)
+    monkeypatch.setattr(cli_module, "_scan", dropping)
     assert run(["oracle", "--pattern", ex2_file, "--period", "8"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

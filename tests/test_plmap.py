@@ -768,11 +768,28 @@ def test_orbit_replay_raises_when_the_walk_repeats(m2):
     for w in ws.values():
         num, den = w.point.coord.numerator, w.point.coord.denominator
         orbit = plmap_module._orbit(m2, list(w.itinerary), w.point.branch, num, den)
-        assert [(RationalPoint(b, F(y, d)), itin) for b, y, d, itin in orbit] == [
+        assert [(RationalPoint(b, F(y, d)), walk[j:] + walk[:j]) for b, y, d, walk, j in orbit] == [
             (x, ws[x].itinerary) for x in (w.point, m2.evaluate(w.point))
         ]
         with pytest.raises(InconsistencyError, match="orbit back at step 2 of 4"):
             plmap_module._orbit(m2, list(w.itinerary) * 2, w.point.branch, num, den)
+
+
+def test_orbit_entries_share_one_walk_and_records_rebuild_the_itineraries(m2):
+    # a listing holds one walk tuple per orbit, each point only its
+    # rotation j; the records rebuild the itineraries the scan lists
+    scan = oracle_scan(m2, 16)
+    found, cylinders, family, complete = plmap_module._scan(m2, 16, None, False, None)
+    assert (len(found), cylinders, family, complete) == (4320, scan.cylinders, None, True)
+    assert plmap_module._listed(m2, 16, found) == scan.witnesses
+    walks = {id(walk) for _, _, _, walk, _ in found}
+    assert len(walks) == 4320 // 16
+    w = scan.witnesses[0]
+    num, den = w.point.coord.numerator, w.point.coord.denominator
+    orbit = plmap_module._orbit(m2, list(w.itinerary), w.point.branch, num, den)
+    assert len({id(walk) for _, _, _, walk, _ in orbit}) == 1
+    assert [j for *_, j in orbit] == list(range(16))
+    assert plmap_module._listed(m2, 16, orbit)[0] == w
 
 
 def _probe_points(m):
