@@ -363,7 +363,9 @@ def _nplus2_theorem(tables: _Tables) -> NPlus2Case | None:
     if _branch_of(p, 3) != _branch_of(p, 1):
         return None
     if set(p.branch_points(p.branch_of(1))) != {1, 3}:
-        raise InconsistencyError(f"{p.to_text()}: x1 and x3 share a branch with other points")
+        raise InconsistencyError(
+            f"{p.to_text()}: x1 and x3 share a branch with other points — this is a bug"
+        )
     if p.rank_of(3) < p.rank_of(1):
         cert = NPlus2Case(1, CENTER_INDEX, 3, (CENTER_INDEX, 3), ((CENTER_INDEX, 4),))
     else:
@@ -686,7 +688,7 @@ def _oracle_status(m: PLMap, q: int, claims: list[Certificate], closing) -> Peri
         return PeriodStatus("present", tuple(claims) + (OracleWitness(w),))
     found, cylinders, _, _ = _scan(m, q, None, False, closing)
     if found:
-        return PeriodStatus("present", (OracleWitness(_listed(m, q, found[:1])[0]),))
+        return PeriodStatus("present", (OracleWitness(_listed(q, found[:1])[0]),))
     return PeriodStatus("absent", (OracleAbsence(q, cylinders),))
 
 

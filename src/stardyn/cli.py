@@ -51,7 +51,6 @@ from .patterns import (
 )
 from .plmap import (
     CylinderCapExceeded,
-    _on_center_orbit,
     _scan,
     cylinder_cap,
     realize,
@@ -357,13 +356,13 @@ def _cmd_orders(args: argparse.Namespace) -> tuple[Outputs, int]:
 _ORACLE_ROW = '{"on_center_orbit": %s, "period": %d, "point": {"branch": %d, "coord": "%d/%d"}%s}\n'
 
 
-def _oracle_rows(m, q: int, entries, last: str = "") -> list[str]:
+def _oracle_rows(q: int, entries, last: str = "") -> list[str]:
     """The oracle rows of ``plmap._scan``'s entries, as
-    ``json.dumps(..., sort_keys=True)`` writes their witnesses; ``last`` is
-    the family's flag, whose key sorts after the others."""
+    ``json.dumps(..., sort_keys=True)`` writes their witnesses: a point is on
+    the center orbit iff it is an integer; ``last`` is the family's flag,
+    whose key sorts after the others."""
     return [
-        _ORACLE_ROW
-        % ("true" if _on_center_orbit(m, b, num, den) else "false", q, b, num, den, last)
+        _ORACLE_ROW % ("true" if den == 1 else "false", q, b, num, den, last)
         for b, num, den, _, _ in entries
     ]
 
@@ -385,9 +384,9 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[Outputs, int]:
             f"{p.to_text()}: the closed-walk count gives {counts[q]} points of period "
             f"{q} but the exact oracle lists {len(found)} — this is a bug"
         )
-    rows = _oracle_rows(m, q, found)
+    rows = _oracle_rows(q, found)
     if family is not None:
-        rows += _oracle_rows(m, q, [family], ', "uncountable_family": true')
+        rows += _oracle_rows(q, [family], ', "uncountable_family": true')
     return [(args.out, "".join(rows))], 0
 
 

@@ -44,9 +44,7 @@ class _Record:
     ``==`` and the hash; ``order=True`` orders the records of one class
     by their fields; ``eq=False`` keeps identity equality.  The methods
     are shared by every subclass and read its field tuples, so defining a
-    record runs no generated code.  A subclass built in bulk may take its
-    fields as named parameters of its own ``__init__``, setting each with
-    ``_setattr``: that skips the shared argument binding.
+    record runs no generated code.
     """
 
     __slots__ = ()

@@ -8,7 +8,10 @@ the preimage of the center when the image crosses it.  Marked points sit
 at integer coordinates and every basic interval has length one, so every
 piece has integer slope and offset; compositions of pieces stay integer
 and only interval endpoints ever need fractions.  All arithmetic is
-exact.
+exact.  A realized branch is as long as its number of marked points,
+which sit at 1 up to that length, and 0 is the center: every integer
+coordinate on a realized branch is a marked point, so a point lies on the
+center's orbit iff its coordinate is an integer.
 
 The map is Markov over its pieces: each piece lies in one basic interval
 and maps onto a whole union of basic intervals, so ``realize`` records
@@ -49,11 +52,20 @@ w's one fixed point unless w's cylinder is an identity one.  If w is its
 own rotation by a proper divisor j of p, f^j(x) is w's fixed point too,
 so it is x; if x has least period j < p, w is u^(p/j) for its walk u of
 length j.  So x has least period p iff w is primitive, equal to none of
-its proper rotations.  An identity cylinder's walk at p != k is not: its
-composite slope is +1, so every piece has slope +-1 and is a whole basic
-interval mapped onto one, the cylinder is a basic interval I0 whose
-ends, marked points, f^p fixes, so k | p, f^k is the identity on I0, and
-the walk is u^(p/k) for the walk u of its first k pieces.
+its proper rotations.
+
+An identity walk's composite t -> t maps its cylinder onto the image of
+its last piece, so the cylinder is that image.  Its composite slope is
++1, so every piece has slope +-1 (a split piece's slope is at least 2 in
+size) and is a whole basic interval mapped onto one: the cylinder is a
+basic interval I0 = [ilo, ihi] whose ends, marked points, f^p fixes, so
+k | p, f^k is the identity on I0, and the walk is u^(p/k) for the walk u
+of its first k pieces.  At p != k it is not primitive.  At p = k the
+inner end ilo is a marked point, of least period k, so no proper prefix
+of the walk, of length d < k, is the identity on I0, as it would fix ilo
+after d steps.  So ilo is a point of least period k in the family, and
+the oracle reports it as the family's representative, read off
+``images``.
 
 A full listing at p != k solves one walk per orbit: the orbit's points
 have the rotations of its primitive walk, of which exactly one is a
@@ -79,7 +91,6 @@ from .patterns import (
     StarPattern,
     _image,
     _Record,
-    _setattr,
     _Tables,
     _tables,
 )
@@ -140,10 +151,6 @@ class RationalPoint(_Record, order=True):
     branch: int
     coord: Fraction
 
-    def __init__(self, branch: int, coord: Fraction):
-        _setattr(self, "branch", branch)
-        _setattr(self, "coord", coord)
-
 
 CENTER = RationalPoint(0, Fraction(0))
 
@@ -168,23 +175,12 @@ class Piece(_Record):
 
 class PeriodicWitness(_Record):
     """A periodic point with its least period, its itinerary of pieces and
-    whether it lies on the center's orbit.  This record and its point are
-    built once per listed point, so both set their fields in an
-    ``__init__`` of their own, which costs less per record than the shared
-    one of ``_Record``."""
+    whether it lies on the center's orbit."""
 
     point: RationalPoint
     period: int
     itinerary: tuple[int, ...]
     on_center_orbit: bool
-
-    def __init__(
-        self, point: RationalPoint, period: int, itinerary: tuple[int, ...], on_center_orbit: bool
-    ):
-        _setattr(self, "point", point)
-        _setattr(self, "period", period)
-        _setattr(self, "itinerary", itinerary)
-        _setattr(self, "on_center_orbit", on_center_orbit)
 
 
 class ScanResult(_Record):
@@ -228,7 +224,9 @@ class PLMap(_Record, hidden=("images", "successors", "cells", "tables")):
     tables: _Tables
 
     def marked_point(self, i: MarkedPoint) -> RationalPoint:
-        return _marked_point(self.pattern, i)
+        if i == CENTER_INDEX:
+            return CENTER
+        return RationalPoint(self.pattern.branch_of(i), Fraction(self.pattern.rank_of(i)))
 
     def evaluate(self, x: RationalPoint) -> RationalPoint:
         """Exact image of a point."""
@@ -240,12 +238,6 @@ class PLMap(_Record, hidden=("images", "successors", "cells", "tables")):
         for _ in range(steps):
             x = self.evaluate(x)
         return x
-
-
-def _marked_point(p: StarPattern, i: MarkedPoint) -> RationalPoint:
-    if i == CENTER_INDEX:
-        return CENTER
-    return RationalPoint(p.branch_of(i), Fraction(p.rank_of(i)))
 
 
 def realize(p: StarPattern) -> PLMap:
@@ -353,8 +345,8 @@ def _step(m: PLMap, b: int, num: int, den: int) -> tuple[int, int]:
     """One application of the map to the point num/den on branch b, as
     (branch, numerator) over the same denominator; (0, 0) is the center."""
     if b == 0 and num == 0:
-        c = _marked_point(m.pattern, 1 % m.pattern.k)
-        return c.branch, c.coord.numerator * den
+        b, r = m.pattern.placements[0]  # point 1, the center's image
+        return b, r * den
     if not 1 <= b < len(m.cells) or not m.cells[b] or not 0 <= num <= m.branch_lengths[b] * den:
         raise DomainError(f"{RationalPoint(b, Fraction(num, den))} is outside the realized star")
     q = m.pieces[_piece_at(m, b, num, den)]
@@ -382,11 +374,6 @@ def cylinder_cap(cap: int | None = None) -> int:
     return value
 
 
-def _on_center_orbit(m: PLMap, b: int, num: int, den: int) -> bool:
-    """Whether the point num/den (reduced) on branch b is a marked point."""
-    return not num or den == 1 and (b, num) in m.pattern.placements
-
-
 def _least_period_is(m: PLMap, pt: RationalPoint, p: int) -> bool:
     """Whether pt has least period exactly p: one forward pass in integers
     over the point's denominator, locating each piece by coordinate and
@@ -412,21 +399,26 @@ def _primitive(path) -> bool:
 
 def _sorted(found):
     """Entries (branch, numerator, denominator > 0, ...) in (branch, coordinate)
-    order, by the integer num * (c // den) over the lcm c of the denominators."""
-    c = lcm(*(e[2] for e in found))
-    return sorted(found, key=lambda e: (e[0], e[1] * (c // e[2])))
+    order, by the integer num * (c // den) over the lcm c of the denominators,
+    with one division per distinct denominator."""
+    dens = {e[2] for e in found}
+    c = lcm(*dens)
+    scale = {den: c // den for den in dens}
+    return sorted(found, key=lambda e: (e[0], e[1] * scale[e[2]]))
 
 
-def _listed(m: PLMap, p: int, found) -> tuple[PeriodicWitness, ...]:
+def _listed(p: int, found) -> tuple[PeriodicWitness, ...]:
     """The witnesses of least period p of ``_scan``'s (branch, numerator,
     denominator, walk, j) entries: one ``Fraction`` per point off the
-    center, and the itinerary, the walk rotated by j, built here."""
+    center, and the itinerary, the walk rotated by j, built here.  A point
+    is on the center orbit iff it is an integer (see the module
+    docstring)."""
     return tuple(
         PeriodicWitness(
             RationalPoint(b, Fraction(num, den)) if num else CENTER,
             p,
             walk[j:] + walk[:j],
-            _on_center_orbit(m, b, num, den),
+            den == 1,
         )
         for b, num, den, walk, j in found
     )
@@ -524,14 +516,6 @@ def _closing(m: PLMap, depth: int):
     return alive, leaves
 
 
-def _domain(m: PLMap, s: int, d: int, last: int) -> tuple[Fraction, Fraction]:
-    """The cylinder [lo, hi] of a walk: the preimage under t -> s*t + d of
-    the image of its last piece."""
-    ilo, ihi = m.images[last]
-    t1, t2 = Fraction(ilo - d, s), Fraction(ihi - d, s)
-    return (t1, t2) if s > 0 else (t2, t1)
-
-
 def _fixed_point(m: PLMap, b0: int, s: int, d: int, last: int):
     """Fixed points of a walk's composite t -> s*t + d, from its cylinder
     on branch b0 onto the image [ilo, ihi] of its last piece: ``_IDENTITY``
@@ -567,7 +551,9 @@ def oracle_scan(
 
     Finds every point of least period exactly p.  When an iterate is the
     identity on a nondegenerate cylinder the family is uncountable; the
-    scan then reports one representative and flags the result incomplete.
+    scan then reports one representative, the cylinder's inner end (a
+    marked point; see the module docstring), and flags the result
+    incomplete.
     At p != k it solves only the walks whose last image covers the basic
     interval of their first piece.  Each of them has a fixed point, and
     they include every walk with a fixed point off the integers or an
@@ -586,8 +572,8 @@ def oracle_scan(
     itinerary per listed point, are built here (``_listed``).
     """
     found, cylinders, family, complete = _scan(m, p, cap, first_only, closing)
-    family = _listed(m, p, [family])[0] if family else None
-    return ScanResult(_listed(m, p, found), cylinders, family, complete)
+    family = _listed(p, [family])[0] if family else None
+    return ScanResult(_listed(p, found), cylinders, family, complete)
 
 
 def _scan(m: PLMap, p: int, cap, first_only: bool, closing):
@@ -597,9 +583,9 @@ def _scan(m: PLMap, p: int, cap, first_only: bool, closing):
     the center) whose itinerary is the tuple ``walk`` rotated by j.  The
     points of one orbit share one ``walk``.  A complete listing is in
     (branch, coordinate) order (``_sorted``).  When the scan meets an
-    uncountable family, ``family`` is its representative's entry, with
-    which ``found`` ends unless the point is already listed; otherwise
-    ``family`` is None."""
+    uncountable family, ``family`` is the entry of its representative,
+    the inner end of the cylinder's image, with which ``found`` ends unless
+    the point is already listed; otherwise ``family`` is None."""
     closing = closing or _closing(m, p - 1)
     k = m.pattern.k
     lyndon = not first_only and p != k
@@ -611,15 +597,16 @@ def _scan(m: PLMap, p: int, cap, first_only: bool, closing):
         t = _fixed_point(m, b0, s, d, last)
         if t is None:
             continue
-        if t is _IDENTITY:
-            lo, hi = _domain(m, s, d, last)
-            t = _identity_cylinder_representative(m, p, b0, lo, hi, path)
-            if t is not None:
-                fam = (b0 if t else 0, t.numerator, t.denominator, tuple(path), 0)
-                if fam[:3] not in seen:
-                    found.append(fam)
-                return found, cylinders, fam, False
-            continue
+        if t is _IDENTITY:  # only at p = k (see the module docstring)
+            ilo = m.images[last][0]
+            if not _least_period_is(m, make_point(b0, ilo), p):
+                raise InconsistencyError(
+                    f"identity cylinder point {ilo} lacks least period {p} — this is a bug"
+                )
+            fam = (b0 if ilo else 0, ilo, 1, tuple(path), 0)
+            if fam[:3] not in seen:
+                found.append(fam)
+            return found, cylinders, fam, False
         num, den = t
         if den == 1 and p != k:  # a marked point, of least period k
             continue
@@ -652,38 +639,6 @@ def _orbit(m: PLMap, path, b0: int, num: int, den: int):
             raise InconsistencyError(f"orbit back at step {j} of {len(walk)} — this is a bug")
         entries.append((q.dst, y, den, walk, j))
     return entries
-
-
-def _identity_cylinder_representative(m, p, b0, lo, hi, itin) -> Fraction | None:
-    """The p-th iterate fixes [lo, hi] pointwise.  Unless some proper-divisor
-    iterate is also the identity here (then every point has a smaller period
-    and None is returned), points of smaller period form a finite exception
-    set and any other point of the interval has least period exactly p.
-    A prefix walk's fixed point is in that set only if it lies in
-    [lo, hi]."""
-    bad: set[Fraction] = set()
-    for dd in (d for d in range(1, p) if p % d == 0):
-        ds, doff = 1, 0
-        for idx in itin[:dd]:
-            q = m.pieces[idx]
-            ds, doff = q.slope * ds, q.slope * doff + q.offset
-        t = _fixed_point(m, b0, ds, doff, itin[dd - 1])
-        if t is _IDENTITY:
-            return None
-        if t is not None:
-            t = Fraction(*t)
-            if lo <= t <= hi:
-                bad.add(t)
-    steps = len(bad) + 2
-    for j in range(steps + 1):
-        t = lo + (hi - lo) * Fraction(j, steps)
-        if t not in bad:
-            if not _least_period_is(m, make_point(b0, t), p):
-                raise InconsistencyError(
-                    f"identity cylinder point {t} lacks least period {p} — this is a bug"
-                )
-            return t
-    raise InconsistencyError("identity cylinder without a representative — this is a bug")
 
 
 def periodic_points(m: PLMap, p: int, cap: int | None = None) -> list[PeriodicWitness]:
@@ -765,8 +720,8 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
     starts = [idx for idx, bit in enumerate(bits) if bit & masks[0]]
     for b0, s, d, last, _, _ in _walks(m, p, None, steps, starts):
         t = _fixed_point(m, b0, s, d, last)
-        if t is _IDENTITY:
-            candidates.append(make_point(b0, _domain(m, s, d, last)[0]))
+        if t is _IDENTITY:  # the cylinder is its image, whose left end is fixed
+            candidates.append(make_point(b0, m.images[last][0]))
         elif t is not None:
             candidates.append(make_point(b0, Fraction(*t)))
     if not candidates:
@@ -781,7 +736,9 @@ def scramble_probe(
 ) -> tuple[Fraction, Fraction]:
     """Exact (min, max) separation of two orbits over n samples, measured
     every ``step`` applications of the map, after rescaling each branch to
-    unit length."""
+    unit length.  Raises ValueError unless n and ``step`` are positive."""
+    if n < 1 or step < 1:
+        raise ValueError("scramble_probe needs n >= 1 samples and step >= 1")
 
     def unit_distance(a: RationalPoint, b: RationalPoint) -> Fraction:
         def scaled(pt: RationalPoint) -> tuple[int, Fraction]:

@@ -32,7 +32,6 @@ from stardyn.plmap import (
     PLMap,
     RationalPoint,
     ScanResult,
-    _domain,
     _walks,
     cylinder_cap,
     make_point,
@@ -52,6 +51,14 @@ class Cylinder(_Record):
     offset: int
     branch: int
     itinerary: tuple[int, ...]
+
+
+def _domain(m: PLMap, s: int, d: int, last: int) -> tuple[Fraction, Fraction]:
+    """The cylinder [lo, hi] of a walk: the preimage under t -> s*t + d of
+    the image of its last piece."""
+    ilo, ihi = m.images[last]
+    t1, t2 = Fraction(ilo - d, s), Fraction(ihi - d, s)
+    return (t1, t2) if s > 0 else (t2, t1)
 
 
 def walk_cylinders(m: PLMap, p: int, cap: int | None = None):

@@ -405,6 +405,22 @@ def test_scramble_probe_straddling_pair_frozen(m2):
     assert lo < F(1, 10) < hi
 
 
+def test_scramble_probe_rejects_no_samples(m2):
+    # no sample has no (min, max) separation
+    x, y = m2.marked_point(1), m2.marked_point(2)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            scramble_probe(m2, x, y, n)
+
+
+def test_scramble_probe_rejects_a_step_that_does_not_move(m2):
+    # a step below 1 would measure the pair where it starts, every time
+    x, y = m2.marked_point(1), m2.marked_point(2)
+    for step in (0, -2):
+        with pytest.raises(ValueError, match="step >= 1"):
+            scramble_probe(m2, x, y, 5, step=step)
+
+
 # ------------------------------------- integer walks vs the Fraction reference
 
 # Deepest period compared for the canonical classes of each orbit size k,
@@ -658,7 +674,10 @@ def test_least_period_on_the_walk_matches_replay_on_random_patterns(rng, n, k):
 
 
 def test_oracle_lists_example2_without_stepping_and_one_fraction_a_point(m2, monkeypatch):
-    steps = built = 0
+    # example 2 at period 16 lists its 4,320 points without a step; the
+    # swap's identity family at period 2 is read off its cylinder's image,
+    # with the two steps of its replay and the one Fraction of its point
+    swap = realize(parse_pattern("n=1 k=2; b1: 1"))
     step, new = plmap_module._step, Fraction.__new__
 
     def counted_step(*args):
@@ -671,12 +690,15 @@ def test_oracle_lists_example2_without_stepping_and_one_fraction_a_point(m2, mon
         built += 1
         return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(plmap_module, "_step", counted_step)
-    monkeypatch.setattr(Fraction, "__new__", counted_new)
-    scan = oracle_scan(m2, 16)
-    monkeypatch.undo()
-    assert len(scan.witnesses) == 4320
-    assert (steps, built) == (0, 4320)
+    cases = ((m2, 16, 4320, False, (0, 4320)), (swap, 2, 1, True, (2, 1)))
+    for m, p, listed, family, pins in cases:
+        steps = built = 0
+        monkeypatch.setattr(plmap_module, "_step", counted_step)
+        monkeypatch.setattr(Fraction, "__new__", counted_new)
+        scan = oracle_scan(m, p)
+        monkeypatch.undo()
+        assert (len(scan.witnesses), scan.family is not None) == (listed, family)
+        assert (steps, built) == pins
 
 
 def test_exact_order_separates_rationals_whose_floats_tie():
@@ -781,7 +803,7 @@ def test_orbit_entries_share_one_walk_and_records_rebuild_the_itineraries(m2):
     scan = oracle_scan(m2, 16)
     found, cylinders, family, complete = plmap_module._scan(m2, 16, None, False, None)
     assert (len(found), cylinders, family, complete) == (4320, scan.cylinders, None, True)
-    assert plmap_module._listed(m2, 16, found) == scan.witnesses
+    assert plmap_module._listed(16, found) == scan.witnesses
     walks = {id(walk) for _, _, _, walk, _ in found}
     assert len(walks) == 4320 // 16
     w = scan.witnesses[0]
@@ -789,7 +811,7 @@ def test_orbit_entries_share_one_walk_and_records_rebuild_the_itineraries(m2):
     orbit = plmap_module._orbit(m2, list(w.itinerary), w.point.branch, num, den)
     assert len({id(walk) for _, _, _, walk, _ in orbit}) == 1
     assert [j for *_, j in orbit] == list(range(16))
-    assert plmap_module._listed(m2, 16, orbit)[0] == w
+    assert plmap_module._listed(16, orbit)[0] == w
 
 
 def _probe_points(m):

@@ -25,6 +25,21 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_every_inconsistency_message_says_it_is_a_bug():
+    # an InconsistencyError is always a bug, never a property of the
+    # pattern, so every one built in the package says so in its message
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "InconsistencyError":
+                text = node.args[0] if len(node.args) == 1 else None
+                if isinstance(text, ast.JoinedStr):
+                    text = text.values[-1]
+                if not (isinstance(text, ast.Constant) and text.value.endswith("— this is a bug")):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_cli_imports_no_runtime_dependency():
     # every CLI call pays for what ``stardyn.cli`` imports; networkx is only
     # the tests' isomorphism reference
