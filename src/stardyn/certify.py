@@ -17,6 +17,7 @@ for the periods the count cannot settle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .orders import forced_periods, sharkovskii_le
@@ -107,22 +108,59 @@ def render_dot(g: CoverDigraph) -> str:
 
 # ------------------------------------------------------------ walk lengths
 
+@functools.cache
+def _packing(size: int, steps: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int]:
+    """The constants of ``_walk_traces`` for ``size`` vertices and ``steps``
+    packed steps: the rows of A^0, each row's diagonal field mask, the
+    gather multiplier, its shift and the field mask."""
+    width = steps * size.bit_length() + 1
+    field = (1 << width) - 1
+    seeds = tuple(1 << (i * width) for i in range(size))
+    return seeds, tuple(field * seed for seed in seeds), sum(seeds), (size - 1) * width, field
+
+
 def _walk_traces(adjacency: tuple[tuple[int, ...], ...], bound: int) -> list[int]:
     """tr(A^1), ..., tr(A^bound) for the 0/1 matrix A with rows
-    ``adjacency``: the exact numbers of closed walks of each length.  Row
-    i of A^q is one integer with a field of ``width`` bits per column,
-    wide enough for any entry up to A^bound (at most size^bound), so row
-    i of A^(q+1) = A A^q is the sum of the rows of A^q at i's successors."""
+    ``adjacency``: the exact numbers of closed walks of each length.
+
+    Only the first ``steps = min(s, bound)`` powers are taken, s the
+    number of vertices.  Row i of A^q is one integer with a field of
+    ``width = steps * s.bit_length() + 1`` bits per column, so row i of
+    A^(q+1) = A A^q is the sum of the rows of A^q at i's successors.  The
+    diagonal fields, masked out of their rows and summed, times the
+    gather multiplier (a 1 in every field) hold in field s - 1 the sum of
+    all of them, the trace.  No field overflows: an entry of A^q counts
+    walks with q - 1 free inner vertices, so it is at most s^(q-1), the
+    trace at most s^q <= s^steps < 2^(width - 1), and every field of the
+    product is a partial sum of the diagonal, at most the trace.
+
+    Beyond s the traces p_q follow from the characteristic polynomial
+    det(xI - A) = x^s - e_1 x^(s-1) + ... + (-1)^s e_s.  By
+    Cayley-Hamilton it vanishes at A; times A^(q-s), traced, it gives
+    p_q = sum of c_i p_(q-i) over i = 1..s for q > s, with
+    c_i = (-1)^(i-1) e_i.  Newton's identities give the c_i from the
+    first s traces, m c_m = p_m - sum of c_i p_(m-i) over i < m; the
+    e_m are coefficients of the characteristic polynomial of an integer
+    matrix, integers, so the division by m is exact and every step stays
+    in integers."""
     if bound < 1:
         raise ValueError("bound must be positive")
     size = len(adjacency)
-    width = bound * size.bit_length() + 1
-    mask = (1 << width) - 1
-    rows = [1 << (i * width) for i in range(size)]
+    steps = min(size, bound)
+    rows, masks, gather, shift, field = _packing(size, steps)
     traces = []
-    for _ in range(bound):
+    for _ in range(steps):
         rows = [sum(map(rows.__getitem__, row)) for row in adjacency]
-        traces.append(sum(rows[i] >> (i * width) & mask for i in range(size)))
+        traces.append(sum(map(int.__and__, rows, masks)) * gather >> shift & field)
+    if bound > size:
+        # c_m, ..., c_1: they pair in order with p_1, p_2, ... (map stops
+        # at the shorter), and c_s, ..., c_1 with the last s traces
+        coefficients: list[int] = []
+        for m in range(1, size + 1):
+            done = sum(map(int.__mul__, coefficients, traces))
+            coefficients.insert(0, (traces[m - 1] - done) // m)
+        for _ in range(size, bound):
+            traces.append(sum(map(int.__mul__, coefficients, traces[-size:])))
     return traces
 
 
@@ -137,6 +175,16 @@ def self_loop_only_lengths(g: CoverDigraph, bound: int) -> set[int]:
     of a single self-loop: the trace is 1, since any other closed walk is
     counted once per distinct rotation."""
     return {q for q, t in enumerate(_walk_traces(g.adjacency, bound), 1) if t == 1}
+
+
+@functools.cache
+def _proper_divisors(bound: int) -> tuple[tuple[int, ...], ...]:
+    """The divisors below q of every q <= bound, at index q."""
+    table: list[list[int]] = [[] for _ in range(bound + 1)]
+    for d in range(1, bound // 2 + 1):
+        for q in range(2 * d, bound + 1, d):
+            table[q].append(d)
+    return tuple(map(tuple, table))
 
 
 def _period_counts(k: int, traces: list[int]) -> dict[int, int]:
@@ -158,9 +206,10 @@ def _period_counts(k: int, traces: list[int]) -> dict[int, int]:
     digraph has the piece graph's traces: a closed covering walk picks
     the one piece of each interval whose image holds the next."""
     counts: dict[int, int] = {}
+    divisors = _proper_divisors(len(traces))
     for q, t in enumerate(traces, 1):
         if q % k:
-            counts[q] = t - sum(counts[d] for d in range(1, q) if q % d == 0)
+            counts[q] = t - sum(map(counts.__getitem__, divisors[q]))
     return counts
 
 

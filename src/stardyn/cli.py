@@ -343,6 +343,8 @@ def _cmd_orders(args: argparse.Namespace) -> tuple[Outputs, int]:
         else:
             if args.segment is None or args.bound is None:
                 raise UsageError("set mode needs both --segment and --bound")
+            if args.bound < 1:
+                raise UsageError("--bound must be a positive integer")
             if relation in ("shark", "baldwin"):
                 forced = forced_periods(1 if relation == "shark" else t, args.segment, args.bound)
             else:

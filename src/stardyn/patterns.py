@@ -12,6 +12,7 @@ realization lives in plmap.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from operator import attrgetter, ge, gt, le, lt
@@ -550,6 +551,14 @@ class _Tables(_Record, eq=False):
     adjacency: tuple[tuple[int, ...], ...]
 
 
+@functools.cache
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``mask``, in increasing order: an
+    adjacency row of the covering digraph from its cover row, shared by
+    every pattern with that row."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
 def _tables(p: StarPattern, all_branches: bool = False) -> _Tables:
     """Validate p once and derive its tables.  The canonical map sends a
     basic interval onto exactly the arc between its endpoints' images, so
@@ -561,7 +570,7 @@ def _tables(p: StarPattern, all_branches: bool = False) -> _Tables:
         raise InvalidPatternError("; ".join(problems))
     ends, arcs, k = _interval_ends(p), _arc_masks(p), p.k
     rows = [arcs[(a + 1) % k][(b + 1) % k] for a, b in ends]
-    adjacency = tuple(tuple(j for j in range(len(rows)) if row >> j & 1) for row in rows)
+    adjacency = tuple(map(_bits, rows))
     return _Tables(p, ends, arcs, rows, adjacency)
 
 

@@ -18,6 +18,7 @@ order facts, class counts) and reports pass/fail with diffs.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -120,6 +121,12 @@ class SurveyResult(_Record):
     counts: SurveyCounts
 
 
+@functools.cache
+def _evens_plus_one(p_max: int) -> frozenset[int]:
+    """The fixed point and every even period up to ``p_max``."""
+    return frozenset({1} | set(range(2, p_max + 1, 2)))
+
+
 def tail_tag(present: frozenset[int] | set[int], p_max: int) -> str:
     """Classify the shape of a period set within the horizon ``[1, p_max]``.
 
@@ -132,8 +139,7 @@ def tail_tag(present: frozenset[int] | set[int], p_max: int) -> str:
     also ends with the top period, so the cofinite tag alone would not
     distinguish it.
     """
-    evens = frozenset({1} | set(range(2, p_max + 1, 2)))
-    if frozenset(present) == evens:
+    if present == _evens_plus_one(p_max):
         return "evens-plus-one"
     for m in range(1, p_max + 1):
         if all(q in present for q in range(m, p_max + 1)):

@@ -21,6 +21,7 @@ import reference_chaos as ref_chaos
 import reference_digraph as ref_digraph
 import reference_loop as ref_loop
 import reference_scan as ref_scan
+import reference_traces as ref_traces
 import stardyn.certify as certify_module
 from stardyn.certify import (
     Cascade,
@@ -295,6 +296,37 @@ def test_walk_traces_count_closed_walks(p1, p2):
         certify_module._walk_traces(((0,),), 0)
 
 
+def test_walk_traces_fixed_digraphs():
+    complete = tuple(tuple(range(9)) for _ in range(9))
+    assert certify_module._walk_traces(complete, 30) == [9**q for q in range(1, 31)]
+    assert certify_module._walk_traces((), 30) == [0] * 30
+    # every arc goes up the vertex order, so no walk closes
+    acyclic = tuple(tuple(range(i + 1, 7)) for i in range(7))
+    assert certify_module._walk_traces(acyclic, 40) == [0] * 40
+
+
+@pytest.mark.parametrize("c", range(1, 6))
+def test_walk_traces_of_a_cycle(c):
+    cycle = tuple(((i + 1) % c,) for i in range(c))
+    assert certify_module._walk_traces(cycle, 40) == [0 if q % c else c for q in range(1, 41)]
+
+
+def _adjacency(bits, size):
+    """The digraph on ``size`` vertices with arc i -> j iff bit i * size + j
+    of ``bits`` is set."""
+    return tuple(tuple(j for j in range(size) if bits >> (i * size + j) & 1) for i in range(size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10), st.integers(0, 2**100 - 1), st.integers(1, 60)), min_size=1, max_size=4))
+def test_walk_traces_match_the_reference_on_random_digraphs(calls):
+    # several shapes in one run: the constants built once per shape must
+    # never leak from one call into the next
+    for size, bits, bound in calls:
+        adjacency = _adjacency(bits, size)
+        assert certify_module._walk_traces(adjacency, bound) == ref_traces.walk_traces(adjacency, bound)
+
+
 # ------------------------------------------------------------ walk counts
 
 # Deepest period at which the walk count is compared with the oracle's list
@@ -323,11 +355,18 @@ def test_walk_count_equals_oracle_list_on_every_class(k):
 
 @pytest.mark.parametrize("k", range(2, 8))
 def test_cover_digraph_traces_equal_piece_graph_traces(k):
+    # both equal the reference's every-power traces at 2k + 3, where the
+    # bound exceeds every vertex count, so the traces past the first s
+    # come from the characteristic-polynomial recurrence
     traces = certify_module._walk_traces
     for n in range(1, 5):
         for p in enumerate_patterns(n, k):
             m = realize(p)
             assert traces(cover_digraph(p).adjacency, 8) == traces(m.successors, 8), p.to_text()
+            for adjacency in (cover_digraph(p).adjacency, m.successors):
+                assert len(adjacency) < 2 * k + 3
+                expected = ref_traces.walk_traces(adjacency, 2 * k + 3)
+                assert traces(adjacency, 2 * k + 3) == expected, p.to_text()
 
 
 @settings(max_examples=30, deadline=None)

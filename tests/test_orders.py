@@ -11,6 +11,8 @@ import random
 import numpy as np
 import pytest
 
+import stardyn.cli as cli_module
+from stardyn.cli import run
 from stardyn.orders import baldwin_le, forced_periods, nod_le, sharkovskii_le
 
 
@@ -159,3 +161,20 @@ def test_nod_frozen_facts():
 def test_nod_partial_order_on_1_100():
     for n in (2, 3, 4):
         assert_partial_order(relation_matrix(lambda a, b: nod_le(n, a, b), 1, 100))
+
+
+# ---------------------------------------------------------------- CLI
+
+@pytest.mark.parametrize(
+    "relation", [["shark"], ["baldwin", "--t", "2"], ["nod", "--t", "2"]], ids=lambda r: r[0]
+)
+@pytest.mark.parametrize("segment", ["-4", "0", "4"])
+def test_orders_set_mode_rejects_a_bound_below_1(relation, segment, capsys):
+    # as for --pmax: exit 2, the usage synopsis, and nothing listed
+    argv = ["orders", "--relation", *relation, "--segment", segment, "--bound", "0"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        cli_module._build_parser().format_usage() + "stardyn: error: --bound must be a positive integer\n"
+    )

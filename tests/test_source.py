@@ -136,3 +136,30 @@ def test_all_names_exactly_the_public_imports():
     assert len(stardyn.__all__) == len(set(stardyn.__all__))
     assert set(stardyn.__all__) == set(public) | {"__version__"}
     assert [name for name in stardyn.__all__ if not hasattr(stardyn, name)] == []
+
+
+def _is_cache(decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def test_every_cache_is_keyed_by_ints():
+    # a ``functools.cache`` keyed by ints stays bounded by a survey's shape
+    # (vertex counts, horizons, row masks); one keyed by a pattern or a
+    # record would keep every class of the survey alive
+    found, caches = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                map(_is_cache, node.decorator_list)
+            ):
+                caches += 1
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                if args.vararg or args.kwarg or not all(
+                    isinstance(a.annotation, ast.Name) and a.annotation.id == "int" for a in params
+                ):
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert caches and found == []
