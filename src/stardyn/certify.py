@@ -90,9 +90,10 @@ def _digraph(tables: _Tables) -> CoverDigraph:
     return CoverDigraph(p, tuple(basic_intervals(p)), tables.adjacency)
 
 
-def _through_center(masks: list[list[int]], a: MarkedPoint, b: MarkedPoint) -> bool:
-    """Whether the center is interior to the arc [a, b] (``_arc_masks``)."""
-    return bool(a and b and not masks[0][a] & masks[0][b])
+def _through_center(down: list[int], a: MarkedPoint, b: MarkedPoint) -> bool:
+    """Whether the center is interior to the arc [a, b]: a and b are off
+    the center and their descents (``_Tables.down``) share no interval."""
+    return bool(a and b and not down[a] & down[b])
 
 
 def render_dot(g: CoverDigraph) -> str:
@@ -333,22 +334,21 @@ def _branch_of(p: StarPattern, i: MarkedPoint) -> int:
     return 0 if i == CENTER_INDEX else p.branch_of(i)
 
 
-def _covers(masks: list[list[int]], src: ArcEnds, dst: ArcEnds) -> bool:
+def _covers(down: list[int], src: ArcEnds, dst: ArcEnds) -> bool:
     """Combinatorial covering: the arc between successor images of src's
-    endpoints contains dst (arcs as ``_arc_masks``)."""
-    k = len(masks)
-    image = masks[(src[0] + 1) % k][(src[1] + 1) % k]
-    return masks[dst[0]][dst[1]] & ~image == 0
+    endpoints contains dst (arcs as XORs of ``_Tables.down``)."""
+    k = len(down)
+    image = down[(src[0] + 1) % k] ^ down[(src[1] + 1) % k]
+    return (down[dst[0]] ^ down[dst[1]]) & ~image == 0
 
 
-def _arcs_disjoint(masks: list[list[int]], x: ArcEnds, y: ArcEnds) -> bool:
+def _arcs_disjoint(down: list[int], x: ArcEnds, y: ArcEnds) -> bool:
     """Closed arcs are disjoint iff they share no basic interval and no
     marked point; point i lies on [a, b] iff the arc from a to i lies
-    inside it."""
-    mx, my = masks[x[0]][x[1]], masks[y[0]][y[1]]
-    return not mx & my and not any(
-        masks[x[0]][i] & ~mx == 0 and masks[y[0]][i] & ~my == 0 for i in range(len(masks))
-    )
+    inside it (arcs as XORs of ``_Tables.down``)."""
+    x0, y0 = down[x[0]], down[y[0]]
+    mx, my = x0 ^ down[x[1]], y0 ^ down[y[1]]
+    return not mx & my and not any((x0 ^ d) & ~mx == 0 and (y0 ^ d) & ~my == 0 for d in down)
 
 
 # ----------------------------------------------------------- theorem checks
@@ -374,8 +374,8 @@ def _center_theorem(tables: _Tables) -> CenterTheoremCase | None:
     else:
         case_id, u, v, back = 3, x2, CENTER_INDEX, (x1, x2)
     cert = CenterTheoremCase(case_id, u, v, (u, v), back)
-    masks, span = tables.arcs, cert.span
-    if not all(_covers(masks, s, d) for s, d in ((span, span), (span, back), (back, span))):
+    down, span = tables.down, cert.span
+    if not all(_covers(down, s, d) for s, d in ((span, span), (span, back), (back, span))):
         raise _refuted(cert)
     return cert
 
@@ -420,13 +420,13 @@ def _nplus2_theorem(tables: _Tables) -> NPlus2Case | None:
     else:
         chain = ((CENTER_INDEX, 2), (1, 3), (CENTER_INDEX, 4))
         cert = NPlus2Case(2, CENTER_INDEX, 1, (CENTER_INDEX, 1), chain)
-    masks, span = tables.arcs, cert.span
+    down, span = tables.down, cert.span
     steps = [(span, span), *itertools.pairwise((span, *cert.chain, span))]
-    if not all(_covers(masks, s, d) for s, d in steps):
+    if not all(_covers(down, s, d) for s, d in steps):
         raise _refuted(cert)
     if cert.case_id == 2:
         b1, b2 = cert.chain[0], cert.chain[1]
-        if not (_covers(masks, b2, b1) and _arcs_disjoint(masks, b1, b2)):
+        if not (_covers(down, b2, b1) and _arcs_disjoint(down, b1, b2)):
             raise _refuted(cert)
     return cert
 
@@ -488,16 +488,17 @@ def _find_cascade(adjacency: tuple[tuple[int, ...], ...], ends: list[ArcEnds]) -
 
 # ---------------------------------------------------------- chaos search
 
-def _ordering_holds(masks: list[list[int]], u: int, v: int, t: int) -> bool:
+def _ordering_holds(down: list[int], u: int, v: int, t: int) -> bool:
     """g(v) < u < v <= g(u) read along the arc from g(u) to g(v), for the
-    t-th iterate g (arcs as ``_arc_masks``).  In a tree, x lies on the arc
-    from a to b iff the arc from a to x lies inside it, and the arc from a
-    to x grows with the position of x, so the order is nesting of the arcs
-    from g(u) to v, to u and to g(v), the last strictly.  Distinct points
-    have distinct arcs from g(u), and u = v leaves the span empty."""
-    k = len(masks)
-    row = masks[(u + t) % k]
-    to_v, to_u, span = row[v], row[u], row[(v + t) % k]
+    t-th iterate g (arcs as XORs of ``_Tables.down``).  In a tree, x lies
+    on the arc from a to b iff the arc from a to x lies inside it, and the
+    arc from a to x grows with the position of x, so the order is nesting
+    of the arcs from g(u) to v, to u and to g(v), the last strictly.
+    Distinct points have distinct arcs from g(u), and u = v leaves the
+    span empty."""
+    k = len(down)
+    gu = down[(u + t) % k]
+    to_v, to_u, span = gu ^ down[v], gu ^ down[u], gu ^ down[(v + t) % k]
     return to_u != span and to_v & ~to_u == 0 and to_u & ~span == 0
 
 
@@ -536,9 +537,9 @@ def _find_genscramble(
                 f"{theorem!r} fails its replay — this is a bug"
             )
         return cert
-    rows, arcs = tables.rows, tables.arcs
+    rows, down = tables.rows, tables.down
     pairs = itertools.combinations(range(p.k), 2)
-    masks = {(a, b): arcs[a][b] for a, b in pairs if not _through_center(arcs, a, b)}
+    masks = {(a, b): down[a] ^ down[b] for a, b in pairs if not _through_center(down, a, b)}
     cap = 2 * len(rows) + 2
     images = masks
     for t in range(1, max_iterate + 1):
@@ -547,9 +548,9 @@ def _find_genscramble(
             for v in range(p.k):
                 if u == v or tuple(sorted((u, v))) not in masks:
                     continue
-                if not _ordering_holds(arcs, u, v, t):
+                if not _ordering_holds(down, u, v, t):
                     continue
-                first = arcs[(v + t) % p.k][u]
+                first = down[(v + t) % p.k] ^ down[u]
                 loop = _loop_search(u, v, first, masks, images, cap)
                 if loop is not None:
                     return Genscramble(t, u, v, loop)
@@ -640,25 +641,25 @@ def _verify_cascade(p: StarPattern, cert: Cascade) -> bool:
 def verify_genscramble(p: StarPattern, cert: Genscramble) -> bool:
     """Replay: recheck the ordering condition and every covering of the
     t-th iterate, independent of the search.  Arcs are rank bitmasks
-    (``_arc_masks``) and a basic interval's image is the arc between its
-    endpoints' images (the cover rows of ``_tables``).  A loop arc whose
-    ends are not two distinct marked points, or an iterate below 1, fails
-    the replay; an invalid pattern raises ValueError."""
+    (XORs of ``_Tables.down``) and a basic interval's image is the arc
+    between its endpoints' images (the cover rows of ``_tables``).  A loop
+    arc whose ends are not two distinct marked points, or an iterate below
+    1, fails the replay; an invalid pattern raises ValueError."""
     return _verify_genscramble(_tables(p), cert)
 
 
 def _verify_genscramble(tables: _Tables, cert: Genscramble) -> bool:
-    p, arcs, rows = tables.pattern, tables.arcs, tables.rows
+    p, down, rows = tables.pattern, tables.down, tables.rows
     t, u, v = cert.iterate, cert.u, cert.v
     if not cert.loop or cert.loop[0] != tuple(sorted((u, v))) and cert.loop[0] != (u, v):
         return False
     if t < 1 or not all(0 <= a < p.k and 0 <= b < p.k and a != b for a, b in cert.loop):
         return False
-    if not _ordering_holds(arcs, u, v, t):
+    if not _ordering_holds(down, u, v, t):
         return False
-    if any(_through_center(arcs, a, b) for a, b in ((u, v), *cert.loop[1:])):
+    if any(_through_center(down, a, b) for a, b in ((u, v), *cert.loop[1:])):
         return False
-    masks = [arcs[a][b] for a, b in cert.loop]
+    masks = [down[a] ^ down[b] for a, b in cert.loop]
     for s, d in itertools.pairwise(masks):
         for _ in range(t):
             s = _image(rows, s)
@@ -667,9 +668,9 @@ def _verify_genscramble(tables: _Tables, cert: Genscramble) -> bool:
     if masks[0] & ~masks[-1]:
         return False
     gv = (v + t) % p.k
-    if gv == u or masks[1] & ~arcs[gv][u]:
+    if gv == u or masks[1] & ~(down[gv] ^ down[u]):
         return False
-    if masks[-2] & arcs[u][v]:
+    if masks[-2] & (down[u] ^ down[v]):
         return False
     return True
 

@@ -12,8 +12,12 @@ verify-paper  recompute all quoted reference facts and report pass/fail
 Exit codes: 0 success, 1 analysis inconsistency (a certified claim or a
 walk count and the exact oracle disagree, or a reference check fails), 2
 usage error, 3 resource cap exceeded.  Usage errors print a synopsis to
-stderr and produce no partial output.  Identical inputs yield
-byte-identical output; ``--out`` writes atomically (temp file + rename).
+stderr and produce no partial output: every command completes all of its
+analysis before the first byte is written, and a survey's text is then
+written in chunks of rows.  Identical inputs yield byte-identical output;
+``--out`` writes atomically (temp file + rename), and the file gets the
+mode a plain write would give it: an existing file keeps its own, and a
+new one gets 0o666 less the umask.
 The environment variable ``STARDYN_CYLINDER_CAP`` overrides the cap on
 the oracle's work: the walk-tree nodes it expands and the points it
 lists.  A survey decides every period that the orbit size k does not
@@ -28,6 +32,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 
@@ -218,10 +223,11 @@ def _json_text(payload: dict | list) -> str:
 
 
 # Each handler returns ([(destination path or None for stdout, text), ...],
-# exit code).  Nothing is written until the handler finishes, so failures
-# never leave partial output.
+# exit code), where a text is a string or an iterable of string chunks
+# built from finished results.  Nothing is written until the handler
+# finishes, so failures never leave partial output.
 
-Outputs = list[tuple[str | None, str]]
+Outputs = list[tuple[str | None, str | Iterable[str]]]
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[Outputs, int]:
@@ -277,24 +283,33 @@ def _cmd_survey(args: argparse.Namespace) -> tuple[Outputs, int]:
         raise UsageError(str(e)) from None
     if args.filter:
         result = filter_result(result, args.filter)
-    if args.format == "csv":
-        text = emit_table(result.records, "csv")
-    else:
-        text = _survey_json_text(result)
-    return [(args.out, text)], 0
+    return [(args.out, _survey_chunks(result, args.format))], 0
 
 
-def _survey_json_text(result: SurveyResult) -> str:
-    """``_json_text(survey_to_json(result))``, byte for byte, with only the
-    header through the generic encoder.  "rows" sorts last among the
-    payload's keys, so the payload without rows ends in ``"rows": []``;
-    the rows, from the fixed template of ``_record_json``, go between
-    those brackets."""
-    text = _json_text(survey_to_json(result._replace(records=())))
-    if not result.records:
-        return text
-    rows = ",\n".join(map(_record_json, result.records))
-    return text[: -len("]\n}\n")] + "\n" + rows + "\n  ]\n}\n"
+# survey rows per output chunk
+_ROWS_PER_CHUNK = 1024
+
+
+def _survey_chunks(result: SurveyResult, format: str) -> Iterator[str]:
+    """The survey's text in chunks of rows: ``emit_table(result.records,
+    "csv")`` or ``_json_text(survey_to_json(result))``, byte for byte when
+    joined.  Only the header goes through the generic writer.  For JSON,
+    "rows" sorts last among the payload's keys, so the payload without
+    rows ends in ``"rows": []``; the rows, from the fixed template of
+    ``_record_json``, go between those brackets."""
+    records = result.records
+    parts = (records[i : i + _ROWS_PER_CHUNK] for i in range(0, len(records), _ROWS_PER_CHUNK))
+    if format == "csv":
+        header = emit_table((), "csv")
+        yield header
+        yield from (emit_table(part, "csv")[len(header) :] for part in parts)
+        return
+    head = _json_text(survey_to_json(result._replace(records=())))
+    yield head[: -len("]\n}\n")] if records else head
+    for i, part in enumerate(parts):
+        yield (",\n" if i else "\n") + ",\n".join(map(_record_json, part))
+    if records:
+        yield "\n  ]\n}\n"
 
 
 def _record_json(r: ClassRecord) -> str:
@@ -409,14 +424,23 @@ def _cmd_verify_paper(args: argparse.Namespace) -> tuple[Outputs, int]:
     return [(args.out, text)], 1
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to a temp file beside ``path`` and rename it over
+    ``path``, with the mode ``open(path, "w")`` would leave: an existing
+    file's own, else 0o666 less the umask (``mkstemp`` makes it 0o600)."""
     import tempfile
 
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        os.umask(umask := os.umask(0))  # read the umask, and put it back
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stardyn-")
     try:
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -428,10 +452,11 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _emit_outputs(outputs: Outputs) -> None:
     for path, text in outputs:
+        chunks = (text,) if isinstance(text, str) else text
         if path is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
         else:
-            _write_atomic(path, text)
+            _write_atomic(path, chunks)
 
 
 _HANDLERS = {

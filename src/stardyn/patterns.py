@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from itertools import accumulate
 from operator import attrgetter, ge, gt, le, lt
 
 _setattr = object.__setattr__
@@ -510,43 +511,52 @@ class BasicInterval(_Record):
         return (self.inner, self.outer)
 
 
-def _interval_ends(p: StarPattern) -> list[tuple[MarkedPoint, MarkedPoint]]:
-    """The (inner, outer) ends of every basic interval, ordered by (branch,
-    rank from the center): one per marked point, which is its outer end."""
-    point = {e: i for i, e in enumerate(p.placements, start=1)}
-    return [(point.get((b, r - 1), CENTER_INDEX), point[b, r]) for b, r in sorted(p.placements)]
+def _descent(p: StarPattern) -> tuple[list[tuple[MarkedPoint, MarkedPoint]], list[int]]:
+    """The basic intervals and the descent vector of a valid pattern, in
+    one pass over the placements.
+
+    ``ends[i]`` is basic interval i as its (inner, outer) marked points,
+    ordered by (branch, rank from the center): one per marked point, which
+    is its outer end.  ``down[x]`` is the bitmask of the basic intervals
+    between marked point x and the center: bit i stands for interval i,
+    and a point of rank r on branch b has the r low bits of b's block,
+    which starts after the intervals of the branches before b.  In a tree
+    the arc between two points is the symmetric difference of their paths
+    to the center, so ``down[a] ^ down[b]`` is the arc between a and b."""
+    size = [0] * (p.n + 1)
+    for b, _ in p.placements:
+        size[b] += 1
+    start = list(accumulate(size, initial=0))  # start[b] counts the intervals before branch b
+    inner, outer, down = [CENTER_INDEX] * (p.k - 1), [0] * (p.k - 1), [0] * p.k
+    for i, (b, r) in enumerate(p.placements, start=1):
+        v = start[b] + r - 1
+        outer[v] = i
+        if r < size[b]:
+            inner[v + 1] = i
+        down[i] = ((1 << r) - 1) << start[b]
+    return list(zip(inner, outer)), down
 
 
 def basic_intervals(p: StarPattern) -> list[BasicInterval]:
     """All basic intervals, ordered by (branch, rank from the center): one
     per marked point, which is its outer end."""
-    return [BasicInterval(a, b, *p.placements[b - 1]) for a, b in _interval_ends(p)]
-
-
-def _arc_masks(p: StarPattern) -> list[list[int]]:
-    """``masks[a][b]`` is the arc between marked points a and b as a
-    bitmask of basic intervals: bit i stands for ``basic_intervals(p)[i]``,
-    branch by branch outward from the center.  The intervals between a
-    point of rank r and the center are the r low bits of its branch's
-    block, and in a tree the arc between two points is the symmetric
-    difference of their paths to the center."""
-    index = {e: i for i, e in enumerate(sorted(p.placements))}  # as in ``basic_intervals``
-    down = [0] + [((1 << r) - 1) << (index[b, r] - r + 1) for b, r in p.placements]
-    return [[x ^ y for y in down] for x in down]
+    return [BasicInterval(a, b, *p.placements[b - 1]) for a, b in _descent(p)[0]]
 
 
 class _Tables(_Record, eq=False):
     """The combinatorics of one valid pattern, derived once (``_tables``)
     for every step that reads it.
 
-    ``ends[i]`` is basic interval i as its (inner, outer) marked points,
-    in the vertex order of ``basic_intervals``; ``arcs`` is ``_arc_masks``;
-    ``rows[i]`` is the image of interval i under the canonical map as an
-    arc mask, and ``adjacency[i]`` lists its bits: the covering digraph."""
+    ``ends`` and ``down`` are as in ``_descent``: the basic intervals in
+    the vertex order of ``basic_intervals``, and the descent vector, whose
+    XOR ``down[a] ^ down[b]`` is the arc between a and b as a bitmask of
+    basic intervals.  ``rows[i]`` is the image of interval i under the
+    canonical map as such a mask, and ``adjacency[i]`` lists its bits: the
+    covering digraph."""
 
     pattern: StarPattern
     ends: list[tuple[MarkedPoint, MarkedPoint]]
-    arcs: list[list[int]]
+    down: list[int]
     rows: list[int]
     adjacency: tuple[tuple[int, ...], ...]
 
@@ -568,10 +578,10 @@ def _tables(p: StarPattern, all_branches: bool = False) -> _Tables:
     problems = validate(p, all_branches=all_branches)
     if problems:
         raise InvalidPatternError("; ".join(problems))
-    ends, arcs, k = _interval_ends(p), _arc_masks(p), p.k
-    rows = [arcs[(a + 1) % k][(b + 1) % k] for a, b in ends]
-    adjacency = tuple(map(_bits, rows))
-    return _Tables(p, ends, arcs, rows, adjacency)
+    ends, down = _descent(p)
+    image = down[1:] + down[:1]  # image[x] is down of x's successor
+    rows = [image[a] ^ image[b] for a, b in ends]
+    return _Tables(p, ends, down, rows, tuple(map(_bits, rows)))
 
 
 def _image(rows: list[int], x: int) -> int:

@@ -670,17 +670,17 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
     first, and I_p containing I_0, returns the least x in (branch,
     coordinate) order with f^p(x) = x and f^i(x) in I_i for every i.
 
-    Arcs are bitmasks of basic intervals (``_arc_masks``), so each
-    covering is a subset test on an image (rows of ``m.tables``).  A point of
-    the loop whose orbit meets no piece end has one piece at each step,
-    which lies inside I_i and inside the image of the piece before it: it
-    lies in the cylinder of a walk of the piece graph restricted at step i
-    to the pieces inside I_i.  There it is the walk's one fixed point, or
-    the p-th iterate fixes the whole cylinder, whose left end is then a
-    smaller point of the loop.  A point whose orbit meets a piece end lies
-    on the center orbit, since every integer coordinate is a marked point
-    and every split point maps to the center; marked point i visits
-    (i + j) % k at step j, so it is checked directly.
+    Arcs are bitmasks of basic intervals (XORs of ``_Tables.down``), so
+    each covering is a subset test on an image (rows of ``m.tables``).  A
+    point of the loop whose orbit meets no piece end has one piece at each
+    step, which lies inside I_i and inside the image of the piece before
+    it: it lies in the cylinder of a walk of the piece graph restricted at
+    step i to the pieces inside I_i.  There it is the walk's one fixed
+    point, or the p-th iterate fixes the whole cylinder, whose left end is
+    then a smaller point of the loop.  A point whose orbit meets a piece
+    end lies on the center orbit, since every integer coordinate is a
+    marked point and every split point maps to the center; marked point i
+    visits (i + j) % k at step j, so it is checked directly.
 
     The constrained walks count toward the cylinder cap: raises
     CylinderCapExceeded past it (env STARDYN_CYLINDER_CAP overrides the
@@ -697,8 +697,8 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
     for i, a in enumerate(loop):
         if i >= 1 and a.through_center:
             raise LoopError(f"arc {i} has the center in its interior")
-    arcs, rows = m.tables.arcs, m.tables.rows
-    masks = [arcs[a.a][a.b] for a in loop]
+    down, rows = m.tables.down, m.tables.rows
+    masks = [down[a.a] ^ down[a.b] for a in loop]
     for i in range(1, len(loop)):
         if masks[i] & ~_image(rows, masks[i - 1]):
             raise LoopError(f"covering fails at step {i}: f(I_{i - 1}) does not contain I_{i}")
@@ -710,7 +710,7 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
         m.marked_point(i)
         for i in range(k)
         if p % k == 0
-        and all(arcs[a.a][(i + j) % k] & ~x == 0 for j, (a, x) in enumerate(zip(loop, masks)))
+        and all(not (down[a.a] ^ down[(i + j) % k]) & ~x for j, (a, x) in enumerate(zip(loop, masks)))
     ]
     # the basic interval of each piece as a bit; pieces run in cell order
     bits = [1 << v for v, cell in enumerate(c for row in m.cells for c in row) for _ in cell]

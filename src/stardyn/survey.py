@@ -23,6 +23,7 @@ import io
 import json
 import math
 import os
+from itertools import repeat
 
 from .certify import (
     CoverDigraph,
@@ -272,51 +273,66 @@ def classify_all(
     baseline depends only on (k, p_max), so it is computed once here for
     every row.
 
+    Rows are classed as they arrive (the map is consumed inside the pool's
+    ``with``), so no row outlives its class: only the records and, per
+    key, what the classing below still needs are kept.  Classes with equal
+    period sets share one ``periods_present`` tuple and one ``tail``.
+
     Digraph classes are numbered by first appearance.  Each class is first
     keyed by a cheap isomorphism invariant of its digraph: the sorted
-    vertex codes of ``_degree_codes`` and the closed-walk counts.  A class
-    whose key is new gets the next digraph id with no canonical form.
-    Only when a key repeats are canonical forms (``_canonical_form``)
-    computed, once per digraph: for the earlier class that holds the key,
-    then for each later one, and the form decides the id.  This is exact:
-    isomorphic digraphs have equal keys, so a new key proves a new class,
-    and within one key the canonical form decides isomorphism as before.
-    A key maps to the row index of its first class until it repeats, and
-    then to None, as every class under it has its form in ``forms``.
+    vertex codes of ``_degree_codes`` and the closed-walk counts, of which
+    only the hash is kept.  A class whose hash is new gets the next digraph
+    id with no canonical form.  Only when a hash repeats, by a repeated key
+    or a collision, are canonical forms (``_canonical_form``) computed,
+    once per digraph: for the earlier class that holds the hash, then for
+    each later one, and the form decides the id.  This is exact:
+    isomorphic digraphs have equal keys and so equal hashes, so a new hash
+    proves a new class, and within one hash the canonical form decides
+    isomorphism as before.  A hash maps to the adjacency and digraph id of
+    its first class until it repeats, and then to None, as every class
+    under it has its form in ``forms``.
     """
     reps = enumerate_patterns(n, k, all_branches=all_branches)
     forced = frozenset(forced_periods(1, k, p_max))
-    args = (reps, [p_max] * len(reps), [max_iterate] * len(reps), [forced] * len(reps))
+    args = (reps, repeat(p_max), repeat(max_iterate), repeat(forced))
     workers = min(jobs, _usable_cpus(), -(-len(reps) // _CHUNK))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_survey_row, *args, chunksize=_CHUNK))
+            records = _classed(reps, pool.map(_survey_row, *args, chunksize=_CHUNK), p_max)
     else:
-        rows = list(map(_survey_row, *args))
+        records = _classed(reps, map(_survey_row, *args), p_max)
+    return SurveyResult(n, k, p_max, max_iterate, tuple(records), _counts(records))
 
+
+def _classed(reps: list[StarPattern], rows, p_max: int) -> list[ClassRecord]:
+    """The records of the classes ``reps``, classed as their rows (of
+    ``certify._survey_row``) arrive, as ``classify_all`` describes."""
     records: list[ClassRecord] = []
-    buckets: dict[tuple, int | None] = {}
+    buckets: dict[int, tuple | None] = {}
     forms: dict[tuple, int] = {}
+    shared: dict[tuple[int, ...], tuple[tuple[int, ...], str]] = {}
     classes = 0
     for idx, (p, (present, chaos, center, nplus2, adjacency, traces)) in enumerate(zip(reps, rows)):
-        key = (_degree_codes(adjacency), traces)
-        first = buckets.setdefault(key, idx)
-        if first == idx:
+        key = hash((_degree_codes(adjacency), traces))
+        first = buckets.setdefault(key, (adjacency, classes))
+        if first is not None and first[1] == classes:  # a new hash; older ids are lower
             digraph_id = classes
         else:
             if first is not None:
-                forms[_canonical_form(rows[first][4])] = records[first].digraph_class
+                forms[_canonical_form(first[0])] = first[1]
                 buckets[key] = None
             digraph_id = forms.setdefault(_canonical_form(adjacency), classes)
         if digraph_id == classes:
             classes += 1
-        tail = tail_tag(set(present), p_max)
+        if present not in shared:
+            shared[present] = (present, tail_tag(set(present), p_max))
+        present, tail = shared[present]
         records.append(
             ClassRecord(p, idx, digraph_id, _class_size(p), center, nplus2, present, tail, chaos)
         )
-    return SurveyResult(n, k, p_max, max_iterate, tuple(records), _counts(records))
+    return records
 
 
 def filter_result(result: SurveyResult, name: str) -> SurveyResult:
@@ -382,18 +398,9 @@ def emit_table(records: list[ClassRecord] | tuple[ClassRecord, ...], format: str
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(TABLE_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [
-                    row[0],
-                    row[1],
-                    row[2],
-                    "true" if row[3] else "false",
-                    "true" if row[4] else "false",
-                    " ".join(str(q) for q in row[5]),
-                    row[6],
-                    "" if row[7] is None else row[7],
-                ]
-            )
+            flags = ["true" if flag else "false" for flag in row[3:5]]
+            periods = " ".join(map(str, row[5]))
+            writer.writerow([*row[:3], *flags, periods, row[6], "" if row[7] is None else row[7]])
         return buf.getvalue()
     raise ValueError(f"unknown table format: {format!r} (expected 'json' or 'csv')")
 

@@ -12,6 +12,11 @@ list and the digraph type, and reads no realization.
 the image of a basic interval is the union of the integer images of its
 pieces.  Its agreement with the rows of ``patterns._tables`` is the Markov
 property of the canonical map.
+
+``_interval_ends`` and ``_arc_masks`` are the earlier forms of the basic
+intervals and of the k x k arc matrix, built by sorting the placements;
+``patterns._descent`` derives both in one pass, and its descent vector
+carries the matrix as ``down[a] ^ down[b]``.
 """
 
 import functools
@@ -20,6 +25,25 @@ from operator import or_
 
 from stardyn.certify import CoverDigraph, basic_intervals
 from stardyn.patterns import CENTER_INDEX, Arc, MarkedPoint, PatternError, StarPattern, arc
+
+
+def _interval_ends(p: StarPattern) -> list[tuple[MarkedPoint, MarkedPoint]]:
+    """The (inner, outer) ends of every basic interval, ordered by (branch,
+    rank from the center): one per marked point, which is its outer end."""
+    point = {e: i for i, e in enumerate(p.placements, start=1)}
+    return [(point.get((b, r - 1), CENTER_INDEX), point[b, r]) for b, r in sorted(p.placements)]
+
+
+def _arc_masks(p: StarPattern) -> list[list[int]]:
+    """``masks[a][b]`` is the arc between marked points a and b as a
+    bitmask of basic intervals: bit i stands for ``basic_intervals(p)[i]``,
+    branch by branch outward from the center.  The intervals between a
+    point of rank r and the center are the r low bits of its branch's
+    block, and in a tree the arc between two points is the symmetric
+    difference of their paths to the center."""
+    index = {e: i for i, e in enumerate(sorted(p.placements))}  # as in ``basic_intervals``
+    down = [0] + [((1 << r) - 1) << (index[b, r] - r + 1) for b, r in p.placements]
+    return [[x ^ y for y in down] for x in down]
 
 
 def basic_ids(self: Arc) -> frozenset[tuple[int, int]]:
@@ -63,7 +87,7 @@ def cover_digraph(p):
 
 def cover_rows_from_pieces(m):
     """The image of every basic interval of the realization ``m`` as a
-    bitmask in the layout of ``patterns._arc_masks``: the union of the
+    bitmask in the layout of ``_arc_masks``: the union of the
     integer images ``m.images`` of the pieces in its cell of ``m.cells``."""
     offsets = list(itertools.accumulate(m.branch_lengths, initial=0))
     spans = [

@@ -48,7 +48,7 @@ from stardyn.certify import (
     verify_certificate,
     verify_genscramble,
 )
-from stardyn.patterns import StarPattern, _arc_masks, _tables, arc, enumerate_patterns, parse_pattern
+from stardyn.patterns import StarPattern, _tables, arc, enumerate_patterns, parse_pattern
 from stardyn.plmap import (
     LoopError,
     PeriodicWitness,
@@ -191,32 +191,44 @@ def test_realize_and_digraph_match_references_on_random_patterns(rng, n, k):
 
 
 def test_arcs_disjoint_matches_arc_traversals():
-    for n in range(1, 4):
-        for p in enumerate_patterns(n, 5):
-            masks = _arc_masks(p)
+    for n, k in itertools.product(range(1, 4), range(2, 7)):
+        for p in enumerate_patterns(n, k):
+            down = _tables(p).down
             arcs = {e: arc(*e, p) for e in itertools.combinations(range(p.k), 2)}
             ids = {e: ref_digraph.basic_ids(x) for e, x in arcs.items()}
             for (e, x), (f, y) in itertools.product(arcs.items(), repeat=2):
                 shared = ids[e] & ids[f] or set(x.points) & set(y.points)
-                disjoint = certify_module._arcs_disjoint(masks, e, f)
+                disjoint = certify_module._arcs_disjoint(down, e, f)
                 assert disjoint == (not shared), (p.to_text(), e, f)
 
 
 @pytest.mark.parametrize("k", range(2, 7))
 def test_arc_masks_match_arc_traversals(k):
+    # the arc between a and b is the XOR of their descents to the center
     for n in range(1, 5):
         for p in enumerate_patterns(n, k):
-            masks = _arc_masks(p)
+            down = _tables(p).down
             bit = {(w.branch, w.outer_rank): 1 << i for i, w in enumerate(basic_intervals(p))}
             for a, b in itertools.permutations(range(k), 2):
                 x = arc(a, b, p)
                 ids = ref_digraph.basic_ids(x)
-                assert masks[a][b] == sum(bit[i] for i in ids), (p.to_text(), a, b)
-                assert certify_module._through_center(masks, a, b) == x.through_center
+                assert down[a] ^ down[b] == sum(bit[i] for i in ids), (p.to_text(), a, b)
+                assert certify_module._through_center(down, a, b) == x.through_center
                 for t in (1, 2, 3):
-                    assert certify_module._ordering_holds(masks, a, b, t) == (
+                    assert certify_module._ordering_holds(down, a, b, t) == (
                         ref_chaos.ordering_holds(p, a, b, t)
                     ), (p.to_text(), a, b, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(2, 9))
+def test_descent_vector_matches_reference_tables(rng, n, k):
+    # one pass over the placements gives the sorted intervals and the arc matrix
+    p = random_pattern(rng, n, k)
+    tables = _tables(p)
+    assert tables.ends == ref_digraph._interval_ends(p)
+    down = tables.down
+    assert [[x ^ y for y in down] for x in down] == ref_digraph._arc_masks(p)
 
 
 def test_render_dot(p1):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -391,7 +392,73 @@ def test_survey_row_template_on_edge_values():
     odd = result.records[0]._replace(periods_present=(), chaos_iterate=None)
     result = result._replace(records=(odd, *result.records[1:]))
     expected = json.dumps(survey_module.survey_to_json(result), indent=2, sort_keys=True) + "\n"
-    assert cli_module._survey_json_text(result) == expected
+    assert "".join(cli_module._survey_chunks(result, "json")) == expected
+
+
+@pytest.mark.parametrize("format", ["json", "csv"])
+@pytest.mark.parametrize(
+    "call,rows_per_chunk",
+    [
+        ("--n 3 --k 5", 13),  # fewer rows (12) than one chunk
+        ("--n 3 --k 5", 12),  # exactly one chunk
+        ("--n 3 --k 5", 6),  # two full chunks
+        ("--n 3 --k 5", 5),  # three chunks, the last one short
+        ("--n 3 --k 4 --filter theorem1-inapplicable", 5),  # no row
+        ("--n 3 --k 7", None),  # 1,200 rows at the module's own chunk size
+    ],
+)
+def test_survey_chunks_join_to_the_generic_encoders(
+    call, rows_per_chunk, format, capsys, monkeypatch, tmp_path
+):
+    if rows_per_chunk is not None:
+        monkeypatch.setattr(cli_module, "_ROWS_PER_CHUNK", rows_per_chunk)
+    args = ["survey", *call.split(), "--format", format]
+    opts = dict(zip(args[1::2], args[2::2]))
+    result = classify_all(int(opts["--n"]), int(opts["--k"]))
+    if "--filter" in opts:
+        result = survey_module.filter_result(result, opts["--filter"])
+    if rows_per_chunk is None:
+        assert len(result.records) > cli_module._ROWS_PER_CHUNK
+    if format == "json":
+        expected = json.dumps(survey_module.survey_to_json(result), indent=2, sort_keys=True) + "\n"
+    else:
+        expected = emit_table(result.records, "csv")
+    assert run(args) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "survey.out"
+    assert run([*args, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_survey_bytes_do_not_depend_on_the_hash_seed():
+    # digraph classes are keyed by the hash of an int tuple, which no
+    # hash seed changes
+    cmd = [sys.executable, "-m", "stardyn.cli", "survey", "--n", "2", "--k", "6"]
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        outputs.append(subprocess.run(cmd, capture_output=True, env=env, check=True).stdout)
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_out_file_gets_the_mode_of_a_plain_write(umask, tmp_path):
+    # a new file gets 0o666 less the umask, and an existing one keeps its
+    # own mode, as ``open(path, "w")`` would leave them
+    old = os.umask(umask)
+    try:
+        new = tmp_path / "survey.json"
+        assert run(["survey", "--n", "2", "--k", "3", "--out", str(new)]) == 0
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        existing = tmp_path / "orders.txt"
+        existing.write_text("old\n")
+        existing.chmod(0o604)
+        call = ["orders", "--relation", "shark", "--m", "1", "--k", "2", "--out", str(existing)]
+        assert run(call) == 0
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o604
+        assert existing.read_text() == "true\n"
+    finally:
+        os.umask(old)
 
 
 def test_survey_unknown_filter_is_parse_error(capsys):

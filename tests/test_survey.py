@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import sys
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -490,10 +491,53 @@ def test_validate_runs_once_per_report_and_per_realized_class(monkeypatch):
 
 
 def test_classify_all_validates_and_masks_once_per_class(monkeypatch):
-    calls = _count_calls(monkeypatch, ("validate", "_arc_masks"))
+    # ``_descent`` derives the intervals and the descent vector in one pass
+    calls = _count_calls(monkeypatch, ("validate", "_descent"))
     result = classify_all(4, 6)
     assert len(result.records) == 20
-    assert calls == {"validate": 20, "_arc_masks": 20}
+    assert calls == {"validate": 20, "_descent": 20}
+
+
+def test_classify_all_classes_each_row_before_the_next_is_analyzed(monkeypatch):
+    # with one job the rows are classed as they arrive: no list of rows
+    order = []
+    survey_row, degree_codes = survey_module._survey_row, survey_module._degree_codes
+
+    def row(p, *args):
+        order.append(("row", p))
+        return survey_row(p, *args)
+
+    def codes(adjacency):
+        order.append(("class", adjacency))
+        return degree_codes(adjacency)
+
+    monkeypatch.setattr(survey_module, "_survey_row", row)
+    monkeypatch.setattr(survey_module, "_degree_codes", codes)
+    result = classify_all(3, 6, jobs=1)
+    assert [step for step, _ in order] == ["row", "class"] * len(result.records)
+    assert [p for step, p in order if step == "row"] == [r.pattern for r in result.records]
+
+
+def test_classify_all_memory_per_class_stays_bounded():
+    # the traced peak of a survey holds the classes and their records, and
+    # nothing per class that the classing no longer needs (keeping a list
+    # of every row took about 1,160 B per class)
+    tracemalloc.start()
+    try:
+        result = classify_all(4, 8, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == 4200
+    assert peak / len(result.records) < 1000, peak
+
+
+def test_classify_all_shares_period_sets_between_classes():
+    result = classify_all(3, 6)
+    by_set = {}
+    for r in result.records:
+        first = by_set.setdefault(r.periods_present, r)
+        assert r.periods_present is first.periods_present and r.tail is first.tail
 
 
 @pytest.mark.parametrize(
