@@ -40,7 +40,6 @@ from .plmap import (
     _least_period_is,
     _listed,
     _scan,
-    first_witness,
     oracle_scan,
     realize,
 )
@@ -724,22 +723,20 @@ def _claimed(
     return claimed
 
 
-def _oracle_status(m: PLMap, q: int, claims: list[Certificate], closing) -> PeriodStatus:
-    """Period q decided by the exact oracle with ``_closing`` tables: a
-    claimed period by its first witness, any other by the exhaustive scan,
-    whose first listed point alone is built as a record."""
-    if claims:
-        w = first_witness(m, q, closing=closing)
-        if w is None:
-            raise InconsistencyError(
-                f"certificates {claims!r} claim period {q} but the "
-                f"exact oracle finds no such point — this is a bug"
-            )
-        return PeriodStatus("present", tuple(claims) + (OracleWitness(w),))
-    found, cylinders, _, _ = _scan(m, q, None, False, closing)
-    if found:
-        return PeriodStatus("present", (OracleWitness(_listed(q, found[:1])[0]),))
-    return PeriodStatus("absent", (OracleAbsence(q, cylinders),))
+def _checked_scan(m: PLMap, q: int, closing, counts: dict[int, int], first_only: bool):
+    """The one way to ask the exact oracle about period q (``plmap._scan``,
+    with ``_closing`` tables), checked against the closed-walk count where
+    ``counts`` (``_period_counts``) holds q: a scan that completed must
+    list exactly ``counts[q]`` points, a first-witness scan that found
+    none included, and one that stopped at a point needs a positive count.
+    Returns (found, cylinders, family); raises InconsistencyError."""
+    found, cylinders, family, complete = _scan(m, q, None, first_only, closing)
+    if q in counts and (counts[q] != len(found) if complete else counts[q] < 1):
+        raise InconsistencyError(
+            f"{m.pattern.to_text()}: the closed-walk count gives {counts[q]} points of period "
+            f"{q} but the exact oracle lists {len(found)} — this is a bug"
+        )
+    return found, cylinders, family
 
 
 def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[int]) -> tuple:
@@ -751,7 +748,7 @@ def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[
     derived once, for every step below.  The closed-walk count decides
     every period that k does not divide (``_period_counts``), period k is
     the center's, and only its other multiples go to the oracle, which is
-    asked only whether a point exists (``first_witness``).  The
+    asked only for a first witness (``_checked_scan``).  The
     realization is built only when such a multiple is in range, and then
     the tables are its own (``PLMap.tables``); otherwise they come from
     ``_tables``.  A claimed period that the count or the oracle finds
@@ -771,7 +768,7 @@ def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[
         if q in counts:
             found = counts[q] > 0
         else:
-            found = q == p.k or first_witness(m, q, closing=closing) is not None
+            found = q == p.k or bool(_checked_scan(m, q, closing, counts, True)[0])
         if q in claimed and not found:
             claims = _claims(p.k, theorem, cascade, forced, q)
             raise InconsistencyError(
@@ -796,14 +793,16 @@ def periodicity_report(
     p: StarPattern, p_max: int = 10, max_iterate: int = 2
 ) -> PeriodicityReport:
     """Period-by-period account: structural certificates confirmed by the
-    exact oracle, absences by exhaustive scan, chaos by loop search.
+    exact oracle's first witness, every other period by its exhaustive
+    scan, whose first listed point alone is built as a record, and chaos
+    by loop search.
 
     It realizes the pattern, reads its tables off the realization
     (``PLMap.tables``), builds the covering digraph and decides the
     theorem certificate once each, and keeps the last two on the report
     (``theorem``, ``digraph``).  Every period that the closed-walk count
-    decides (``_period_counts``) is derived twice: the count and the
-    oracle must agree."""
+    decides (``_period_counts``) is derived twice (``_checked_scan``): an
+    exhaustive scan must list exactly the counted number of points."""
     if p_max < 1:
         raise ValueError("p_max must be positive")
     if max_iterate < 1:
@@ -820,12 +819,18 @@ def periodicity_report(
 
     periods: dict[int, PeriodStatus] = {}
     for q in range(1, p_max + 1):
-        periods[q] = _oracle_status(m, q, _claims(p.k, theorem, cascade, forced, q), closing)
-        if q in counts and (counts[q] > 0) != (periods[q].status == "present"):
+        claims = _claims(p.k, theorem, cascade, forced, q)
+        found, cylinders, _ = _checked_scan(m, q, closing, counts, bool(claims))
+        if found:
+            witness = OracleWitness(_listed(q, found[:1])[0])
+            periods[q] = PeriodStatus("present", tuple(claims) + (witness,))
+        elif claims:
             raise InconsistencyError(
-                f"{p.to_text()}: the closed-walk count gives {counts[q]} points of "
-                f"period {q} but the exact oracle finds it {periods[q].status} — this is a bug"
+                f"certificates {claims!r} claim period {q} but the "
+                f"exact oracle finds no such point — this is a bug"
             )
+        else:
+            periods[q] = PeriodStatus("absent", (OracleAbsence(q, cylinders),))
 
     chaos = _find_genscramble(tables, theorem, max_iterate)
     commentary = [

@@ -38,6 +38,7 @@ from json.encoder import encode_basestring_ascii
 
 from .certify import (
     InconsistencyError,
+    _checked_scan,
     _period_counts,
     _walk_traces,
     cover_digraph,
@@ -54,12 +55,7 @@ from .patterns import (
     _parse,
     enumerate_patterns,
 )
-from .plmap import (
-    CylinderCapExceeded,
-    _scan,
-    cylinder_cap,
-    realize,
-)
+from .plmap import CylinderCapExceeded, cylinder_cap, realize
 from .survey import (
     SURVEY_FILTERS,
     ClassRecord,
@@ -231,25 +227,25 @@ Outputs = list[tuple[str | None, str | Iterable[str]]]
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[Outputs, int]:
+    """The report's JSON and the covering digraph's DOT, each built only
+    when some destination gets it: ``--dot``, ``--json``, and the main
+    text in ``--format`` to ``--out``, or to stdout when neither of the
+    other two is given."""
     p = _load_pattern(args.pattern)
-    outputs: Outputs = []
-    report = report_text = dot_text = None
-    with _pattern_file(args.pattern):
-        if args.json or args.format == "json":
-            report = periodicity_report(p, p_max=args.pmax, max_iterate=args.max_iterate)
-            report_text = _json_text(report_to_json(report))
-        if args.dot or args.format == "dot":
-            dot_text = render_dot(report.digraph if report else cover_digraph(p))
-    if args.dot:
-        outputs.append((args.dot, dot_text))
+    wanted = [(args.dot, "dot")] if args.dot else []
     if args.json:
-        outputs.append((args.json, report_text))
-    main_text = dot_text if args.format == "dot" else report_text
-    if args.out:
-        outputs.append((args.out, main_text))
-    elif not (args.dot or args.json):
-        outputs.append((None, main_text))
-    return outputs, 0
+        wanted.append((args.json, "json"))
+    if args.out or not (args.dot or args.json):
+        wanted.append((args.out, args.format))
+    formats = {format for _, format in wanted}
+    texts = {}
+    with _pattern_file(args.pattern):
+        if "json" in formats:
+            report = periodicity_report(p, p_max=args.pmax, max_iterate=args.max_iterate)
+            texts["json"] = _json_text(report_to_json(report))
+        if "dot" in formats:
+            texts["dot"] = render_dot(report.digraph if "json" in formats else cover_digraph(p))
+    return [(path, texts[format]) for path, format in wanted], 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[Outputs, int]:
@@ -374,7 +370,7 @@ _ORACLE_ROW = '{"on_center_orbit": %s, "period": %d, "point": {"branch": %d, "co
 
 
 def _oracle_rows(q: int, entries, last: str = "") -> list[str]:
-    """The oracle rows of ``plmap._scan``'s entries, as
+    """The oracle rows of ``certify._checked_scan``'s entries, as
     ``json.dumps(..., sort_keys=True)`` writes their witnesses: a point is on
     the center orbit iff it is an integer; ``last`` is the family's flag,
     whose key sorts after the others."""
@@ -385,22 +381,18 @@ def _oracle_rows(q: int, entries, last: str = "") -> list[str]:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> tuple[Outputs, int]:
-    """The listing of ``oracle_scan``, written from the scan's integer
-    entries (``plmap._scan``): no record is built for a listed point."""
+    """The listing of ``oracle_scan``, written from the integer entries of
+    the checked scan (``certify._checked_scan``): no record is built for a
+    listed point."""
     if args.period < 1:
         raise UsageError("--period must be a positive integer")
     p = _load_pattern(args.pattern)
     with _pattern_file(args.pattern):
         m = realize(p)
     q = args.period
-    found, _, family, complete = _scan(m, q, None, False, None)
-    # a complete listing at a period k does not divide is counted a second way
-    counts = _period_counts(p.k, _walk_traces(m.tables.adjacency, q)) if complete else {}
-    if counts.get(q, len(found)) != len(found):
-        raise InconsistencyError(
-            f"{p.to_text()}: the closed-walk count gives {counts[q]} points of period "
-            f"{q} but the exact oracle lists {len(found)} — this is a bug"
-        )
+    # a listing at a period k does not divide is counted a second way
+    counts = _period_counts(p.k, _walk_traces(m.tables.adjacency, q))
+    found, _, family = _checked_scan(m, q, None, counts, False)
     rows = _oracle_rows(q, found)
     if family is not None:
         rows += _oracle_rows(q, [family], ', "uncountable_family": true')

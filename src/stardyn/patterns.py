@@ -612,16 +612,6 @@ class FiniteOrbitSpec(_Record):
     succ: tuple[int, ...]
     center_point: int | None = None
 
-    def branch_of(self, i: int) -> int:
-        if i == self.center_point:
-            raise PatternError("the center lies on no proper branch")
-        return self.placements[i][0]
-
-    def rank_of(self, i: int) -> int:
-        if i == self.center_point:
-            raise PatternError("the center has no rank")
-        return self.placements[i][1]
-
 
 def validate_orbit_spec(s: FiniteOrbitSpec) -> list[str]:
     problems: list[str] = []

@@ -82,7 +82,9 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 
 from .patterns import (
     CENTER_INDEX,
@@ -460,13 +462,13 @@ def _walks(m: PLMap, p: int, cap, steps=None, starts=None, closing=None, lyndon=
     steps = steps or (m.successors,) * end
     count = leaves = 0
     path = [0] * p
+    alive = closing[0] if closing and p != m.pattern.k else None
     for first in range(len(pieces)) if starts is None else starts:
-        q = pieces[first]
-        alive = closing[0][first] if closing and p != m.pattern.k else None
+        q, bit = pieces[first], alive and closing[2][first]
         stack = [(end, q.slope, q.offset, first, 1)]  # r, the steps left; per
         while stack:
             r, s, d, last, per = stack.pop()
-            if alive and not alive[r] >> last & 1:
+            if alive and not alive[r][last] & bit:
                 leaves += closing[1][r][last]
                 continue
             count += 1 + (p if lyndon and not r and per == p else 0)
@@ -488,32 +490,25 @@ def _walks(m: PLMap, p: int, cap, steps=None, starts=None, closing=None, lyndon=
 
 
 def _closing(m: PLMap, depth: int):
-    """The oracle's skip table for walks of up to depth + 1 pieces, by the
-    steps left r: bit x of ``alive[first][r]`` is set when r steps from piece
-    x can end at a piece whose image, on the branch of piece ``first``,
-    contains its basic interval [j, j+1].  The pieces of one basic interval
-    share it.  ``leaves[r][x]`` counts the walks below x.  Returns (alive,
-    leaves)."""
-    succ = [(2 << ys[-1]) - (1 << ys[0]) for ys in m.successors]  # each a run of indices
-
-    def reach(mask, r):
-        masks = [mask]
-        while len(masks) <= r:
-            if len(masks) > 2 and masks[-1] == masks[-3]:  # they alternate from here on
-                masks.append(masks[-2])
-            else:
-                masks.append(sum(1 << x for x, nxt in enumerate(succ) if nxt & masks[-1]))
-        return masks
-
-    alive, ends = [], list(enumerate(zip(m.pieces, m.images)))
-    for b0, row in enumerate(m.cells):  # pieces run in cell order
-        for j, cell in enumerate(row):
-            covers = sum(1 << y for y, (q, (ilo, ihi)) in ends if q.dst == b0 and ilo <= j < ihi)
-            alive += [reach(covers, depth)] * len(cell)
-    leaves = [[1] * len(succ)]
+    """The oracle's skip table for walks of up to depth + 1 pieces, in one
+    forward pass over the piece graph.  ``bits[x]`` is the basic interval
+    of piece x as one bit (pieces run in cell order, cells in
+    ``tables.ends`` order), and ``alive[r][x]`` the basic intervals inside
+    the image of some piece r steps from x: a walk from piece ``first``
+    that is at x with r steps left can end at a piece whose image contains
+    the interval of ``first`` iff ``alive[r][x] & bits[first]``.
+    ``leaves[r][x]`` counts the walks of r steps from x.  Returns (alive,
+    leaves, bits)."""
+    bits = [1 << v for v, cell in enumerate(c for row in m.cells for c in row) for _ in cell]
+    # a piece's successors are a run of indices, and their cells a run of bits
+    spans = [(ys[0], ys[-1] + 1) for ys in m.successors]
+    alive = [[(bits[b - 1] << 1) - bits[a] for a, b in spans]]
+    leaves = [[1] * len(bits)]
     for _ in range(depth):
-        leaves.append([sum(leaves[-1][y] for y in ys) for ys in m.successors])
-    return alive, leaves
+        below, counts = alive[-1], leaves[-1]
+        alive.append([reduce(or_, below[a:b]) for a, b in spans])
+        leaves.append([sum(counts[a:b]) for a, b in spans])
+    return alive, leaves, bits
 
 
 def _fixed_point(m: PLMap, b0: int, s: int, d: int, last: int):
@@ -543,9 +538,7 @@ def _fixed_point(m: PLMap, b0: int, s: int, d: int, last: int):
     return None
 
 
-def oracle_scan(
-    m: PLMap, p: int, cap: int | None = None, first_only: bool = False, closing=None
-) -> ScanResult:
+def oracle_scan(m: PLMap, p: int, cap: int | None = None, first_only: bool = False) -> ScanResult:
     """Subdivide the p-th iterate into monotone cylinders and solve the
     affine fixed-point equation on each.
 
@@ -560,7 +553,7 @@ def oracle_scan(
     identity cylinder: any other walk fixes at most a marked point, of
     least period k (see the module docstring).  At p = k it solves every
     walk.  Skipped walks count toward ``cylinders`` but not toward the cap
-    (``_walks``); ``closing`` reuses ``_closing`` tables across periods.
+    (``_walks``).
 
     A least period is read off the walk's word (see the module
     docstring): an integer fixed point has least period k, any other p iff
@@ -571,12 +564,12 @@ def oracle_scan(
     in integers (``_scan``); the records, one ``Fraction`` and one
     itinerary per listed point, are built here (``_listed``).
     """
-    found, cylinders, family, complete = _scan(m, p, cap, first_only, closing)
+    found, cylinders, family, complete = _scan(m, p, cap, first_only)
     family = _listed(p, [family])[0] if family else None
     return ScanResult(_listed(p, found), cylinders, family, complete)
 
 
-def _scan(m: PLMap, p: int, cap, first_only: bool, closing):
+def _scan(m: PLMap, p: int, cap, first_only: bool, closing=None):
     """``oracle_scan`` in integers: (found, cylinders, family, complete),
     where each entry of ``found`` is (branch, numerator, denominator,
     walk, j) for a listed point num/den (reduced, den > 0; (0, 0, 1) is
@@ -655,10 +648,10 @@ def periodic_points(m: PLMap, p: int, cap: int | None = None) -> list[PeriodicWi
     return list(res.witnesses)
 
 
-def first_witness(m: PLMap, p: int, cap: int | None = None, closing=None) -> PeriodicWitness | None:
+def first_witness(m: PLMap, p: int, cap: int | None = None) -> PeriodicWitness | None:
     """One point of least period exactly p, or None after exhausting every
-    cylinder (which proves absence); ``closing`` as in ``oracle_scan``."""
-    res = oracle_scan(m, p, cap=cap, first_only=True, closing=closing)
+    cylinder (which proves absence)."""
+    res = oracle_scan(m, p, cap=cap, first_only=True)
     return res.witnesses[0] if res.witnesses else None
 
 
@@ -712,8 +705,7 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
         if p % k == 0
         and all(not (down[a.a] ^ down[(i + j) % k]) & ~x for j, (a, x) in enumerate(zip(loop, masks)))
     ]
-    # the basic interval of each piece as a bit; pieces run in cell order
-    bits = [1 << v for v, cell in enumerate(c for row in m.cells for c in row) for _ in cell]
+    bits = _closing(m, 0)[2]  # the basic interval of each piece as a bit
     steps = [
         tuple(tuple(j for j in succ if bits[j] & x) for succ in m.successors) for x in masks[1:-1]
     ]

@@ -1,7 +1,10 @@
 """Shared helpers for the test suite."""
 
+import sys
 from functools import cache
 
+import stardyn.certify as certify_module
+import stardyn.patterns as patterns_module
 from stardyn.patterns import enumerate_patterns, parse_pattern
 from stardyn.plmap import realize
 
@@ -31,3 +34,24 @@ def random_pattern(rng, n, k, all_branches=False):
                for b, br in enumerate(branches, start=1)]
         )
         return parse_pattern(text)
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls of each named ``stardyn`` function, at every
+    module-level name bound to it."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = next(
+            getattr(module, name)
+            for module in (certify_module, patterns_module)
+            if hasattr(module, name)
+        )
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "stardyn" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls

@@ -18,7 +18,6 @@ from stardyn.certify import (
     cover_digraph,
     find_cascade,
     find_genscramble,
-    first_witness,
     periodicity_report,
     self_loop_only_lengths,
     closed_walk_lengths,
@@ -28,6 +27,7 @@ from stardyn.orders import baldwin_le, forced_periods, nod_le, sharkovskii_le
 from stardyn.patterns import arc, enumerate_patterns, parse_pattern
 from stardyn.plmap import (
     UncountablePeriodicSet,
+    first_witness,
     periodic_points,
     realize,
 )

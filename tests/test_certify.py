@@ -455,6 +455,22 @@ def test_cascade_example1(p1):
     assert verify_certificate(p1, c)
 
 
+@pytest.mark.parametrize(
+    "cert",
+    [
+        Cascade((0, 1), ((0, 1), (0, 3), (1, 3), (0, 4), (0, 1)), 4),
+        Cascade((0, 1), ((0, 1), (0, 2), (1, 3), (0, 4), (0, 1)), 3),
+        Cascade((0, 1), ((0, 1), (0, 1)), 1),
+        Cascade((0, 2), ((0, 1), (0, 2), (1, 3), (0, 4), (0, 1)), 4),
+        Cascade((0, 1), ((0, 1), (0, 2), (0, 1), (0, 2), (0, 1)), 4),
+        Cascade((0, 2), ((0, 2), (1, 3), (0, 2)), 2),
+    ],
+    ids=["not-an-interval", "m-off-cycle", "m-below-2", "cycle-off-base", "repeated-vertex", "no-self-loop"],
+)
+def test_cascade_replay_rejects_tampering(p1, cert):
+    assert not verify_certificate(p1, cert)
+
+
 def test_cascade_example2_none(p2):
     assert find_cascade(cover_digraph(p2)) is None
 
@@ -596,6 +612,9 @@ def test_genscramble_replay_rejects_corruption(p2):
     assert not verify_genscramble(
         p2, Genscramble(good.iterate, good.u, good.v, ((0, 2), (1, 3), (0, 2)))
     )
+    # a loop arc through the center, and a second-to-last arc meeting (u, v)
+    for loop in (((0, 2), (1, 2), (0, 2)), ((0, 2), (0, 4), (0, 2), (0, 2))):
+        assert not verify_certificate(p2, Genscramble(good.iterate, good.u, good.v, loop))
 
 
 def test_genscramble_replay_rejects_malformed_certificates(p2):
@@ -829,9 +848,25 @@ def test_report_full_periodicity_small_star():
 
 
 def test_report_consistency_error_is_loud(p1, monkeypatch):
-    monkeypatch.setattr(certify_module, "first_witness", lambda m, q, **kwargs: None)
+    monkeypatch.setattr(certify_module, "_scan", lambda *args: ([], 0, None, True))
     with pytest.raises(InconsistencyError, match="bug"):
         periodicity_report(p1)
+
+
+def test_report_counts_the_listing_at_an_unclaimed_period(monkeypatch):
+    # no certificate claims period 3, so the report lists it in full, and
+    # the closed-walk count catches a dropped point, not only an empty list
+    p = parse_pattern("n=3 k=6; b1: 1 3; b2: 2 5; b3: 4")
+    assert 3 in periodicity_report(p).present
+    scan = certify_module._scan
+
+    def dropping(m, q, *args):
+        found, cylinders, family, complete = scan(m, q, *args)
+        return (found[1:] if q == 3 else found), cylinders, family, complete
+
+    monkeypatch.setattr(certify_module, "_scan", dropping)
+    with pytest.raises(InconsistencyError, match="gives 6 points of period 3 but the exact oracle lists 5"):
+        periodicity_report(p)
 
 
 def test_report_certificates_all_verify(p1, p2):

@@ -21,7 +21,7 @@ import stardyn.survey as survey_module
 from stardyn.cli import run
 from stardyn.survey import classify_all, emit_table
 import reference_scan as ref
-from support import EX1, EX2
+from support import EX1, EX2, count_calls
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 PERFBENCH_EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -95,6 +95,11 @@ def test_orders_usage_errors(capsys):
 def test_orders_rejects_partial_pair(capsys):
     assert run(["orders", "--relation", "shark", "--m", "3"]) == 2
     assert "usage:" in capsys.readouterr().err
+
+
+def test_orders_nod_segment(capsys):
+    assert run(["orders", "--relation", "nod", "--t", "3", "--segment", "3", "--bound", "12"]) == 0
+    assert capsys.readouterr().out == "1 3\n"
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +220,25 @@ def test_analyze_dot_and_json_files(ex1_file, tmp_path, capsys):
 def test_analyze_dot_and_json_realize_once(ex1_file, tmp_path, monkeypatch, capsys):
     # the DOT text comes from the report's digraph, which the report reads
     # off its one table; names counted at every binding
-    calls = {"realize": 0, "cover_digraph": 0, "_tables": 0}
-    for name in calls:
-        original = getattr(certify_module, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        for module in (plmap_module, certify_module, cli_module):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+    calls = count_calls(monkeypatch, ("realize", "cover_digraph", "_tables"))
     dot, rep = str(tmp_path / "g.dot"), str(tmp_path / "r.json")
     assert run(["analyze", "--pattern", ex1_file, "--dot", dot, "--json", rep]) == 0
     assert calls == {"realize": 1, "cover_digraph": 0, "_tables": 1}
+
+
+def test_analyze_dot_alone_builds_no_report(ex2_file, tmp_path, monkeypatch, capsys):
+    # the report is built only where its JSON is written, so --dot alone
+    # realizes nothing, and a cap that stops the report does not stop it
+    assert run(["analyze", "--pattern", ex2_file, "--format", "dot"]) == 0
+    expected = capsys.readouterr().out
+    calls = count_calls(monkeypatch, ("realize", "periodicity_report"))
+    monkeypatch.setenv("STARDYN_CYLINDER_CAP", "20")
+    dot = tmp_path / "g.dot"
+    assert run(["analyze", "--pattern", ex2_file, "--pmax", "18", "--dot", str(dot)]) == 0
+    assert capsys.readouterr().out == "" and dot.read_text(encoding="utf-8") == expected
+    assert calls == {"realize": 0, "periodicity_report": 0}
+    assert run(["analyze", "--pattern", ex2_file, "--pmax", "18", "--format", "dot"]) == 0
+    assert run(["analyze", "--pattern", ex2_file, "--pmax", "18"]) == 3
 
 
 def test_analyze_dot_format_stdout(ex1_file, capsys):
@@ -260,7 +270,7 @@ def test_analyze_unwritable_out_exits_2(ex1_file, capsys):
 
 
 def test_analyze_inconsistency_exits_1(ex1_file, monkeypatch, capsys):
-    monkeypatch.setattr(certify_module, "first_witness", lambda m, q, **kwargs: None)
+    monkeypatch.setattr(certify_module, "_scan", lambda *args: ([], 0, None, True))
     assert run(["analyze", "--pattern", ex1_file]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -461,6 +471,21 @@ def test_out_file_gets_the_mode_of_a_plain_write(umask, tmp_path):
         os.umask(old)
 
 
+def test_write_atomic_removes_its_temp_file_when_writing_fails(tmp_path):
+    # the target keeps its old text and no temp file is left beside it
+    target = tmp_path / "out.txt"
+    target.write_text("old\n")
+
+    def chunks():
+        yield "partial"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        cli_module._write_atomic(str(target), chunks())
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "old\n"
+
+
 def test_survey_unknown_filter_is_parse_error(capsys):
     assert run(["survey", "--n", "3", "--k", "6", "--filter", "nosuch"]) == 2
 
@@ -637,13 +662,13 @@ def test_analyze_of_example2_reaches_period_200(ex2_file, monkeypatch, capsys):
 def test_oracle_listing_that_disagrees_with_the_walk_count_exits_1(ex2_file, monkeypatch, capsys):
     # at a period that k does not divide the listing is counted again from
     # the covering digraph's closed walks; a dropped point is caught
-    scan = cli_module._scan
+    scan = certify_module._scan
 
     def dropping(*args):
         found, cylinders, family, complete = scan(*args)
         return found[1:], cylinders, family, complete
 
-    monkeypatch.setattr(cli_module, "_scan", dropping)
+    monkeypatch.setattr(certify_module, "_scan", dropping)
     assert run(["oracle", "--pattern", ex2_file, "--period", "8"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -740,6 +765,32 @@ def test_verify_paper_failure_exits_1(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # parsing and determinism
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--pmax", "0"], "--pmax must be a positive integer"),
+        (["--max-iterate", "0"], "--max-iterate must be a positive integer"),
+        (["--jobs", "0"], "--jobs must be a positive integer"),
+        (
+            ["analyze", "--pattern", "unread", "--format", "csv"],
+            "format 'csv' is not available for 'analyze'; choose from ('json', 'dot')",
+        ),
+        (["survey", "--n", "0", "--k", "3"], "enumeration needs n >= 1 and k >= 2, got n=0 k=3"),
+        (["orders", "--relation", "nod", "--t", "0", "--m", "1", "--k", "3"], "--relation nod needs --t at least 1"),
+        (["orders", "--relation", "shark", "--segment", "4"], "set mode needs both --segment and --bound"),
+    ],
+    ids=["pmax", "max-iterate", "jobs", "format", "survey-n", "nod-t", "no-bound"],
+)
+def test_usage_errors_exit_2_with_their_message(argv, message, capsys):
+    # a bare option is checked on an otherwise valid orders query
+    if argv[0].startswith("--"):
+        argv = ["orders", "--relation", "shark", "--m", "1", "--k", "2", *argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == cli_module._build_parser().format_usage() + f"stardyn: error: {message}\n"
 
 
 def test_no_subcommand_exits_2(capsys):

@@ -544,7 +544,7 @@ def test_skip_keeps_every_walk_with_a_fixed_point(k):
     # walks the whole tree.
     strict = 0
     for m in realized_classes(3, k):
-        alive, _ = _closing(m, 2 * k - 1)
+        alive, _, bits = _closing(m, 2 * k - 1)
         for q in range(1, 2 * k + 1):
             for b0, s, d, last, path, _ in _walks(m, q, None):
                 t = _fixed_point(m, b0, s, d, last)
@@ -552,8 +552,7 @@ def test_skip_keeps_every_walk_with_a_fixed_point(k):
                     continue
                 if t is plmap_module._IDENTITY or q != k and _word_rule(m, q, path, t[1]):
                     strict += 1
-                    row = alive[path[0]]
-                    assert all(row[q - 1 - i] >> x & 1 for i, x in enumerate(path)), (
+                    assert all(alive[q - 1 - i][x] & bits[path[0]] for i, x in enumerate(path)), (
                         m.pattern.to_text(), q, path
                     )
     assert strict > 0

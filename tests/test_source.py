@@ -122,6 +122,30 @@ def test_certify_and_survey_never_validate_directly():
         assert calls == [], name
 
 
+def _callers(tree: ast.Module, name: str) -> set[str]:
+    """The top-level definitions of a module that call ``name``, as a bare
+    name or an attribute ("<module>" for a call outside every definition)."""
+    return {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+
+
+def test_only_the_checked_scan_asks_the_oracle():
+    # outside plmap the oracle's scan is reached through one function, which
+    # checks it against the closed-walk count
+    callers = {
+        f"{path.stem}.{owner}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "plmap"
+        for owner in _callers(ast.parse(path.read_text(encoding="utf-8")), "_scan")
+    }
+    assert callers == {"certify._checked_scan"}
+
+
 def test_all_names_exactly_the_public_imports():
     # ``__all__`` lists every public name that ``__init__`` imports, and
     # nothing else but the version

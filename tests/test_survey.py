@@ -39,7 +39,7 @@ from stardyn.survey import (
     tail_tag,
     verify_paper,
 )
-from support import EX1, EX2, random_pattern
+from support import EX1, EX2, count_calls as _count_calls, random_pattern
 
 
 @pytest.fixture(scope="module")
@@ -436,27 +436,6 @@ def test_class_count_check_documents_convention():
 # ---------------------------------------------------------------------------
 
 
-def _count_calls(monkeypatch, names):
-    """Count the calls of each named ``stardyn`` function, at every
-    module-level name bound to it."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        original = next(
-            getattr(module, name)
-            for module in (certify_module, patterns_module)
-            if hasattr(module, name)
-        )
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        for mod_name, module in list(sys.modules.items()):
-            if mod_name.split(".")[0] == "stardyn" and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_classify_all_analyzes_each_class_once(monkeypatch):
     # a row derives one table per class and no public certify entry point
     # runs on the survey path
@@ -710,7 +689,7 @@ def test_verify_paper_builds_one_digraph_per_report(monkeypatch):
 
 def test_classify_all_raises_when_the_oracle_finds_a_claimed_period_absent(monkeypatch):
     # 12 is forced at k = 6, and a survey asks the oracle for a witness there
-    monkeypatch.setattr(certify_module, "first_witness", lambda m, q, **kwargs: None)
+    monkeypatch.setattr(certify_module, "_scan", lambda *args: ([], 0, None, True))
     with pytest.raises(InconsistencyError, match="claim period 12 but the exact oracle"):
         classify_all(3, 6, 13)
 
