@@ -17,7 +17,8 @@ analysis before the first byte is written, and a survey's text is then
 written in chunks of rows.  Identical inputs yield byte-identical output;
 ``--out`` writes atomically (temp file + rename), and the file gets the
 mode a plain write would give it: an existing file keeps its own, and a
-new one gets 0o666 less the umask.
+new one gets 0o666 less the umask.  A call builds only its command's
+parser; the synopsis of a usage error comes from the full parser tree.
 The environment variable ``STARDYN_CYLINDER_CAP`` overrides the cap on
 the oracle's work: the walk-tree nodes it expands and the points it
 lists.  A survey decides every period that the orbit size k does not
@@ -33,7 +34,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from json.encoder import encode_basestring_ascii
 
 from .certify import (
@@ -71,95 +72,9 @@ __all__ = ["run", "main"]
 
 _FORMATS = ("json", "csv", "dot", "text")
 
-# formats each subcommand can emit; the first entry is its default
-_SUBCOMMAND_FORMATS = {
-    "analyze": ("json", "dot"),
-    "enumerate": ("text", "json"),
-    "survey": ("json", "csv"),
-    "orders": ("text",),
-    "oracle": ("json",),
-    "verify-paper": ("text", "json"),
-}
-
 
 class UsageError(Exception):
     """Bad arguments or inputs; reported with a synopsis on stderr."""
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pmax", type=int, default=10, help="period horizon (default 10)")
-    common.add_argument(
-        "--max-iterate",
-        type=int,
-        default=2,
-        help="highest iterate tried for chaos certificates (default 2)",
-    )
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers for surveys")
-    common.add_argument("--out", metavar="FILE", help="write output to FILE atomically")
-    common.add_argument("--format", choices=_FORMATS, help="output format (subcommand-specific)")
-
-    parser = argparse.ArgumentParser(
-        prog="stardyn",
-        description="Analyze continuous self-maps of star graphs defined by orbit patterns.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_analyze = sub.add_parser(
-        "analyze", parents=[common], help="periodicity and chaos report for one pattern"
-    )
-    p_analyze.add_argument("--pattern", required=True, metavar="FILE", help="pattern file")
-    p_analyze.add_argument("--dot", metavar="FILE", help="also write the covering digraph as DOT")
-    p_analyze.add_argument("--json", metavar="FILE", help="also write the JSON report to FILE")
-
-    p_enum = sub.add_parser("enumerate", parents=[common], help="list pattern classes")
-    p_enum.add_argument("--n", type=int, required=True, help="number of branches")
-    p_enum.add_argument("--k", type=int, required=True, help="orbit size")
-    p_enum.add_argument(
-        "--all-branches",
-        action="store_true",
-        help="only patterns whose orbit meets every branch",
-    )
-
-    p_survey = sub.add_parser("survey", parents=[common], help="classification campaign")
-    p_survey.add_argument("--n", type=int, required=True, help="number of branches")
-    p_survey.add_argument("--k", type=int, required=True, help="orbit size")
-    p_survey.add_argument(
-        "--filter",
-        choices=SURVEY_FILTERS,
-        help="restrict to classes where the center-map theorem does not apply",
-    )
-
-    p_orders = sub.add_parser("orders", parents=[common], help="period-forcing order queries")
-    p_orders.add_argument(
-        "--relation",
-        required=True,
-        choices=("shark", "baldwin", "nod"),
-        help="interval order, t-od order, or n-od meet order",
-    )
-    p_orders.add_argument(
-        "--t",
-        type=int,
-        default=1,
-        help="order subscript: iterate count for baldwin, branch count for nod",
-    )
-    p_orders.add_argument("--m", type=int, help="candidate forced period (pair mode)")
-    p_orders.add_argument("--k", type=int, help="forcing period (pair mode)")
-    p_orders.add_argument("--segment", type=int, help="forcing period (set mode)")
-    p_orders.add_argument("--bound", type=int, help="largest period listed (set mode)")
-
-    p_oracle = sub.add_parser("oracle", parents=[common], help="exact periodic points")
-    p_oracle.add_argument("--pattern", required=True, metavar="FILE", help="pattern file")
-    p_oracle.add_argument("--period", type=int, required=True, help="period to scan for")
-
-    p_verify = sub.add_parser(
-        "verify-paper", parents=[common], help="recompute quoted reference facts"
-    )
-    p_verify.add_argument(
-        "--json", action="store_true", help="emit the structured JSON report"
-    )
-
-    return parser
 
 
 def _check_args(args: argparse.Namespace) -> None:
@@ -169,7 +84,7 @@ def _check_args(args: argparse.Namespace) -> None:
         cylinder_cap()
     except ValueError as e:
         raise UsageError(str(e)) from None
-    allowed = _SUBCOMMAND_FORMATS[args.subcommand]
+    allowed = _COMMANDS[args.subcommand][1]
     if args.format is None:
         args.format = allowed[0]
     elif args.format not in allowed:
@@ -177,12 +92,9 @@ def _check_args(args: argparse.Namespace) -> None:
             f"format {args.format!r} is not available for {args.subcommand!r}; "
             f"choose from {allowed}"
         )
-    if args.pmax < 1:
-        raise UsageError("--pmax must be a positive integer")
-    if args.max_iterate < 1:
-        raise UsageError("--max-iterate must be a positive integer")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be a positive integer")
+    for option in ("--pmax", "--max-iterate", "--jobs"):
+        if getattr(args, option[2:].replace("-", "_")) < 1:
+            raise UsageError(f"{option} must be a positive integer")
 
 
 def _load_pattern(path: str) -> StarPattern:
@@ -191,10 +103,9 @@ def _load_pattern(path: str) -> StarPattern:
     ``_pattern_file``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
+            lines = [stripped for line in fh if (stripped := line.strip())]
     except OSError as e:
         raise UsageError(f"cannot read pattern file {path!r}: {e.strerror}") from None
-    lines = [line for line in lines if line]
     if len(lines) != 1:
         raise UsageError(f"pattern file {path!r} must contain exactly one pattern")
     try:
@@ -226,6 +137,12 @@ def _json_text(payload: dict | list) -> str:
 Outputs = list[tuple[str | None, str | Iterable[str]]]
 
 
+def _analyze_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pattern", required=True, metavar="FILE", help="pattern file")
+    p.add_argument("--dot", metavar="FILE", help="also write the covering digraph as DOT")
+    p.add_argument("--json", metavar="FILE", help="also write the JSON report to FILE")
+
+
 def _cmd_analyze(args: argparse.Namespace) -> tuple[Outputs, int]:
     """The report's JSON and the covering digraph's DOT, each built only
     when some destination gets it: ``--dot``, ``--json``, and the main
@@ -248,6 +165,14 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[Outputs, int]:
     return [(path, texts[format]) for path, format in wanted], 0
 
 
+def _enumerate_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True, help="number of branches")
+    p.add_argument("--k", type=int, required=True, help="orbit size")
+    p.add_argument(
+        "--all-branches", action="store_true", help="only patterns whose orbit meets every branch"
+    )
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[Outputs, int]:
     try:
         patterns = enumerate_patterns(args.n, args.k, all_branches=args.all_branches)
@@ -264,6 +189,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Outputs, int]:
     else:
         text = "".join(p.to_text() + "\n" for p in patterns)
     return [(args.out, text)], 0
+
+
+def _survey_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True, help="number of branches")
+    p.add_argument("--k", type=int, required=True, help="orbit size")
+    p.add_argument(
+        "--filter",
+        choices=SURVEY_FILTERS,
+        help="restrict to classes where the center-map theorem does not apply",
+    )
 
 
 def _cmd_survey(args: argparse.Namespace) -> tuple[Outputs, int]:
@@ -327,13 +262,31 @@ def _record_json(r: ClassRecord) -> str:
     )
 
 
+def _orders_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--relation",
+        required=True,
+        choices=("shark", "baldwin", "nod"),
+        help="interval order, t-od order, or n-od meet order",
+    )
+    p.add_argument(
+        "--t",
+        type=int,
+        default=1,
+        help="order subscript: iterate count for baldwin, branch count for nod",
+    )
+    p.add_argument("--m", type=int, help="candidate forced period (pair mode)")
+    p.add_argument("--k", type=int, help="forcing period (pair mode)")
+    p.add_argument("--segment", type=int, help="forcing period (set mode)")
+    p.add_argument("--bound", type=int, help="largest period listed (set mode)")
+
+
 def _cmd_orders(args: argparse.Namespace) -> tuple[Outputs, int]:
     pair_mode = args.m is not None or args.k is not None
     set_mode = args.segment is not None or args.bound is not None
     if pair_mode == set_mode:
         raise UsageError("orders needs either --m and --k, or --segment and --bound")
-    relation = args.relation
-    t = args.t
+    relation, t = args.relation, args.t
     if relation == "baldwin" and t < 2:
         raise UsageError("--relation baldwin needs --t at least 2")
     if relation == "nod" and t < 1:
@@ -380,6 +333,11 @@ def _oracle_rows(q: int, entries, last: str = "") -> list[str]:
     ]
 
 
+def _oracle_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pattern", required=True, metavar="FILE", help="pattern file")
+    p.add_argument("--period", type=int, required=True, help="period to scan for")
+
+
 def _cmd_oracle(args: argparse.Namespace) -> tuple[Outputs, int]:
     """The listing of ``oracle_scan``, written from the integer entries of
     the checked scan (``certify._checked_scan``): no record is built for a
@@ -399,21 +357,22 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[Outputs, int]:
     return [(args.out, "".join(rows))], 0
 
 
+def _verify_paper_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--json", action="store_true", help="emit the structured JSON report")
+
+
 def _cmd_verify_paper(args: argparse.Namespace) -> tuple[Outputs, int]:
     report = verify_paper(p_max=args.pmax, max_iterate=args.max_iterate)
     if args.json or args.format == "json":
         text = _json_text(report.to_json())
     else:
-        lines = [
-            f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in report.checks
-        ]
+        lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in report.checks]
         verdict = "all checks passed" if report.all_passed else "some checks FAILED"
         lines.append(f"{sum(c.passed for c in report.checks)}/{len(report.checks)} {verdict}")
         text = "".join(line + "\n" for line in lines)
-    if report.all_passed:
-        return [(args.out, text)], 0
-    sys.stderr.write("stardyn: inconsistency: reference verification failed\n")
-    return [(args.out, text)], 1
+    if not report.all_passed:
+        sys.stderr.write("stardyn: inconsistency: reference verification failed\n")
+    return [(args.out, text)], 0 if report.all_passed else 1
 
 
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
@@ -435,44 +394,91 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
 def _emit_outputs(outputs: Outputs) -> None:
+    """Write each output; a failed write is a usage error naming its destination."""
     for path, text in outputs:
         chunks = (text,) if isinstance(text, str) else text
-        if path is None:
-            sys.stdout.writelines(chunks)
-        else:
-            _write_atomic(path, chunks)
+        try:
+            if path is None:
+                sys.stdout.writelines(chunks)
+            else:
+                _write_atomic(path, chunks)
+        except OSError as e:
+            where = "standard output" if path is None else repr(path)
+            raise UsageError(f"cannot write output to {where}: {e.strerror or e}") from None
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "enumerate": _cmd_enumerate,
-    "survey": _cmd_survey,
-    "orders": _cmd_orders,
-    "oracle": _cmd_oracle,
-    "verify-paper": _cmd_verify_paper,
+# name -> (help, formats with the default first, handler, adds the command's own options)
+_COMMANDS = {
+    "analyze": ("periodicity and chaos report for one pattern", ("json", "dot"),
+                _cmd_analyze, _analyze_options),
+    "enumerate": ("list pattern classes", ("text", "json"), _cmd_enumerate, _enumerate_options),
+    "survey": ("classification campaign", ("json", "csv"), _cmd_survey, _survey_options),
+    "orders": ("period-forcing order queries", ("text",), _cmd_orders, _orders_options),
+    "oracle": ("exact periodic points", ("json",), _cmd_oracle, _oracle_options),
+    "verify-paper": ("recompute quoted reference facts", ("text", "json"),
+                     _cmd_verify_paper, _verify_paper_options),
 }
 
 
+def _command_parser(name: str, p=None) -> argparse.ArgumentParser:
+    """Command ``name``'s parser: -h, the options every command shares, then its
+    own, on ``p`` (its subparser in ``_build_parser``'s tree) or on a parser
+    alone with that subparser's prog, so that help and errors read the same."""
+    p = p or argparse.ArgumentParser(prog=f"stardyn {name}")
+    p.add_argument("--pmax", type=int, default=10, help="period horizon (default 10)")
+    p.add_argument(
+        "--max-iterate",
+        type=int,
+        default=2,
+        help="highest iterate tried for chaos certificates (default 2)",
+    )
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers for surveys")
+    p.add_argument("--out", metavar="FILE", help="write output to FILE atomically")
+    p.add_argument("--format", choices=_FORMATS, help="output format (subcommand-specific)")
+    _COMMANDS[name][3](p)
+    return p
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full tree: ``stardyn`` and a subparser for each command."""
+    parser = argparse.ArgumentParser(
+        prog="stardyn",
+        description="Analyze continuous self-maps of star graphs defined by orbit patterns.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (summary, *_) in _COMMANDS.items():
+        _command_parser(name, sub.add_parser(name, help=summary))
+    return parser
+
+
 def run(argv: list[str] | None = None) -> int:
-    """Parse arguments, dispatch, and return the exit code."""
-    parser = _build_parser()
+    """Parse arguments, dispatch, and return the exit code.  A call that
+    names its command first builds only that command's parser (tokens it
+    leaves are reported as the full tree reports them); any other call,
+    and the synopsis of a usage error, builds the full tree."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+            if extras:
+                _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+            args.subcommand = argv[0]
+        else:
+            args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
         _check_args(args)
-        outputs, code = _HANDLERS[args.subcommand](args)
+        outputs, code = _COMMANDS[args.subcommand][2](args)
+        _emit_outputs(outputs)
     except UsageError as e:
-        sys.stderr.write(parser.format_usage())
+        sys.stderr.write(_build_parser().format_usage())
         sys.stderr.write(f"stardyn: error: {e}\n")
         return 2
     except InconsistencyError as e:
@@ -481,12 +487,6 @@ def run(argv: list[str] | None = None) -> int:
     except (CylinderCapExceeded, EnumerationCapExceeded) as e:
         sys.stderr.write(f"stardyn: resource cap exceeded: {e}\n")
         return 3
-    try:
-        _emit_outputs(outputs)
-    except OSError as e:
-        sys.stderr.write(parser.format_usage())
-        sys.stderr.write(f"stardyn: error: cannot write output: {e}\n")
-        return 2
     return code
 
 

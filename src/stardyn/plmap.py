@@ -578,7 +578,12 @@ def _scan(m: PLMap, p: int, cap, first_only: bool, closing=None):
     (branch, coordinate) order (``_sorted``).  When the scan meets an
     uncountable family, ``family`` is the entry of its representative,
     the inner end of the cylinder's image, with which ``found`` ends unless
-    the point is already listed; otherwise ``family`` is None."""
+    the point is already listed; otherwise ``family`` is None.
+
+    An integer fixed point is a marked point, of least period k, so at
+    p != k it is skipped.  No case is known in which a walk that reaches
+    that guard (one the skip table keeps and that is primitive) fixes an
+    integer point; the guard stays, as no proof that it is dead is known."""
     closing = closing or _closing(m, p - 1)
     k = m.pattern.k
     lyndon = not first_only and p != k

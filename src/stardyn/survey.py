@@ -23,6 +23,7 @@ import io
 import json
 import math
 import os
+from collections import deque
 from itertools import repeat
 
 from .certify import (
@@ -234,8 +235,11 @@ def _canonical_form(adjacency: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, 
     return best
 
 
-# classes per task sent to a worker process
+# classes per task sent to a worker process, and tasks in flight per worker:
+# rows are classed in order, so a slow chunk holds the window up; survey
+# --n 3 --k 9 --jobs 2 took 22-23 s with 8 and 23-30 s with 2 (2 CPUs)
 _CHUNK = 8
+_IN_FLIGHT = 8
 
 
 def _usable_cpus() -> int:
@@ -263,7 +267,10 @@ def classify_all(
     meets every branch are surveyed.  ``jobs > 1`` analyzes classes in
     parallel, in chunks of ``_CHUNK``, with no more worker processes than
     the CPUs this process may use or the chunks, and serially when that
-    bound is 1; the output is identical either way.
+    bound is 1; the output is identical either way.  At most
+    ``_IN_FLIGHT`` chunks per worker are submitted and not yet consumed
+    (``_pooled_rows``), so the rows of chunks the workers finish early
+    wait in a window of bounded size.
 
     Each class is analyzed once, by ``certify._survey_row``, which
     validates the pattern and derives its tables once, into a compact
@@ -273,9 +280,9 @@ def classify_all(
     baseline depends only on (k, p_max), so it is computed once here for
     every row.
 
-    Rows are classed as they arrive (the map is consumed inside the pool's
-    ``with``), so no row outlives its class: only the records and, per
-    key, what the classing below still needs are kept.  Classes with equal
+    Rows are classed as they arrive (inside the pool's ``with``), so no
+    row outlives its class: only the records and, per key, what the
+    classing below still needs are kept.  Classes with equal
     period sets share one ``periods_present`` tuple and one ``tail``.
 
     Digraph classes are numbered by first appearance.  Each class is first
@@ -290,20 +297,45 @@ def classify_all(
     proves a new class, and within one hash the canonical form decides
     isomorphism as before.  A hash maps to the adjacency and digraph id of
     its first class until it repeats, and then to None, as every class
-    under it has its form in ``forms``.
+    under it has its form in ``forms``.  The adjacencies kept share their
+    rows, one copy of each distinct row, also when the rows come from
+    worker processes.
     """
     reps = enumerate_patterns(n, k, all_branches=all_branches)
     forced = frozenset(forced_periods(1, k, p_max))
-    args = (reps, repeat(p_max), repeat(max_iterate), repeat(forced))
+    args = (p_max, max_iterate, forced)
     workers = min(jobs, _usable_cpus(), -(-len(reps) // _CHUNK))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = _classed(reps, pool.map(_survey_row, *args, chunksize=_CHUNK), p_max)
+            records = _classed(reps, _pooled_rows(pool, workers, reps, *args), p_max)
     else:
-        records = _classed(reps, map(_survey_row, *args), p_max)
+        records = _classed(reps, map(_survey_row, reps, *map(repeat, args)), p_max)
     return SurveyResult(n, k, p_max, max_iterate, tuple(records), _counts(records))
+
+
+def _chunk_rows(chunk: list[StarPattern], *args) -> list[tuple]:
+    """The rows of a chunk of classes, computed in a worker process."""
+    return [_survey_row(p, *args) for p in chunk]
+
+
+def _pooled_rows(pool, workers: int, reps: list[StarPattern], *args):
+    """The rows of ``reps`` in order, from chunks of ``_CHUNK`` classes
+    submitted to ``pool`` one by one, with at most ``_IN_FLIGHT * workers``
+    submitted and not yet consumed; chunks still pending when the stream
+    stops (a worker raised) are cancelled, as ``Executor.map`` does."""
+    pending: deque = deque()
+    try:
+        for i in range(0, len(reps), _CHUNK):
+            if len(pending) == _IN_FLIGHT * workers:
+                yield from pending.popleft().result()
+            pending.append(pool.submit(_chunk_rows, reps[i : i + _CHUNK], *args))
+        while pending:
+            yield from pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def _classed(reps: list[StarPattern], rows, p_max: int) -> list[ClassRecord]:
@@ -312,6 +344,7 @@ def _classed(reps: list[StarPattern], rows, p_max: int) -> list[ClassRecord]:
     records: list[ClassRecord] = []
     buckets: dict[int, tuple | None] = {}
     forms: dict[tuple, int] = {}
+    rows_kept: dict[tuple[int, ...], tuple[int, ...]] = {}
     shared: dict[tuple[int, ...], tuple[tuple[int, ...], str]] = {}
     classes = 0
     for idx, (p, (present, chaos, center, nplus2, adjacency, traces)) in enumerate(zip(reps, rows)):
@@ -319,6 +352,8 @@ def _classed(reps: list[StarPattern], rows, p_max: int) -> list[ClassRecord]:
         first = buckets.setdefault(key, (adjacency, classes))
         if first is not None and first[1] == classes:  # a new hash; older ids are lower
             digraph_id = classes
+            # one copy of each adjacency row: rows unpickled from a worker share none
+            buckets[key] = (tuple(map(rows_kept.setdefault, adjacency, adjacency)), classes)
         else:
             if first is not None:
                 forms[_canonical_form(first[0])] = first[1]

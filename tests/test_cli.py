@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import argparse
+import errno
 import hashlib
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from jsonschema import ValidationError, validate
 
 import stardyn.certify as certify_module
@@ -267,6 +275,35 @@ def test_analyze_pmax_1_report(ex1_file, capsys):
 def test_analyze_unwritable_out_exits_2(ex1_file, capsys):
     assert run(["analyze", "--pattern", ex1_file, "--out", "/nonexistent/dir/out.json"]) == 2
     assert "cannot write output" in capsys.readouterr().err
+
+
+def test_failed_out_write_names_its_target_not_the_temp_file(tmp_path, capsys):
+    # the temp file beside the target has a random name, which must not
+    # reach the output: two runs give the same message
+    target = str(tmp_path / "missing" / "x")
+    errs = []
+    for _ in range(2):
+        assert run(["orders", "--relation", "shark", "--m", "3", "--k", "5", "--out", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs.append(captured.err)
+    assert errs[0] == errs[1] == (
+        cli_module._build_parser().format_usage()
+        + f"stardyn: error: cannot write output to {target!r}: No such file or directory\n"
+    )
+
+
+def test_failed_stdout_write_is_a_usage_error(monkeypatch, capsys):
+    class Full:
+        def writelines(self, chunks):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert run(["orders", "--relation", "shark", "--m", "3", "--k", "5"]) == 2
+    assert capsys.readouterr().err == (
+        cli_module._build_parser().format_usage()
+        + "stardyn: error: cannot write output to standard output: No space left on device\n"
+    )
 
 
 def test_analyze_inconsistency_exits_1(ex1_file, monkeypatch, capsys):
@@ -804,6 +841,151 @@ def test_unknown_subcommand_exits_2(capsys):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert run(["analyze", "--help"]) == 0
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_command_parser_reads_as_its_subparser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    subparsers = _subparsers(cli_module._build_parser())
+    assert list(subparsers) == list(cli_module._COMMANDS)
+    for name, sub in subparsers.items():
+        alone = cli_module._command_parser(name)
+        assert alone.prog == sub.prog == f"stardyn {name}"
+        assert alone.format_help() == sub.format_help()
+
+
+def test_a_command_builds_only_its_own_parser(ex1_file, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    calls = {
+        "analyze": ["--pattern", ex1_file, "--pmax", "3"],
+        "enumerate": ["--n", "2", "--k", "3"],
+        "survey": ["--n", "2", "--k", "3"],
+        "orders": ["--relation", "shark", "--m", "1", "--k", "2"],
+        "oracle": ["--pattern", ex1_file, "--period", "2"],
+        "verify-paper": ["--pmax", "3"],
+    }
+    assert list(calls) == list(cli_module._COMMANDS)
+    for name, rest in calls.items():
+        built.clear()
+        assert run([name, *rest]) == 0, name
+        assert built == [f"stardyn {name}"]
+    # any other call builds the full tree: the top level and six subparsers
+    for argv, code in [([], 2), (["--help"], 0), (["frobnicate"], 2)]:
+        built.clear()
+        assert run(argv) == code
+        assert len(built) == 7
+    capsys.readouterr()
+
+
+def _namespace_text(args: argparse.Namespace) -> str:
+    return repr(sorted(vars(args).items())) + "\n"
+
+
+def _tree_parse(argv: list[str]) -> int:
+    """Parse ``argv`` with the full tree and print the namespace, as a stub
+    handler does."""
+    try:
+        args = cli_module._build_parser().parse_args(argv)
+    except SystemExit as e:
+        return int(e.code or 0)
+    sys.stdout.write(_namespace_text(args))
+    return 0
+
+
+def _outcome(call, argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = call(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _option_tokens(action: argparse.Action):
+    """The tokens of one option: its name, whole or a prefix (unique or
+    not), with a value as the next token or after ``=``; values may be bad
+    ints or bad choices."""
+    name = st.builds(lambda s, n: s[:n], st.sampled_from(action.option_strings), st.integers(3, 20))
+    if action.nargs == 0:
+        return st.one_of(name.map(lambda s: [s]), name.map(lambda s: [s + "=1"]))
+    if action.choices:
+        value = st.sampled_from([*action.choices, *action.choices, "bogus"])
+    elif action.type is int:
+        value = st.sampled_from(["1", "2", "3", "5", "18", "0", "-3", "x", "1.5"])
+    else:
+        value = st.sampled_from(["F", "a b", "-", "x=y"])
+    return st.one_of(
+        st.tuples(name, value).map(list), st.tuples(name, value).map(lambda nv: ["=".join(nv)])
+    )
+
+
+@cache
+def _command_options(name: str) -> list[argparse.Action]:
+    return [a for a in cli_module._command_parser(name)._actions if a.dest != "help"]
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """An argv drawn from the command table: a command and some of its
+    options in any order (required ones may be missing), perhaps with extra
+    tokens or -h; or a call that names no command first."""
+    names = list(cli_module._COMMANDS)
+    head = draw(st.sampled_from(["command"] * 12 + ["--", "unknown", "none", "options first"]))
+    name = draw(st.sampled_from(names))
+    actions = _command_options(name)
+    # a required option is left out one time in five, any other one in two
+    groups = [
+        draw(_option_tokens(a))
+        for a in actions
+        if draw(st.sampled_from([True] * (4 if a.required else 1) + [False]))
+    ]
+    groups = draw(st.permutations(groups))
+    tokens = [token for group in groups for token in group]
+    extras = st.lists(st.sampled_from(["-h", "--bogus", "1", "extra", "--", "-x"]), max_size=2)
+    for extra in draw(extras):
+        tokens.insert(draw(st.integers(0, len(tokens))), extra)
+    if head == "command":
+        return [name, *tokens]
+    if head == "--":
+        return ["--", name, *tokens]
+    if head == "unknown":
+        return ["frobnicate", *tokens]
+    if head == "options first":
+        return [*tokens, name]
+    return draw(st.sampled_from([[], ["-h"], ["--help"]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs())
+@example(["analyze", "--pattern", "F", "--bogus", "1"])
+@example(["--", "analyze", "--pattern", "F"])
+@example(["analyze", "--pat", "F"])
+@example(["analyze", "--pattern", "F", "--pmax=18"])
+@example(["analyze", "--p", "F"])
+@example(["orders", "--relation", "sharp", "--m", "1"])
+@example(["survey", "--n", "x", "--k", "3"])
+def test_dispatch_parses_as_the_full_tree(argv):
+    # handlers and the run-parameter checks are stubbed: every call either
+    # fails to parse or prints its namespace, on both sides
+    stubs = {
+        name: (help, formats, lambda args: ([(None, _namespace_text(args))], 0), options)
+        for name, (help, formats, _, options) in cli_module._COMMANDS.items()
+    }
+    with (
+        mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+        mock.patch.dict(cli_module._COMMANDS, stubs),
+        mock.patch.object(cli_module, "_check_args", lambda args: None),
+    ):
+        assert _outcome(run, argv) == _outcome(_tree_parse, argv)
 
 
 def test_subprocess_byte_identical_outputs(ex1_file):

@@ -568,6 +568,25 @@ def test_period_k_walks_the_whole_tree(k):
         ], m.pattern.to_text()
 
 
+def test_no_kept_primitive_walk_fixes_an_integer_point_off_period_k():
+    # characterizes the `den == 1 and p != k` guard of plmap._scan, for which
+    # no case is known: over every class with n <= 3 and k <= 4, at q = 2k
+    # and 3k <= 12 (integer points are marked points, of least period k, so
+    # only multiples of k can fix them), every walk the skip table keeps
+    # that fixes an integer point repeats a shorter walk
+    integer_points = 0
+    for k in (2, 3, 4):
+        for m in realized_classes(3, k):
+            closing = _closing(m, 3 * k - 1)
+            for q in (2 * k, 3 * k) if 3 * k <= 12 else (2 * k,):
+                for b0, s, d, last, path, _ in _walks(m, q, None, closing=closing):
+                    t = _fixed_point(m, b0, s, d, last)
+                    if t is not None and t is not plmap_module._IDENTITY and t[1] == 1:
+                        integer_points += 1
+                        assert not plmap_module._primitive(path), (m.pattern.to_text(), q, path)
+    assert integer_points > 0
+
+
 def _expanded_walks_have_fixed_points(m, pmax, cap=None):
     """At every period q <= pmax but k, every walk the oracle's skip tables
     let through has a fixed point; stops at the cap.  Returns how many

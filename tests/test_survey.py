@@ -206,13 +206,16 @@ def test_parallel_jobs_match_serial(survey_3_5):
 
 
 class _SerialPool:
-    """A stand-in for ProcessPoolExecutor that records its size and maps
-    in this process."""
+    """A stand-in for ProcessPoolExecutor that records its size, the most
+    tasks outstanding at once (submitted, result not yet read) and the
+    tasks cancelled, and runs a task in this process when its result is
+    read."""
 
-    sizes: list[int] = []
+    made: list[_SerialPool] = []
 
     def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+        self.size, self.outstanding, self.most, self.cancelled = max_workers, 0, 0, 0
+        self.made.append(self)
 
     def __enter__(self):
         return self
@@ -220,8 +223,23 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        self.outstanding += 1
+        self.most = max(self.most, self.outstanding)
+        return _SerialTask(self, fn, args)
+
+
+class _SerialTask:
+    def __init__(self, pool, fn, args):
+        self.pool, self.fn, self.args = pool, fn, args
+
+    def result(self):
+        self.pool.outstanding -= 1
+        return self.fn(*self.args)
+
+    def cancel(self):
+        self.pool.cancelled += 1
+        return True
 
 
 @pytest.mark.parametrize(
@@ -242,10 +260,52 @@ def test_jobs_bound_the_pool(n, k, jobs, cpus, workers, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(survey_module, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(_SerialPool, "made", [])
     result = classify_all(n, k, 6, jobs=jobs)
-    assert _SerialPool.sizes == ([] if workers is None else [workers])
+    assert [pool.size for pool in _SerialPool.made] == ([] if workers is None else [workers])
     assert result == classify_all(n, k, 6)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_parallel_survey_keeps_a_bounded_window_of_chunks(workers, monkeypatch):
+    # (3, 7) has 1,200 classes, 150 chunks of 8: more than the window of
+    # _IN_FLIGHT chunks per worker, which fills and never overflows
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(survey_module, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(_SerialPool, "made", [])
+    result = classify_all(3, 7, 6, jobs=workers)
+    (pool,) = _SerialPool.made
+    assert pool.most == survey_module._IN_FLIGHT * workers
+    assert (pool.outstanding, pool.cancelled) == (0, 0)
+    assert result == classify_all(3, 7, 6)
+
+
+def test_parallel_survey_cancels_pending_chunks_when_one_raises(monkeypatch):
+    # the third chunk raises when its result is read, with the window of
+    # w chunks full and refilled twice: chunks 4 to w + 2 are pending, and
+    # are cancelled and never run, and no later chunk is submitted
+    import concurrent.futures
+
+    chunk_rows = survey_module._chunk_rows
+    chunks = []
+
+    def third_raises(chunk, *args):
+        chunks.append(chunk)
+        if len(chunks) == 3:
+            raise RuntimeError("chunk 3")
+        return chunk_rows(chunk, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(survey_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(survey_module, "_chunk_rows", third_raises)
+    monkeypatch.setattr(_SerialPool, "made", [])
+    with pytest.raises(RuntimeError, match="chunk 3"):
+        classify_all(3, 7, 6, jobs=2)
+    (pool,) = _SerialPool.made
+    w = survey_module._IN_FLIGHT * 2
+    assert (pool.most, pool.outstanding, pool.cancelled, len(chunks)) == (w, w - 1, w - 1, 3)
 
 
 def test_classify_deterministic_bytes(survey_3_5):
