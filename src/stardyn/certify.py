@@ -33,6 +33,7 @@ from .patterns import (
     basic_intervals,
 )
 from .plmap import (
+    DomainError,
     InconsistencyError,
     PeriodicWitness,
     PLMap,
@@ -40,7 +41,6 @@ from .plmap import (
     _least_period_is,
     _listed,
     _scan,
-    oracle_scan,
     realize,
 )
 
@@ -68,12 +68,6 @@ class CoverDigraph(_Record):
             (self.vertices[i].label, self.vertices[j].label)
             for i, j in self.edges()
         }
-
-    def index_of(self, endpoints: tuple[MarkedPoint, MarkedPoint]) -> int:
-        for i, v in enumerate(self.vertices):
-            if v.endpoints == endpoints:
-                return i
-        raise KeyError(f"no basic interval with endpoints {endpoints}")
 
 
 def cover_digraph(p: StarPattern) -> CoverDigraph:
@@ -596,45 +590,54 @@ def _loop_search(u, v, first, masks, images, cap):
 # ------------------------------------------------------------ verification
 
 def verify_certificate(p: StarPattern, cert: Certificate) -> bool:
-    """Re-derive a certificate's claim from the pattern alone.  An absence
-    replays the whole scan: it must complete with no witness after
-    exactly the recorded number of cylinders."""
+    """Re-derive a certificate's claim from the pattern alone, on the
+    tables the search reads (``_tables``, which raises ValueError for an
+    invalid pattern, whatever the kind).  Every certificate of a valid
+    pattern gets a yes or a no: a period below 1, an arc or a point off
+    the pattern, and a center-orbit flag that disagrees with the witness's
+    coordinate (a point is on the center orbit iff it is an integer) get
+    a no.  A theorem certificate must be the one ``_theorem`` derives.  An
+    absence replays the whole scan through ``_checked_scan``, so its
+    listing is also counted by closed walks: it must find no point and no
+    family after exactly the recorded number of cylinders."""
+    tables = _tables(p)
     if isinstance(cert, CenterOrbit):
         return cert.period == p.k
     if isinstance(cert, ForcedPeriod):
-        return cert.source_period == p.k and sharkovskii_le(cert.period, p.k)
-    if isinstance(cert, CenterTheoremCase):
-        return check_center_theorem(p) == cert
-    if isinstance(cert, NPlus2Case):
-        return check_nplus2_theorem(p) == cert
+        return cert.source_period == p.k and cert.period >= 1 and sharkovskii_le(cert.period, p.k)
+    if isinstance(cert, (CenterTheoremCase, NPlus2Case)):
+        return _theorem(tables) == cert
     if isinstance(cert, Cascade):
-        return _verify_cascade(p, cert)
+        return _verify_cascade(tables, cert)
     if isinstance(cert, Genscramble):
-        return verify_genscramble(p, cert)
+        return _verify_genscramble(tables, cert)
     if isinstance(cert, OracleWitness):
-        return _least_period_is(realize(p), cert.witness.point, cert.witness.period)
+        w = cert.witness
+        if w.on_center_orbit != (w.point.coord.denominator == 1):
+            return False
+        try:
+            return _least_period_is(realize(p), w.point, w.period)
+        except DomainError:  # the point is off the realized star
+            return False
     if isinstance(cert, OracleAbsence):
-        res = oracle_scan(realize(p), cert.period)
-        return res.complete and res.witnesses == () and res.cylinders == cert.cylinders
+        if cert.period < 1:
+            return False
+        found, cylinders, family = _checked_scan(realize(p), cert.period, None, None, False)
+        return not found and family is None and cylinders == cert.cylinders
     raise TypeError(f"unknown certificate {cert!r}")
 
 
-def _verify_cascade(p: StarPattern, cert: Cascade) -> bool:
-    g = cover_digraph(p)
-    try:
-        idx = [g.index_of(e) for e in cert.cycle]
-        base = g.index_of(cert.base)
-    except KeyError:
+def _verify_cascade(tables: _Tables, cert: Cascade) -> bool:
+    """The cycle runs from the base back to it through m distinct basic
+    intervals along digraph edges, and the base has a self-loop."""
+    where = {e: i for i, e in enumerate(tables.ends)}
+    idx = [where.get(e) for e in cert.cycle]
+    if None in idx or not 2 <= cert.m == len(idx) - 1 == len(set(idx[:-1])):
         return False
-    if cert.m != len(cert.cycle) - 1 or cert.m < 2:
-        return False
-    if idx[0] != base or idx[-1] != base:
-        return False
-    if len(set(idx[:-1])) != cert.m:
-        return False
-    if not g.has_edge(base, base):
-        return False
-    return all(g.has_edge(i, j) for i, j in itertools.pairwise(idx))
+    adjacency = tables.adjacency
+    return cert.base == cert.cycle[0] == cert.cycle[-1] and all(
+        j in adjacency[i] for i, j in itertools.pairwise([idx[0], *idx])
+    )
 
 
 def verify_genscramble(p: StarPattern, cert: Genscramble) -> bool:
@@ -723,13 +726,16 @@ def _claimed(
     return claimed
 
 
-def _checked_scan(m: PLMap, q: int, closing, counts: dict[int, int], first_only: bool):
+def _checked_scan(m: PLMap, q: int, closing, counts: dict[int, int] | None, first_only: bool):
     """The one way to ask the exact oracle about period q (``plmap._scan``,
     with ``_closing`` tables), checked against the closed-walk count where
-    ``counts`` (``_period_counts``) holds q: a scan that completed must
+    ``counts`` (``_period_counts``, worked out here from the realization's
+    digraph when None) holds q: a scan that completed must
     list exactly ``counts[q]`` points, a first-witness scan that found
     none included, and one that stopped at a point needs a positive count.
     Returns (found, cylinders, family); raises InconsistencyError."""
+    if counts is None:
+        counts = _period_counts(m.pattern.k, _walk_traces(m.tables.adjacency, q))
     found, cylinders, family, complete = _scan(m, q, None, first_only, closing)
     if q in counts and (counts[q] != len(found) if complete else counts[q] < 1):
         raise InconsistencyError(

@@ -40,14 +40,12 @@ from json.encoder import encode_basestring_ascii
 from .certify import (
     InconsistencyError,
     _checked_scan,
-    _period_counts,
-    _walk_traces,
     cover_digraph,
     periodicity_report,
     render_dot,
     report_to_json,
 )
-from .orders import baldwin_le, forced_periods, nod_le, sharkovskii_le
+from .orders import baldwin_le, nod_le, sharkovskii_le
 from .patterns import (
     EnumerationCapExceeded,
     InvalidPatternError,
@@ -174,10 +172,7 @@ def _enumerate_options(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[Outputs, int]:
-    try:
-        patterns = enumerate_patterns(args.n, args.k, all_branches=args.all_branches)
-    except PatternError as e:
-        raise UsageError(str(e)) from None
+    patterns = enumerate_patterns(args.n, args.k, all_branches=args.all_branches)
     if args.format == "json":
         payload = {
             "n": args.n,
@@ -202,16 +197,7 @@ def _survey_options(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_survey(args: argparse.Namespace) -> tuple[Outputs, int]:
-    try:
-        result = classify_all(
-            args.n,
-            args.k,
-            args.pmax,
-            max_iterate=args.max_iterate,
-            jobs=args.jobs,
-        )
-    except PatternError as e:
-        raise UsageError(str(e)) from None
+    result = classify_all(args.n, args.k, args.pmax, max_iterate=args.max_iterate, jobs=args.jobs)
     if args.filter:
         result = filter_result(result, args.filter)
     return [(args.out, _survey_chunks(result, args.format))], 0
@@ -309,11 +295,8 @@ def _cmd_orders(args: argparse.Namespace) -> tuple[Outputs, int]:
                 raise UsageError("set mode needs both --segment and --bound")
             if args.bound < 1:
                 raise UsageError("--bound must be a positive integer")
-            if relation in ("shark", "baldwin"):
-                forced = forced_periods(1 if relation == "shark" else t, args.segment, args.bound)
-            else:
-                forced = {m for m in range(1, args.bound + 1) if nod_le(t, m, args.segment)}
-            text = " ".join(str(m) for m in sorted(forced)) + "\n"
+            forced = [m for m in range(1, args.bound + 1) if below(m, args.segment)]
+            text = " ".join(map(str, forced)) + "\n"
     except ValueError as e:
         raise UsageError(str(e)) from None
     return [(args.out, text)], 0
@@ -349,8 +332,7 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[Outputs, int]:
         m = realize(p)
     q = args.period
     # a listing at a period k does not divide is counted a second way
-    counts = _period_counts(p.k, _walk_traces(m.tables.adjacency, q))
-    found, _, family = _checked_scan(m, q, None, counts, False)
+    found, _, family = _checked_scan(m, q, None, None, False)
     rows = _oracle_rows(q, found)
     if family is not None:
         rows += _oracle_rows(q, [family], ', "uncountable_family": true')
@@ -477,7 +459,7 @@ def run(argv: list[str] | None = None) -> int:
         _check_args(args)
         outputs, code = _COMMANDS[args.subcommand][2](args)
         _emit_outputs(outputs)
-    except UsageError as e:
+    except (UsageError, PatternError) as e:
         sys.stderr.write(_build_parser().format_usage())
         sys.stderr.write(f"stardyn: error: {e}\n")
         return 2

@@ -18,7 +18,6 @@ order facts, class counts) and reports pass/fail with diffs.
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import math
@@ -29,9 +28,10 @@ from itertools import repeat
 from .certify import (
     CoverDigraph,
     _survey_row,
-    _walk_traces,
+    closed_walk_lengths,
     find_cascade,
     periodicity_report,
+    self_loop_only_lengths,
 )
 from .orders import forced_periods, sharkovskii_le
 from .patterns import StarPattern, _Record, enumerate_patterns, parse_pattern
@@ -123,12 +123,6 @@ class SurveyResult(_Record):
     counts: SurveyCounts
 
 
-@functools.cache
-def _evens_plus_one(p_max: int) -> frozenset[int]:
-    """The fixed point and every even period up to ``p_max``."""
-    return frozenset({1} | set(range(2, p_max + 1, 2)))
-
-
 def tail_tag(present: frozenset[int] | set[int], p_max: int) -> str:
     """Classify the shape of a period set within the horizon ``[1, p_max]``.
 
@@ -141,7 +135,7 @@ def tail_tag(present: frozenset[int] | set[int], p_max: int) -> str:
     also ends with the top period, so the cofinite tag alone would not
     distinguish it.
     """
-    if present == _evens_plus_one(p_max):
+    if present == {1, *range(2, p_max + 1, 2)}:
         return "evens-plus-one"
     for m in range(1, p_max + 1):
         if all(q in present for q in range(m, p_max + 1)):
@@ -601,9 +595,8 @@ def verify_paper(p_max: int = 10, max_iterate: int = 2) -> ReferenceReport:
     rep2 = periodicity_report(p2, p_max=p_max, max_iterate=max_iterate)
     checks.append(_check_digraph("example2-digraph", "example2", rep2.digraph))
     horizon = 9
-    traces = list(enumerate(_walk_traces(rep2.digraph.adjacency, horizon), 1))
-    walks = {q for q, t in traces if t}
-    loops_only = {q for q, t in traces if t == 1}
+    walks = closed_walk_lengths(rep2.digraph, horizon)
+    loops_only = self_loop_only_lengths(rep2.digraph, horizon)
     odd_walks = {q for q in walks if q % 2 == 1}
     ok = odd_walks <= loops_only
     check(

@@ -28,6 +28,7 @@ from stardyn.certify import (
     CenterOrbit,
     CenterTheoremCase,
     CoverDigraph,
+    ForcedPeriod,
     Genscramble,
     InconsistencyError,
     NPlus2Case,
@@ -48,12 +49,21 @@ from stardyn.certify import (
     verify_certificate,
     verify_genscramble,
 )
-from stardyn.patterns import StarPattern, _tables, arc, enumerate_patterns, parse_pattern
+from stardyn.cli import run
+from stardyn.patterns import (
+    InvalidPatternError,
+    StarPattern,
+    _tables,
+    arc,
+    enumerate_patterns,
+    parse_pattern,
+)
 from stardyn.plmap import (
     LoopError,
     PeriodicWitness,
     first_witness,
     loop_point,
+    make_point,
     oracle_scan,
     periodic_points,
     realize,
@@ -705,6 +715,86 @@ def test_oracle_absence_replays_the_whole_scan(p1):
     assert not verify_certificate(p1, OracleAbsence(2, 14))  # period 2 is present
 
 
+def _tampered_copies(cert):
+    """Copies of a certificate that its own pattern must reject: a period
+    of 0, a changed theorem case, a cascade cycle with a vertex dropped, a
+    chaos loop with two arcs swapped, a witness moved off its point (its
+    flag kept true to the new coordinate) or with its flag flipped, and an
+    absence with one cylinder more or less."""
+    if isinstance(cert, (CenterOrbit, ForcedPeriod)):
+        return [cert._replace(period=0)]
+    if isinstance(cert, (CenterTheoremCase, NPlus2Case)):
+        return [cert._replace(case_id=cert.case_id % 3 + 1)]
+    if isinstance(cert, Cascade):
+        return [cert._replace(cycle=cert.cycle[:1] + cert.cycle[2:], m=cert.m - 1)]
+    if isinstance(cert, Genscramble):
+        loop = cert.loop
+        return [cert._replace(loop=(loop[0], loop[2], loop[1], *loop[3:]))]
+    if isinstance(cert, OracleWitness):
+        w = cert.witness
+        x = w.point.coord + Fraction(1, 2 * w.point.coord.denominator)
+        moved = w._replace(point=make_point(w.point.branch, x), on_center_orbit=False)
+        flipped = w._replace(on_center_orbit=not w.on_center_orbit)
+        return [OracleWitness(moved), OracleWitness(flipped)]
+    return [cert._replace(cylinders=cert.cylinders + d) for d in (-1, 1)] + [
+        cert._replace(period=0)
+    ]
+
+
+def test_every_replay_answers_yes_or_no_and_rejects_tampering(p1, p2):
+    # the two examples' reports at pmax 10, chaos included, and the center
+    # theorem class's, which brings the eighth kind: every certificate
+    # replays on its own pattern, each tampered copy fails, and checked
+    # against another pattern every certificate gets a yes or a no
+    patterns = [p1, p2, parse_pattern(CENTER_THEOREM_CLASS)]
+    certs = []
+    for p in patterns:
+        r = periodicity_report(p, 10)
+        certs.append([c for s in r.periods.values() for c in s.certificates] + [r.chaos])
+    assert len({type(c) for own in certs for c in own}) == 8
+    for p, own in zip(patterns, certs):
+        for cert in own:
+            assert verify_certificate(p, cert) is True, cert
+            for bad in _tampered_copies(cert):
+                assert verify_certificate(p, bad) is False, bad
+    for p in patterns:
+        for own in certs:
+            for cert in own:
+                assert isinstance(verify_certificate(p, cert), bool), (p.to_text(), cert)
+
+
+def test_replay_says_no_to_a_bad_period_an_off_star_point_and_a_wrong_flag(p1, p2):
+    assert verify_certificate(p1, ForcedPeriod(0, 5)) is False
+    assert verify_certificate(p1, OracleAbsence(0, 3)) is False
+    off_star = PeriodicWitness(make_point(3, Fraction(7, 2)), 2, (0, 1), False)
+    assert verify_certificate(p1, OracleWitness(off_star)) is False
+    certs = periodicity_report(p2, 2).periods[2].certificates
+    (witness,) = [c for c in certs if isinstance(c, OracleWitness)]
+    assert verify_certificate(p2, witness)
+    flipped = witness.witness._replace(on_center_orbit=not witness.witness.on_center_orbit)
+    assert verify_certificate(p2, OracleWitness(flipped)) is False
+
+
+def test_replay_of_a_foreign_theorem_case_says_no(p1, p2):
+    nplus2 = periodicity_report(p1).theorem
+    assert isinstance(nplus2, NPlus2Case) and verify_certificate(p1, nplus2)
+    # example 2 has k = n + 3, and the one-branch swap meets too few branches
+    for p in (p2, parse_pattern("n=1 k=2; b1: 1"), parse_pattern(CENTER_THEOREM_CLASS)):
+        assert verify_certificate(p, nplus2) is False
+
+
+def test_replay_validates_the_pattern_for_every_kind(p1):
+    # CenterOrbit(5) against this pattern returned True before the replay
+    # validated it
+    r = periodicity_report(p1)
+    certs = [c for s in r.periods.values() for c in s.certificates] + [r.chaos]
+    assert CenterOrbit(5) in certs
+    broken = StarPattern(n=1, k=5, placements=((1, 1),))  # placements missing
+    for cert in certs:
+        with pytest.raises(InvalidPatternError, match="invalid pattern"):
+            verify_certificate(broken, cert)
+
+
 # ------------------------------------------------------ loop lemma replay
 
 def _closed_walks(g, max_len):
@@ -851,6 +941,41 @@ def test_report_consistency_error_is_loud(p1, monkeypatch):
     monkeypatch.setattr(certify_module, "_scan", lambda *args: ([], 0, None, True))
     with pytest.raises(InconsistencyError, match="bug"):
         periodicity_report(p1)
+
+
+CLAIM_REFUTED = (
+    "certificates [CenterOrbit(period=6)] claim period 6 but the exact oracle finds no such "
+    "point — this is a bug"
+)
+
+
+def _listing_nothing_at_6(monkeypatch):
+    """Patch the oracle's scan to find no point of period 6."""
+    scan = certify_module._scan
+
+    def empty_at_6(m, q, *args):
+        found, cylinders, family, complete = scan(m, q, *args)
+        return ([], cylinders, None, True) if q == 6 else (found, cylinders, family, complete)
+
+    monkeypatch.setattr(certify_module, "_scan", empty_at_6)
+
+
+def test_report_claimed_period_the_oracle_refutes_raises(p2, monkeypatch):
+    # period 6 is example 2's own (k = 6), so the closed-walk count does not
+    # decide it and the report's claim check alone catches the empty scan
+    _listing_nothing_at_6(monkeypatch)
+    with pytest.raises(InconsistencyError) as raised:
+        periodicity_report(p2, 6)
+    assert str(raised.value) == CLAIM_REFUTED
+
+
+def test_analyze_claimed_period_the_oracle_refutes_exits_1(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ex2.txt"
+    path.write_text(EX2 + "\n", encoding="utf-8")
+    _listing_nothing_at_6(monkeypatch)
+    assert run(["analyze", "--pattern", str(path), "--pmax", "6"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"stardyn: inconsistency: {CLAIM_REFUTED}\n")
 
 
 def test_report_counts_the_listing_at_an_unclaimed_period(monkeypatch):

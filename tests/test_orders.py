@@ -178,3 +178,22 @@ def test_orders_set_mode_rejects_a_bound_below_1(relation, segment, capsys):
     assert captured.err == (
         cli_module._build_parser().format_usage() + "stardyn: error: --bound must be a positive integer\n"
     )
+
+
+@pytest.mark.parametrize(
+    "relation",
+    [["shark"], ["baldwin", "--t", "2"], ["baldwin", "--t", "3"],
+     ["nod", "--t", "1"], ["nod", "--t", "2"], ["nod", "--t", "3"]],
+    ids=lambda r: "-".join(r[::2]),
+)
+def test_orders_set_mode_lists_what_pair_mode_calls_true(relation, capsys):
+    orders = ["orders", "--relation", *relation]
+    for segment in range(1, 13):
+        assert run([*orders, "--segment", str(segment), "--bound", "40"]) == 0
+        listed = capsys.readouterr().out
+        below = []
+        for m in range(1, 41):
+            assert run([*orders, "--m", str(m), "--k", str(segment)]) == 0
+            if capsys.readouterr().out == "true\n":
+                below.append(m)
+        assert listed == " ".join(map(str, below)) + "\n", segment

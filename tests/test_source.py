@@ -134,16 +134,35 @@ def _callers(tree: ast.Module, name: str) -> set[str]:
     }
 
 
+def _package_callers(name: str, skip: str) -> set[str]:
+    """"module.definition" for every top-level definition outside the
+    module ``skip`` that calls ``name``."""
+    return {
+        f"{path.stem}.{owner}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != skip
+        for owner in _callers(ast.parse(path.read_text(encoding="utf-8")), name)
+    }
+
+
+
 def test_only_the_checked_scan_asks_the_oracle():
     # outside plmap the oracle's scan is reached through one function, which
     # checks it against the closed-walk count
-    callers = {
-        f"{path.stem}.{owner}"
-        for path in sorted(SRC.glob("*.py"))
-        if path.stem != "plmap"
-        for owner in _callers(ast.parse(path.read_text(encoding="utf-8")), "_scan")
-    }
-    assert callers == {"certify._checked_scan"}
+    assert _package_callers("_scan", "plmap") == {"certify._checked_scan"}
+
+
+def test_no_module_but_plmap_calls_the_unchecked_oracle():
+    # the public listings skip the closed-walk count, so every caller
+    # outside plmap, a replay included, goes through the checked scan
+    names = ("oracle_scan", "first_witness", "periodic_points")
+    assert set().union(*(_package_callers(name, "plmap") for name in names)) == set()
+
+
+def test_only_certify_counts_periods_from_walks():
+    # the least-period counts are worked out where the checked scan
+    # compares against them, and nowhere else
+    assert {c.split(".")[0] for c in _package_callers("_period_counts", "")} == {"certify"}
 
 
 def test_all_names_exactly_the_public_imports():
