@@ -33,6 +33,7 @@ from .patterns import (
     basic_intervals,
 )
 from .plmap import (
+    CENTER,
     DomainError,
     InconsistencyError,
     PeriodicWitness,
@@ -79,8 +80,11 @@ def cover_digraph(p: StarPattern) -> CoverDigraph:
 
 
 def _digraph(tables: _Tables) -> CoverDigraph:
+    """The covering digraph of a table, its vertices built from the
+    table's basic intervals (``_Tables.ends``)."""
     p = tables.pattern
-    return CoverDigraph(p, tuple(basic_intervals(p)), tables.adjacency)
+    vertices = tuple(BasicInterval(a, b, *p.placements[b - 1]) for a, b in tables.ends)
+    return CoverDigraph(p, vertices, tables.adjacency)
 
 
 def _through_center(down: list[int], a: MarkedPoint, b: MarkedPoint) -> bool:
@@ -445,7 +449,9 @@ def find_cascade(g: CoverDigraph) -> Cascade | None:
 
 def _find_cascade(adjacency: tuple[tuple[int, ...], ...], ends: list[ArcEnds]) -> Cascade | None:
     """``find_cascade`` on out-neighbour lists, with ``ends`` the
-    endpoints of each vertex."""
+    endpoints of each vertex.  Every return cycle has m >= 2 and ties go
+    to the first vertex, so the search stops at the first vertex whose
+    shortest return has m = 2: no later vertex can beat it."""
     best: tuple[int, int, list[int]] | None = None
     for w, row in enumerate(adjacency):
         if w not in row:
@@ -473,6 +479,8 @@ def _find_cascade(adjacency: tuple[tuple[int, ...], ...], ends: list[ArcEnds]) -
         m = len(cycle) - 1
         if best is None or m < best[0]:
             best = (m, w, cycle)
+            if m == 2:
+                break
     if best is None:
         return None
     m, w, cycle = best
@@ -539,7 +547,7 @@ def _find_genscramble(
         images = {e: _image(rows, x) for e, x in images.items()}
         for u in range(p.k):
             for v in range(p.k):
-                if u == v or tuple(sorted((u, v))) not in masks:
+                if u == v or _through_center(down, u, v):
                     continue
                 if not _ordering_holds(down, u, v, t):
                     continue
@@ -596,10 +604,11 @@ def verify_certificate(p: StarPattern, cert: Certificate) -> bool:
     pattern gets a yes or a no: a period below 1, an arc or a point off
     the pattern, and a center-orbit flag that disagrees with the witness's
     coordinate (a point is on the center orbit iff it is an integer) get
-    a no.  A theorem certificate must be the one ``_theorem`` derives.  An
-    absence replays the whole scan through ``_checked_scan``, so its
-    listing is also counted by closed walks: it must find no point and no
-    family after exactly the recorded number of cylinders."""
+    a no, and so does a witness whose itinerary does not follow its point
+    (``_follows``).  A theorem certificate must be the one ``_theorem``
+    derives.  An absence replays the whole scan through ``_checked_scan``,
+    so its listing is also counted by closed walks: it must find no point
+    and no family after exactly the recorded number of cylinders."""
     tables = _tables(p)
     if isinstance(cert, CenterOrbit):
         return cert.period == p.k
@@ -615,8 +624,9 @@ def verify_certificate(p: StarPattern, cert: Certificate) -> bool:
         w = cert.witness
         if w.on_center_orbit != (w.point.coord.denominator == 1):
             return False
+        m = realize(p)
         try:
-            return _least_period_is(realize(p), w.point, w.period)
+            return _least_period_is(m, w.point, w.period) and _follows(m, w)
         except DomainError:  # the point is off the realized star
             return False
     if isinstance(cert, OracleAbsence):
@@ -625,6 +635,24 @@ def verify_certificate(p: StarPattern, cert: Certificate) -> bool:
         found, cylinders, family = _checked_scan(realize(p), cert.period, None, None, False)
         return not found and family is None and cylinders == cert.cylinders
     raise TypeError(f"unknown certificate {cert!r}")
+
+
+def _follows(m: PLMap, w: PeriodicWitness) -> bool:
+    """Whether the witness's itinerary has one valid piece index per step
+    of its period, and piece i contains f^i of its point: the point lies
+    on the piece's branch between its ends, and the center lies in every
+    piece whose low end is 0."""
+    pieces, x = m.pieces, w.point
+    if not isinstance(w.itinerary, tuple) or len(w.itinerary) != w.period:
+        return False
+    for i in w.itinerary:
+        if type(i) is not int or not 0 <= i < len(pieces):
+            return False
+        q = pieces[i]
+        if not (q.lo == 0 if x == CENTER else q.src == x.branch and q.lo <= x.coord <= q.hi):
+            return False
+        x = m.evaluate(x)
+    return True
 
 
 def _verify_cascade(tables: _Tables, cert: Cascade) -> bool:

@@ -140,7 +140,8 @@ class PatternSyntaxError(PatternError):
 
 class InvalidPatternError(PatternError):
     """A pattern that breaks an invariant of ``validate``, raised where
-    its tables are built (``_tables``); ``args[0]`` joins the problems."""
+    its basic intervals are derived (``_descent``, which every table
+    builder calls); ``args[0]`` joins the problems."""
 
     def __str__(self) -> str:
         return "invalid pattern: " + self.args[0]
@@ -511,9 +512,12 @@ class BasicInterval(_Record):
         return (self.inner, self.outer)
 
 
-def _descent(p: StarPattern) -> tuple[list[tuple[MarkedPoint, MarkedPoint]], list[int]]:
-    """The basic intervals and the descent vector of a valid pattern, in
-    one pass over the placements.
+def _descent(
+    p: StarPattern, all_branches: bool = False
+) -> tuple[list[tuple[MarkedPoint, MarkedPoint]], list[int]]:
+    """The basic intervals and the descent vector of a pattern, in one
+    pass over the placements that also checks the invariants of
+    ``validate``.
 
     ``ends[i]`` is basic interval i as its (inner, outer) marked points,
     ordered by (branch, rank from the center): one per marked point, which
@@ -522,24 +526,45 @@ def _descent(p: StarPattern) -> tuple[list[tuple[MarkedPoint, MarkedPoint]], lis
     and a point of rank r on branch b has the r low bits of b's block,
     which starts after the intervals of the branches before b.  In a tree
     the arc between two points is the symmetric difference of their paths
-    to the center, so ``down[a] ^ down[b]`` is the arc between a and b."""
-    size = [0] * (p.n + 1)
-    for b, _ in p.placements:
-        size[b] += 1
-    start = list(accumulate(size, initial=0))  # start[b] counts the intervals before branch b
-    inner, outer, down = [CENTER_INDEX] * (p.k - 1), [0] * (p.k - 1), [0] * p.k
-    for i, (b, r) in enumerate(p.placements, start=1):
-        v = start[b] + r - 1
-        outer[v] = i
-        if r < size[b]:
-            inner[v + 1] = i
-        down[i] = ((1 << r) - 1) << start[b]
+    to the center, so ``down[a] ^ down[b]`` is the arc between a and b.
+
+    The pass fills slot ``start[b] + r - 1`` for each point.  A pattern is
+    valid iff n >= 1, k >= 2 and there are k - 1 placements, every branch
+    is in 1..n, every rank in 1..size[b], no slot is filled twice and,
+    under ``all_branches``, no branch is empty: then the ranks of each
+    branch are exactly 1..size[b].  Otherwise it raises
+    InvalidPatternError with ``validate``'s problems, so ``validate`` runs
+    only for an invalid pattern."""
+    n, k, placements = p.n, p.k, p.placements
+    valid = n >= 1 and k >= 2 and len(placements) == k - 1
+    size = [0] * (n + 1)
+    inner, outer, down = [CENTER_INDEX] * (k - 1), [0] * (k - 1), [0] * k
+    if valid:
+        for b, _ in placements:
+            if not 0 < b <= n:
+                valid = False
+                break
+            size[b] += 1
+    if valid:
+        start = list(accumulate(size, initial=0))  # start[b] counts the intervals before branch b
+        for i, (b, r) in enumerate(placements, start=1):
+            v = start[b] + r - 1
+            if not 0 < r <= size[b] or outer[v]:
+                valid = False
+                break
+            outer[v] = i
+            if r < size[b]:
+                inner[v + 1] = i
+            down[i] = ((1 << r) - 1) << start[b]
+    if not valid or all_branches and 0 in size[1:]:
+        raise InvalidPatternError("; ".join(validate(p, all_branches)))
     return list(zip(inner, outer)), down
 
 
 def basic_intervals(p: StarPattern) -> list[BasicInterval]:
     """All basic intervals, ordered by (branch, rank from the center): one
-    per marked point, which is its outer end."""
+    per marked point, which is its outer end.  Raises InvalidPatternError
+    (a ValueError) for an invalid pattern."""
     return [BasicInterval(a, b, *p.placements[b - 1]) for a, b in _descent(p)[0]]
 
 
@@ -570,15 +595,12 @@ def _bits(mask: int) -> tuple[int, ...]:
 
 
 def _tables(p: StarPattern, all_branches: bool = False) -> _Tables:
-    """Validate p once and derive its tables.  The canonical map sends a
-    basic interval onto exactly the arc between its endpoints' images, so
-    the cover rows (the covering digraph, the Markov graph of the
-    pattern) depend on the pattern alone.  Raises InvalidPatternError (a
-    ValueError) for an invalid pattern."""
-    problems = validate(p, all_branches=all_branches)
-    if problems:
-        raise InvalidPatternError("; ".join(problems))
-    ends, down = _descent(p)
+    """Validate p once, in the descent pass (``_descent``), and derive its
+    tables.  The canonical map sends a basic interval onto exactly the arc
+    between its endpoints' images, so the cover rows (the covering
+    digraph, the Markov graph of the pattern) depend on the pattern alone.
+    Raises InvalidPatternError (a ValueError) for an invalid pattern."""
+    ends, down = _descent(p, all_branches)
     image = down[1:] + down[:1]  # image[x] is down of x's successor
     rows = [image[a] ^ image[b] for a, b in ends]
     return _Tables(p, ends, down, rows, tuple(map(_bits, rows)))

@@ -17,13 +17,17 @@ property of the canonical map.
 intervals and of the k x k arc matrix, built by sorting the placements;
 ``patterns._descent`` derives both in one pass, and its descent vector
 carries the matrix as ``down[a] ^ down[b]``.
+
+``find_cascade`` is the full-scan cascade search: one breadth-first search
+per self-loop vertex, every vertex scanned; ``certify._find_cascade`` stops
+at the first vertex whose shortest return has length 2.
 """
 
 import functools
 import itertools
 from operator import or_
 
-from stardyn.certify import CoverDigraph, basic_intervals
+from stardyn.certify import Cascade, CoverDigraph, basic_intervals
 from stardyn.patterns import CENTER_INDEX, Arc, MarkedPoint, PatternError, StarPattern, arc
 
 
@@ -96,3 +100,40 @@ def cover_rows_from_pieces(m):
     return [
         functools.reduce(or_, [spans[i] for i, _, _ in cell]) for row in m.cells for cell in row
     ]
+
+
+def find_cascade(adjacency, ends):
+    """The shortest cycle of length >= 2 through a self-loop vertex, ties
+    broken by vertex order, as a ``Cascade`` with ``ends`` the endpoints
+    of each vertex; None when there is none."""
+    best = None
+    for w, row in enumerate(adjacency):
+        if w not in row:
+            continue
+        # breadth-first search for the shortest simple return w -> ... -> w
+        parents = {j: w for j in row if j != w}
+        frontier, found = list(parents), None
+        while frontier and found is None:
+            nxt = []
+            for j in frontier:
+                if w in adjacency[j]:
+                    found = j
+                    break
+                for j2 in adjacency[j]:
+                    if j2 != w and j2 not in parents:
+                        parents[j2] = j
+                        nxt.append(j2)
+            frontier = nxt
+        if found is None:
+            continue
+        path = [found]
+        while path[-1] != w:
+            path.append(parents[path[-1]])
+        cycle = list(reversed(path)) + [w]  # w, ..., found, w
+        m = len(cycle) - 1
+        if best is None or m < best[0]:
+            best = (m, w, cycle)
+    if best is None:
+        return None
+    m, w, cycle = best
+    return Cascade(ends[w], tuple(ends[i] for i in cycle), m)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_chaos as ref_chaos
@@ -57,6 +57,7 @@ from stardyn.patterns import (
     arc,
     enumerate_patterns,
     parse_pattern,
+    validate,
 )
 from stardyn.plmap import (
     LoopError,
@@ -239,6 +240,44 @@ def test_descent_vector_matches_reference_tables(rng, n, k):
     assert tables.ends == ref_digraph._interval_ends(p)
     down = tables.down
     assert [[x ^ y for y in down] for x in down] == ref_digraph._arc_masks(p)
+
+
+@st.composite
+def _malformed_patterns(draw):
+    """A pattern with n in 0..4, k in 0..9, 0..k placements, branches in
+    -1..n+1 and ranks in -1..k+1; half of them a valid pattern with at
+    most one placement redrawn or copied onto another, so that valid
+    patterns and near misses are drawn too."""
+    n, k = draw(st.integers(0, 4)), draw(st.integers(0, 9))
+    entry = st.tuples(st.integers(-1, n + 1), st.integers(-1, k + 1))
+    if n >= 1 and k >= 2 and draw(st.booleans()):
+        placements = list(random_pattern(draw(st.randoms(use_true_random=False)), n, k).placements)
+        index = st.integers(0, k - 2)
+        for i in draw(st.lists(index, max_size=1)):
+            placements[i] = draw(st.one_of(entry, index.map(placements.__getitem__)))
+    else:
+        placements = draw(st.lists(entry, max_size=k))
+    return StarPattern(n, k, tuple(placements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_malformed_patterns(), st.booleans())
+@example(StarPattern(3, 3, ((1, 1), (1, 1))), False)  # one slot filled twice
+@example(StarPattern(3, 3, ((4, 1), (1, 1))), False)  # a branch out of range
+@example(StarPattern(1, 3, ((1, 0), (1, 1))), False)  # distinct slots, rank 0
+@example(StarPattern(2, 3, ((1, 1), (1, 2))), True)  # an empty branch
+def test_descent_pass_checks_what_validate_checks(p, all_branches):
+    # the descent pass raises with exactly validate's problems iff validate
+    # reports any, and otherwise derives the reference tables
+    problems = validate(p, all_branches)
+    if problems:
+        with pytest.raises(InvalidPatternError) as raised:
+            _tables(p, all_branches)
+        assert raised.value.args == ("; ".join(problems),)
+    else:
+        tables = _tables(p, all_branches)
+        assert tables.ends == ref_digraph._interval_ends(p)
+        assert tables.down == ref_digraph._arc_masks(p)[0]
 
 
 def test_render_dot(p1):
@@ -488,6 +527,19 @@ def test_cascade_example2_none(p2):
 def test_cascade_self_loop_alone_insufficient():
     g = cover_digraph(parse_pattern("n=2 k=2; b1: 1; b2:"))
     assert find_cascade(g) is None
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_cascade_search_matches_full_scan_reference(k):
+    # the search stops at the first vertex whose shortest return has m = 2;
+    # the reference runs one search per self-loop vertex
+    for n in range(1, 4):
+        for all_branches in (False, True):
+            for p in enumerate_patterns(n, k, all_branches):
+                tables = _tables(p, all_branches)
+                assert certify_module._find_cascade(tables.adjacency, tables.ends) == (
+                    ref_digraph.find_cascade(tables.adjacency, tables.ends)
+                ), p.to_text()
 
 
 def test_cascade_claims_confirmed_by_oracle(p1):
@@ -773,6 +825,44 @@ def test_replay_says_no_to_a_bad_period_an_off_star_point_and_a_wrong_flag(p1, p
     assert verify_certificate(p2, witness)
     flipped = witness.witness._replace(on_center_orbit=not witness.witness.on_center_orbit)
     assert verify_certificate(p2, OracleWitness(flipped)) is False
+
+
+def test_witness_replay_follows_its_itinerary(p2):
+    # example 2's period-8 witness replays only with its own itinerary:
+    # piece i must contain f^i of the point, which lies inside one piece
+    (witness,) = [
+        c for c in periodicity_report(p2, 8).periods[8].certificates
+        if isinstance(c, OracleWitness)
+    ]
+    w = witness.witness
+    assert w.point == make_point(1, Fraction(37, 33))
+    assert w.itinerary == (2, 5, 3, 6, 4, 6, 4, 6)
+    assert verify_certificate(p2, witness) is True
+    pieces = len(realize(p2).pieces)
+    rotated = w.itinerary[1:] + w.itinerary[:1]
+    bad = [(0,) * 8, (), rotated, w.itinerary[:-1], w.itinerary + (6,), (pieces,) * 8, (-1,) * 8]
+    bad += [
+        w.itinerary[:i] + (j,) + w.itinerary[i + 1 :]
+        for i in range(8)
+        for j in range(pieces)
+        if j != w.itinerary[i]
+    ]
+    for itinerary in bad:
+        assert verify_certificate(p2, OracleWitness(w._replace(itinerary=itinerary))) is False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_report_witness_replays_with_its_itinerary(n):
+    checked = 0
+    for k in range(2, 6):
+        for p in enumerate_patterns(n, k):
+            report = periodicity_report(p, 2 * k)
+            for status in report.periods.values():
+                for cert in status.certificates:
+                    if isinstance(cert, OracleWitness):
+                        assert verify_certificate(p, cert) is True, (p.to_text(), cert)
+                        checked += 1
+    assert checked > 0
 
 
 def test_replay_of_a_foreign_theorem_case_says_no(p1, p2):

@@ -176,11 +176,14 @@ PATTERN_COMMANDS = [["analyze"], ["analyze", "--format", "dot"], ["oracle", "--p
     ],
     ids=["k1", "n0"],
 )
-def test_pattern_failing_validation_exits_2(call, text, problems, tmp_path, capsys):
-    # the file parses; its pattern fails where the command validates it
+def test_pattern_failing_validation_exits_2(call, text, problems, tmp_path, monkeypatch, capsys):
+    # the file parses; its pattern fails in the descent pass, which asks
+    # ``validate`` for the message, once
     bad = tmp_path / "bad.pat"
     bad.write_text(text + "\n", encoding="utf-8")
+    calls = count_calls(monkeypatch, ("validate", "_descent"))
     assert run(call + ["--pattern", str(bad)]) == 2
+    assert calls == {"validate": 1, "_descent": 1}
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
@@ -191,20 +194,11 @@ def test_pattern_failing_validation_exits_2(call, text, problems, tmp_path, caps
 
 @pytest.mark.parametrize("call", PATTERN_COMMANDS, ids=["analyze", "dot", "oracle"])
 def test_pattern_file_is_validated_once(call, ex2_file, monkeypatch, capsys):
-    # counted at every binding of ``validate``
-    calls = 0
-    original = patterns_module.validate
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "stardyn" and getattr(module, "validate", None) is original:
-            monkeypatch.setattr(module, "validate", counted)
+    # the one validating pass is the descent pass; ``validate`` itself runs
+    # only for an invalid pattern (counted at every binding)
+    calls = count_calls(monkeypatch, ("validate", "_descent"))
     assert run(call + ["--pattern", ex2_file]) == 0
-    assert calls == 1
+    assert calls == {"validate": 0, "_descent": 1}
 
 
 def test_analyze_empty_pattern_file_exits_2(tmp_path, capsys):

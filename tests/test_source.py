@@ -109,8 +109,9 @@ def test_module_layering():
 
 
 def test_certify_and_survey_never_validate_directly():
-    # a pattern is validated by the table builder ``patterns._tables`` or
-    # the parsers; plmap, certify and survey read the tables
+    # a pattern is validated by the descent pass ``patterns._descent``,
+    # which every table builder calls, or by the parsers; plmap, certify
+    # and survey read the tables
     for name in ("plmap", "certify", "survey"):
         tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
         calls = [
@@ -144,6 +145,17 @@ def _package_callers(name: str, skip: str) -> set[str]:
         for owner in _callers(ast.parse(path.read_text(encoding="utf-8")), name)
     }
 
+
+
+def test_validate_runs_only_in_the_parsers_and_the_descent_pass():
+    # the descent pass checks the invariants itself and calls ``validate``
+    # only for the message of an invalid pattern; no table builder
+    # validates a second time
+    assert _package_callers("validate", "") == {
+        "patterns.parse_pattern",
+        "patterns.pattern_from_json_dict",
+        "patterns._descent",
+    }
 
 
 def test_only_the_checked_scan_asks_the_oracle():

@@ -514,27 +514,30 @@ def test_classify_all_analyzes_each_class_once(monkeypatch):
 
 
 def test_validate_runs_once_per_report_and_per_realized_class(monkeypatch):
-    # ``realize`` validates through the table it is built on, and the
-    # report, ``loop_point`` and a realized survey row read ``PLMap.tables``
+    # ``realize`` validates through the table it is built on, in the
+    # descent pass, and the report (its digraph too), ``loop_point`` and a
+    # realized survey row read ``PLMap.tables``; ``validate`` itself runs
+    # only for an invalid pattern
     p = parse_pattern(EX2)
     m = realize(p)
-    calls = _count_calls(monkeypatch, ("validate",))
+    calls = _count_calls(monkeypatch, ("validate", "_descent"))
     periodicity_report(p)
-    assert calls == {"validate": 1}
-    calls["validate"] = 0
+    assert calls == {"validate": 0, "_descent": 1}
+    calls["_descent"] = 0
     loop_point(m, [arc(0, 2, p), arc(1, 3, p), arc(0, 2, p)])
-    assert calls == {"validate": 0}
+    assert calls == {"validate": 0, "_descent": 0}
     # every (2,4) class is realized to scan q = 8 and 12
     assert len(classify_all(2, 4, 13).records) == 6
-    assert calls == {"validate": 6}
+    assert calls == {"validate": 0, "_descent": 6}
 
 
 def test_classify_all_validates_and_masks_once_per_class(monkeypatch):
-    # ``_descent`` derives the intervals and the descent vector in one pass
+    # ``_descent`` checks the pattern and derives the intervals and the
+    # descent vector in one pass
     calls = _count_calls(monkeypatch, ("validate", "_descent"))
     result = classify_all(4, 6)
     assert len(result.records) == 20
-    assert calls == {"validate": 20, "_descent": 20}
+    assert calls == {"validate": 0, "_descent": 20}
 
 
 def test_classify_all_classes_each_row_before_the_next_is_analyzed(monkeypatch):
