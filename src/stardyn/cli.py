@@ -17,8 +17,12 @@ analysis before the first byte is written, and a survey's text is then
 written in chunks of rows.  Identical inputs yield byte-identical output;
 ``--out`` writes atomically (temp file + rename), and the file gets the
 mode a plain write would give it: an existing file keeps its own, and a
-new one gets 0o666 less the umask.  A call builds only its command's
-parser; the synopsis of a usage error comes from the full parser tree.
+new one gets 0o666 less the umask.  Each command's options are declared
+once, in ``_COMMANDS``.  A plain command line (the command, then only its
+exact option strings, each with a value of the right kind that does not
+start with "-", every required one given) is parsed straight from that
+table; argparse is imported and its parser tree built only for help,
+errors and any other line, and for the synopsis of a usage error.
 The environment variable ``STARDYN_CYLINDER_CAP`` overrides the cap on
 the oracle's work: the walk-tree nodes it expands and the points it
 lists.  A survey decides every period that the orbit size k does not
@@ -29,13 +33,13 @@ scans.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .certify import (
     InconsistencyError,
@@ -52,6 +56,7 @@ from .patterns import (
     PatternError,
     StarPattern,
     _parse,
+    _Record,
     enumerate_patterns,
 )
 from .plmap import CylinderCapExceeded, cylinder_cap, realize
@@ -75,7 +80,7 @@ class UsageError(Exception):
     """Bad arguments or inputs; reported with a synopsis on stderr."""
 
 
-def _check_args(args: argparse.Namespace) -> None:
+def _check_args(args: SimpleNamespace) -> None:
     """Check the run parameters shared by all subcommands and fill in the
     subcommand's default format; raises UsageError."""
     try:
@@ -135,13 +140,7 @@ def _json_text(payload: dict | list) -> str:
 Outputs = list[tuple[str | None, str | Iterable[str]]]
 
 
-def _analyze_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pattern", required=True, metavar="FILE", help="pattern file")
-    p.add_argument("--dot", metavar="FILE", help="also write the covering digraph as DOT")
-    p.add_argument("--json", metavar="FILE", help="also write the JSON report to FILE")
-
-
-def _cmd_analyze(args: argparse.Namespace) -> tuple[Outputs, int]:
+def _cmd_analyze(args: SimpleNamespace) -> tuple[Outputs, int]:
     """The report's JSON and the covering digraph's DOT, each built only
     when some destination gets it: ``--dot``, ``--json``, and the main
     text in ``--format`` to ``--out``, or to stdout when neither of the
@@ -163,15 +162,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[Outputs, int]:
     return [(path, texts[format]) for path, format in wanted], 0
 
 
-def _enumerate_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True, help="number of branches")
-    p.add_argument("--k", type=int, required=True, help="orbit size")
-    p.add_argument(
-        "--all-branches", action="store_true", help="only patterns whose orbit meets every branch"
-    )
-
-
-def _cmd_enumerate(args: argparse.Namespace) -> tuple[Outputs, int]:
+def _cmd_enumerate(args: SimpleNamespace) -> tuple[Outputs, int]:
     patterns = enumerate_patterns(args.n, args.k, all_branches=args.all_branches)
     if args.format == "json":
         payload = {
@@ -186,17 +177,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Outputs, int]:
     return [(args.out, text)], 0
 
 
-def _survey_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True, help="number of branches")
-    p.add_argument("--k", type=int, required=True, help="orbit size")
-    p.add_argument(
-        "--filter",
-        choices=SURVEY_FILTERS,
-        help="restrict to classes where the center-map theorem does not apply",
-    )
-
-
-def _cmd_survey(args: argparse.Namespace) -> tuple[Outputs, int]:
+def _cmd_survey(args: SimpleNamespace) -> tuple[Outputs, int]:
     result = classify_all(args.n, args.k, args.pmax, max_iterate=args.max_iterate, jobs=args.jobs)
     if args.filter:
         result = filter_result(result, args.filter)
@@ -248,26 +229,7 @@ def _record_json(r: ClassRecord) -> str:
     )
 
 
-def _orders_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--relation",
-        required=True,
-        choices=("shark", "baldwin", "nod"),
-        help="interval order, t-od order, or n-od meet order",
-    )
-    p.add_argument(
-        "--t",
-        type=int,
-        default=1,
-        help="order subscript: iterate count for baldwin, branch count for nod",
-    )
-    p.add_argument("--m", type=int, help="candidate forced period (pair mode)")
-    p.add_argument("--k", type=int, help="forcing period (pair mode)")
-    p.add_argument("--segment", type=int, help="forcing period (set mode)")
-    p.add_argument("--bound", type=int, help="largest period listed (set mode)")
-
-
-def _cmd_orders(args: argparse.Namespace) -> tuple[Outputs, int]:
+def _cmd_orders(args: SimpleNamespace) -> tuple[Outputs, int]:
     pair_mode = args.m is not None or args.k is not None
     set_mode = args.segment is not None or args.bound is not None
     if pair_mode == set_mode:
@@ -316,12 +278,7 @@ def _oracle_rows(q: int, entries, last: str = "") -> list[str]:
     ]
 
 
-def _oracle_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pattern", required=True, metavar="FILE", help="pattern file")
-    p.add_argument("--period", type=int, required=True, help="period to scan for")
-
-
-def _cmd_oracle(args: argparse.Namespace) -> tuple[Outputs, int]:
+def _cmd_oracle(args: SimpleNamespace) -> tuple[Outputs, int]:
     """The listing of ``oracle_scan``, written from the integer entries of
     the checked scan (``certify._checked_scan``): no record is built for a
     listed point."""
@@ -339,11 +296,7 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[Outputs, int]:
     return [(args.out, "".join(rows))], 0
 
 
-def _verify_paper_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit the structured JSON report")
-
-
-def _cmd_verify_paper(args: argparse.Namespace) -> tuple[Outputs, int]:
+def _cmd_verify_paper(args: SimpleNamespace) -> tuple[Outputs, int]:
     report = verify_paper(p_max=args.pmax, max_iterate=args.max_iterate)
     if args.json or args.format == "json":
         text = _json_text(report.to_json())
@@ -360,7 +313,9 @@ def _cmd_verify_paper(args: argparse.Namespace) -> tuple[Outputs, int]:
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
     """Write the chunks to a temp file beside ``path`` and rename it over
     ``path``, with the mode ``open(path, "w")`` would leave: an existing
-    file's own, else 0o666 less the umask (``mkstemp`` makes it 0o600)."""
+    file's own, else 0o666 less the umask (``mkstemp`` makes it 0o600).
+    The temp file is synced before the rename, so that after a crash
+    ``path`` holds the old text or the new, never an empty file."""
     import tempfile
 
     try:
@@ -374,6 +329,8 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
         os.chmod(tmp, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):
@@ -395,40 +352,78 @@ def _emit_outputs(outputs: Outputs) -> None:
             raise UsageError(f"cannot write output to {where}: {e.strerror or e}") from None
 
 
-# name -> (help, formats with the default first, handler, adds the command's own options)
+class _Option(_Record):
+    """One option of a command, as ``--help`` shows it: ``kind`` is int, a
+    tuple of choices, str, or bool for a store-true flag, whose default is
+    False as argparse gives it."""
+
+    flag: str
+    kind: object = str
+    default: object = None
+    required: bool = False
+    metavar: str | None = None
+    help: str | None = None
+
+
+_SHARED = (
+    _Option("--pmax", int, 10, help="period horizon (default 10)"),
+    _Option("--max-iterate", int, 2,
+            help="highest iterate tried for chaos certificates (default 2)"),
+    _Option("--jobs", int, 1, help="parallel workers for surveys"),
+    _Option("--out", metavar="FILE", help="write output to FILE atomically"),
+    _Option("--format", _FORMATS, help="output format (subcommand-specific)"),
+)
+_PATTERN = _Option("--pattern", required=True, metavar="FILE", help="pattern file")
+_N_K = (_Option("--n", int, required=True, help="number of branches"),
+        _Option("--k", int, required=True, help="orbit size"))
+
+# name -> (help, formats with the default first, handler, options in --help order)
 _COMMANDS = {
-    "analyze": ("periodicity and chaos report for one pattern", ("json", "dot"),
-                _cmd_analyze, _analyze_options),
-    "enumerate": ("list pattern classes", ("text", "json"), _cmd_enumerate, _enumerate_options),
-    "survey": ("classification campaign", ("json", "csv"), _cmd_survey, _survey_options),
-    "orders": ("period-forcing order queries", ("text",), _cmd_orders, _orders_options),
-    "oracle": ("exact periodic points", ("json",), _cmd_oracle, _oracle_options),
-    "verify-paper": ("recompute quoted reference facts", ("text", "json"),
-                     _cmd_verify_paper, _verify_paper_options),
+    "analyze": ("periodicity and chaos report for one pattern", ("json", "dot"), _cmd_analyze, (
+        *_SHARED, _PATTERN,
+        _Option("--dot", metavar="FILE", help="also write the covering digraph as DOT"),
+        _Option("--json", metavar="FILE", help="also write the JSON report to FILE"))),
+    "enumerate": ("list pattern classes", ("text", "json"), _cmd_enumerate, (
+        *_SHARED, *_N_K,
+        _Option("--all-branches", bool, False,
+                help="only patterns whose orbit meets every branch"))),
+    "survey": ("classification campaign", ("json", "csv"), _cmd_survey, (
+        *_SHARED, *_N_K,
+        _Option("--filter", SURVEY_FILTERS,
+                help="restrict to classes where the center-map theorem does not apply"))),
+    "orders": ("period-forcing order queries", ("text",), _cmd_orders, (
+        *_SHARED,
+        _Option("--relation", ("shark", "baldwin", "nod"), required=True,
+                help="interval order, t-od order, or n-od meet order"),
+        _Option("--t", int, 1,
+                help="order subscript: iterate count for baldwin, branch count for nod"),
+        _Option("--m", int, help="candidate forced period (pair mode)"),
+        _Option("--k", int, help="forcing period (pair mode)"),
+        _Option("--segment", int, help="forcing period (set mode)"),
+        _Option("--bound", int, help="largest period listed (set mode)"))),
+    "oracle": ("exact periodic points", ("json",), _cmd_oracle, (
+        *_SHARED, _PATTERN, _Option("--period", int, required=True, help="period to scan for"))),
+    "verify-paper": ("recompute quoted reference facts", ("text", "json"), _cmd_verify_paper, (
+        *_SHARED, _Option("--json", bool, False, help="emit the structured JSON report"))),
 }
 
 
-def _command_parser(name: str, p=None) -> argparse.ArgumentParser:
-    """Command ``name``'s parser: -h, the options every command shares, then its
-    own, on ``p`` (its subparser in ``_build_parser``'s tree) or on a parser
-    alone with that subparser's prog, so that help and errors read the same."""
-    p = p or argparse.ArgumentParser(prog=f"stardyn {name}")
-    p.add_argument("--pmax", type=int, default=10, help="period horizon (default 10)")
-    p.add_argument(
-        "--max-iterate",
-        type=int,
-        default=2,
-        help="highest iterate tried for chaos certificates (default 2)",
-    )
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for surveys")
-    p.add_argument("--out", metavar="FILE", help="write output to FILE atomically")
-    p.add_argument("--format", choices=_FORMATS, help="output format (subcommand-specific)")
-    _COMMANDS[name][3](p)
-    return p
+def _command_parser(name: str, p) -> None:
+    """Add command ``name``'s options, in table order, to ``p``, its
+    subparser in ``_build_parser``'s tree."""
+    for o in _COMMANDS[name][3]:
+        if o.kind is bool:
+            p.add_argument(o.flag, action="store_true", help=o.help)
+        else:
+            choices = o.kind if isinstance(o.kind, tuple) else None
+            p.add_argument(o.flag, type=int if o.kind is int else None, choices=choices,
+                           default=o.default, required=o.required, metavar=o.metavar, help=o.help)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The full tree: ``stardyn`` and a subparser for each command."""
+def _build_parser():
+    """The full ``argparse`` tree: ``stardyn`` and a subparser for each command."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="stardyn",
         description="Analyze continuous self-maps of star graphs defined by orbit patterns.",
@@ -439,22 +434,55 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace the full tree parses from a plain command line, read
+    from the table without argparse; None for any other line.  A line is
+    plain when it names a command and then only exact option strings of
+    that command: a store-true flag alone, any other option followed by a
+    value that does not start with "-", is an int for an int option and
+    is one of the choices for a choice option.  Every required option is
+    given, and a repeated one keeps its last value.  Help, errors,
+    abbreviations, ``--opt=value`` and ``--`` are left to the tree."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = {o.flag: o for o in _COMMANDS[argv[0]][3]}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        o = options.get(token)
+        if o is None:
+            return None
+        if o.kind is bool:
+            given[token] = True
+            continue
+        value = next(tokens, "-")  # a missing value is not plain either
+        if value.startswith("-"):
+            return None
+        if o.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif isinstance(o.kind, tuple) and value not in o.kind:
+            return None
+        given[token] = value
+    if any(o.required and flag not in given for flag, o in options.items()):
+        return None
+    values = {flag[2:].replace("-", "_"): given.get(flag, o.default) for flag, o in options.items()}
+    return SimpleNamespace(subcommand=argv[0], **values)
+
+
 def run(argv: list[str] | None = None) -> int:
-    """Parse arguments, dispatch, and return the exit code.  A call that
-    names its command first builds only that command's parser (tokens it
-    leaves are reported as the full tree reports them); any other call,
-    and the synopsis of a usage error, builds the full tree."""
+    """Parse arguments, dispatch, and return the exit code.  A plain
+    command line (``_plain_args``) is parsed without argparse; any other
+    line, and the synopsis of a usage error, builds the full tree."""
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        if argv and argv[0] in _COMMANDS:
-            args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
-            if extras:
-                _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-            args.subcommand = argv[0]
-        else:
-            args = _build_parser().parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv, SimpleNamespace())
+        except SystemExit as e:
+            return int(e.code or 0)
     try:
         _check_args(args)
         outputs, code = _COMMANDS[args.subcommand][2](args)

@@ -517,6 +517,34 @@ def test_write_atomic_removes_its_temp_file_when_writing_fails(tmp_path):
     assert target.read_text() == "old\n"
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_write_atomic_syncs_the_temp_file_before_the_rename(existing, tmp_path, monkeypatch):
+    # the temp file's data reach the disk before it is renamed over the
+    # target, so a crash cannot leave the target empty
+    target = tmp_path / "out.txt"
+    if existing:
+        target.write_text("old\n")
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def synced(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino, os.fstat(fd).st_size))
+        fsync(fd)
+
+    def renamed(src, dst):
+        calls.append(("replace", os.stat(src).st_ino, dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", synced)
+    monkeypatch.setattr(os, "replace", renamed)
+    cli_module._write_atomic(str(target), ["new ", "text\n"])
+    assert [c[0] for c in calls] == ["fsync", "replace"]
+    (_, synced_inode, size), (_, renamed_inode, dst) = calls
+    assert synced_inode == renamed_inode == target.stat().st_ino
+    assert (size, dst) == (len("new text\n"), str(target))
+    assert target.read_text() == "new text\n"
+
+
 def test_survey_unknown_filter_is_parse_error(capsys):
     assert run(["survey", "--n", "3", "--k", "6", "--filter", "nosuch"]) == 2
 
@@ -842,17 +870,21 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict:
     return action.choices
 
 
-def test_command_parser_reads_as_its_subparser(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    subparsers = _subparsers(cli_module._build_parser())
-    assert list(subparsers) == list(cli_module._COMMANDS)
-    for name, sub in subparsers.items():
-        alone = cli_module._command_parser(name)
-        assert alone.prog == sub.prog == f"stardyn {name}"
-        assert alone.format_help() == sub.format_help()
+PLAIN_CALLS = {
+    "analyze": ["--pattern", "{ex1}", "--pmax", "3"],
+    "enumerate": ["--n", "2", "--k", "3", "--all-branches"],
+    "survey": ["--n", "2", "--k", "3", "--format", "csv"],
+    "orders": ["--relation", "shark", "--m", "1", "--k", "2"],
+    "oracle": ["--pattern", "{ex1}", "--period", "2"],
+    "verify-paper": ["--pmax", "3", "--json"],
+}
 
 
-def test_a_command_builds_only_its_own_parser(ex1_file, monkeypatch, capsys):
+def _plain_call(name: str, ex1_file: str) -> list[str]:
+    return [name, *(a.replace("{ex1}", ex1_file) for a in PLAIN_CALLS[name])]
+
+
+def test_a_plain_call_builds_no_parser(ex1_file, monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -861,25 +893,39 @@ def test_a_command_builds_only_its_own_parser(ex1_file, monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    calls = {
-        "analyze": ["--pattern", ex1_file, "--pmax", "3"],
-        "enumerate": ["--n", "2", "--k", "3"],
-        "survey": ["--n", "2", "--k", "3"],
-        "orders": ["--relation", "shark", "--m", "1", "--k", "2"],
-        "oracle": ["--pattern", ex1_file, "--period", "2"],
-        "verify-paper": ["--pmax", "3"],
-    }
-    assert list(calls) == list(cli_module._COMMANDS)
-    for name, rest in calls.items():
-        built.clear()
-        assert run([name, *rest]) == 0, name
-        assert built == [f"stardyn {name}"]
-    # any other call builds the full tree: the top level and six subparsers
-    for argv, code in [([], 2), (["--help"], 0), (["frobnicate"], 2)]:
+    assert list(PLAIN_CALLS) == list(cli_module._COMMANDS)
+    for name in PLAIN_CALLS:
+        assert run(_plain_call(name, ex1_file)) == 0, name
+        assert built == []
+    # help, errors and any call that is not plain build the full tree: the
+    # top level and six subparsers
+    non_plain = ["analyze", "--pattern", ex1_file, "--pmax=3"]
+    for argv, code in [([], 2), (["--help"], 0), (["frobnicate"], 2), (non_plain, 0)]:
         built.clear()
         assert run(argv) == code
         assert len(built) == 7
     capsys.readouterr()
+
+
+def test_plain_calls_load_no_argparse(ex1_file, monkeypatch, capsys):
+    # a plain call of each command imports neither argparse nor the gettext
+    # and locale that argparse pulls in
+    calls = [_plain_call(name, ex1_file) for name in PLAIN_CALLS]
+    code = (
+        "import io, sys, contextlib, stardyn.cli\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert stardyn.cli.run(argv) == 0, argv\n"
+        "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    # help still comes from the tree, byte for byte
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(["analyze", "--help"]) == 0
+    subparser = _subparsers(cli_module._build_parser())["analyze"]
+    assert capsys.readouterr().out == subparser.format_help()
 
 
 def _namespace_text(args: argparse.Namespace) -> str:
@@ -916,26 +962,53 @@ def _option_tokens(action: argparse.Action):
     elif action.type is int:
         value = st.sampled_from(["1", "2", "3", "5", "18", "0", "-3", "x", "1.5"])
     else:
-        value = st.sampled_from(["F", "a b", "-", "x=y"])
+        value = st.sampled_from(["F", "a b", "-", "x=y", ""])
     return st.one_of(
         st.tuples(name, value).map(list), st.tuples(name, value).map(lambda nv: ["=".join(nv)])
     )
 
 
+def _plain_tokens(action: argparse.Action):
+    """The tokens of one option on a plain line: its exact name, then a
+    valid value, if it takes one, as the next token."""
+    (flag,) = action.option_strings
+    if action.nargs == 0:
+        return st.just([flag])
+    if action.choices:
+        value = st.sampled_from(action.choices)
+    elif action.type is int:
+        value = st.sampled_from(["1", "2", "18", "0", "+3", " 5", "1_0"])
+    else:
+        value = st.sampled_from(["F", "a b", "x=y", ""])
+    return value.map(lambda v: [flag, v])
+
+
 @cache
 def _command_options(name: str) -> list[argparse.Action]:
-    return [a for a in cli_module._command_parser(name)._actions if a.dest != "help"]
+    subparser = _subparsers(cli_module._build_parser())[name]
+    return [a for a in subparser._actions if a.dest != "help"]
 
 
 @st.composite
 def _argvs(draw) -> list[str]:
     """An argv drawn from the command table: a command and some of its
     options in any order (required ones may be missing), perhaps with extra
-    tokens or -h; or a call that names no command first."""
+    tokens or -h; a plain line, whose options may repeat and may leave a
+    required one out; or a call that names no command first."""
     names = list(cli_module._COMMANDS)
-    head = draw(st.sampled_from(["command"] * 12 + ["--", "unknown", "none", "options first"]))
+    heads = ["command"] * 12 + ["plain"] * 6 + ["--", "unknown", "none", "options first"]
+    head = draw(st.sampled_from(heads))
     name = draw(st.sampled_from(names))
     actions = _command_options(name)
+    if head == "plain":
+        # each option given 0 to 2 times; a required one is left out one time in eight
+        counts = {True: [0] + [1] * 5 + [2] * 2, False: [0, 0, 1, 2]}
+        groups = [
+            draw(_plain_tokens(a))
+            for a in actions
+            for _ in range(draw(st.sampled_from(counts[a.required])))
+        ]
+        return [name, *(token for group in draw(st.permutations(groups)) for token in group)]
     # a required option is left out one time in five, any other one in two
     groups = [
         draw(_option_tokens(a))
@@ -966,10 +1039,26 @@ def _argvs(draw) -> list[str]:
 @example(["analyze", "--pattern", "F", "--pmax=18"])
 @example(["analyze", "--p", "F"])
 @example(["orders", "--relation", "sharp", "--m", "1"])
+@example(["oracle", "--pattern", "F"])
 @example(["survey", "--n", "x", "--k", "3"])
+@example(["orders", "--relation", "shark", "--m", "1", "--k", "3", "--m", "2"])
+@example(["analyze", "--pattern", "F", "--out", ""])
+@example(["analyze", "--pattern", "-"])
+@example(["analyze", "--pattern", "F", "--out", "-x"])
+@example(["orders", "--relation", "shark", "--m", "-3", "--k", "2"])
+@example(["analyze", "--pattern", "F", "--pm", "4"])
+@example(["enumerate", "--n", "2", "--k", "3"])
+@example(["enumerate", "--n", "2", "--k", "3", "--all-branches"])
+@example(["enumerate", "--n", "2", "--k", "3", "--all-branches", "5"])
+@example(["verify-paper", "--json"])
+@example(["analyze", "--json", "F", "--pattern", "F"])
+@example(["analyze", "--pattern", "F", "--", "--pmax", "3"])
+@example(["analyze", "--pattern", "F", "--pmax", "3", "-h"])
+@example(["survey", "--n", "2", "--k", "3", "--format", "xml"])
 def test_dispatch_parses_as_the_full_tree(argv):
     # handlers and the run-parameter checks are stubbed: every call either
-    # fails to parse or prints its namespace, on both sides
+    # fails to parse or prints its namespace, on both sides; a plain call
+    # is read from the command table, any other by the tree
     stubs = {
         name: (help, formats, lambda args: ([(None, _namespace_text(args))], 0), options)
         for name, (help, formats, _, options) in cli_module._COMMANDS.items()

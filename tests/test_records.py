@@ -51,7 +51,7 @@ PINNED = {
 
 
 def test_every_record_type_is_found():
-    assert len(RECORDS) == 27
+    assert len(RECORDS) == 28
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
