@@ -350,6 +350,13 @@ def _arcs_disjoint(down: list[int], x: ArcEnds, y: ArcEnds) -> bool:
 
 # ----------------------------------------------------------- theorem checks
 
+# Survey filter tokens (``stardyn survey --filter``).  The first spelling
+# is the published interface name and must stay stable; the second is a
+# synonym describing the same predicate: classes whose pattern does not
+# satisfy the center-map covering hypothesis of ``check_center_theorem``.
+SURVEY_FILTERS = ("theorem1-inapplicable", "center-theorem-inapplicable")
+
+
 def check_center_theorem(p: StarPattern) -> CenterTheoremCase | None:
     """Certificate that the pattern has points of every period, when the
     third image of the center leaves the closed branch of the first image.

@@ -23,6 +23,10 @@ exact option strings, each with a value of the right kind that does not
 start with "-", every required one given) is parsed straight from that
 table; argparse is imported and its parser tree built only for help,
 errors and any other line, and for the synopsis of a usage error.
+A call imports only the layers its command runs: ``patterns``,
+``orders``, ``plmap`` and ``certify`` at module level, and ``survey``
+(``classify_all``, ``filter_result``, ``emit_table``, ``survey_to_json``,
+``verify_paper``) only inside ``survey`` and ``verify-paper``.
 The environment variable ``STARDYN_CYLINDER_CAP`` overrides the cap on
 the oracle's work: the walk-tree nodes it expands and the points it
 lists.  A survey decides every period that the orbit size k does not
@@ -42,6 +46,7 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .certify import (
+    SURVEY_FILTERS,
     InconsistencyError,
     _checked_scan,
     cover_digraph,
@@ -60,16 +65,6 @@ from .patterns import (
     enumerate_patterns,
 )
 from .plmap import CylinderCapExceeded, cylinder_cap, realize
-from .survey import (
-    SURVEY_FILTERS,
-    ClassRecord,
-    SurveyResult,
-    classify_all,
-    emit_table,
-    filter_result,
-    survey_to_json,
-    verify_paper,
-)
 
 __all__ = ["run", "main"]
 
@@ -178,6 +173,8 @@ def _cmd_enumerate(args: SimpleNamespace) -> tuple[Outputs, int]:
 
 
 def _cmd_survey(args: SimpleNamespace) -> tuple[Outputs, int]:
+    from .survey import classify_all, filter_result
+
     result = classify_all(args.n, args.k, args.pmax, max_iterate=args.max_iterate, jobs=args.jobs)
     if args.filter:
         result = filter_result(result, args.filter)
@@ -188,13 +185,16 @@ def _cmd_survey(args: SimpleNamespace) -> tuple[Outputs, int]:
 _ROWS_PER_CHUNK = 1024
 
 
-def _survey_chunks(result: SurveyResult, format: str) -> Iterator[str]:
-    """The survey's text in chunks of rows: ``emit_table(result.records,
-    "csv")`` or ``_json_text(survey_to_json(result))``, byte for byte when
-    joined.  Only the header goes through the generic writer.  For JSON,
-    "rows" sorts last among the payload's keys, so the payload without
-    rows ends in ``"rows": []``; the rows, from the fixed template of
+def _survey_chunks(result, format: str) -> Iterator[str]:
+    """A ``survey.SurveyResult``'s text in chunks of rows:
+    ``emit_table(result.records, "csv")`` or
+    ``_json_text(survey_to_json(result))``, byte for byte when joined.
+    Only the header goes through the generic writer.  For JSON, "rows"
+    sorts last among the payload's keys, so the payload without rows ends
+    in ``"rows": []``; the rows, from the fixed template of
     ``_record_json``, go between those brackets."""
+    from .survey import emit_table, survey_to_json
+
     records = result.records
     parts = (records[i : i + _ROWS_PER_CHUNK] for i in range(0, len(records), _ROWS_PER_CHUNK))
     if format == "csv":
@@ -210,9 +210,10 @@ def _survey_chunks(result: SurveyResult, format: str) -> Iterator[str]:
         yield "\n  ]\n}\n"
 
 
-def _record_json(r: ClassRecord) -> str:
-    """One survey row (``survey.TABLE_COLUMNS`` order) as
-    ``json.dumps(..., indent=2)`` writes it inside the payload's "rows"."""
+def _record_json(r) -> str:
+    """One survey row, a ``survey.ClassRecord`` in ``survey.TABLE_COLUMNS``
+    order, as ``json.dumps(..., indent=2)`` writes it inside the payload's
+    "rows"."""
     periods = ",\n        ".join(map(str, r.periods_present))
     periods = f"[\n        {periods}\n      ]" if periods else "[]"
     return (
@@ -297,6 +298,8 @@ def _cmd_oracle(args: SimpleNamespace) -> tuple[Outputs, int]:
 
 
 def _cmd_verify_paper(args: SimpleNamespace) -> tuple[Outputs, int]:
+    from .survey import verify_paper
+
     report = verify_paper(p_max=args.pmax, max_iterate=args.max_iterate)
     if args.json or args.format == "json":
         text = _json_text(report.to_json())

@@ -26,6 +26,7 @@ from collections import deque
 from itertools import repeat
 
 from .certify import (
+    SURVEY_FILTERS,
     CoverDigraph,
     _survey_row,
     closed_walk_lengths,
@@ -62,12 +63,6 @@ TABLE_COLUMNS = (
     "tail",
     "chaos_iterate",
 )
-
-# Filter tokens accepted by the survey CLI.  The first spelling is the
-# published interface name and must stay stable; the second is a synonym
-# describing the same predicate (classes whose pattern does not satisfy
-# the center-map covering hypothesis).
-SURVEY_FILTERS = ("theorem1-inapplicable", "center-theorem-inapplicable")
 
 
 # ---------------------------------------------------------------------------

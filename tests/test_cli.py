@@ -928,6 +928,40 @@ def test_plain_calls_load_no_argparse(ex1_file, monkeypatch, capsys):
     assert capsys.readouterr().out == subparser.format_help()
 
 
+@pytest.mark.parametrize("last", ["survey", "verify-paper"])
+def test_only_survey_commands_load_the_survey(last, ex1_file):
+    # a bare ``import stardyn`` imports no submodule, ``stardyn.cli`` and the
+    # single-pattern commands leave ``stardyn.survey`` out, and the two
+    # commands that run it import it themselves
+    calls = [_plain_call(name, ex1_file) for name in ("analyze", "oracle", "orders", "enumerate")]
+    code = (
+        "import io, sys, contextlib, stardyn\n"
+        "print(sorted(m for m in sys.modules if m.startswith('stardyn')))\n"
+        "import stardyn.cli\n"
+        "loaded = ['stardyn.survey' in sys.modules]\n"
+        f"for argv in {[*calls, _plain_call(last, ex1_file)]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert stardyn.cli.run(argv) == 0, argv\n"
+        "    loaded.append('stardyn.survey' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "['stardyn']\n[False, False, False, False, False, True]\n"
+
+
+def test_survey_jobs_2_matches_jobs_1_from_a_fresh_process():
+    # the survey module is imported inside the call, before any pool starts
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).resolve().parents[1])}
+    call = [sys.executable, "-m", "stardyn.cli", "survey", "--n", "3", "--k", "6", "--jobs"]
+    serial, parallel = (
+        subprocess.run([*call, jobs], capture_output=True, env=env, check=True).stdout
+        for jobs in ("1", "2")
+    )
+    assert serial == parallel and serial
+
+
 def _namespace_text(args: argparse.Namespace) -> str:
     return repr(sorted(vars(args).items())) + "\n"
 

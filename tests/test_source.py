@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import stardyn
 
@@ -106,6 +109,12 @@ def test_module_layering():
     assert imports["plmap"] == {"patterns"}
     assert imports["certify"] <= {"orders", "patterns", "plmap"}
     assert not imports["survey"] & {"plmap", "cli"}
+    # every CLI call loads what ``cli`` imports at module level; the survey
+    # is imported only inside the commands that run it
+    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    top = {node.module for node in cli.body if isinstance(node, ast.ImportFrom) and node.level}
+    assert top == {"certify", "orders", "patterns", "plmap"}
+    assert "survey" in imports["cli"]
 
 
 def test_certify_and_survey_never_validate_directly():
@@ -178,19 +187,51 @@ def test_only_certify_counts_periods_from_walks():
 
 
 def test_all_names_exactly_the_public_imports():
-    # ``__all__`` lists every public name that ``__init__`` imports, and
-    # nothing else but the version
-    tree = ast.parse(Path(stardyn.__file__).read_text(encoding="utf-8"))
-    imported = [
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    public = [name for name in imported if not name.startswith("_")]
+    # ``__all__`` lists every public name of the export table, which maps
+    # each module to the names ``stardyn`` imports from it on first use,
+    # and nothing else but the version
+    exported = [name for names in stardyn._EXPORTS.values() for name in names]
+    assert [name for name in exported if name.startswith("_")] == []
     assert len(stardyn.__all__) == len(set(stardyn.__all__))
-    assert set(stardyn.__all__) == set(public) | {"__version__"}
+    assert set(stardyn.__all__) == set(exported) | {"__version__"}
     assert [name for name in stardyn.__all__ if not hasattr(stardyn, name)] == []
+
+
+def test_each_name_is_its_home_modules_own():
+    # a lazily loaded name is the very object its module binds, and a
+    # package type or function is defined there, not imported into it
+    for module, names in stardyn._EXPORTS.items():
+        home = importlib.import_module(f"stardyn.{module}")
+        for name in names:
+            value = getattr(stardyn, name)
+            assert value is getattr(home, name), name
+            defined = getattr(value, "__module__", None)
+            assert defined == home.__name__ or not str(defined).startswith("stardyn"), name
+    assert set(stardyn.__all__) <= set(dir(stardyn))
+    assert set(stardyn._EXPORTS) <= set(dir(stardyn))
+
+
+def test_unknown_names_raise_the_standard_attribute_error():
+    # a name outside the table, a private one of a module included
+    for name in ("no_such_name", "_survey_row"):
+        with pytest.raises(AttributeError, match=f"^module 'stardyn' has no attribute {name!r}$"):
+            getattr(stardyn, name)
+    with pytest.raises(ImportError, match="cannot import name 'no_such_name' from 'stardyn'"):
+        from stardyn import no_such_name  # noqa: F401
+
+
+def test_star_import_and_submodules_load_on_first_use():
+    # ``from stardyn import *`` binds every public name, and a submodule that
+    # the eager package bound is still an attribute after a bare import
+    code = (
+        "import sys, stardyn\n"
+        "print(stardyn.survey is sys.modules['stardyn.survey'])\n"
+        "from stardyn import *\n"
+        "print([n for n in stardyn.__all__ if globals().get(n) is not getattr(stardyn, n)])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout) == (0, "True\n[]\n"), run.stderr
 
 
 def _is_cache(decorator: ast.expr) -> bool:
