@@ -10,14 +10,14 @@ covering loop certifies Li-Yorke chaos.
 Every certificate is replayable: ``verify_certificate`` re-derives the
 claim from the pattern alone.  In a periodicity report, presence claims
 are confirmed by the exact oracle and absence is decided by its
-exhaustive scan; the closed-walk count derives each period a second time.
+exhaustive scan, which checks its listing against the closed-walk
+count (``plmap._period_counts``): each period is derived twice.
 A survey decides periods by the count alone, and asks the oracle only
 for the periods the count cannot settle.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .orders import forced_periods, sharkovskii_le
@@ -41,7 +41,9 @@ from .plmap import (
     _closing,
     _least_period_is,
     _listed,
+    _period_counts,
     _scan,
+    _walk_traces,
     realize,
 )
 
@@ -106,62 +108,6 @@ def render_dot(g: CoverDigraph) -> str:
 
 # ------------------------------------------------------------ walk lengths
 
-@functools.cache
-def _packing(size: int, steps: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int]:
-    """The constants of ``_walk_traces`` for ``size`` vertices and ``steps``
-    packed steps: the rows of A^0, each row's diagonal field mask, the
-    gather multiplier, its shift and the field mask."""
-    width = steps * size.bit_length() + 1
-    field = (1 << width) - 1
-    seeds = tuple(1 << (i * width) for i in range(size))
-    return seeds, tuple(field * seed for seed in seeds), sum(seeds), (size - 1) * width, field
-
-
-def _walk_traces(adjacency: tuple[tuple[int, ...], ...], bound: int) -> list[int]:
-    """tr(A^1), ..., tr(A^bound) for the 0/1 matrix A with rows
-    ``adjacency``: the exact numbers of closed walks of each length.
-
-    Only the first ``steps = min(s, bound)`` powers are taken, s the
-    number of vertices.  Row i of A^q is one integer with a field of
-    ``width = steps * s.bit_length() + 1`` bits per column, so row i of
-    A^(q+1) = A A^q is the sum of the rows of A^q at i's successors.  The
-    diagonal fields, masked out of their rows and summed, times the
-    gather multiplier (a 1 in every field) hold in field s - 1 the sum of
-    all of them, the trace.  No field overflows: an entry of A^q counts
-    walks with q - 1 free inner vertices, so it is at most s^(q-1), the
-    trace at most s^q <= s^steps < 2^(width - 1), and every field of the
-    product is a partial sum of the diagonal, at most the trace.
-
-    Beyond s the traces p_q follow from the characteristic polynomial
-    det(xI - A) = x^s - e_1 x^(s-1) + ... + (-1)^s e_s.  By
-    Cayley-Hamilton it vanishes at A; times A^(q-s), traced, it gives
-    p_q = sum of c_i p_(q-i) over i = 1..s for q > s, with
-    c_i = (-1)^(i-1) e_i.  Newton's identities give the c_i from the
-    first s traces, m c_m = p_m - sum of c_i p_(m-i) over i < m; the
-    e_m are coefficients of the characteristic polynomial of an integer
-    matrix, integers, so the division by m is exact and every step stays
-    in integers."""
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    size = len(adjacency)
-    steps = min(size, bound)
-    rows, masks, gather, shift, field = _packing(size, steps)
-    traces = []
-    for _ in range(steps):
-        rows = [sum(map(rows.__getitem__, row)) for row in adjacency]
-        traces.append(sum(map(int.__and__, rows, masks)) * gather >> shift & field)
-    if bound > size:
-        # c_m, ..., c_1: they pair in order with p_1, p_2, ... (map stops
-        # at the shorter), and c_s, ..., c_1 with the last s traces
-        coefficients: list[int] = []
-        for m in range(1, size + 1):
-            done = sum(map(int.__mul__, coefficients, traces))
-            coefficients.insert(0, (traces[m - 1] - done) // m)
-        for _ in range(size, bound):
-            traces.append(sum(map(int.__mul__, coefficients, traces[-size:])))
-    return traces
-
-
 def closed_walk_lengths(g: CoverDigraph, bound: int) -> set[int]:
     """Lengths p <= bound for which the digraph has a closed walk, by exact
     adjacency-matrix powers."""
@@ -173,42 +119,6 @@ def self_loop_only_lengths(g: CoverDigraph, bound: int) -> set[int]:
     of a single self-loop: the trace is 1, since any other closed walk is
     counted once per distinct rotation."""
     return {q for q, t in enumerate(_walk_traces(g.adjacency, bound), 1) if t == 1}
-
-
-@functools.cache
-def _proper_divisors(bound: int) -> tuple[tuple[int, ...], ...]:
-    """The divisors below q of every q <= bound, at index q."""
-    table: list[list[int]] = [[] for _ in range(bound + 1)]
-    for d in range(1, bound // 2 + 1):
-        for q in range(2 * d, bound + 1, d):
-            table[q].append(d)
-    return tuple(map(tuple, table))
-
-
-def _period_counts(k: int, traces: list[int]) -> dict[int, int]:
-    """The number of points of least period q of the canonical map with
-    orbit size k, for every q <= len(traces) that k does not divide, from
-    the closed-walk counts ``traces`` of its covering digraph.
-
-    The map is Markov over its pieces.  A closed walk of length q in the
-    piece graph has a cylinder that its composite maps onto a set
-    containing it, so it holds a fixed point of f^q, and only one unless
-    the composite has slope +1.  Then every piece on the walk has slope
-    +-1 (a split piece has slope +-(a+b)) and maps a basic interval onto
-    one, so f^q maps the walk's first basic interval onto itself and fixes
-    its marked ends: k divides q.  A fixed point lies in the cylinders of
-    two walks only if its orbit meets a piece end, a marked or split point
-    on the center orbit, of period k.  So for k not dividing q the trace
-    counts the points of every least period d | q, and subtracting the
-    proper divisors' counts is the Moebius inversion.  The covering
-    digraph has the piece graph's traces: a closed covering walk picks
-    the one piece of each interval whose image holds the next."""
-    counts: dict[int, int] = {}
-    divisors = _proper_divisors(len(traces))
-    for q, t in enumerate(traces, 1):
-        if q % k:
-            counts[q] = t - sum(map(counts.__getitem__, divisors[q]))
-    return counts
 
 
 # ------------------------------------------------------------- certificates
@@ -613,9 +523,9 @@ def verify_certificate(p: StarPattern, cert: Certificate) -> bool:
     coordinate (a point is on the center orbit iff it is an integer) get
     a no, and so does a witness whose itinerary does not follow its point
     (``_follows``).  A theorem certificate must be the one ``_theorem``
-    derives.  An absence replays the whole scan through ``_checked_scan``,
-    so its listing is also counted by closed walks: it must find no point
-    and no family after exactly the recorded number of cylinders."""
+    derives.  An absence replays the whole scan (``plmap._scan``, checked
+    by the closed-walk count at a period k does not divide): it must find
+    no point and no family after exactly the recorded number of cylinders."""
     tables = _tables(p)
     if isinstance(cert, CenterOrbit):
         return cert.period == p.k
@@ -639,7 +549,7 @@ def verify_certificate(p: StarPattern, cert: Certificate) -> bool:
     if isinstance(cert, OracleAbsence):
         if cert.period < 1:
             return False
-        found, cylinders, family = _checked_scan(realize(p), cert.period, None, None, False)
+        found, cylinders, family, _ = _scan(realize(p), cert.period, None, False)
         return not found and family is None and cylinders == cert.cylinders
     raise TypeError(f"unknown certificate {cert!r}")
 
@@ -761,25 +671,6 @@ def _claimed(
     return claimed
 
 
-def _checked_scan(m: PLMap, q: int, closing, counts: dict[int, int] | None, first_only: bool):
-    """The one way to ask the exact oracle about period q (``plmap._scan``,
-    with ``_closing`` tables), checked against the closed-walk count where
-    ``counts`` (``_period_counts``, worked out here from the realization's
-    digraph when None) holds q: a scan that completed must
-    list exactly ``counts[q]`` points, a first-witness scan that found
-    none included, and one that stopped at a point needs a positive count.
-    Returns (found, cylinders, family); raises InconsistencyError."""
-    if counts is None:
-        counts = _period_counts(m.pattern.k, _walk_traces(m.tables.adjacency, q))
-    found, cylinders, family, complete = _scan(m, q, None, first_only, closing)
-    if q in counts and (counts[q] != len(found) if complete else counts[q] < 1):
-        raise InconsistencyError(
-            f"{m.pattern.to_text()}: the closed-walk count gives {counts[q]} points of period "
-            f"{q} but the exact oracle lists {len(found)} — this is a bug"
-        )
-    return found, cylinders, family
-
-
 def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[int]) -> tuple:
     """What a survey keeps of one pattern: (present periods, chaos iterate
     or None, center-theorem flag, n+2-theorem flag, covering digraph
@@ -789,7 +680,7 @@ def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[
     derived once, for every step below.  The closed-walk count decides
     every period that k does not divide (``_period_counts``), period k is
     the center's, and only its other multiples go to the oracle, which is
-    asked only for a first witness (``_checked_scan``).  The
+    asked only for a first witness (``plmap._scan``).  The
     realization is built only when such a multiple is in range, and then
     the tables are its own (``PLMap.tables``); otherwise they come from
     ``_tables``.  A claimed period that the count or the oracle finds
@@ -809,7 +700,7 @@ def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[
         if q in counts:
             found = counts[q] > 0
         else:
-            found = q == p.k or bool(_checked_scan(m, q, closing, counts, True)[0])
+            found = q == p.k or bool(_scan(m, q, None, True, closing, counts)[0])
         if q in claimed and not found:
             claims = _claims(p.k, theorem, cascade, forced, q)
             raise InconsistencyError(
@@ -842,8 +733,8 @@ def periodicity_report(
     (``PLMap.tables``), builds the covering digraph and decides the
     theorem certificate once each, and keeps the last two on the report
     (``theorem``, ``digraph``).  Every period that the closed-walk count
-    decides (``_period_counts``) is derived twice (``_checked_scan``): an
-    exhaustive scan must list exactly the counted number of points."""
+    decides (``_period_counts``) is derived twice: an exhaustive scan
+    (``plmap._scan``) must list exactly the counted number of points."""
     if p_max < 1:
         raise ValueError("p_max must be positive")
     if max_iterate < 1:
@@ -861,7 +752,7 @@ def periodicity_report(
     periods: dict[int, PeriodStatus] = {}
     for q in range(1, p_max + 1):
         claims = _claims(p.k, theorem, cascade, forced, q)
-        found, cylinders, _ = _checked_scan(m, q, closing, counts, bool(claims))
+        found, cylinders, _, _ = _scan(m, q, None, bool(claims), closing, counts)
         if found:
             witness = OracleWitness(_listed(q, found[:1])[0])
             periods[q] = PeriodStatus("present", tuple(claims) + (witness,))

@@ -48,7 +48,6 @@ from types import SimpleNamespace
 from .certify import (
     SURVEY_FILTERS,
     InconsistencyError,
-    _checked_scan,
     cover_digraph,
     periodicity_report,
     render_dot,
@@ -64,7 +63,7 @@ from .patterns import (
     _Record,
     enumerate_patterns,
 )
-from .plmap import CylinderCapExceeded, cylinder_cap, realize
+from .plmap import CylinderCapExceeded, _scan, cylinder_cap, realize
 
 __all__ = ["run", "main"]
 
@@ -269,7 +268,7 @@ _ORACLE_ROW = '{"on_center_orbit": %s, "period": %d, "point": {"branch": %d, "co
 
 
 def _oracle_rows(q: int, entries, last: str = "") -> list[str]:
-    """The oracle rows of ``certify._checked_scan``'s entries, as
+    """The oracle rows of ``plmap._scan``'s entries, as
     ``json.dumps(..., sort_keys=True)`` writes their witnesses: a point is on
     the center orbit iff it is an integer; ``last`` is the family's flag,
     whose key sorts after the others."""
@@ -281,16 +280,15 @@ def _oracle_rows(q: int, entries, last: str = "") -> list[str]:
 
 def _cmd_oracle(args: SimpleNamespace) -> tuple[Outputs, int]:
     """The listing of ``oracle_scan``, written from the integer entries of
-    the checked scan (``certify._checked_scan``): no record is built for a
-    listed point."""
+    its checked scan (``plmap._scan``): no record is built for a listed
+    point."""
     if args.period < 1:
         raise UsageError("--period must be a positive integer")
     p = _load_pattern(args.pattern)
     with _pattern_file(args.pattern):
         m = realize(p)
     q = args.period
-    # a listing at a period k does not divide is counted a second way
-    found, _, family = _checked_scan(m, q, None, None, False)
+    found, _, family, _ = _scan(m, q, None, False)
     rows = _oracle_rows(q, found)
     if family is not None:
         rows += _oracle_rows(q, [family], ', "uncountable_family": true')

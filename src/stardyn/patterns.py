@@ -230,12 +230,15 @@ def _check_index_cover(k: int, branches) -> None:
     for i in listed:
         if not 1 <= i <= k - 1:
             raise PatternError(f"orbit index {i} out of range for k={k}")
-    if len(set(listed)) < len(listed):
+    present = set(listed)
+    if len(present) < len(listed):
         dups = sorted({i for i in listed if listed.count(i) > 1})
         raise PatternError(f"duplicate orbit indices: {dups}")
-    missing = sorted(set(range(1, k)) - set(listed))
-    if missing:
-        raise PatternError(f"missing orbit indices: {missing}")
+    # distinct indices in 1..k-1: the first ten missing lie below len(present) + 11
+    if len(present) < k - 1:
+        missing = [i for i in range(1, min(k, len(present) + 11)) if i not in present]
+        more = f" ... ({k - 1 - len(present)} in all)" if len(present) < k - 11 else ""
+        raise PatternError(f"missing orbit indices: {missing}{more}")
 
 
 # ---------------------------------------------------------------- parsing
@@ -376,21 +379,26 @@ def iter_patterns(n: int, k: int, all_branches: bool = False):
         yield _pattern_from_branches(n, k, branches)
 
 
-def _raw_pattern_count(n: int, k: int, all_branches: bool = False) -> int:
-    """How many raw patterns ``iter_patterns`` yields, in closed form.
+def _raw_pattern_count(n: int, k: int, all_branches: bool = False, cap: int | None = None) -> int:
+    """How many raw patterns ``iter_patterns`` yields, in closed form, or,
+    with ``cap``, a number above ``cap`` once the count is known to pass it.
 
     Those with exactly j occupied branches number n!/(n-j)! * L(k-1, j):
     the Lah number L(m, j) = C(m-1, j-1) * m!/j! counts the sets of j
     nonempty disjoint sequences covering 1..m, and n!/(n-j)! the ways to
-    put them on distinct branches.
+    put them on distinct branches.  The m - j factors of m!/j! are each
+    at least 2, so ``cap.bit_length() + 1`` of them exceed ``cap``.
     """
     m = k - 1
-    counts = (n,) if all_branches else range(1, n + 1)
-    return sum(
-        math.perm(n, j) * math.comb(m - 1, j - 1) * (math.factorial(m) // math.factorial(j))
-        for j in counts
-        if j <= m
+    most = m if cap is None else cap.bit_length() + 1  # factors of m!/j! multiplied
+    terms = (
+        math.perm(n, j) * math.comb(m - 1, j - 1) * math.prod(range(j + 1, min(m, j + most) + 1))
+        for j in range(n if all_branches else 1, min(n, m) + 1)
     )
+    for total in accumulate(terms, initial=0):
+        if cap is not None and total > cap:
+            break
+    return total
 
 
 def _sequence_sets(m: int, fewest: int, most: int):
@@ -437,7 +445,7 @@ def enumerate_patterns(
     """
     if n < 1 or k < 2:
         raise PatternError(f"enumeration needs n >= 1 and k >= 2, got n={n} k={k}")
-    if _raw_pattern_count(n, k, all_branches) > cap:
+    if _raw_pattern_count(n, k, all_branches, cap) > cap:
         raise EnumerationCapExceeded(f"more than {cap} raw patterns for n={n} k={k}")
     fewest = n if all_branches else 1
     reps = sorted(
@@ -636,13 +644,11 @@ class FiniteOrbitSpec(_Record):
 
 
 def validate_orbit_spec(s: FiniteOrbitSpec) -> list[str]:
-    problems: list[str] = []
     if len(s.placements) != s.k or len(s.succ) != s.k:
-        problems.append("placements and succ must both have length k")
-        return problems
+        return ["placements and succ must both have length k"]
     if sorted(s.succ) != list(range(s.k)):
-        problems.append("succ is not a permutation")
-        return problems
+        return ["succ is not a permutation"]
+    problems: list[str] = []
     # single cycle check
     seen, x = 1, s.succ[0]
     while x != 0 and seen <= s.k:
@@ -678,11 +684,7 @@ def orbit_type(s: FiniteOrbitSpec) -> frozenset[int]:
         raise PatternError("; ".join(problems))
     if s.center_point is not None:
         return frozenset({1})
-    innermost: dict[int, int] = {}
-    for i in range(s.k):
-        b, r = s.placements[i]
-        if r == 1:
-            innermost[b] = i
+    innermost = {b: i for i, (b, r) in enumerate(s.placements) if r == 1}
     fmap = {b: s.placements[s.succ[i]][0] for b, i in innermost.items()}
     lengths: set[int] = set()
     for start in fmap:
@@ -692,6 +694,5 @@ def orbit_type(s: FiniteOrbitSpec) -> frozenset[int]:
         while x not in trail:
             trail.append(x)
             x = fmap[x]
-        if x in trail:
-            lengths.add(len(trail) - trail.index(x))
+        lengths.add(len(trail) - trail.index(x))
     return frozenset(lengths)

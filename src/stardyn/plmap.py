@@ -71,7 +71,10 @@ A full listing at p != k solves one walk per orbit: the orbit's points
 have the rotations of its primitive walk, of which exactly one is a
 Lyndon word (the edge shift's orbits are its primitive necklaces), and
 it replays each orbit in integers.  ``first_witness`` and period k keep
-the walk-by-walk scan.
+the walk-by-walk scan.  At a period that k does not divide, the scan
+checks its listing against the count of the covering digraph's closed
+walks (``_walk_traces``, ``_period_counts``), so every listing, the
+public ones included, raises InconsistencyError when the two disagree.
 
 Patterns may leave branches empty; those are not realized.  A continuous
 extension constant equal to f(center) exists on an empty branch and adds
@@ -82,7 +85,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import gcd, lcm
 from operator import or_
 
@@ -511,6 +514,98 @@ def _closing(m: PLMap, depth: int):
     return alive, leaves, bits
 
 
+@cache
+def _packing(size: int, steps: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int]:
+    """The constants of ``_walk_traces`` for ``size`` vertices and ``steps``
+    packed steps: the rows of A^0, each row's diagonal field mask, the
+    gather multiplier, its shift and the field mask."""
+    width = steps * size.bit_length() + 1
+    field = (1 << width) - 1
+    seeds = tuple(1 << (i * width) for i in range(size))
+    return seeds, tuple(field * seed for seed in seeds), sum(seeds), (size - 1) * width, field
+
+
+def _walk_traces(adjacency: tuple[tuple[int, ...], ...], bound: int) -> list[int]:
+    """tr(A^1), ..., tr(A^bound) for the 0/1 matrix A with rows
+    ``adjacency``: the exact numbers of closed walks of each length.
+
+    Only the first ``steps = min(s, bound)`` powers are taken, s the
+    number of vertices.  Row i of A^q is one integer with a field of
+    ``width = steps * s.bit_length() + 1`` bits per column, so row i of
+    A^(q+1) = A A^q is the sum of the rows of A^q at i's successors.  The
+    diagonal fields, masked out of their rows and summed, times the
+    gather multiplier (a 1 in every field) hold in field s - 1 the sum of
+    all of them, the trace.  No field overflows: an entry of A^q counts
+    walks with q - 1 free inner vertices, so it is at most s^(q-1), the
+    trace at most s^q <= s^steps < 2^(width - 1), and every field of the
+    product is a partial sum of the diagonal, at most the trace.
+
+    Beyond s the traces p_q follow from the characteristic polynomial
+    det(xI - A) = x^s - e_1 x^(s-1) + ... + (-1)^s e_s.  By
+    Cayley-Hamilton it vanishes at A; times A^(q-s), traced, it gives
+    p_q = sum of c_i p_(q-i) over i = 1..s for q > s, with
+    c_i = (-1)^(i-1) e_i.  Newton's identities give the c_i from the
+    first s traces, m c_m = p_m - sum of c_i p_(m-i) over i < m; the
+    e_m are coefficients of the characteristic polynomial of an integer
+    matrix, integers, so the division by m is exact and every step stays
+    in integers."""
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    size = len(adjacency)
+    steps = min(size, bound)
+    rows, masks, gather, shift, field = _packing(size, steps)
+    traces = []
+    for _ in range(steps):
+        rows = [sum(map(rows.__getitem__, row)) for row in adjacency]
+        traces.append(sum(map(int.__and__, rows, masks)) * gather >> shift & field)
+    if bound > size:
+        # c_m, ..., c_1: they pair in order with p_1, p_2, ... (map stops
+        # at the shorter), and c_s, ..., c_1 with the last s traces
+        coefficients: list[int] = []
+        for m in range(1, size + 1):
+            done = sum(map(int.__mul__, coefficients, traces))
+            coefficients.insert(0, (traces[m - 1] - done) // m)
+        for _ in range(size, bound):
+            traces.append(sum(map(int.__mul__, coefficients, traces[-size:])))
+    return traces
+
+
+@cache
+def _proper_divisors(bound: int) -> tuple[tuple[int, ...], ...]:
+    """The divisors below q of every q <= bound, at index q."""
+    table: list[list[int]] = [[] for _ in range(bound + 1)]
+    for d in range(1, bound // 2 + 1):
+        for q in range(2 * d, bound + 1, d):
+            table[q].append(d)
+    return tuple(map(tuple, table))
+
+
+def _period_counts(k: int, traces: list[int]) -> dict[int, int]:
+    """The number of points of least period q of the canonical map with
+    orbit size k, for every q <= len(traces) that k does not divide, from
+    the closed-walk counts ``traces`` of its covering digraph.
+
+    The map is Markov over its pieces.  A closed walk of length q in the
+    piece graph has a cylinder that its composite maps onto a set
+    containing it, so it holds a fixed point of f^q, and only one unless
+    the composite has slope +1.  Then every piece on the walk has slope
+    +-1 (a split piece has slope +-(a+b)) and maps a basic interval onto
+    one, so f^q maps the walk's first basic interval onto itself and fixes
+    its marked ends: k divides q.  A fixed point lies in the cylinders of
+    two walks only if its orbit meets a piece end, a marked or split point
+    on the center orbit, of period k.  So for k not dividing q the trace
+    counts the points of every least period d | q, and subtracting the
+    proper divisors' counts is the Moebius inversion.  The covering
+    digraph has the piece graph's traces: a closed covering walk picks
+    the one piece of each interval whose image holds the next."""
+    counts: dict[int, int] = {}
+    divisors = _proper_divisors(len(traces))
+    for q, t in enumerate(traces, 1):
+        if q % k:
+            counts[q] = t - sum(map(counts.__getitem__, divisors[q]))
+    return counts
+
+
 def _fixed_point(m: PLMap, b0: int, s: int, d: int, last: int):
     """Fixed points of a walk's composite t -> s*t + d, from its cylinder
     on branch b0 onto the image [ilo, ihi] of its last piece: ``_IDENTITY``
@@ -561,15 +656,16 @@ def oracle_scan(m: PLMap, p: int, cap: int | None = None, first_only: bool = Fal
     not costs no solve, and an identity cylinder's family turns up at
     p = k alone.  A full listing at p != k solves the Lyndon walks alone
     (``_walks``) and lists each one's orbit (``_orbit``).  The scan runs
-    in integers (``_scan``); the records, one ``Fraction`` and one
-    itinerary per listed point, are built here (``_listed``).
+    in integers and checks its listing against the closed-walk count
+    (``_scan``); the records, one ``Fraction`` and one itinerary per
+    listed point, are built here (``_listed``).
     """
     found, cylinders, family, complete = _scan(m, p, cap, first_only)
     family = _listed(p, [family])[0] if family else None
     return ScanResult(_listed(p, found), cylinders, family, complete)
 
 
-def _scan(m: PLMap, p: int, cap, first_only: bool, closing=None):
+def _scan(m: PLMap, p: int, cap, first_only: bool, closing=None, counts=None):
     """``oracle_scan`` in integers: (found, cylinders, family, complete),
     where each entry of ``found`` is (branch, numerator, denominator,
     walk, j) for a listed point num/den (reduced, den > 0; (0, 0, 1) is
@@ -578,7 +674,11 @@ def _scan(m: PLMap, p: int, cap, first_only: bool, closing=None):
     (branch, coordinate) order (``_sorted``).  When the scan meets an
     uncountable family, ``family`` is the entry of its representative,
     the inner end of the cylinder's image, with which ``found`` ends unless
-    the point is already listed; otherwise ``family`` is None.
+    the point is already listed; otherwise ``family`` is None.  At p not
+    a multiple of k it raises InconsistencyError unless a complete listing
+    holds ``counts[p]`` points and a first witness a positive count
+    (``_period_counts``, from ``tables.adjacency`` when None); at a
+    multiple of k it builds no count.
 
     An integer fixed point is a marked point, of least period k, so at
     p != k it is skipped.  No case is known in which a walk that reaches
@@ -587,6 +687,7 @@ def _scan(m: PLMap, p: int, cap, first_only: bool, closing=None):
     closing = closing or _closing(m, p - 1)
     k = m.pattern.k
     lyndon = not first_only and p != k
+    complete = False  # until the walks run out
     found: list[tuple[int, int, int, tuple[int, ...], int]] = []
     seen: set[tuple[int, int, int]] = set()
     for b0, s, d, last, path, cylinders in _walks(m, p, cap, closing=closing, lyndon=lyndon):
@@ -617,8 +718,17 @@ def _scan(m: PLMap, p: int, cap, first_only: bool, closing=None):
             if den == 1 or _primitive(path):
                 found.append(key + (tuple(path), 0))
                 if first_only:
-                    return found, cylinders, None, False
-    return _sorted(found), sum(closing[1][p - 1]), None, True
+                    break
+    else:
+        found, cylinders, complete = _sorted(found), sum(closing[1][p - 1]), True
+    if p % k:
+        counts = counts or _period_counts(k, _walk_traces(m.tables.adjacency, p))
+        if counts[p] != len(found) if complete else counts[p] < 1:
+            raise InconsistencyError(
+                f"{m.pattern.to_text()}: the closed-walk count gives {counts[p]} points of period "
+                f"{p} but the exact oracle lists {len(found)} — this is a bug"
+            )
+    return found, cylinders, None, complete
 
 
 def _orbit(m: PLMap, path, b0: int, num: int, den: int):

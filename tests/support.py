@@ -5,6 +5,7 @@ from functools import cache
 
 import stardyn.certify as certify_module
 import stardyn.patterns as patterns_module
+import stardyn.plmap as plmap_module
 from stardyn.patterns import enumerate_patterns, parse_pattern
 from stardyn.plmap import realize
 
@@ -55,3 +56,20 @@ def count_calls(monkeypatch, names):
             if mod_name.split(".")[0] == "stardyn" and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def drop_one_listed_point(monkeypatch, period):
+    """Make the oracle's full listing at ``period`` lose the first point
+    of the first orbit it replays (``plmap._orbit``), below the scan's
+    check against the closed-walk count."""
+    orbit = plmap_module._orbit
+    dropped = []
+
+    def dropping(m, path, *args):
+        entries = orbit(m, path, *args)
+        if len(path) != period or dropped:
+            return entries
+        dropped.append(entries[0])
+        return entries[1:]
+
+    monkeypatch.setattr(plmap_module, "_orbit", dropping)

@@ -23,6 +23,7 @@ import reference_loop as ref_loop
 import reference_scan as ref_scan
 import reference_traces as ref_traces
 import stardyn.certify as certify_module
+import stardyn.plmap as plmap_module
 from stardyn.certify import (
     Cascade,
     CenterOrbit,
@@ -69,7 +70,7 @@ from stardyn.plmap import (
     periodic_points,
     realize,
 )
-from support import EX1, EX2, random_pattern
+from support import EX1, EX2, drop_one_listed_point, random_pattern
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -347,29 +348,29 @@ def test_walk_traces_count_closed_walks(p1, p2):
     for p in (p1, p2, parse_pattern("n=1 k=2; b1: 1")):
         m = realize(p)
         for adjacency in (cover_digraph(p).adjacency, m.successors):
-            traces = certify_module._walk_traces(adjacency, 7)
+            traces = plmap_module._walk_traces(adjacency, 7)
             assert traces == [_closed_walk_count(adjacency, q) for q in range(1, 8)]
     # every entry of A^q reaches 9^(q-1): the packed fields must not overflow
     complete = tuple(tuple(range(9)) for _ in range(9))
-    assert certify_module._walk_traces(complete, 12) == [9**q for q in range(1, 13)]
-    assert certify_module._walk_traces((), 3) == [0, 0, 0]
+    assert plmap_module._walk_traces(complete, 12) == [9**q for q in range(1, 13)]
+    assert plmap_module._walk_traces((), 3) == [0, 0, 0]
     with pytest.raises(ValueError):
-        certify_module._walk_traces(((0,),), 0)
+        plmap_module._walk_traces(((0,),), 0)
 
 
 def test_walk_traces_fixed_digraphs():
     complete = tuple(tuple(range(9)) for _ in range(9))
-    assert certify_module._walk_traces(complete, 30) == [9**q for q in range(1, 31)]
-    assert certify_module._walk_traces((), 30) == [0] * 30
+    assert plmap_module._walk_traces(complete, 30) == [9**q for q in range(1, 31)]
+    assert plmap_module._walk_traces((), 30) == [0] * 30
     # every arc goes up the vertex order, so no walk closes
     acyclic = tuple(tuple(range(i + 1, 7)) for i in range(7))
-    assert certify_module._walk_traces(acyclic, 40) == [0] * 40
+    assert plmap_module._walk_traces(acyclic, 40) == [0] * 40
 
 
 @pytest.mark.parametrize("c", range(1, 6))
 def test_walk_traces_of_a_cycle(c):
     cycle = tuple(((i + 1) % c,) for i in range(c))
-    assert certify_module._walk_traces(cycle, 40) == [0 if q % c else c for q in range(1, 41)]
+    assert plmap_module._walk_traces(cycle, 40) == [0 if q % c else c for q in range(1, 41)]
 
 
 def _adjacency(bits, size):
@@ -385,7 +386,7 @@ def test_walk_traces_match_the_reference_on_random_digraphs(calls):
     # never leak from one call into the next
     for size, bits, bound in calls:
         adjacency = _adjacency(bits, size)
-        assert certify_module._walk_traces(adjacency, bound) == ref_traces.walk_traces(adjacency, bound)
+        assert plmap_module._walk_traces(adjacency, bound) == ref_traces.walk_traces(adjacency, bound)
 
 
 # ------------------------------------------------------------ walk counts
@@ -398,8 +399,8 @@ COUNT_HORIZON = {2: 8, 3: 8, 4: 8, 5: 6, 6: 5}
 
 
 def _counts(m, bound):
-    traces = certify_module._walk_traces(cover_digraph(m.pattern).adjacency, bound)
-    return certify_module._period_counts(m.pattern.k, traces)
+    traces = plmap_module._walk_traces(cover_digraph(m.pattern).adjacency, bound)
+    return plmap_module._period_counts(m.pattern.k, traces)
 
 
 @pytest.mark.parametrize("k", sorted(COUNT_HORIZON))
@@ -419,7 +420,7 @@ def test_cover_digraph_traces_equal_piece_graph_traces(k):
     # both equal the reference's every-power traces at 2k + 3, where the
     # bound exceeds every vertex count, so the traces past the first s
     # come from the characteristic-polynomial recurrence
-    traces = certify_module._walk_traces
+    traces = plmap_module._walk_traces
     for n in range(1, 5):
         for p in enumerate_patterns(n, k):
             m = realize(p)
@@ -1070,16 +1071,11 @@ def test_analyze_claimed_period_the_oracle_refutes_exits_1(tmp_path, monkeypatch
 
 def test_report_counts_the_listing_at_an_unclaimed_period(monkeypatch):
     # no certificate claims period 3, so the report lists it in full, and
-    # the closed-walk count catches a dropped point, not only an empty list
+    # the oracle's own check against the closed-walk count catches a
+    # dropped point, not only an empty list
     p = parse_pattern("n=3 k=6; b1: 1 3; b2: 2 5; b3: 4")
     assert 3 in periodicity_report(p).present
-    scan = certify_module._scan
-
-    def dropping(m, q, *args):
-        found, cylinders, family, complete = scan(m, q, *args)
-        return (found[1:] if q == 3 else found), cylinders, family, complete
-
-    monkeypatch.setattr(certify_module, "_scan", dropping)
+    drop_one_listed_point(monkeypatch, 3)
     with pytest.raises(InconsistencyError, match="gives 6 points of period 3 but the exact oracle lists 5"):
         periodicity_report(p)
 

@@ -11,6 +11,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from pathlib import Path
@@ -29,7 +30,7 @@ import stardyn.survey as survey_module
 from stardyn.cli import run
 from stardyn.survey import classify_all, emit_table
 import reference_scan as ref
-from support import EX1, EX2, count_calls
+from support import EX1, EX2, count_calls, drop_one_listed_point
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 PERFBENCH_EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -360,6 +361,36 @@ def test_enumerate_json_schema(capsys):
 def test_enumerate_invalid_size_exits_2(capsys):
     assert run(["enumerate", "--n", "0", "--k", "3"]) == 2
     assert run(["enumerate", "--n", "2", "--k", "1"]) == 2
+
+
+def test_enumerate_cap_fails_fast_at_a_huge_k():
+    # the raw-pattern count is compared with the cap factor by factor, so
+    # a shape far past it exits 3 without working out (k-1)!
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).resolve().parents[1])}
+    cmd = [sys.executable, "-m", "stardyn.cli", "enumerate", "--n", "1", "--k", "1000000"]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=5)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3, "", "stardyn: resource cap exceeded: more than 1000000 raw patterns for n=1 k=1000000\n"
+    )
+
+
+def test_a_short_pattern_line_with_a_huge_k_is_rejected_in_little_memory(tmp_path, capsys):
+    # the missing indices of "n=1 k=3000000; b1: 1" are counted, and only
+    # the first ten named
+    path = tmp_path / "short.pat"
+    path.write_text("n=1 k=3000000; b1: 1\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert run(["analyze", "--pattern", str(path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.endswith(
+        "missing orbit indices: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] ... (2999998 in all)\n"
+    )
+    assert len(err.encode()) < 1024
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -719,15 +750,10 @@ def test_analyze_of_example2_reaches_period_200(ex2_file, monkeypatch, capsys):
 
 
 def test_oracle_listing_that_disagrees_with_the_walk_count_exits_1(ex2_file, monkeypatch, capsys):
-    # at a period that k does not divide the listing is counted again from
-    # the covering digraph's closed walks; a dropped point is caught
-    scan = certify_module._scan
-
-    def dropping(*args):
-        found, cylinders, family, complete = scan(*args)
-        return found[1:], cylinders, family, complete
-
-    monkeypatch.setattr(certify_module, "_scan", dropping)
+    # at a period that k does not divide the oracle counts its listing
+    # again from the covering digraph's closed walks; a dropped point is
+    # caught
+    drop_one_listed_point(monkeypatch, 8)
     assert run(["oracle", "--pattern", ex2_file, "--period", "8"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -735,6 +761,21 @@ def test_oracle_listing_that_disagrees_with_the_walk_count_exits_1(ex2_file, mon
         f"stardyn: inconsistency: {EX2}: the closed-walk count gives 80 points of period 8 "
         "but the exact oracle lists 79 — this is a bug\n"
     )
+
+
+def test_no_walk_count_is_built_at_a_multiple_of_k(ex2_file, monkeypatch, capsys):
+    # the closed-walk count decides no period that k divides, so neither
+    # the oracle's listing at 6 or 12 on example 2 (k = 6) nor the replay
+    # of an absence at 8 (k = 4) works one out; a listing at 8 on example
+    # 2 works it out once
+    calls = count_calls(monkeypatch, ("_walk_traces",))
+    for period in ("6", "12"):
+        assert run(["oracle", "--pattern", ex2_file, "--period", period]) == 0
+    absent_at_8 = patterns_module.parse_pattern("n=2 k=4; b1: 1 3; b2: 2")
+    assert certify_module.verify_certificate(absent_at_8, certify_module.OracleAbsence(8, 11))
+    assert calls["_walk_traces"] == 0
+    assert run(["oracle", "--pattern", ex2_file, "--period", "8"]) == 0
+    assert calls["_walk_traces"] == 1
 
 
 # a map whose pieces of slope +-1 form a cycle, so f^k is the identity on a

@@ -22,8 +22,6 @@ from reference_loop import image_of_arc, image_of_subtree, subtree_from_segments
 from reference_scan import walk_cylinders
 from stardyn.certify import (
     OracleWitness,
-    _period_counts,
-    _walk_traces,
     periodicity_report,
     verify_certificate,
 )
@@ -46,7 +44,15 @@ from stardyn.plmap import (
     realize,
     scramble_probe,
 )
-from stardyn.plmap import _closing, _fixed_point, _least_period_is, _piece_graph, _walks
+from stardyn.plmap import (
+    _closing,
+    _fixed_point,
+    _least_period_is,
+    _period_counts,
+    _piece_graph,
+    _walk_traces,
+    _walks,
+)
 from support import EX1, EX2, random_pattern, realized_classes
 
 F = Fraction
@@ -315,6 +321,20 @@ def test_oracle_exceptions_survive_pickling():
         assert type(back) is type(e)
         assert str(back) == str(e)
         assert vars(back) == vars(e)
+
+
+def test_every_public_listing_checks_the_walk_count(m2, monkeypatch):
+    # the scan under each public listing counts its points again from the
+    # covering digraph's closed walks, so a doctored count is caught
+    # whichever listing asks
+    monkeypatch.setattr(plmap_module, "_walk_traces", lambda adjacency, bound: [0] * bound)
+    for listing, listed in ((oracle_scan, 80), (periodic_points, 80), (first_witness, 1)):
+        with pytest.raises(InconsistencyError) as raised:
+            listing(m2, 8)
+        assert str(raised.value) == (
+            f"{EX2}: the closed-walk count gives 0 points of period 8 but the exact oracle "
+            f"lists {listed} — this is a bug"
+        ), listing.__name__
 
 
 def test_scan_results_are_deterministic(m2):

@@ -167,23 +167,40 @@ def test_validate_runs_only_in_the_parsers_and_the_descent_pass():
     }
 
 
-def test_only_the_checked_scan_asks_the_oracle():
-    # outside plmap the oracle's scan is reached through one function, which
-    # checks it against the closed-walk count
-    assert _package_callers("_scan", "plmap") == {"certify._checked_scan"}
+def _package_definitions(name: str) -> set[str]:
+    """The modules that define ``name`` at top level."""
+    return {
+        path.stem
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if getattr(node, "name", None) == name
+    }
+
+
+def test_the_walk_count_is_defined_in_plmap_alone():
+    # the closed-walk count has one home, beside the scan that checks
+    # every listing against it; certify imports it from there
+    for name in ("_packing", "_walk_traces", "_proper_divisors", "_period_counts"):
+        assert _package_definitions(name) == {"plmap"}, name
 
 
 def test_no_module_but_plmap_calls_the_unchecked_oracle():
-    # the public listings skip the closed-walk count, so every caller
-    # outside plmap, a replay included, goes through the checked scan
+    # the public listings are checked against the walk count too, but they
+    # build a record for every point; every caller outside plmap, a replay
+    # included, reads the scan's integer entries (``plmap._scan``) instead
     names = ("oracle_scan", "first_witness", "periodic_points")
     assert set().union(*(_package_callers(name, "plmap") for name in names)) == set()
 
 
-def test_only_certify_counts_periods_from_walks():
-    # the least-period counts are worked out where the checked scan
-    # compares against them, and nowhere else
-    assert {c.split(".")[0] for c in _package_callers("_period_counts", "")} == {"certify"}
+def test_periods_are_counted_from_walks_where_they_are_checked():
+    # the least-period counts are worked out by the scan that checks its
+    # listing against them, and by the survey rows and the report, which
+    # decide periods by them and hand them to the scan
+    assert _package_callers("_period_counts", "") == {
+        "plmap._scan",
+        "certify._survey_row",
+        "certify.periodicity_report",
+    }
 
 
 def test_all_names_exactly_the_public_imports():
