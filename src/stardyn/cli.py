@@ -13,20 +13,21 @@ Exit codes: 0 success, 1 analysis inconsistency (a certified claim or a
 walk count and the exact oracle disagree, or a reference check fails), 2
 usage error, 3 resource cap exceeded.  Usage errors print a synopsis to
 stderr and produce no partial output: every command completes all of its
-analysis before the first byte is written, and a survey's text is then
-written in chunks of rows.  Identical inputs yield byte-identical output;
-``--out`` writes atomically (temp file + rename), and the file gets the
-mode a plain write would give it: an existing file keeps its own, and a
-new one gets 0o666 less the umask.  Each command's options are declared
-once, in ``_COMMANDS``.  A plain command line (the command, then only its
-exact option strings, each with a value of the right kind that does not
-start with "-", every required one given) is parsed straight from that
-table; argparse is imported and its parser tree built only for help,
-errors and any other line, and for the synopsis of a usage error.
-A call imports only the layers its command runs: ``patterns``,
-``orders``, ``plmap`` and ``certify`` at module level, and ``survey``
-(``classify_all``, ``filter_result``, ``emit_table``, ``survey_to_json``,
-``verify_paper``) only inside ``survey`` and ``verify-paper``.
+analysis before the first byte is written, and a survey's text, from
+``survey``'s table writer, is then written in chunks of rows.  Identical
+inputs yield byte-identical output; ``--out`` writes atomically (temp
+file + rename), and the file gets the mode a plain write would give it:
+an existing file keeps its own, and a new one gets 0o666 less the umask.
+Each command's options are declared once, in ``_COMMANDS``.  A plain
+command line (the command, then only its exact option strings, each with
+a value of the right kind that does not start with "-", every required
+one given) is parsed straight from that table; argparse is imported and
+its parser tree built only for help, errors and any other line, and for
+the synopsis of a usage error.  A call imports only the layers its
+command runs: ``patterns``, ``orders``, ``plmap`` and ``certify`` at
+module level, and ``survey`` (``classify_all``, ``filter_result``,
+``_survey_chunks``, ``verify_paper``) only inside ``survey`` and
+``verify-paper``.
 The environment variable ``STARDYN_CYLINDER_CAP`` overrides the cap on
 the oracle's work: the walk-tree nodes it expands and the points it
 lists.  A survey decides every period that the orbit size k does not
@@ -40,9 +41,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from contextlib import contextmanager, suppress
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .certify import (
@@ -172,61 +172,12 @@ def _cmd_enumerate(args: SimpleNamespace) -> tuple[Outputs, int]:
 
 
 def _cmd_survey(args: SimpleNamespace) -> tuple[Outputs, int]:
-    from .survey import classify_all, filter_result
+    from .survey import _survey_chunks, classify_all, filter_result
 
     result = classify_all(args.n, args.k, args.pmax, max_iterate=args.max_iterate, jobs=args.jobs)
     if args.filter:
         result = filter_result(result, args.filter)
     return [(args.out, _survey_chunks(result, args.format))], 0
-
-
-# survey rows per output chunk
-_ROWS_PER_CHUNK = 1024
-
-
-def _survey_chunks(result, format: str) -> Iterator[str]:
-    """A ``survey.SurveyResult``'s text in chunks of rows:
-    ``emit_table(result.records, "csv")`` or
-    ``_json_text(survey_to_json(result))``, byte for byte when joined.
-    Only the header goes through the generic writer.  For JSON, "rows"
-    sorts last among the payload's keys, so the payload without rows ends
-    in ``"rows": []``; the rows, from the fixed template of
-    ``_record_json``, go between those brackets."""
-    from .survey import emit_table, survey_to_json
-
-    records = result.records
-    parts = (records[i : i + _ROWS_PER_CHUNK] for i in range(0, len(records), _ROWS_PER_CHUNK))
-    if format == "csv":
-        header = emit_table((), "csv")
-        yield header
-        yield from (emit_table(part, "csv")[len(header) :] for part in parts)
-        return
-    head = _json_text(survey_to_json(result._replace(records=())))
-    yield head[: -len("]\n}\n")] if records else head
-    for i, part in enumerate(parts):
-        yield (",\n" if i else "\n") + ",\n".join(map(_record_json, part))
-    if records:
-        yield "\n  ]\n}\n"
-
-
-def _record_json(r) -> str:
-    """One survey row, a ``survey.ClassRecord`` in ``survey.TABLE_COLUMNS``
-    order, as ``json.dumps(..., indent=2)`` writes it inside the payload's
-    "rows"."""
-    periods = ",\n        ".join(map(str, r.periods_present))
-    periods = f"[\n        {periods}\n      ]" if periods else "[]"
-    return (
-        "    [\n"
-        f"      {encode_basestring_ascii(r.pattern_text)},\n"
-        f"      {r.branch_class},\n"
-        f"      {r.digraph_class},\n"
-        f"      {'true' if r.center_theorem else 'false'},\n"
-        f"      {'true' if r.nplus2 else 'false'},\n"
-        f"      {periods},\n"
-        f"      {encode_basestring_ascii(r.tail)},\n"
-        f"      {'null' if r.chaos_iterate is None else r.chaos_iterate}\n"
-        "    ]"
-    )
 
 
 def _cmd_orders(args: SimpleNamespace) -> tuple[Outputs, int]:
@@ -299,13 +250,7 @@ def _cmd_verify_paper(args: SimpleNamespace) -> tuple[Outputs, int]:
     from .survey import verify_paper
 
     report = verify_paper(p_max=args.pmax, max_iterate=args.max_iterate)
-    if args.json or args.format == "json":
-        text = _json_text(report.to_json())
-    else:
-        lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in report.checks]
-        verdict = "all checks passed" if report.all_passed else "some checks FAILED"
-        lines.append(f"{sum(c.passed for c in report.checks)}/{len(report.checks)} {verdict}")
-        text = "".join(line + "\n" for line in lines)
+    text = _json_text(report.to_json()) if args.json or args.format == "json" else report.to_text()
     if not report.all_passed:
         sys.stderr.write("stardyn: inconsistency: reference verification failed\n")
     return [(args.out, text)], 0 if report.all_passed else 1

@@ -226,14 +226,14 @@ def _pattern_from_branches(n: int, k: int, branches, pairs=None) -> StarPattern:
 
 def _check_index_cover(k: int, branches) -> None:
     """Branch sections must list each of 1..k-1 exactly once."""
-    listed = [i for pts in branches for i in pts]
-    for i in listed:
-        if not 1 <= i <= k - 1:
-            raise PatternError(f"orbit index {i} out of range for k={k}")
-    present = set(listed)
-    if len(present) < len(listed):
-        dups = sorted({i for i in listed if listed.count(i) > 1})
-        raise PatternError(f"duplicate orbit indices: {dups}")
+    present, dups = set(), set()
+    for pts in branches:
+        for i in pts:
+            if not 1 <= i <= k - 1:
+                raise PatternError(f"orbit index {i} out of range for k={k}")
+            (dups if i in present else present).add(i)
+    if dups:
+        raise PatternError(f"duplicate orbit indices: {sorted(dups)}")
     # distinct indices in 1..k-1: the first ten missing lie below len(present) + 11
     if len(present) < k - 1:
         missing = [i for i in range(1, min(k, len(present) + 11)) if i not in present]
@@ -379,6 +379,17 @@ def iter_patterns(n: int, k: int, all_branches: bool = False):
         yield _pattern_from_branches(n, k, branches)
 
 
+def _capped_prod(factors, cap: int | None) -> int:
+    """The product of the factors, or, with ``cap``, the first partial
+    product above ``cap``."""
+    total = 1
+    for f in factors:
+        total *= f
+        if cap is not None and total > cap:
+            break
+    return total
+
+
 def _raw_pattern_count(n: int, k: int, all_branches: bool = False, cap: int | None = None) -> int:
     """How many raw patterns ``iter_patterns`` yields, in closed form, or,
     with ``cap``, a number above ``cap`` once the count is known to pass it.
@@ -386,16 +397,18 @@ def _raw_pattern_count(n: int, k: int, all_branches: bool = False, cap: int | No
     Those with exactly j occupied branches number n!/(n-j)! * L(k-1, j):
     the Lah number L(m, j) = C(m-1, j-1) * m!/j! counts the sets of j
     nonempty disjoint sequences covering 1..m, and n!/(n-j)! the ways to
-    put them on distinct branches.  The m - j factors of m!/j! are each
-    at least 2, so ``cap.bit_length() + 1`` of them exceed ``cap``.
+    put them on distinct branches.  Every factor of n!/(n-j)! and m!/j!
+    but the least is at least 2, so with ``cap`` each is multiplied out
+    only until it passes the cap, and C(m-1, j-1) only when their product
+    does not, when j is at most ``cap.bit_length() + 1``.
     """
     m = k - 1
-    most = m if cap is None else cap.bit_length() + 1  # factors of m!/j! multiplied
-    terms = (
-        math.perm(n, j) * math.comb(m - 1, j - 1) * math.prod(range(j + 1, min(m, j + most) + 1))
-        for j in range(n if all_branches else 1, min(n, m) + 1)
-    )
-    for total in accumulate(terms, initial=0):
+    total = 0
+    for j in range(n if all_branches else 1, min(n, m) + 1):
+        term = _capped_prod(range(n - j + 1, n + 1), cap) * _capped_prod(range(j + 1, m + 1), cap)
+        if cap is None or term <= cap:
+            term *= math.comb(m - 1, j - 1)
+        total += term
         if cap is not None and total > cap:
             break
     return total
@@ -451,6 +464,8 @@ def enumerate_patterns(
     reps = sorted(
         ((),) * (n - len(seqs)) + seqs for seqs in _sequence_sets(k - 1, fewest, n)
     )
+    if not reps:
+        return []
     pairs = [[(b, r) for r in range(k)] for b in range(n + 1)]
     return [_pattern_from_branches(n, k, brs, pairs) for brs in reps]
 

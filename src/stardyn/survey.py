@@ -11,9 +11,11 @@ tracked:
 * digraph    -- patterns identified when their covering digraphs are
                 isomorphic (coarser than branch relabeling).
 
-It also hosts :func:`verify_paper`, a self-contained battery of checks
-that recomputes every externally quoted reference fact (worked examples,
-order facts, class counts) and reports pass/fail with diffs.
+Each table format has one writer, ``_table_chunks``, behind
+:func:`emit_table` and the CLI's survey text.  It also hosts
+:func:`verify_paper`, a self-contained battery of checks that recomputes
+every externally quoted reference fact (worked examples, order facts,
+class counts) and reports pass/fail with diffs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ import json
 import math
 import os
 from collections import deque
-from itertools import repeat
+from collections.abc import Iterator
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 from .certify import (
     SURVEY_FILTERS,
@@ -411,22 +415,65 @@ def emit_table(records: list[ClassRecord] | tuple[ClassRecord, ...], format: str
     the period set space-separated and an empty cell for a missing chaos
     iterate).  Output is deterministic byte-for-byte.
     """
-    rows = [_row_values(r) for r in records]
-    if format == "json":
-        payload = {"columns": list(TABLE_COLUMNS), "rows": rows}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return "".join(_table_chunks(records, format, {"columns": list(TABLE_COLUMNS), "rows": []}))
+
+
+def _survey_chunks(result: SurveyResult, format: str) -> Iterator[str]:
+    """A survey's CSV table, or ``survey_to_json(result)`` as ``json.dumps(...,
+    indent=2, sort_keys=True)`` writes it, in chunks of rows."""
+    return _table_chunks(result.records, format, survey_to_json(result._replace(records=())))
+
+
+# rows per chunk of table text
+_ROWS_PER_CHUNK = 1024
+
+
+def _table_chunks(records, format: str, head: dict) -> Iterator[str]:
+    """A table's text in chunks of rows.  JSON is ``head``, whose empty
+    "rows" sorts last among its keys, with ``_record_json`` rows inside."""
+    if format not in ("json", "csv"):
+        raise ValueError(f"unknown table format: {format!r} (expected 'json' or 'csv')")
+    parts = (records[i : i + _ROWS_PER_CHUNK] for i in range(0, len(records), _ROWS_PER_CHUNK))
     if format == "csv":
         import csv
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(TABLE_COLUMNS)
-        for row in rows:
-            flags = ["true" if flag else "false" for flag in row[3:5]]
-            periods = " ".join(map(str, row[5]))
-            writer.writerow([*row[:3], *flags, periods, row[6], "" if row[7] is None else row[7]])
-        return buf.getvalue()
-    raise ValueError(f"unknown table format: {format!r} (expected 'json' or 'csv')")
+        for part in chain([()], parts):
+            for row in map(_row_values, part):
+                flags = ["true" if flag else "false" for flag in row[3:5]]
+                periods = " ".join(map(str, row[5]))
+                writer.writerow([*row[:3], *flags, periods, row[6], "" if row[7] is None else row[7]])
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+        return
+    text = json.dumps(head, indent=2, sort_keys=True) + "\n"
+    yield text[: -len("]\n}\n")] if records else text
+    for i, part in enumerate(parts):
+        yield (",\n" if i else "\n") + ",\n".join(map(_record_json, part))
+    if records:
+        yield "\n  ]\n}\n"
+
+
+def _record_json(r: ClassRecord) -> str:
+    """One row in ``TABLE_COLUMNS`` order, as ``json.dumps(...,
+    indent=2)`` writes it inside the payload's "rows"."""
+    periods = ",\n        ".join(map(str, r.periods_present))
+    periods = f"[\n        {periods}\n      ]" if periods else "[]"
+    return (
+        "    [\n"
+        f"      {encode_basestring_ascii(r.pattern_text)},\n"
+        f"      {r.branch_class},\n"
+        f"      {r.digraph_class},\n"
+        f"      {'true' if r.center_theorem else 'false'},\n"
+        f"      {'true' if r.nplus2 else 'false'},\n"
+        f"      {periods},\n"
+        f"      {encode_basestring_ascii(r.tail)},\n"
+        f"      {'null' if r.chaos_iterate is None else r.chaos_iterate}\n"
+        "    ]"
+    )
 
 
 def survey_to_json(result: SurveyResult) -> dict:
@@ -471,6 +518,13 @@ class ReferenceReport(_Record):
                 {"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks
             ],
         }
+
+    def to_text(self) -> str:
+        """A ``PASS name: detail`` or ``FAIL name: detail`` line per check,
+        then the count passed and the verdict."""
+        lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}\n" for c in self.checks]
+        verdict = "all checks passed" if self.all_passed else "some checks FAILED"
+        return "".join(lines) + f"{sum(c.passed for c in self.checks)}/{len(self.checks)} {verdict}\n"
 
 
 # Golden data for every externally quoted fact this library reproduces.

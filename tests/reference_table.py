@@ -1,10 +1,27 @@
-"""Reference reader of survey tables, kept for round-trip tests only:
-it parses ``survey.emit_table`` output back into typed rows."""
+"""Reference reader and CSV writer of survey tables, kept for tests
+only: ``parse_table`` parses ``survey.emit_table`` output back into typed
+rows, and ``csv_table`` is the generic CSV encoder that the survey's
+chunked writer is checked against."""
 
 import io
 import json
 
-from stardyn.survey import TABLE_COLUMNS
+from stardyn.survey import TABLE_COLUMNS, _row_values
+
+
+def csv_table(records) -> str:
+    """The CSV table of the records, written row by row with ``csv``."""
+    import csv
+
+    rows = [_row_values(r) for r in records]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TABLE_COLUMNS)
+    for row in rows:
+        flags = ["true" if flag else "false" for flag in row[3:5]]
+        periods = " ".join(map(str, row[5]))
+        writer.writerow([*row[:3], *flags, periods, row[6], "" if row[7] is None else row[7]])
+    return buf.getvalue()
 
 
 def parse_table(text: str, format: str = "json") -> list[list]:

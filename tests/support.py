@@ -1,7 +1,9 @@
 """Shared helpers for the test suite."""
 
+import os
 import sys
 from functools import cache
+from pathlib import Path
 
 import stardyn.certify as certify_module
 import stardyn.patterns as patterns_module
@@ -11,6 +13,16 @@ from stardyn.plmap import realize
 
 EX1 = "n=3 k=5; b1: 1 3; b2: 2; b3: 4"
 EX2 = "n=3 k=6; b1: 1 3 5; b2: 2; b3: 4"
+SRC = str(Path(plmap_module.__file__).resolve().parents[1])
+
+
+def child_env(**overrides):
+    """The environment for a child Python process: this one's, with the
+    ``src`` directory of the package under test first on ``PYTHONPATH``,
+    and ``overrides`` on top."""
+    env = {**os.environ, **overrides}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return env
 
 
 @cache

@@ -828,6 +828,17 @@ def test_replay_says_no_to_a_bad_period_an_off_star_point_and_a_wrong_flag(p1, p
     assert verify_certificate(p2, OracleWitness(flipped)) is False
 
 
+def test_bounds_below_one_and_unknown_certificates_are_rejected(p1):
+    with pytest.raises(ValueError, match="^p_max must be positive$"):
+        periodicity_report(p1, p_max=0)
+    with pytest.raises(ValueError, match="^max_iterate must be positive$"):
+        periodicity_report(p1, p_max=3, max_iterate=0)
+    with pytest.raises(ValueError, match="^max_iterate must be positive$"):
+        find_genscramble(p1, 0)
+    with pytest.raises(TypeError, match="^unknown certificate <object object at "):
+        verify_certificate(p1, object())
+
+
 def test_witness_replay_follows_its_itinerary(p2):
     # example 2's period-8 witness replays only with its own itinerary:
     # piece i must contain f^i of the point, which lies inside one piece

@@ -28,9 +28,10 @@ import stardyn.patterns as patterns_module
 import stardyn.plmap as plmap_module
 import stardyn.survey as survey_module
 from stardyn.cli import run
-from stardyn.survey import classify_all, emit_table
+from stardyn.survey import TABLE_COLUMNS, classify_all, emit_table
 import reference_scan as ref
-from support import EX1, EX2, count_calls, drop_one_listed_point
+from reference_table import csv_table
+from support import EX1, EX2, child_env, count_calls, drop_one_listed_point
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 PERFBENCH_EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -366,12 +367,30 @@ def test_enumerate_invalid_size_exits_2(capsys):
 def test_enumerate_cap_fails_fast_at_a_huge_k():
     # the raw-pattern count is compared with the cap factor by factor, so
     # a shape far past it exits 3 without working out (k-1)!
-    env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).resolve().parents[1])}
     cmd = [sys.executable, "-m", "stardyn.cli", "enumerate", "--n", "1", "--k", "1000000"]
-    done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=5)
+    done = subprocess.run(cmd, capture_output=True, text=True, env=child_env(), timeout=5)
     assert (done.returncode, done.stdout, done.stderr) == (
         3, "", "stardyn: resource cap exceeded: more than 1000000 raw patterns for n=1 k=1000000\n"
     )
+
+
+def test_survey_cap_fails_fast_at_a_huge_all_branch_shape():
+    # n!/(n-n)! is multiplied out only until it passes the cap
+    cmd = [sys.executable, "-m", "stardyn.cli", "survey", "--n", "1000000", "--k", "1000001"]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=child_env(), timeout=5)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3, "", "stardyn: resource cap exceeded: more than 1000000 raw patterns for n=1000000 k=1000001\n"
+    )
+
+
+def test_duplicate_indices_in_a_long_pattern_line_are_found_in_one_pass(tmp_path):
+    # a 229 KB line that lists index 1 twice and 2..39999 once each
+    path = tmp_path / "dup.pat"
+    path.write_text("n=1 k=40000; b1: 1 " + " ".join(map(str, range(1, 40000))) + "\n", "utf-8")
+    cmd = [sys.executable, "-m", "stardyn.cli", "analyze", "--pattern", str(path)]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=child_env(), timeout=5)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.endswith(f"invalid pattern in {str(path)!r}: duplicate orbit indices: [1]\n")
 
 
 def test_a_short_pattern_line_with_a_huge_k_is_rejected_in_little_memory(tmp_path, capsys):
@@ -416,7 +435,7 @@ def test_survey_filter_counts(capsys):
 def test_survey_csv_matches_library(capsys):
     assert run(["survey", "--n", "3", "--k", "4", "--format", "csv"]) == 0
     out = capsys.readouterr().out
-    assert out == emit_table(classify_all(3, 4, 10).records, "csv")
+    assert out == csv_table(classify_all(3, 4, 10).records)
 
 
 @pytest.mark.parametrize(
@@ -434,7 +453,8 @@ def test_survey_csv_matches_library(capsys):
 )
 def test_survey_output_equals_the_generic_encoders(call, capsys):
     # rows are written from a fixed template; the bytes are those of
-    # json.dumps (or the library's CSV table)
+    # json.dumps (or of the csv module), and emit_table writes the same
+    # rows under the bare table's head
     args = call.split()
     assert run(["survey", *args]) == 0
     out = capsys.readouterr().out
@@ -447,10 +467,14 @@ def test_survey_output_equals_the_generic_encoders(call, capsys):
     )
     if "--filter" in opts:
         result = survey_module.filter_result(result, opts["--filter"])
+    payload = survey_module.survey_to_json(result)
     if opts.get("--format") == "csv":
-        assert out == emit_table(result.records, "csv")
+        assert out == csv_table(result.records)
     else:
-        assert out == json.dumps(survey_module.survey_to_json(result), indent=2, sort_keys=True) + "\n"
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    table = {"columns": list(TABLE_COLUMNS), "rows": payload["rows"]}
+    assert emit_table(result.records, "json") == json.dumps(table, indent=2, sort_keys=True) + "\n"
+    assert emit_table(result.records, "csv") == csv_table(result.records)
     if "--max-iterate" in opts:
         assert sum(r.chaos_iterate is None for r in result.records) == 2
     if opts.get("--filter") and opts["--k"] == "4":
@@ -464,7 +488,10 @@ def test_survey_row_template_on_edge_values():
     odd = result.records[0]._replace(periods_present=(), chaos_iterate=None)
     result = result._replace(records=(odd, *result.records[1:]))
     expected = json.dumps(survey_module.survey_to_json(result), indent=2, sort_keys=True) + "\n"
-    assert "".join(cli_module._survey_chunks(result, "json")) == expected
+    assert "".join(survey_module._survey_chunks(result, "json")) == expected
+    table = {"columns": list(TABLE_COLUMNS), "rows": survey_module.survey_to_json(result)["rows"]}
+    assert emit_table(result.records, "json") == json.dumps(table, indent=2, sort_keys=True) + "\n"
+    assert emit_table(result.records, "csv") == csv_table(result.records)
 
 
 @pytest.mark.parametrize("format", ["json", "csv"])
@@ -483,18 +510,18 @@ def test_survey_chunks_join_to_the_generic_encoders(
     call, rows_per_chunk, format, capsys, monkeypatch, tmp_path
 ):
     if rows_per_chunk is not None:
-        monkeypatch.setattr(cli_module, "_ROWS_PER_CHUNK", rows_per_chunk)
+        monkeypatch.setattr(survey_module, "_ROWS_PER_CHUNK", rows_per_chunk)
     args = ["survey", *call.split(), "--format", format]
     opts = dict(zip(args[1::2], args[2::2]))
     result = classify_all(int(opts["--n"]), int(opts["--k"]))
     if "--filter" in opts:
         result = survey_module.filter_result(result, opts["--filter"])
     if rows_per_chunk is None:
-        assert len(result.records) > cli_module._ROWS_PER_CHUNK
+        assert len(result.records) > survey_module._ROWS_PER_CHUNK
     if format == "json":
         expected = json.dumps(survey_module.survey_to_json(result), indent=2, sort_keys=True) + "\n"
     else:
-        expected = emit_table(result.records, "csv")
+        expected = csv_table(result.records)
     assert run(args) == 0
     assert capsys.readouterr().out == expected
     out = tmp_path / "survey.out"
@@ -508,7 +535,7 @@ def test_survey_bytes_do_not_depend_on_the_hash_seed():
     cmd = [sys.executable, "-m", "stardyn.cli", "survey", "--n", "2", "--k", "6"]
     outputs = []
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = child_env(PYTHONHASHSEED=seed)
         outputs.append(subprocess.run(cmd, capture_output=True, env=env, check=True).stdout)
     assert outputs[0] == outputs[1] and outputs[0]
 
@@ -837,12 +864,22 @@ def test_enumeration_cap_exits_3(args, n, k, capsys):
 # ---------------------------------------------------------------------------
 
 
+def _verify_text(payload: dict) -> str:
+    """The text report, rebuilt from the ``--json`` one."""
+    checks = payload["checks"]
+    lines = [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}\n" for c in checks]
+    verdict = "all checks passed" if payload["all_passed"] else "some checks FAILED"
+    return "".join(lines) + f"{sum(c['passed'] for c in checks)}/{len(checks)} {verdict}\n"
+
+
 def test_verify_paper_text_passes(capsys):
     assert run(["verify-paper"]) == 0
     out = capsys.readouterr().out
     assert "12/12 all checks passed" in out
     assert out.count("PASS") == 12
     assert "FAIL" not in out
+    assert run(["verify-paper", "--json"]) == 0
+    assert out == _verify_text(json.loads(capsys.readouterr().out))
 
 
 def test_verify_paper_json_schema(capsys):
@@ -860,6 +897,9 @@ def test_verify_paper_failure_exits_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "FAIL example1-digraph" in captured.out
     assert "inconsistency" in captured.err
+    assert captured.out.endswith("\n11/12 some checks FAILED\n")
+    assert run(["verify-paper", "--json"]) == 1
+    assert captured.out == _verify_text(json.loads(capsys.readouterr().out))
 
 
 # ---------------------------------------------------------------------------
@@ -959,8 +999,7 @@ def test_plain_calls_load_no_argparse(ex1_file, monkeypatch, capsys):
         "        assert stardyn.cli.run(argv) == 0, argv\n"
         "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
     # help still comes from the tree, byte for byte
     monkeypatch.setenv("COLUMNS", "80")
@@ -986,15 +1025,14 @@ def test_only_survey_commands_load_the_survey(last, ex1_file):
         "    loaded.append('stardyn.survey' in sys.modules)\n"
         "print(loaded)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout == "['stardyn']\n[False, False, False, False, False, True]\n"
 
 
 def test_survey_jobs_2_matches_jobs_1_from_a_fresh_process():
     # the survey module is imported inside the call, before any pool starts
-    env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).resolve().parents[1])}
+    env = child_env()
     call = [sys.executable, "-m", "stardyn.cli", "survey", "--n", "3", "--k", "6", "--jobs"]
     serial, parallel = (
         subprocess.run([*call, jobs], capture_output=True, env=env, check=True).stdout
@@ -1147,8 +1185,7 @@ def test_dispatch_parses_as_the_full_tree(argv):
 
 
 def test_subprocess_byte_identical_outputs(ex1_file):
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = "0"
+    env = child_env(PYTHONHASHSEED="0")
     cmds = [
         [sys.executable, "-m", "stardyn.cli", "survey", "--n", "3", "--k", "5"],
         [sys.executable, "-m", "stardyn.cli", "analyze", "--pattern", ex1_file],
@@ -1181,17 +1218,14 @@ def test_jobs_flag_does_not_change_output(capsys, monkeypatch):
 
 def test_cli_import_does_not_load_numpy():
     code = "import stardyn.cli, sys; assert 'numpy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True)
+    subprocess.run([sys.executable, "-c", code], env=child_env(), check=True)
 
 
 def test_verify_paper_under_python_O():
     # every correctness check is an explicit raise, so -O strips none of them
-    env = dict(os.environ)
-    src = str(Path(certify_module.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-O", "-m", "stardyn.cli", "verify-paper"],
-        capture_output=True, env=env, text=True,
+        capture_output=True, env=child_env(), text=True,
     )
     assert done.returncode == 0, done.stderr
     assert "12/12 all checks passed" in done.stdout

@@ -140,6 +140,15 @@ def test_forced_periods_baldwin():
 
 # --------------------------------------------------------------------- nod
 
+def test_order_arguments_below_one_are_rejected():
+    with pytest.raises(ValueError, match="^periods must be positive$"):
+        baldwin_le(3, 0, 5)
+    with pytest.raises(ValueError, match="^periods must be positive$"):
+        baldwin_le(3, 5, 0)
+    with pytest.raises(ValueError, match="^need n >= 1$"):
+        nod_le(0, 1, 2)
+
+
 def test_nod_le_is_the_meet_of_the_orders():
     rng = random.Random(9)
     for _ in range(200):

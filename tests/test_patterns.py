@@ -8,6 +8,7 @@ below and re-checked on the small shapes.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -223,6 +224,37 @@ def test_enumerate_cap_threshold(n, k, flag):
         enumerate_patterns(n, k, all_branches=flag, cap=raw - 1)
 
 
+def test_a_shape_with_no_class_costs_nothing_per_branch():
+    # no all-branch class of (10**6, 3) exists, so no per-branch table is built
+    tracemalloc.start()
+    try:
+        assert enumerate_patterns(10**6, 3, all_branches=True) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_parse_and_json_problems_are_reported():
+    with pytest.raises(PatternSyntaxError, match=r"^expected ';' \(at position 8\)$"):
+        parse_pattern("n=1 k=2 b1: 1")
+    with pytest.raises(PatternError, match=r"^duplicate orbit indices: \[1, 3\]$"):
+        parse_pattern("n=2 k=4; b1: 3 1 3; b2: 1 2 3")
+    with pytest.raises(PatternError, match="^malformed pattern object: 'k'$"):
+        pattern_from_json_dict({"n": 1})
+    with pytest.raises(PatternError, match="^header says n=2 but found 1 branches$"):
+        pattern_from_json_dict({"n": 2, "k": 2, "branches": [[1]]})
+    with pytest.raises(PatternError, match="^orbit size k=1 must be at least 2$"):
+        pattern_from_json_dict({"n": 1, "k": 1, "branches": [[]]})
+    with pytest.raises(PatternError, match="^branch b2 empty while flagged all-branches$"):
+        pattern_from_json_dict({"n": 2, "k": 2, "branches": [[1], []]}, all_branches=True)
+    p = parse_pattern(EX1)
+    with pytest.raises(PatternError, match="^the center lies on no proper branch$"):
+        p.branch_of(0)
+    with pytest.raises(PatternError, match="^the center has no rank$"):
+        p.rank_of(0)
+
+
 # ----------------------------------------------------------------- arcs
 
 def test_arc_same_branch():
@@ -329,3 +361,17 @@ def test_orbit_spec_validation():
     assert any("single cycle" in msg for msg in validate_orbit_spec(bad))
     with pytest.raises(PatternError):
         orbit_type(bad)
+
+
+@pytest.mark.parametrize(
+    "placements, succ, problem",
+    [
+        (((1, 1), (2, 1)), (1,), "placements and succ must both have length k"),
+        (((1, 1), (2, 1)), (1, 1), "succ is not a permutation"),
+        (((1, 1), (3, 1)), (1, 0), "point 1 on nonexistent branch 3"),
+        (((1, 1), (1, 3)), (1, 0), "branch b1 ranks not contiguous from 1: [1, 3]"),
+    ],
+)
+def test_orbit_spec_problems(placements, succ, problem):
+    s = FiniteOrbitSpec(n=2, k=2, placements=placements, succ=succ)
+    assert validate_orbit_spec(s) == [problem]

@@ -441,6 +441,12 @@ def test_scramble_probe_rejects_a_step_that_does_not_move(m2):
             scramble_probe(m2, x, y, 5, step=step)
 
 
+def test_oracle_scan_rejects_a_period_below_one(m2):
+    for p in (0, -3):
+        with pytest.raises(ValueError, match="^period must be positive$"):
+            oracle_scan(m2, p)
+
+
 # ------------------------------------- integer walks vs the Fraction reference
 
 # Deepest period compared for the canonical classes of each orbit size k,

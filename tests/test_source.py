@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ast
 import importlib
-import os
 import re
 import subprocess
 import sys
@@ -13,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import stardyn
+from support import child_env
 
 SRC = Path(stardyn.__file__).resolve().parent
 
@@ -47,8 +47,7 @@ def test_cli_imports_no_runtime_dependency():
     # every CLI call pays for what ``stardyn.cli`` imports; networkx is only
     # the tests' isomorphism reference
     code = "import sys, stardyn.cli; print([m for m in sys.modules if m.split('.')[0] == 'networkx'])"
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     runtime = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.MULTILINE | re.DOTALL)
@@ -61,8 +60,7 @@ def test_cli_import_leaves_process_pools_out():
     # nothing loads ``dataclasses`` or the ``inspect`` it pulls in
     unwanted = ["concurrent.futures", "dataclasses", "inspect", "csv"]
     code = f"import sys, stardyn.cli; print([m for m in {unwanted!r} if m in sys.modules])"
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
 
@@ -246,8 +244,7 @@ def test_star_import_and_submodules_load_on_first_use():
         "from stardyn import *\n"
         "print([n for n in stardyn.__all__ if globals().get(n) is not getattr(stardyn, n)])\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert (run.returncode, run.stdout) == (0, "True\n[]\n"), run.stderr
 
 

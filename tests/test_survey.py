@@ -491,6 +491,54 @@ def test_class_count_check_documents_convention():
     assert "24" in check.detail
 
 
+@pytest.mark.parametrize("quoted, level", [(180, "raw"), (30, "branch")])
+def test_class_count_note_names_the_matching_level(quoted, level, monkeypatch):
+    monkeypatch.setitem(REFERENCE_FACTS, "class_count", quoted)
+    (check,) = [c for c in verify_paper().checks if c.name == "class-count-reconciliation"]
+    assert check.passed
+    assert f"; the quoted count {quoted} matches the {level}-level convention; " in check.detail
+
+
+def test_digraph_check_names_a_vertex_mismatch_and_a_missing_edge(monkeypatch):
+    vertices = REFERENCE_FACTS["example1_vertices"]
+    extra = ("[0,1]", "[0,4]")
+    monkeypatch.setitem(REFERENCE_FACTS, "example1_vertices", vertices[::-1])
+    monkeypatch.setitem(REFERENCE_FACTS, "example1_edges", REFERENCE_FACTS["example1_edges"] | {extra})
+    bad = {c.name: c.detail for c in verify_paper().checks if not c.passed}
+    assert bad == {
+        "example1-digraph": f"vertices {list(vertices)} != expected {list(vertices[::-1])}; "
+        f"missing edges: [{extra}]"
+    }
+
+
+def test_sweep_checks_name_each_failing_class(monkeypatch):
+    # the first class of every swept shape loses its chaos certificate
+    classify = survey_module.classify_all
+
+    def without_chaos(n, k, *args, **kwargs):
+        result = classify(n, k, *args, **kwargs)
+        if k - n in (1, 2):
+            first = result.records[0]._replace(chaos_iterate=None)
+            result = result._replace(records=(first, *result.records[1:]))
+        return result
+
+    monkeypatch.setattr(survey_module, "classify_all", without_chaos)
+    bad = {c.name: c.detail for c in verify_paper().checks if not c.passed}
+    one_point = [
+        f"n={n} k={n + 1}; " + "; ".join(f"b{b}: {b}" for b in range(1, n + 1))
+        for n in range(2, 6)
+    ]
+    np2 = [classify(n, n + 2).records[0] for n in (3, 4)]
+    assert bad == {
+        "one-point-per-branch-sweep": "; ".join(
+            f"{text}: theorem=True periods={list(range(1, 11))} chaos=None" for text in one_point
+        ),
+        "orbit-size-n-plus-2-sweep": "; ".join(
+            f"{r.pattern_text}: periods={list(r.periods_present)} chaos=None" for r in np2
+        ),
+    }
+
+
 # ---------------------------------------------------------------------------
 # one analysis per class
 # ---------------------------------------------------------------------------
