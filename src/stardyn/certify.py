@@ -740,6 +740,7 @@ def periodicity_report(
     if max_iterate < 1:
         raise ValueError("max_iterate must be positive")
     m = realize(p)
+    closing = _closing(m, p_max - 1)  # first: a table past the cap stops the call at once
     tables = m.tables
     g = _digraph(tables)
     forced = frozenset(forced_periods(1, p.k, p_max))
@@ -747,7 +748,6 @@ def periodicity_report(
     cascade = _find_cascade(tables.adjacency, tables.ends)
     traces = _walk_traces(g.adjacency, p_max)
     counts = _period_counts(p.k, traces)
-    closing = _closing(m, p_max - 1)
 
     periods: dict[int, PeriodStatus] = {}
     for q in range(1, p_max + 1):

@@ -215,16 +215,16 @@ def _cmd_orders(args: SimpleNamespace) -> tuple[Outputs, int]:
     return [(args.out, text)], 0
 
 
-_ORACLE_ROW = '{"on_center_orbit": %s, "period": %d, "point": {"branch": %d, "coord": "%d/%d"}%s}\n'
-
-
 def _oracle_rows(q: int, entries, last: str = "") -> list[str]:
     """The oracle rows of ``plmap._scan``'s entries, as
     ``json.dumps(..., sort_keys=True)`` writes their witnesses: a point is on
     the center orbit iff it is an integer; ``last`` is the family's flag,
-    whose key sorts after the others."""
+    whose key sorts after the others.  The parts that do not change from
+    row to row (the period, the flag) are joined once per call."""
+    mid, end = f', "period": {q}, "point": {{"branch": ', last + "}\n"
+    on, off = '{"on_center_orbit": true' + mid, '{"on_center_orbit": false' + mid
     return [
-        _ORACLE_ROW % ("true" if den == 1 else "false", q, b, num, den, last)
+        f'{on if den == 1 else off}{b}, "coord": "{num}/{den}"}}{end}'
         for b, num, den, _, _ in entries
     ]
 

@@ -42,7 +42,9 @@ where some walk's image covers its first interval, and every walk it
 solves has a fixed point.  At period k, where the marked points are
 listed, it walks the whole tree.  The oracle counts the walks of every
 subtree it skips, so cylinder counts are those of the full tree, while
-the cap counts only the nodes it expands and the points it lists.
+the cap counts only the nodes it expands and the points it lists.  The
+skip table is charged to the cap apart, by the size of its counts
+(``_closing``).
 
 A least period is read off the walk's word.  An integer fixed point is
 a marked point, of least period k.  A fixed point x off the integers,
@@ -404,12 +406,21 @@ def _primitive(path) -> bool:
 
 def _sorted(found):
     """Entries (branch, numerator, denominator > 0, ...) in (branch, coordinate)
-    order, by the integer num * (c // den) over the lcm c of the denominators,
-    with one division per distinct denominator."""
+    order: grouped by branch in branch order, each group sorted by the
+    integer num * (c // den) over the lcm c of the denominators, with one
+    division per distinct denominator.  Both sorts are stable, and a bare
+    integer key compares faster than a (branch, key) tuple."""
     dens = {e[2] for e in found}
     c = lcm(*dens)
     scale = {den: c // den for den in dens}
-    return sorted(found, key=lambda e: (e[0], e[1] * scale[e[2]]))
+    groups: dict[int, list] = {}
+    for e in found:
+        groups.setdefault(e[0], []).append(e)
+    out = []
+    for b in sorted(groups):
+        groups[b].sort(key=lambda e: e[1] * scale[e[2]])
+        out += groups[b]
+    return out
 
 
 def _listed(p: int, found) -> tuple[PeriodicWitness, ...]:
@@ -492,7 +503,7 @@ def _walks(m: PLMap, p: int, cap, steps=None, starts=None, closing=None, lyndon=
                     stack.append((r - 1, nxt.slope * s, nxt.slope * d + nxt.offset, idx, grown))
 
 
-def _closing(m: PLMap, depth: int):
+def _closing(m: PLMap, depth: int, cap=None):
     """The oracle's skip table for walks of up to depth + 1 pieces, in one
     forward pass over the piece graph.  ``bits[x]`` is the basic interval
     of piece x as one bit (pieces run in cell order, cells in
@@ -501,14 +512,26 @@ def _closing(m: PLMap, depth: int):
     that is at x with r steps left can end at a piece whose image contains
     the interval of ``first`` iff ``alive[r][x] & bits[first]``.
     ``leaves[r][x]`` counts the walks of r steps from x.  Returns (alive,
-    leaves, bits)."""
+    leaves, bits).
+
+    The counts grow exponentially with the depth, so the table's memory
+    grows with its square.  Before a depth is built, the depth below is
+    charged to the cylinder cap, one per cell for each full 64 bits of its
+    largest count: a table whose counts fit a machine word costs nothing.
+    The charge is kept apart from the scan's count and raises
+    CylinderCapExceeded once it passes the cap."""
+    limit = cylinder_cap(cap)
     bits = [1 << v for v, cell in enumerate(c for row in m.cells for c in row) for _ in cell]
     # a piece's successors are a run of indices, and their cells a run of bits
     spans = [(ys[0], ys[-1] + 1) for ys in m.successors]
     alive = [[(bits[b - 1] << 1) - bits[a] for a, b in spans]]
     leaves = [[1] * len(bits)]
+    charge = 0
     for _ in range(depth):
         below, counts = alive[-1], leaves[-1]
+        charge += len(counts) * (max(counts).bit_length() >> 6)
+        if charge > limit:
+            raise CylinderCapExceeded(limit)
         alive.append([reduce(or_, below[a:b]) for a, b in spans])
         leaves.append([sum(counts[a:b]) for a, b in spans])
     return alive, leaves, bits
@@ -684,7 +707,7 @@ def _scan(m: PLMap, p: int, cap, first_only: bool, closing=None, counts=None):
     p != k it is skipped.  No case is known in which a walk that reaches
     that guard (one the skip table keeps and that is primitive) fixes an
     integer point; the guard stays, as no proof that it is dead is known."""
-    closing = closing or _closing(m, p - 1)
+    closing = closing or _closing(m, p - 1, cap)
     k = m.pattern.k
     lyndon = not first_only and p != k
     complete = False  # until the walks run out

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -704,6 +705,37 @@ def test_oracle_lines_equal_the_generic_encoder(text, period, lines, tmp_path, c
         assert sum(row["on_center_orbit"] for row in rows) == 6
 
 
+@pytest.mark.parametrize(
+    "text,q,entry,family",
+    [
+        (EX2, 6, (0, 0, 1, (0, 1, 2, 3, 4, 5), 0), False),
+        (EX2, 6, (1, 3, 1, (0, 1, 2, 3, 4, 5), 2), False),
+        ("n=1 k=2; b1: 1", 2, None, True),
+        (EX2, 16, (3, 3**50, 2**70 + 1, (0,) * 16, 0), False),
+    ],
+    ids=["center", "marked-point", "family", "beyond-2**64"],
+)
+def test_oracle_row_equals_the_generic_encoder_of_its_witness(text, q, entry, family):
+    # one row of the fixed template, against json.dumps of the witness that
+    # ``plmap._listed`` builds from the same entry: a center-orbit row (the
+    # center itself, and a marked point at denominator 1), the flagged row
+    # of an uncountable family, and a point whose numerator and
+    # denominator pass 2**64
+    if family:
+        m = plmap_module.realize(patterns_module.parse_pattern(text))
+        entry = plmap_module._scan(m, q, None, False)[2]
+    (w,) = plmap_module._listed(q, [entry])
+    row = {
+        "point": certify_module._point_json(w.point),
+        "period": q,
+        "on_center_orbit": w.on_center_orbit,
+    }
+    if family:
+        row["uncountable_family"] = True
+    last = ', "uncountable_family": true' if family else ""
+    assert cli_module._oracle_rows(q, [entry], last) == [json.dumps(row, sort_keys=True) + "\n"]
+
+
 def test_oracle_builds_no_record_for_a_listed_point(ex2_file, monkeypatch, capsys):
     # stardyn oracle writes its 4,320 rows at period 16 from the scan's
     # integers: no witness and no point record is built
@@ -773,6 +805,27 @@ def test_analyze_of_example2_reaches_period_200(ex2_file, monkeypatch, capsys):
     assert run(["analyze", "--pattern", ex2_file, "--pmax", "200"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "ac246324a6ba8bebc4198e6f7a132b3a2ced18c58516870c46412f1b4147f8bc"
+    )
+
+
+def _address_space_of_1_gb():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("command", [["oracle", "--period"], ["analyze", "--pmax"]])
+def test_a_huge_period_exits_3_in_1_gb(ex2_file, command):
+    # the skip table's memory grows with the square of the period, and it
+    # is charged to the cap as it grows, so at period 100,000 both calls
+    # stop at the cap before the table takes the address space
+    cmd = [sys.executable, "-m", "stardyn.cli", command[0], "--pattern", ex2_file]
+    cmd += [command[1], "100000"]
+    env = child_env()
+    env.pop("STARDYN_CYLINDER_CAP", None)
+    done = subprocess.run(
+        cmd, capture_output=True, text=True, env=env, timeout=5, preexec_fn=_address_space_of_1_gb
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3, "", "stardyn: resource cap exceeded: cylinder cap 1000000 exceeded\n"
     )
 
 

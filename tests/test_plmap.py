@@ -312,6 +312,21 @@ def test_cylinder_cap_env_override(m2, monkeypatch):
     assert len(periodic_points(m2, 10)) == EX2_COUNTS[10]
 
 
+def test_skip_table_is_charged_to_the_cap(m2, monkeypatch):
+    # each depth of ``_closing`` is charged one per cell for each full 64
+    # bits of the largest walk count below it, apart from the scan's count:
+    # a table whose counts fit a machine word costs nothing, even under a
+    # cap of 0, and under the default cap example 2's table builds up to
+    # period 5,177
+    monkeypatch.delenv("STARDYN_CYLINDER_CAP", raising=False)
+    assert len(_closing(m2, 91, cap=0)[1]) == 92
+    with pytest.raises(CylinderCapExceeded):
+        _closing(m2, 92, cap=0)
+    assert len(_closing(m2, 5176)[1]) == 5177
+    with pytest.raises(CylinderCapExceeded, match="cylinder cap 1000000 exceeded"):
+        _closing(m2, 5177)
+
+
 def test_oracle_exceptions_survive_pickling():
     m = realize(parse_pattern("n=1 k=2; b1: 1"))
     with pytest.raises(UncountablePeriodicSet) as ei:
@@ -761,6 +776,28 @@ def test_exact_order_separates_rationals_whose_floats_tie():
         rng.shuffle(entries)
         exact = plmap_module._sorted(entries)
         assert exact == sorted(entries, key=lambda e: (e[0], F(e[1], e[2])))
+
+
+def test_sorted_equals_the_fraction_order_on_random_entries():
+    # ``_sorted`` groups entries by branch and sorts each group on an exact
+    # integer key; the order must be the (branch, Fraction) order, stable
+    # among equal points.  Entries carry 3 to 5 fields (as the oracle's
+    # and the reference's do), the center is (0, 0, 1), and a listing
+    # mixes branches, shared and distinct denominators, and denominators
+    # past 2**64
+    assert plmap_module._sorted([]) == []
+    rng = random.Random(7)
+    for trial in range(300):
+        pool = [rng.randrange(1, 40) for _ in range(3)] + [2**64 + rng.randrange(1, 2**70)]
+        width = 3 + trial % 3
+        entries = [(0, 0, 1) + (0, 1)[: width - 3]] * rng.randrange(2)
+        for i in range(rng.randrange(1, 40)):
+            den = rng.choice(pool)
+            num = rng.randrange(1, 3 * den)
+            entries.append((rng.randrange(1, 5), num, den, (i,), i)[:width])
+        rng.shuffle(entries)
+        expected = sorted(entries, key=lambda e: (e[0], F(e[1], e[2])))
+        assert plmap_module._sorted(entries) == expected, entries
 
 
 # ------------------------------------------------- one Lyndon walk per orbit

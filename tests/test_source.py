@@ -273,3 +273,38 @@ def test_every_cache_is_keyed_by_ints():
                 ):
                     found.append(f"{path.name}:{node.lineno} {node.name}")
     assert caches and found == []
+
+
+_INT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+
+def test_package_uses_no_floats():
+    # every number is an int or a Fraction: no float literal, no ``float``
+    # and no ``math`` function outside the int-only ones.  A true division
+    # of two ints is a float too, but the source does not say which
+    # operands are ints; the oracle's sort order is pinned exactly by
+    # ``test_plmap``
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        math_names = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "math"
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                or isinstance(node, ast.Name) and node.id == "float"
+                or isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in math_names
+                and node.attr not in _INT_MATH
+                or isinstance(node, ast.ImportFrom)
+                and node.module == "math"
+                and any(alias.name not in _INT_MATH for alias in node.names)
+            ):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)[:60]}")
+    assert found == []
