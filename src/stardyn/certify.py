@@ -312,7 +312,7 @@ def check_nplus2_theorem(p: StarPattern) -> NPlus2Case | None:
     has every period >= 2 (case 1) or period 2 plus every period >= 4
     (case 2).  Returns None when the center-theorem hypothesis holds
     instead."""
-    tables = _tables(p, all_branches=True)
+    tables = _tables(p)
     if not nplus2_applies(p):
         raise ValueError(
             f"requires an orbit of size n+2 on all branches of an n-od with "

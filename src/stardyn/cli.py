@@ -42,7 +42,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from types import SimpleNamespace
 
 from .certify import (
@@ -56,12 +56,11 @@ from .certify import (
 from .orders import baldwin_le, nod_le, sharkovskii_le
 from .patterns import (
     EnumerationCapExceeded,
-    InvalidPatternError,
     PatternError,
     StarPattern,
-    _parse,
     _Record,
     enumerate_patterns,
+    parse_pattern,
 )
 from .plmap import CylinderCapExceeded, _scan, cylinder_cap, realize
 
@@ -95,9 +94,8 @@ def _check_args(args: SimpleNamespace) -> None:
 
 
 def _load_pattern(path: str) -> StarPattern:
-    """The pattern in the file, parsed but not yet validated: a command
-    validates it once, where it builds the pattern's tables, inside
-    ``_pattern_file``."""
+    """The pattern in the file, parsed and so valid; a file that cannot be
+    read or parsed is a usage error naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [stripped for line in fh if (stripped := line.strip())]
@@ -106,20 +104,9 @@ def _load_pattern(path: str) -> StarPattern:
     if len(lines) != 1:
         raise UsageError(f"pattern file {path!r} must contain exactly one pattern")
     try:
-        return _parse(lines[0])
+        return parse_pattern(lines[0])
     except PatternError as e:
         raise UsageError(f"invalid pattern in {path!r}: {e}") from None
-
-
-@contextmanager
-def _pattern_file(path: str):
-    """Report a loaded pattern that fails validation as a usage error
-    naming its file, as ``_load_pattern`` reports one that fails to
-    parse."""
-    try:
-        yield
-    except InvalidPatternError as e:
-        raise UsageError(f"invalid pattern in {path!r}: {e.args[0]}") from None
 
 
 def _json_text(payload: dict | list) -> str:
@@ -147,12 +134,11 @@ def _cmd_analyze(args: SimpleNamespace) -> tuple[Outputs, int]:
         wanted.append((args.out, args.format))
     formats = {format for _, format in wanted}
     texts = {}
-    with _pattern_file(args.pattern):
-        if "json" in formats:
-            report = periodicity_report(p, p_max=args.pmax, max_iterate=args.max_iterate)
-            texts["json"] = _json_text(report_to_json(report))
-        if "dot" in formats:
-            texts["dot"] = render_dot(report.digraph if "json" in formats else cover_digraph(p))
+    if "json" in formats:
+        report = periodicity_report(p, p_max=args.pmax, max_iterate=args.max_iterate)
+        texts["json"] = _json_text(report_to_json(report))
+    if "dot" in formats:
+        texts["dot"] = render_dot(report.digraph if "json" in formats else cover_digraph(p))
     return [(path, texts[format]) for path, format in wanted], 0
 
 
@@ -235,9 +221,7 @@ def _cmd_oracle(args: SimpleNamespace) -> tuple[Outputs, int]:
     point."""
     if args.period < 1:
         raise UsageError("--period must be a positive integer")
-    p = _load_pattern(args.pattern)
-    with _pattern_file(args.pattern):
-        m = realize(p)
+    m = realize(_load_pattern(args.pattern))
     q = args.period
     found, _, family, _ = _scan(m, q, None, False)
     rows = _oracle_rows(q, found)

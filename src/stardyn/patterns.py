@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import attrgetter, ge, gt, le, lt
 
 _setattr = object.__setattr__
@@ -247,23 +247,14 @@ _HEADER_RE = re.compile(r"n=(\d+)\s+k=(\d+)\s*")
 _BRANCH_RE = re.compile(r"\s*b(\d+):((?:\s+\d+)*)\s*")
 
 
-def parse_pattern(text: str, all_branches: bool = False) -> StarPattern:
+def parse_pattern(text: str) -> StarPattern:
     """Parse the one-line pattern format ``n=3 k=5; b1: 1 3; b2: 2; b3: 4``.
 
     Branch sections list orbit indices in increasing distance from the
     center.  Raises PatternSyntaxError with a character position for
-    malformed text and PatternError for semantic violations.
+    malformed text and PatternError for semantic violations; a pattern it
+    returns is valid (``_built``).
     """
-    pattern = _parse(text)
-    problems = validate(pattern, all_branches=all_branches)
-    if problems:
-        raise PatternError("; ".join(problems))
-    return pattern
-
-
-def _parse(text: str) -> StarPattern:
-    """``parse_pattern`` without the final ``validate``: every orbit index
-    is placed once, at consecutive ranks, but n and k are not checked."""
     m = _HEADER_RE.match(text)
     if not m:
         raise PatternSyntaxError("expected header 'n=<int> k=<int>'", 0)
@@ -285,28 +276,41 @@ def _parse(text: str) -> StarPattern:
         pos = bm.end()
     if label != n:
         raise PatternError(f"header says n={n} but found {label} branch sections")
-    _check_index_cover(k, branches)
-    return _pattern_from_branches(n, k, branches)
+    return _built(n, k, branches)
 
 
-def pattern_from_json_dict(obj: dict, all_branches: bool = False) -> StarPattern:
-    """Build a pattern from the ``{"n":…,"k":…,"branches":[[…],…]}`` form."""
+def pattern_from_json_dict(obj: dict) -> StarPattern:
+    """Build a pattern from the ``{"n":…,"k":…,"branches":[[…],…]}`` form,
+    whose n, k and indices must be JSON integers and whose branches a list
+    of lists; a pattern it returns is valid (``_built``)."""
     try:
-        n, k = int(obj["n"]), int(obj["k"])
-        branches = [tuple(int(i) for i in pts) for pts in obj["branches"]]
+        n, k, branches = obj["n"], obj["k"], obj["branches"]
     except (KeyError, TypeError) as exc:
         raise PatternError(f"malformed pattern object: {exc}") from exc
+    sections = isinstance(branches, list) and all(isinstance(pts, list) for pts in branches)
+    if not sections or any(type(x) is not int for x in [n, k, *chain.from_iterable(branches)]):
+        raise PatternError(
+            "malformed pattern object: n, k and every index must be integers, "
+            "branches a list of lists"
+        )
     if len(branches) != n:
         raise PatternError(f"header says n={n} but found {len(branches)} branches")
+    return _built(n, k, branches)
+
+
+def _built(n: int, k: int, branches) -> StarPattern:
+    """The pattern of n branch sections, valid by construction: each of
+    1..k-1 is placed once (``_check_index_cover``), at consecutive ranks
+    from 1 (``_pattern_from_branches``).  So only n < 1 or k < 2 is left,
+    and ``validate`` words it."""
     _check_index_cover(k, branches)
     pattern = _pattern_from_branches(n, k, branches)
-    problems = validate(pattern, all_branches=all_branches)
-    if problems:
-        raise PatternError("; ".join(problems))
+    if n < 1 or k < 2:
+        raise PatternError("; ".join(validate(pattern)))
     return pattern
 
 
-def validate(p: StarPattern, all_branches: bool = False) -> list[str]:
+def validate(p: StarPattern) -> list[str]:
     """Collect invariant violations; an empty list means the pattern is good.
 
     Never raises: degenerate constructions are reported, not rejected.
@@ -335,10 +339,6 @@ def validate(p: StarPattern, all_branches: bool = False) -> list[str]:
                 problems.append(f"branch b{b} has duplicate ranks")
             else:
                 problems.append(f"branch b{b} has a rank gap: ranks {seen}")
-    if all_branches:
-        for b in range(1, p.n + 1):
-            if b not in ranks_on:
-                problems.append(f"branch b{b} empty while flagged all-branches")
     return problems
 
 
@@ -535,9 +535,7 @@ class BasicInterval(_Record):
         return (self.inner, self.outer)
 
 
-def _descent(
-    p: StarPattern, all_branches: bool = False
-) -> tuple[list[tuple[MarkedPoint, MarkedPoint]], list[int]]:
+def _descent(p: StarPattern) -> tuple[list[tuple[MarkedPoint, MarkedPoint]], list[int]]:
     """The basic intervals and the descent vector of a pattern, in one
     pass over the placements that also checks the invariants of
     ``validate``.
@@ -553,9 +551,8 @@ def _descent(
 
     The pass fills slot ``start[b] + r - 1`` for each point.  A pattern is
     valid iff n >= 1, k >= 2 and there are k - 1 placements, every branch
-    is in 1..n, every rank in 1..size[b], no slot is filled twice and,
-    under ``all_branches``, no branch is empty: then the ranks of each
-    branch are exactly 1..size[b].  Otherwise it raises
+    is in 1..n, every rank in 1..size[b] and no slot is filled twice: then
+    the ranks of each branch are exactly 1..size[b].  Otherwise it raises
     InvalidPatternError with ``validate``'s problems, so ``validate`` runs
     only for an invalid pattern."""
     n, k, placements = p.n, p.k, p.placements
@@ -579,8 +576,8 @@ def _descent(
             if r < size[b]:
                 inner[v + 1] = i
             down[i] = ((1 << r) - 1) << start[b]
-    if not valid or all_branches and 0 in size[1:]:
-        raise InvalidPatternError("; ".join(validate(p, all_branches)))
+    if not valid:
+        raise InvalidPatternError("; ".join(validate(p)))
     return list(zip(inner, outer)), down
 
 
@@ -617,13 +614,13 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
-def _tables(p: StarPattern, all_branches: bool = False) -> _Tables:
+def _tables(p: StarPattern) -> _Tables:
     """Validate p once, in the descent pass (``_descent``), and derive its
     tables.  The canonical map sends a basic interval onto exactly the arc
     between its endpoints' images, so the cover rows (the covering
     digraph, the Markov graph of the pattern) depend on the pattern alone.
     Raises InvalidPatternError (a ValueError) for an invalid pattern."""
-    ends, down = _descent(p, all_branches)
+    ends, down = _descent(p)
     image = down[1:] + down[:1]  # image[x] is down of x's successor
     rows = [image[a] ^ image[b] for a, b in ends]
     return _Tables(p, ends, down, rows, tuple(map(_bits, rows)))

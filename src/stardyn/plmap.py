@@ -465,10 +465,13 @@ def _walks(m: PLMap, p: int, cap, steps=None, starts=None, closing=None, lyndon=
 
     The cap counts the work done: one for each node popped and expanded,
     nothing for a skipped subtree, and with ``lyndon`` p more for each walk
-    yielded, the orbit that a listing builds from it.  The nodes expanded
-    are at most those of the full tree, and the walks yielded at most its
-    leaves over p, as the p rotations of a Lyndon walk are distinct walks.
-    So the count is at most twice the full tree's nodes."""
+    yielded, the orbit that a listing builds from it, times the machine
+    words of its slope s, 1 + (bit length of s) // 64: s bounds the words
+    of every entry's numerator and denominator, so a point that fits a
+    word costs one.  The nodes expanded are at most those of the full
+    tree, and the walks yielded at most its leaves over p, as the p
+    rotations of a Lyndon walk are distinct walks.  So while every slope
+    fits a word, the count is at most twice the full tree's nodes."""
     if p < 1:
         raise ValueError("period must be positive")
     limit = cylinder_cap(cap)
@@ -485,7 +488,9 @@ def _walks(m: PLMap, p: int, cap, steps=None, starts=None, closing=None, lyndon=
             if alive and not alive[r][last] & bit:
                 leaves += closing[1][r][last]
                 continue
-            count += 1 + (p if lyndon and not r and per == p else 0)
+            count += 1
+            if lyndon and not r and per == p:
+                count += p * (1 + (abs(s).bit_length() >> 6))
             if count > limit:
                 raise CylinderCapExceeded(limit)
             i = end - r

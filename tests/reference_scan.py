@@ -271,7 +271,8 @@ def oracle_work(m, p, cylinders, first_only, scan):
     p != k only a prenecklace (no suffix less than the prefix of its
     length), and expands it if it is alive.  Each expanded prefix counts
     one, and each expanded Lyndon walk of a listing p more, for the orbit
-    listed.  An incomplete scan counts up to the walk it stopped at."""
+    listed, times the machine words of its slope.  An incomplete scan
+    counts up to the walk it stopped at."""
     lyndon = not first_only and p != m.pattern.k
     stop = None if scan.complete else (scan.family or scan.witnesses[-1]).itinerary
     alive = set()
@@ -293,7 +294,7 @@ def oracle_work(m, p, cylinders, first_only, scan):
                 )
                 count += expanded[u]
         if lyndon and expanded[w] and all(w[j:] + w[:j] > w for j in range(1, p)):
-            count += p
+            count += p * (1 + abs(c.slope).bit_length() // 64)
         if w == stop:
             break
     return count

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite."""
 
 import os
+import resource
 import sys
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import stardyn.certify as certify_module
@@ -23,6 +24,12 @@ def child_env(**overrides):
     env = {**os.environ, **overrides}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return env
+
+
+def address_space(limit):
+    """A ``preexec_fn`` for ``subprocess``: it caps the address space
+    (``RLIMIT_AS``) of the child process alone at ``limit`` bytes."""
+    return partial(resource.setrlimit, resource.RLIMIT_AS, (limit, limit))
 
 
 @cache

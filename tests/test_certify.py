@@ -262,21 +262,21 @@ def _malformed_patterns(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_malformed_patterns(), st.booleans())
-@example(StarPattern(3, 3, ((1, 1), (1, 1))), False)  # one slot filled twice
-@example(StarPattern(3, 3, ((4, 1), (1, 1))), False)  # a branch out of range
-@example(StarPattern(1, 3, ((1, 0), (1, 1))), False)  # distinct slots, rank 0
-@example(StarPattern(2, 3, ((1, 1), (1, 2))), True)  # an empty branch
-def test_descent_pass_checks_what_validate_checks(p, all_branches):
+@given(_malformed_patterns())
+@example(StarPattern(3, 3, ((1, 1), (1, 1))))  # one slot filled twice
+@example(StarPattern(3, 3, ((4, 1), (1, 1))))  # a branch out of range
+@example(StarPattern(1, 3, ((1, 0), (1, 1))))  # distinct slots, rank 0
+@example(StarPattern(2, 3, ((1, 1), (1, 2))))  # an empty branch
+def test_descent_pass_checks_what_validate_checks(p):
     # the descent pass raises with exactly validate's problems iff validate
     # reports any, and otherwise derives the reference tables
-    problems = validate(p, all_branches)
+    problems = validate(p)
     if problems:
         with pytest.raises(InvalidPatternError) as raised:
-            _tables(p, all_branches)
+            _tables(p)
         assert raised.value.args == ("; ".join(problems),)
     else:
-        tables = _tables(p, all_branches)
+        tables = _tables(p)
         assert tables.ends == ref_digraph._interval_ends(p)
         assert tables.down == ref_digraph._arc_masks(p)[0]
 
@@ -537,7 +537,7 @@ def test_cascade_search_matches_full_scan_reference(k):
     for n in range(1, 4):
         for all_branches in (False, True):
             for p in enumerate_patterns(n, k, all_branches):
-                tables = _tables(p, all_branches)
+                tables = _tables(p)
                 assert certify_module._find_cascade(tables.adjacency, tables.ends) == (
                     ref_digraph.find_cascade(tables.adjacency, tables.ends)
                 ), p.to_text()
@@ -622,7 +622,8 @@ def test_nplus2_none_when_center_theorem_applies():
 def test_nplus2_preconditions():
     with pytest.raises(ValueError, match="n\\+2"):
         check_nplus2_theorem(parse_pattern("n=3 k=4; b1: 1; b2: 2; b3: 3"))
-    with pytest.raises(ValueError, match="invalid pattern"):
+    # an empty branch breaks only the hypothesis, which nplus2_applies checks
+    with pytest.raises(ValueError, match="n\\+2"):
         check_nplus2_theorem(parse_pattern("n=3 k=5; b1: 1 3 2; b2: 4; b3:"))
     with pytest.raises(ValueError, match="n\\+2"):
         check_nplus2_theorem(parse_pattern("n=2 k=4; b1: 1 3; b2: 2"))

@@ -8,7 +8,6 @@ import hashlib
 import io
 import json
 import os
-import resource
 import stat
 import subprocess
 import sys
@@ -32,7 +31,7 @@ from stardyn.cli import run
 from stardyn.survey import TABLE_COLUMNS, classify_all, emit_table
 import reference_scan as ref
 from reference_table import csv_table
-from support import EX1, EX2, child_env, count_calls, drop_one_listed_point
+from support import EX1, EX2, address_space, child_env, count_calls, drop_one_listed_point
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 PERFBENCH_EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -172,21 +171,27 @@ PATTERN_COMMANDS = [["analyze"], ["analyze", "--format", "dot"], ["oracle", "--p
 
 @pytest.mark.parametrize("call", PATTERN_COMMANDS, ids=["analyze", "dot", "oracle"])
 @pytest.mark.parametrize(
-    "text, problems",
+    "text, problems, validated",
     [
-        ("n=1 k=1; b1:", "orbit size k=1 must be at least 2"),
-        ("n=0 k=1", "branch count n=0 must be at least 1; orbit size k=1 must be at least 2"),
+        ("n=1 k=1; b1:", "orbit size k=1 must be at least 2", 1),
+        ("n=0 k=1", "branch count n=0 must be at least 1; orbit size k=1 must be at least 2", 1),
+        ("n=3 k=5; b1: 1 6; b2: 2; b3: 3", "orbit index 6 out of range for k=5", 0),
+        ("n=2 k=3; b1: 1; b2: 1", "duplicate orbit indices: [1]", 0),
+        ("n=2 k=4 b1", "expected ';' (at position 8)", 0),
+        ("n=0 k=3", "missing orbit indices: [1, 2]", 0),
     ],
-    ids=["k1", "n0"],
+    ids=["k1", "n0", "range", "duplicate", "syntax", "n0k3"],
 )
-def test_pattern_failing_validation_exits_2(call, text, problems, tmp_path, monkeypatch, capsys):
-    # the file parses; its pattern fails in the descent pass, which asks
-    # ``validate`` for the message, once
+def test_pattern_failing_validation_exits_2(
+    call, text, problems, validated, tmp_path, monkeypatch, capsys
+):
+    # the parser rejects the file, before any table is built; ``validate``
+    # words only a header with n < 1 or k < 2, once
     bad = tmp_path / "bad.pat"
     bad.write_text(text + "\n", encoding="utf-8")
     calls = count_calls(monkeypatch, ("validate", "_descent"))
     assert run(call + ["--pattern", str(bad)]) == 2
-    assert calls == {"validate": 1, "_descent": 1}
+    assert calls == {"validate": validated, "_descent": 0}
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
@@ -808,8 +813,20 @@ def test_analyze_of_example2_reaches_period_200(ex2_file, monkeypatch, capsys):
     )
 
 
-def _address_space_of_1_gb():
-    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+def _run_in(limit, argv):
+    """Exit code, stdout and stderr of ``stardyn`` run with ``argv`` under
+    the default cylinder cap, in a child process whose address space is
+    ``limit`` bytes; it must finish within 5 s."""
+    env = child_env()
+    env.pop("STARDYN_CYLINDER_CAP", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "stardyn.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=5, preexec_fn=address_space(limit),
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+CAP_EXCEEDED = (3, "", "stardyn: resource cap exceeded: cylinder cap 1000000 exceeded\n")
 
 
 @pytest.mark.parametrize("command", [["oracle", "--period"], ["analyze", "--pmax"]])
@@ -817,16 +834,17 @@ def test_a_huge_period_exits_3_in_1_gb(ex2_file, command):
     # the skip table's memory grows with the square of the period, and it
     # is charged to the cap as it grows, so at period 100,000 both calls
     # stop at the cap before the table takes the address space
-    cmd = [sys.executable, "-m", "stardyn.cli", command[0], "--pattern", ex2_file]
-    cmd += [command[1], "100000"]
-    env = child_env()
-    env.pop("STARDYN_CYLINDER_CAP", None)
-    done = subprocess.run(
-        cmd, capture_output=True, text=True, env=env, timeout=5, preexec_fn=_address_space_of_1_gb
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (
-        3, "", "stardyn: resource cap exceeded: cylinder cap 1000000 exceeded\n"
-    )
+    argv = [command[0], "--pattern", ex2_file, command[1], "100000"]
+    assert _run_in(2**30, argv) == CAP_EXCEEDED
+
+
+def test_a_listing_of_long_points_exits_3_in_256_mb(ex2_file):
+    # at period 2000 the coordinates of example 2's points run to about
+    # 2000 bits, and the cap charges each listed point one unit per machine
+    # word of its walk's slope, so the listing stops at the cap before its
+    # entries take the address space
+    argv = ["oracle", "--pattern", ex2_file, "--period", "2000"]
+    assert _run_in(2**28, argv) == CAP_EXCEEDED
 
 
 def test_oracle_listing_that_disagrees_with_the_walk_count_exits_1(ex2_file, monkeypatch, capsys):

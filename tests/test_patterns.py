@@ -11,6 +11,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stardyn.patterns as patterns_module
 from stardyn.patterns import (
@@ -30,6 +32,7 @@ from stardyn.patterns import (
     validate,
     validate_orbit_spec,
     _raw_pattern_count,
+    _tables,
 )
 
 from reference_digraph import arc_contains, basic_ids
@@ -100,11 +103,36 @@ def test_parse_semantic_errors():
         parse_pattern("n=2 k=3; b1: 1; b2: 2; b3: 3")
 
 
-def test_all_branches_flag_is_a_parse_option():
-    text = "n=2 k=2; b1: 1; b2:"
-    assert parse_pattern(text).k == 2
-    with pytest.raises(PatternError, match="empty while flagged all-branches"):
-        parse_pattern(text, all_branches=True)
+def test_an_empty_branch_parses():
+    assert parse_pattern("n=2 k=2; b1: 1; b2:").branches == ((1,), ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 5), st.integers(2, 9))
+def test_a_parsed_pattern_is_valid_by_construction(rng, n, k):
+    # any branch arrangement, empty branches included, written out in
+    # either format, reads back as itself and builds its tables
+    p = random_pattern(rng, n, k)
+    text, obj = p.to_text(), p.to_json_dict()
+    for q in (parse_pattern(text), pattern_from_json_dict(obj)):
+        assert q == p
+        assert (q.to_text(), q.to_json_dict()) == (text, obj)
+        assert _tables(q).pattern is q
+
+
+@pytest.mark.parametrize("n, k", [(0, 1), (1, 1), (2, 0), (3, 1), (0, 0), (1, 0)])
+def test_a_header_below_n1_or_k2_raises_validates_message(n, k):
+    # n empty sections place every index when k < 2 (and n < 1 with k >= 2
+    # misses one); the parsers then raise exactly what validate reports
+    text = "; ".join([f"n={n} k={k}", *(f"b{b}:" for b in range(1, n + 1))])
+    obj = {"n": n, "k": k, "branches": [[] for _ in range(n)]}
+    message = "; ".join(validate(StarPattern(n, k, ())))
+    assert message
+    for read, form in ((parse_pattern, text), (pattern_from_json_dict, obj)):
+        with pytest.raises(PatternError) as raised:
+            read(form)
+        assert type(raised.value) is PatternError
+        assert str(raised.value) == message
 
 
 def test_validate_collects_instead_of_raising():
@@ -246,8 +274,19 @@ def test_parse_and_json_problems_are_reported():
         pattern_from_json_dict({"n": 2, "k": 2, "branches": [[1]]})
     with pytest.raises(PatternError, match="^orbit size k=1 must be at least 2$"):
         pattern_from_json_dict({"n": 1, "k": 1, "branches": [[]]})
-    with pytest.raises(PatternError, match="^branch b2 empty while flagged all-branches$"):
-        pattern_from_json_dict({"n": 2, "k": 2, "branches": [[1], []]}, all_branches=True)
+    malformed = (
+        "^malformed pattern object: n, k and every index must be integers, "
+        "branches a list of lists$"
+    )
+    for obj in (
+        {"n": 1.9, "k": 2.2, "branches": [[1.5]]},
+        {"n": "3", "k": "5", "branches": ["13", "2", "4"]},
+        {"n": True, "k": 2, "branches": [[1]]},
+        {"n": 1, "k": 2, "branches": [[True]]},
+        {"n": 1, "k": 2, "branches": {"a": 1}},
+    ):
+        with pytest.raises(PatternError, match=malformed):
+            pattern_from_json_dict(obj)
     p = parse_pattern(EX1)
     with pytest.raises(PatternError, match="^the center lies on no proper branch$"):
         p.branch_of(0)

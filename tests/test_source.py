@@ -155,14 +155,11 @@ def _package_callers(name: str, skip: str) -> set[str]:
 
 
 def test_validate_runs_only_in_the_parsers_and_the_descent_pass():
-    # the descent pass checks the invariants itself and calls ``validate``
-    # only for the message of an invalid pattern; no table builder
-    # validates a second time
-    assert _package_callers("validate", "") == {
-        "patterns.parse_pattern",
-        "patterns.pattern_from_json_dict",
-        "patterns._descent",
-    }
+    # a parsed pattern is valid by construction, so the parsers ask
+    # ``validate`` (in ``_built``) only to word n < 1 or k < 2; the descent
+    # pass checks a hand-built pattern itself and calls ``validate`` only
+    # for the message of an invalid one
+    assert _package_callers("validate", "") == {"patterns._built", "patterns._descent"}
 
 
 def _package_definitions(name: str) -> set[str]:
