@@ -522,10 +522,13 @@ def verify_certificate(p: StarPattern, cert: Certificate) -> bool:
     the pattern, and a center-orbit flag that disagrees with the witness's
     coordinate (a point is on the center orbit iff it is an integer) get
     a no, and so does a witness whose itinerary does not follow its point
-    (``_follows``).  A theorem certificate must be the one ``_theorem``
-    derives.  An absence replays the whole scan (``plmap._scan``, checked
-    by the closed-walk count at a period k does not divide): it must find
-    no point and no family after exactly the recorded number of cylinders."""
+    (``_follows``), checked first: an itinerary of the wrong length is
+    refused before the point is stepped, so a tampered period costs no
+    replay.  A theorem certificate must be the one ``_theorem`` derives.
+    An absence replays the whole scan (``plmap._scan``, checked by the
+    closed-walk count at a period k does not divide) under the cylinder
+    cap, so a deep one raises CylinderCapExceeded: it must find no point
+    and no family after exactly the recorded number of cylinders."""
     tables = _tables(p)
     if isinstance(cert, CenterOrbit):
         return cert.period == p.k
@@ -543,7 +546,7 @@ def verify_certificate(p: StarPattern, cert: Certificate) -> bool:
             return False
         m = realize(p)
         try:
-            return _least_period_is(m, w.point, w.period) and _follows(m, w)
+            return _follows(m, w) and _least_period_is(m, w.point, w.period)
         except DomainError:  # the point is off the realized star
             return False
     if isinstance(cert, OracleAbsence):

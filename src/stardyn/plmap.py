@@ -40,11 +40,11 @@ least period k.  An identity cylinder equals its image, which is then
 [j, j+1].  So at every period but k the oracle walks only into subtrees
 where some walk's image covers its first interval, and every walk it
 solves has a fixed point.  At period k, where the marked points are
-listed, it walks the whole tree.  The oracle counts the walks of every
-subtree it skips, so cylinder counts are those of the full tree, while
-the cap counts only the nodes it expands and the points it lists.  The
-skip table is charged to the cap apart, by the size of its counts
-(``_closing``).
+listed, it walks the whole tree.  The skip table keeps one walk total
+per depth, the lap number of the iterate, so a complete scan's cylinder
+count is that of the full tree, while the cap counts only the nodes it
+expands and the points it lists.  The skip table is charged to the cap
+apart, by the size of its counts (``_closing``).
 
 A least period is read off the walk's word.  An integer fixed point is
 a marked point, of least period k.  A fixed point x off the integers,
@@ -195,8 +195,9 @@ class ScanResult(_Record):
 
     ``family`` is a representative of an interval of least-period-p points
     when one exists (the scan stops there and ``complete`` is False).
-    ``cylinders`` counts every walk of the full tree up to where the scan
-    stopped, the walks the oracle skips included.
+    ``cylinders`` counts every walk of the full tree, the walks the oracle
+    skips included, or those up to the family where the scan stopped: a
+    family turns up only at p = k, where the oracle skips nothing.
     """
 
     witnesses: tuple[PeriodicWitness, ...]
@@ -445,16 +446,15 @@ _IDENTITY = "identity"
 
 def _walks(m: PLMap, p: int, cap, steps=None, starts=None, closing=None, lyndon=False):
     """Depth-first stream of the walks of length p in the piece graph, as
-    (b0, slope, offset, last piece, path, leaves): the walk's cylinder on
-    branch b0 maps by t -> slope*t + offset onto the image of its last
-    piece, ``path`` holds its pieces until the next walk, and ``leaves``
-    counts the walks of the full tree up to this one.  A walk starts at one
+    (b0, slope, offset, last piece, path): the walk's cylinder on branch
+    b0 maps by t -> slope*t + offset onto the image of its last piece, and
+    ``path`` holds its pieces until the next walk.  A walk starts at one
     of the pieces ``starts`` (default: every piece), and its piece i+1 is
     one of ``steps[i][piece i]`` (default: ``m.successors``).  With the
     oracle's ``_closing`` tables it skips, at every p but k, each subtree in
     which no walk's last image covers the basic interval of its first
     piece, as such walks fix no point of least period p but the marked
-    points (see the module docstring).
+    points (see the module docstring); a skipped subtree adds nothing.
 
     With ``lyndon`` (and the tables) it yields only the walks whose pieces
     form a Lyndon word, less in index order than each proper rotation.  It
@@ -477,7 +477,7 @@ def _walks(m: PLMap, p: int, cap, steps=None, starts=None, closing=None, lyndon=
     limit = cylinder_cap(cap)
     pieces, end = m.pieces, p - 1
     steps = steps or (m.successors,) * end
-    count = leaves = 0
+    count = 0
     path = [0] * p
     alive = closing[0] if closing and p != m.pattern.k else None
     for first in range(len(pieces)) if starts is None else starts:
@@ -486,7 +486,6 @@ def _walks(m: PLMap, p: int, cap, steps=None, starts=None, closing=None, lyndon=
         while stack:
             r, s, d, last, per = stack.pop()
             if alive and not alive[r][last] & bit:
-                leaves += closing[1][r][last]
                 continue
             count += 1
             if lyndon and not r and per == p:
@@ -496,10 +495,8 @@ def _walks(m: PLMap, p: int, cap, steps=None, starts=None, closing=None, lyndon=
             i = end - r
             path[i] = last
             if not r:
-                if lyndon and per < p:
-                    continue
-                leaves += 1
-                yield q.src, s, d, last, path, leaves
+                if not lyndon or per == p:
+                    yield q.src, s, d, last, path
                 continue
             low = path[i + 1 - per] if lyndon else 0  # per is read only with lyndon
             for idx in steps[i][last]:
@@ -516,30 +513,37 @@ def _closing(m: PLMap, depth: int, cap=None):
     the image of some piece r steps from x: a walk from piece ``first``
     that is at x with r steps left can end at a piece whose image contains
     the interval of ``first`` iff ``alive[r][x] & bits[first]``.
-    ``leaves[r][x]`` counts the walks of r steps from x.  Returns (alive,
-    leaves, bits).
+    ``laps[r]`` counts the walks of r + 1 pieces, the monotone laps of
+    f^(r+1).  Returns (alive, laps, bits).
 
-    The counts grow exponentially with the depth, so the table's memory
-    grows with its square.  Before a depth is built, the depth below is
-    charged to the cylinder cap, one per cell for each full 64 bits of its
-    largest count: a table whose counts fit a machine word costs nothing.
-    The charge is kept apart from the scan's count and raises
-    CylinderCapExceeded once it passes the cap."""
+    Row r + 1 of ``alive`` depends on row r alone, so once a row repeats
+    the rows cycle; equal rows are one interned tuple, and the table holds
+    at most index + period distinct rows.  The walk counts from each
+    piece are kept for one depth at a time, and only their total is kept
+    per depth.  The counts grow exponentially with the depth, so before a
+    depth is built, the depth below is charged to the cylinder cap, one
+    per cell for each full 64 bits of its largest count: a table whose
+    counts fit a machine word costs nothing.  The charge is kept apart
+    from the scan's count and raises CylinderCapExceeded once it passes
+    the cap."""
     limit = cylinder_cap(cap)
     bits = [1 << v for v, cell in enumerate(c for row in m.cells for c in row) for _ in cell]
     # a piece's successors are a run of indices, and their cells a run of bits
     spans = [(ys[0], ys[-1] + 1) for ys in m.successors]
-    alive = [[(bits[b - 1] << 1) - bits[a] for a, b in spans]]
-    leaves = [[1] * len(bits)]
+    row = tuple((bits[b - 1] << 1) - bits[a] for a, b in spans)
+    rows, alive = {row: row}, [row]
+    counts = [1] * len(bits)
+    laps = [len(bits)]
     charge = 0
     for _ in range(depth):
-        below, counts = alive[-1], leaves[-1]
         charge += len(counts) * (max(counts).bit_length() >> 6)
         if charge > limit:
             raise CylinderCapExceeded(limit)
-        alive.append([reduce(or_, below[a:b]) for a, b in spans])
-        leaves.append([sum(counts[a:b]) for a, b in spans])
-    return alive, leaves, bits
+        row = tuple(reduce(or_, row[a:b]) for a, b in spans)
+        alive.append(rows.setdefault(row, row))
+        counts = [sum(counts[a:b]) for a, b in spans]
+        laps.append(sum(counts))
+    return alive, laps, bits
 
 
 @cache
@@ -598,16 +602,6 @@ def _walk_traces(adjacency: tuple[tuple[int, ...], ...], bound: int) -> list[int
     return traces
 
 
-@cache
-def _proper_divisors(bound: int) -> tuple[tuple[int, ...], ...]:
-    """The divisors below q of every q <= bound, at index q."""
-    table: list[list[int]] = [[] for _ in range(bound + 1)]
-    for d in range(1, bound // 2 + 1):
-        for q in range(2 * d, bound + 1, d):
-            table[q].append(d)
-    return tuple(map(tuple, table))
-
-
 def _period_counts(k: int, traces: list[int]) -> dict[int, int]:
     """The number of points of least period q of the canonical map with
     orbit size k, for every q <= len(traces) that k does not divide, from
@@ -625,13 +619,19 @@ def _period_counts(k: int, traces: list[int]) -> dict[int, int]:
     counts the points of every least period d | q, and subtracting the
     proper divisors' counts is the Moebius inversion.  The covering
     digraph has the piece graph's traces: a closed covering walk picks
-    the one piece of each interval whose image holds the next."""
-    counts: dict[int, int] = {}
-    divisors = _proper_divisors(len(traces))
-    for q, t in enumerate(traces, 1):
+    the one piece of each interval whose image holds the next.
+
+    The inversion is a sieve in place over one list: when q is reached,
+    every proper divisor has been subtracted from it, so it holds its
+    count and is subtracted from each multiple.  A divisor of a q that k
+    does not divide is not a multiple of k either, so the entries at
+    multiples of k, which are no counts, reach no other entry."""
+    counts = list(traces)
+    for q, t in enumerate(counts, 1):  # reads each entry after it is final
         if q % k:
-            counts[q] = t - sum(map(counts.__getitem__, divisors[q]))
-    return counts
+            for i in range(2 * q - 1, len(counts), q):
+                counts[i] -= t
+    return {q: t for q, t in enumerate(counts, 1) if q % k}
 
 
 def _fixed_point(m: PLMap, b0: int, s: int, d: int, last: int):
@@ -661,7 +661,7 @@ def _fixed_point(m: PLMap, b0: int, s: int, d: int, last: int):
     return None
 
 
-def oracle_scan(m: PLMap, p: int, cap: int | None = None, first_only: bool = False) -> ScanResult:
+def oracle_scan(m: PLMap, p: int, cap: int | None = None) -> ScanResult:
     """Subdivide the p-th iterate into monotone cylinders and solve the
     affine fixed-point equation on each.
 
@@ -675,8 +675,8 @@ def oracle_scan(m: PLMap, p: int, cap: int | None = None, first_only: bool = Fal
     they include every walk with a fixed point off the integers or an
     identity cylinder: any other walk fixes at most a marked point, of
     least period k (see the module docstring).  At p = k it solves every
-    walk.  Skipped walks count toward ``cylinders`` but not toward the cap
-    (``_walks``).
+    walk.  Skipped walks count toward ``cylinders``, read off the skip
+    table's total (``_closing``), but not toward the cap (``_walks``).
 
     A least period is read off the walk's word (see the module
     docstring): an integer fixed point has least period k, any other p iff
@@ -686,9 +686,10 @@ def oracle_scan(m: PLMap, p: int, cap: int | None = None, first_only: bool = Fal
     (``_walks``) and lists each one's orbit (``_orbit``).  The scan runs
     in integers and checks its listing against the closed-walk count
     (``_scan``); the records, one ``Fraction`` and one itinerary per
-    listed point, are built here (``_listed``).
+    listed point, are built here (``_listed``).  ``first_witness`` asks
+    the same scan for one point.
     """
-    found, cylinders, family, complete = _scan(m, p, cap, first_only)
+    found, cylinders, family, complete = _scan(m, p, cap, False)
     family = _listed(p, [family])[0] if family else None
     return ScanResult(_listed(p, found), cylinders, family, complete)
 
@@ -699,14 +700,19 @@ def _scan(m: PLMap, p: int, cap, first_only: bool, closing=None, counts=None):
     walk, j) for a listed point num/den (reduced, den > 0; (0, 0, 1) is
     the center) whose itinerary is the tuple ``walk`` rotated by j.  The
     points of one orbit share one ``walk``.  A complete listing is in
-    (branch, coordinate) order (``_sorted``).  When the scan meets an
-    uncountable family, ``family`` is the entry of its representative,
-    the inner end of the cylinder's image, with which ``found`` ends unless
-    the point is already listed; otherwise ``family`` is None.  At p not
-    a multiple of k it raises InconsistencyError unless a complete listing
-    holds ``counts[p]`` points and a first witness a positive count
-    (``_period_counts``, from ``tables.adjacency`` when None); at a
-    multiple of k it builds no count.
+    (branch, coordinate) order (``_sorted``).  With ``first_only`` the
+    scan stops at its first point.  A complete scan's ``cylinders`` is
+    the skip table's total ``laps[p - 1]``; a stopped scan's is the
+    number of walks yielded, which at a family (only at p = k, where
+    nothing is skipped) is that of the full tree up to the family.  When
+    the scan meets an uncountable family, ``family`` is the entry of its
+    representative, the inner end of the cylinder's image, with which
+    ``found`` ends unless the point is already listed; otherwise
+    ``family`` is None.  At p not a multiple of k it raises
+    InconsistencyError unless a complete listing holds ``counts[p]``
+    points and a first witness a positive count (``_period_counts``, from
+    ``tables.adjacency`` when None); at a multiple of k it builds no
+    count.
 
     An integer fixed point is a marked point, of least period k, so at
     p != k it is skipped.  No case is known in which a walk that reaches
@@ -718,7 +724,8 @@ def _scan(m: PLMap, p: int, cap, first_only: bool, closing=None, counts=None):
     complete = False  # until the walks run out
     found: list[tuple[int, int, int, tuple[int, ...], int]] = []
     seen: set[tuple[int, int, int]] = set()
-    for b0, s, d, last, path, cylinders in _walks(m, p, cap, closing=closing, lyndon=lyndon):
+    walks = _walks(m, p, cap, closing=closing, lyndon=lyndon)
+    for cylinders, (b0, s, d, last, path) in enumerate(walks, 1):
         if p != k and not lyndon and not _primitive(path):
             continue
         t = _fixed_point(m, b0, s, d, last)
@@ -748,7 +755,7 @@ def _scan(m: PLMap, p: int, cap, first_only: bool, closing=None, counts=None):
                 if first_only:
                     break
     else:
-        found, cylinders, complete = _sorted(found), sum(closing[1][p - 1]), True
+        found, cylinders, complete = _sorted(found), closing[1][p - 1], True
     if p % k:
         counts = counts or _period_counts(k, _walk_traces(m.tables.adjacency, p))
         if counts[p] != len(found) if complete else counts[p] < 1:
@@ -793,9 +800,10 @@ def periodic_points(m: PLMap, p: int, cap: int | None = None) -> list[PeriodicWi
 
 def first_witness(m: PLMap, p: int, cap: int | None = None) -> PeriodicWitness | None:
     """One point of least period exactly p, or None after exhausting every
-    cylinder (which proves absence)."""
-    res = oracle_scan(m, p, cap=cap, first_only=True)
-    return res.witnesses[0] if res.witnesses else None
+    cylinder (which proves absence): the scan of ``oracle_scan``, stopped
+    at its first point (``_scan``), whose record alone is built."""
+    found = _scan(m, p, cap, True)[0]
+    return _listed(p, found[:1])[0] if found else None
 
 
 # ------------------------------------------------------------ loop points
@@ -853,7 +861,7 @@ def loop_point(m: PLMap, loop: list[Arc]) -> RationalPoint:
         tuple(tuple(j for j in succ if bits[j] & x) for succ in m.successors) for x in masks[1:-1]
     ]
     starts = [idx for idx, bit in enumerate(bits) if bit & masks[0]]
-    for b0, s, d, last, _, _ in _walks(m, p, None, steps, starts):
+    for b0, s, d, last, _ in _walks(m, p, None, steps, starts):
         t = _fixed_point(m, b0, s, d, last)
         if t is _IDENTITY:  # the cylinder is its image, whose left end is fixed
             candidates.append(make_point(b0, m.images[last][0]))

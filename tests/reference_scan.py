@@ -65,7 +65,7 @@ def walk_cylinders(m: PLMap, p: int, cap: int | None = None):
     """Depth-first stream of the monotone cylinders of the p-th iterate.
     Raises CylinderCapExceeded when more than the cap are expanded (env
     STARDYN_CYLINDER_CAP overrides the default of 10**6)."""
-    for b0, s, d, last, path, _ in _walks(m, p, cap):
+    for b0, s, d, last, path in _walks(m, p, cap):
         lo, hi = _domain(m, s, d, last)
         yield Cylinder(b0, lo, hi, s, d, m.pieces[last].dst, tuple(path))
 

@@ -8,6 +8,7 @@ basic interval, read off the pattern) before the module existed.
 import itertools
 import json
 import random
+import tracemalloc
 import typing
 from fractions import Fraction
 from pathlib import Path
@@ -61,6 +62,7 @@ from stardyn.patterns import (
     validate,
 )
 from stardyn.plmap import (
+    CylinderCapExceeded,
     LoopError,
     PeriodicWitness,
     first_witness,
@@ -431,6 +433,31 @@ def test_cover_digraph_traces_equal_piece_graph_traces(k):
                 assert traces(adjacency, 2 * k + 3) == expected, p.to_text()
 
 
+def test_period_counts_equal_the_moebius_sum():
+    # the sieve in place against the sum over divisors, on seeded random
+    # trace lists, negative entries included
+    rng = random.Random(11)
+    assert ref_traces.period_counts(2, [1, 3, 1, 7]) == {1: 1, 3: 0}
+    for _ in range(300):
+        k = rng.randrange(2, 10)
+        traces = [rng.randrange(-50, 10**6) for _ in range(rng.randrange(1, 81))]
+        assert plmap_module._period_counts(k, traces) == ref_traces.period_counts(k, traces)
+
+
+def test_period_counts_of_a_long_trace_list_stay_small():
+    # one list and the dict of counts, no divisor table: 200,000 traces
+    # take about 13 MB, where a table of every q's divisors took 64 MB
+    traces = [1] * 200000
+    tracemalloc.start()
+    try:
+        counts = plmap_module._period_counts(2, traces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(counts), counts[1], counts[3], counts[199999]) == (100000, 1, 0, 0)
+    assert peak < 24 * 2**20
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(1, 5), st.integers(2, 8))
 def test_walk_count_presence_equals_oracle_on_random_patterns(rng, n, k):
@@ -767,6 +794,31 @@ def test_oracle_absence_replays_the_whole_scan(p1):
     for cylinders in (0, 13, 15, 999999):
         assert not verify_certificate(p1, OracleAbsence(3, cylinders))
     assert not verify_certificate(p1, OracleAbsence(2, 14))  # period 2 is present
+
+
+def test_a_witness_of_the_wrong_length_is_refused_without_a_step(p2, monkeypatch):
+    # the itinerary is checked before the point is replayed, so a witness
+    # that claims period 10**12 with one piece is refused at once
+    steps = 0
+    step = plmap_module._step
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    monkeypatch.setattr(plmap_module, "_step", counted)
+    for period in (10**7, 10**12):
+        w = PeriodicWitness(make_point(1, Fraction(1, 2)), period, (0,), False)
+        assert verify_certificate(p2, OracleWitness(w)) is False
+    assert steps == 0
+
+
+def test_an_absence_replay_runs_under_the_cylinder_cap(p2, monkeypatch):
+    # the replay is the whole scan, so a deep absence stops at the cap
+    monkeypatch.delenv("STARDYN_CYLINDER_CAP", raising=False)
+    with pytest.raises(CylinderCapExceeded, match="cylinder cap 1000000 exceeded"):
+        verify_certificate(p2, OracleAbsence(40, 0))
 
 
 def _tampered_copies(cert):

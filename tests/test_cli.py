@@ -847,6 +847,32 @@ def test_a_listing_of_long_points_exits_3_in_256_mb(ex2_file):
     assert _run_in(2**28, argv) == CAP_EXCEEDED
 
 
+@pytest.mark.parametrize(
+    "period,cap,outcome",
+    [
+        (400001, "1000000", (0, "", "")),
+        (1000001, "100000", (3, "", "stardyn: resource cap exceeded: cylinder cap 100000 exceeded\n")),
+    ],
+    ids=["listed", "capped"],
+)
+def test_a_deep_period_of_a_graph_that_does_not_branch_runs_in_96_mb(
+    tmp_path, period, cap, outcome
+):
+    # the swap's one piece maps onto itself, so its skip table's counts
+    # stay 1 and are charged nothing: the table keeps one row object and
+    # one total per depth, and the least-period counts are a sieve over
+    # one list, so both calls run in a small address space
+    path = tmp_path / "swap.pat"
+    path.write_text("n=1 k=2; b1: 1\n", encoding="utf-8")
+    argv = ["oracle", "--pattern", str(path), "--period", str(period)]
+    done = subprocess.run(
+        [sys.executable, "-m", "stardyn.cli", *argv],
+        capture_output=True, text=True, env=child_env(STARDYN_CYLINDER_CAP=cap), timeout=10,
+        preexec_fn=address_space(96 * 2**20),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == outcome
+
+
 def test_oracle_listing_that_disagrees_with_the_walk_count_exits_1(ex2_file, monkeypatch, capsys):
     # at a period that k does not divide the oracle counts its listing
     # again from the covering digraph's closed walks; a dropped point is

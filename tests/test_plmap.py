@@ -10,6 +10,7 @@ import itertools
 import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -327,6 +328,23 @@ def test_skip_table_is_charged_to_the_cap(m2, monkeypatch):
         _closing(m2, 5177)
 
 
+def test_skip_table_interns_its_rows_and_keeps_one_total_per_depth(m2):
+    # example 2's rows of ``alive`` repeat after 4 + 2, so a table 4,000
+    # deep holds 6 row objects, and it keeps one walk count per depth: the
+    # totals for q = 1..9, the last one the cylinders of the absence at 9
+    tracemalloc.start()
+    try:
+        alive, laps, _ = _closing(m2, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(alive) == len(laps) == 4001
+    assert len({id(row) for row in alive}) <= 6
+    assert peak < 2 * 2**20
+    assert laps[:9] == [7, 11, 18, 28, 46, 72, 119, 187, 310]
+    assert oracle_scan(m2, 9).cylinders == 310
+
+
 def test_oracle_exceptions_survive_pickling():
     m = realize(parse_pattern("n=1 k=2; b1: 1"))
     with pytest.raises(UncountablePeriodicSet) as ei:
@@ -494,42 +512,48 @@ def _drain(cylinders):
 
 def _scan_matches_reference(m, p, cap=None, first_only=False):
     """The oracle's scan at period p equals that of the reference copy of
-    the Fraction DFS, and returns its outcome.  The oracle's cap count is
-    at most twice the full tree's nodes (``_walks``), which the reference
-    counts, so where the reference completes within the cap the oracle
-    runs at twice it.  Where the reference is capped, the oracle at the cap
-    raises the same error or completes; then each witness replays
-    (``_least_period_is``), and at a period that k does not divide the
-    closed-walk count agrees with the listing, or with a first witness on
-    whether one exists."""
+    the Fraction DFS, and returns its outcome; with ``first_only`` the
+    oracle's ``first_witness`` equals the reference's first witness, or
+    None.  The oracle's cap count is at most twice the full tree's nodes
+    (``_walks``), which the reference counts, so where the reference
+    completes within the cap the oracle runs at twice it.  Where the
+    reference is capped, the oracle at the cap raises the same error or
+    completes; then each witness replays (``_least_period_is``), and at a
+    period that k does not divide the closed-walk count agrees with the
+    listing, or with a first witness on whether one exists."""
     limit = plmap_module.cylinder_cap(cap)
     expected = _outcome(ref.oracle_scan, m, p, cap=limit, first_only=first_only)
+    oracle = first_witness if first_only else oracle_scan
     if isinstance(expected, ScanResult):
-        scan = _outcome(oracle_scan, m, p, cap=2 * limit, first_only=first_only)
+        if first_only:
+            expected = expected.witnesses[0] if expected.witnesses else None
+        scan = _outcome(oracle, m, p, cap=2 * limit)
         assert scan == expected, (m.pattern.to_text(), p, first_only)
         return scan
-    scan = _outcome(oracle_scan, m, p, cap=limit, first_only=first_only)
-    if not isinstance(scan, ScanResult):
+    scan = _outcome(oracle, m, p, cap=limit)
+    if isinstance(scan, tuple):  # the cap error
         assert scan == expected, (m.pattern.to_text(), p, first_only)
         return scan
-    assert all(_least_period_is(m, w.point, p) for w in scan.witnesses), (m.pattern.to_text(), p)
+    witnesses = ((scan,) if scan else ()) if first_only else scan.witnesses
+    assert all(_least_period_is(m, w.point, p) for w in witnesses), (m.pattern.to_text(), p)
     k = m.pattern.k
     if p % k:
         count = _period_counts(k, _walk_traces(m.tables.adjacency, p))[p]
-        if scan.complete and not first_only:
-            assert len(scan.witnesses) == count, (m.pattern.to_text(), p)
+        if not first_only and scan.complete:
+            assert len(witnesses) == count, (m.pattern.to_text(), p)
         else:
-            assert bool(scan.witnesses) == bool(count), (m.pattern.to_text(), p, first_only)
+            assert bool(witnesses) == bool(count), (m.pattern.to_text(), p, first_only)
     return scan
 
 
 def _check_against_reference(m, scan_pmax, cap=None):
-    """Scans for p <= scan_pmax equal those of the reference copy of the
-    Fraction DFS (``_scan_matches_reference``).  For p < scan_pmax the
-    cylinders and their cap threshold equal the reference's, and the
-    oracle's cap threshold is its work as ``ref.oracle_work`` reads it off
-    the reference's tree: the nodes it expands and the points it lists,
-    at most twice the tree's nodes."""
+    """Scans and first witnesses for p <= scan_pmax equal those of the
+    reference copy of the Fraction DFS (``_scan_matches_reference``).  For
+    p < scan_pmax the cylinders and their cap threshold equal the
+    reference's, and the cap threshold of ``oracle_scan`` and of
+    ``first_witness`` is its work as ``ref.oracle_work`` reads it off the
+    reference's tree: the nodes it expands and the points it lists, at
+    most twice the tree's nodes."""
     nodes = 0  # of the walk tree down to depth p: each one counts toward the cap
     for p in range(1, scan_pmax + 1):
         for first_only in (False, True):
@@ -544,14 +568,19 @@ def _check_against_reference(m, scan_pmax, cap=None):
         with pytest.raises(CylinderCapExceeded):
             list(walk_cylinders(m, p, cap=nodes - 1))
         assert list(walk_cylinders(m, p, cap=nodes)) == cylinders
-        for first_only in (False, True):
-            scan = oracle_scan(m, p, first_only=first_only)
-            work = ref.oracle_work(m, p, cylinders, first_only, scan)
+        scan, w = oracle_scan(m, p), first_witness(m, p)
+        # first_witness stops at its witness's walk, or completes without one
+        stop = ScanResult((w,) if w else (), 0, None, w is None)
+        for oracle, result, first_only, at in (
+            (oracle_scan, scan, False, scan),
+            (first_witness, w, True, stop),
+        ):
+            work = ref.oracle_work(m, p, cylinders, first_only, at)
             assert work <= 2 * nodes, (m.pattern.to_text(), p, first_only)
-            assert oracle_scan(m, p, cap=work, first_only=first_only) == scan
+            assert oracle(m, p, cap=work) == result
             if work:
                 with pytest.raises(CylinderCapExceeded):
-                    oracle_scan(m, p, cap=work - 1, first_only=first_only)
+                    oracle(m, p, cap=work - 1)
 
 
 @pytest.mark.parametrize("k", sorted(REFERENCE_HORIZON))
@@ -587,7 +616,7 @@ def test_skip_keeps_every_walk_with_a_fixed_point(k):
     for m in realized_classes(3, k):
         alive, _, bits = _closing(m, 2 * k - 1)
         for q in range(1, 2 * k + 1):
-            for b0, s, d, last, path, _ in _walks(m, q, None):
+            for b0, s, d, last, path in _walks(m, q, None):
                 t = _fixed_point(m, b0, s, d, last)
                 if t is None:
                     continue
@@ -604,8 +633,8 @@ def test_period_k_walks_the_whole_tree(k):
     # the marked points have period k, so at k the skip table is not read
     for m in realized_classes(3, k):
         pruned = _walks(m, k, None, closing=_closing(m, k - 1))
-        assert [(*w[:4], tuple(w[4]), w[5]) for w in pruned] == [
-            (*w[:4], tuple(w[4]), w[5]) for w in _walks(m, k, None)
+        assert [(*w[:4], tuple(w[4])) for w in pruned] == [
+            (*w[:4], tuple(w[4])) for w in _walks(m, k, None)
         ], m.pattern.to_text()
 
 
@@ -620,7 +649,7 @@ def test_no_kept_primitive_walk_fixes_an_integer_point_off_period_k():
         for m in realized_classes(3, k):
             closing = _closing(m, 3 * k - 1)
             for q in (2 * k, 3 * k) if 3 * k <= 12 else (2 * k,):
-                for b0, s, d, last, path, _ in _walks(m, q, None, closing=closing):
+                for b0, s, d, last, path in _walks(m, q, None, closing=closing):
                     t = _fixed_point(m, b0, s, d, last)
                     if t is not None and t is not plmap_module._IDENTITY and t[1] == 1:
                         integer_points += 1
@@ -637,7 +666,7 @@ def _expanded_walks_have_fixed_points(m, pmax, cap=None):
         if q == m.pattern.k:
             continue
         try:
-            for b0, s, d, last, path, _ in _walks(m, q, cap, closing=closing):
+            for b0, s, d, last, path in _walks(m, q, cap, closing=closing):
                 assert _fixed_point(m, b0, s, d, last) is not None, (m.pattern.to_text(), q, path)
                 checked += 1
         except CylinderCapExceeded:
@@ -698,7 +727,7 @@ def _least_period_rule_outcomes(m, pmax, cap=None):
     for q in range(1, pmax + 1):
         closing = _closing(m, q - 1)
         try:
-            for b0, s, d, last, path, _ in _walks(m, q, cap, closing=closing):
+            for b0, s, d, last, path in _walks(m, q, cap, closing=closing):
                 t = _fixed_point(m, b0, s, d, last)
                 if t is None or t is plmap_module._IDENTITY:
                     continue

@@ -175,7 +175,7 @@ def _package_definitions(name: str) -> set[str]:
 def test_the_walk_count_is_defined_in_plmap_alone():
     # the closed-walk count has one home, beside the scan that checks
     # every listing against it; certify imports it from there
-    for name in ("_packing", "_walk_traces", "_proper_divisors", "_period_counts"):
+    for name in ("_packing", "_walk_traces", "_period_counts"):
         assert _package_definitions(name) == {"plmap"}, name
 
 
