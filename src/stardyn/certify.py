@@ -111,14 +111,14 @@ def render_dot(g: CoverDigraph) -> str:
 def closed_walk_lengths(g: CoverDigraph, bound: int) -> set[int]:
     """Lengths p <= bound for which the digraph has a closed walk, by exact
     adjacency-matrix powers."""
-    return {q for q, t in enumerate(_walk_traces(g.adjacency, bound), 1) if t}
+    return {q for q, t in enumerate(_walk_traces((g.adjacency,), bound)[0], 1) if t}
 
 
 def self_loop_only_lengths(g: CoverDigraph, bound: int) -> set[int]:
     """Lengths p <= bound for which the only closed walk is the repetition
     of a single self-loop: the trace is 1, since any other closed walk is
     counted once per distinct rotation."""
-    return {q for q, t in enumerate(_walk_traces(g.adjacency, bound), 1) if t == 1}
+    return {q for q, t in enumerate(_walk_traces((g.adjacency,), bound)[0], 1) if t == 1}
 
 
 # ------------------------------------------------------------- certificates
@@ -674,54 +674,64 @@ def _claimed(
     return claimed
 
 
-def _survey_row(p: StarPattern, p_max: int, max_iterate: int, forced: frozenset[int]) -> tuple:
-    """What a survey keeps of one pattern: (present periods, chaos iterate
-    or None, center-theorem flag, n+2-theorem flag, covering digraph
-    adjacency, its closed-walk counts tr(A^1..A^p_max) as a tuple).
-    ``forced`` is ``forced_periods(1, p.k, p_max)``, the same
-    for every class of a survey.  The pattern is validated and its tables
-    derived once, for every step below.  The closed-walk count decides
-    every period that k does not divide (``_period_counts``), period k is
-    the center's, and only its other multiples go to the oracle, which is
-    asked only for a first witness (``plmap._scan``).  The
-    realization is built only when such a multiple is in range, and then
-    the tables are its own (``PLMap.tables``); otherwise they come from
-    ``_tables``.  A claimed period that the count or the oracle finds
-    absent raises InconsistencyError.  The claimed periods are a set of
-    ints (``_claimed``); certificate records are built only to name them
-    in that error."""
-    m = realize(p) if 2 * p.k <= p_max else None
-    tables = m.tables if m else _tables(p)
-    closing = _closing(m, p_max - 1) if m else None
-    theorem = _theorem(tables)
-    cascade = _find_cascade(tables.adjacency, tables.ends)
-    claimed = _claimed(p.k, theorem, cascade, forced, p_max)
-    traces = _walk_traces(tables.adjacency, p_max)
-    counts = _period_counts(p.k, traces)
-    present = []
-    for q in range(1, p_max + 1):
-        if q in counts:
-            found = counts[q] > 0
-        else:
-            found = q == p.k or bool(_scan(m, q, None, True, closing, counts)[0])
-        if q in claimed and not found:
-            claims = _claims(p.k, theorem, cascade, forced, q)
-            raise InconsistencyError(
-                f"{p.to_text()}: certificates {claims!r} claim period {q} but the "
-                f"{'closed-walk count' if q in counts else 'exact oracle'} finds no such "
-                "point — this is a bug"
-            )
-        if found:
-            present.append(q)
-    chaos = _find_genscramble(tables, theorem, max_iterate)
-    return (
-        tuple(present),
-        chaos.iterate if chaos is not None else None,
-        isinstance(theorem, CenterTheoremCase),
-        isinstance(theorem, NPlus2Case),
-        tables.adjacency,
-        tuple(traces),
-    )
+def _survey_rows(
+    chunk: list[StarPattern], p_max: int, max_iterate: int, forced: frozenset[int]
+) -> list[tuple]:
+    """What a survey keeps of each pattern of ``chunk``, in order: (present
+    periods, chaos iterate or None, center-theorem flag, n+2-theorem flag,
+    covering digraph adjacency, its closed-walk counts tr(A^1..A^p_max) as
+    a tuple).  The patterns share one orbit size k, so their digraphs
+    share the vertex count k - 1.  ``forced`` is
+    ``forced_periods(1, k, p_max)``, the same for every class of a survey.
+
+    Each pattern is validated and its tables derived once, for every step
+    below; the realization is built only when a multiple of k above k is
+    in range (p_max >= 2k), and then the tables are its own
+    (``PLMap.tables``), otherwise they come from ``_tables``.  One call of
+    ``_walk_traces`` counts the closed walks of the whole chunk; then each
+    class in turn: the closed-walk count decides every period that k does
+    not divide (``_period_counts``), period k is the center's, and only
+    its other multiples go to the oracle, which is asked only for a first
+    witness (``plmap._scan``).  A claimed period that the count or the
+    oracle finds absent raises InconsistencyError, at the first class of
+    the chunk with one.  The claimed periods are a set of ints
+    (``_claimed``); certificate records are built only to name them in
+    that error."""
+    maps = [realize(p) if 2 * p.k <= p_max else None for p in chunk]
+    chunk_tables = [m.tables if m else _tables(p) for p, m in zip(chunk, maps)]
+    batch = _walk_traces([t.adjacency for t in chunk_tables], p_max)
+    rows = []
+    for p, m, tables, traces in zip(chunk, maps, chunk_tables, batch):
+        closing = _closing(m, p_max - 1) if m else None
+        theorem = _theorem(tables)
+        cascade = _find_cascade(tables.adjacency, tables.ends)
+        claimed = _claimed(p.k, theorem, cascade, forced, p_max)
+        counts = _period_counts(p.k, traces)
+        present = []
+        for q in range(1, p_max + 1):
+            if q in counts:
+                found = counts[q] > 0
+            else:
+                found = q == p.k or bool(_scan(m, q, None, True, closing, counts)[0])
+            if q in claimed and not found:
+                claims = _claims(p.k, theorem, cascade, forced, q)
+                raise InconsistencyError(
+                    f"{p.to_text()}: certificates {claims!r} claim period {q} but the "
+                    f"{'closed-walk count' if q in counts else 'exact oracle'} finds no such "
+                    "point — this is a bug"
+                )
+            if found:
+                present.append(q)
+        chaos = _find_genscramble(tables, theorem, max_iterate)
+        rows.append((
+            tuple(present),
+            chaos.iterate if chaos is not None else None,
+            isinstance(theorem, CenterTheoremCase),
+            isinstance(theorem, NPlus2Case),
+            tables.adjacency,
+            tuple(traces),
+        ))
+    return rows
 
 
 def periodicity_report(
@@ -749,7 +759,7 @@ def periodicity_report(
     forced = frozenset(forced_periods(1, p.k, p_max))
     theorem = _theorem(tables)
     cascade = _find_cascade(tables.adjacency, tables.ends)
-    traces = _walk_traces(g.adjacency, p_max)
+    traces = _walk_traces((g.adjacency,), p_max)[0]
     counts = _period_counts(p.k, traces)
 
     periods: dict[int, PeriodStatus] = {}

@@ -87,9 +87,10 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import cache, reduce
+from functools import lru_cache, reduce
+from itertools import chain
 from math import gcd, lcm
-from operator import or_
+from operator import and_, mul, or_
 
 from .patterns import (
     CENTER_INDEX,
@@ -546,60 +547,126 @@ def _closing(m: PLMap, depth: int, cap=None):
     return alive, laps, bits
 
 
-@cache
-def _packing(size: int, steps: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int]:
-    """The constants of ``_walk_traces`` for ``size`` vertices and ``steps``
-    packed steps: the rows of A^0, each row's diagonal field mask, the
-    gather multiplier, its shift and the field mask."""
-    width = steps * size.bit_length() + 1
-    field = (1 << width) - 1
-    seeds = tuple(1 << (i * width) for i in range(size))
-    return seeds, tuple(field * seed for seed in seeds), sum(seeds), (size - 1) * width, field
+@lru_cache(maxsize=16)  # a survey uses two: its full chunks and its last one
+def _packing(size: int, steps: int, count: int):
+    """The constants of ``_walk_traces`` for ``count`` digraphs of ``size``
+    vertices and ``steps`` packed steps: the rows of A^0, each row's
+    diagonal field mask, the gather multiplier, the shift and the mask
+    that move each step's traces into their fields, the block mask, the
+    block's width in bytes and the slices of the traces in the big-endian
+    bytes of the packed result."""
+    width = (steps * size.bit_length() + 8) & -8  # a multiple of 8 above the bound
+    field, wide = (1 << width) - 1, width >> 3
+    stride, total = size * wide, count * size * wide
+    ones = int.from_bytes(b"\x01".ljust(stride, b"\x00") * count, "little")  # 1 in each block
+    seeds = tuple(ones << i * width for i in range(size))
+    ends = (total - b * stride - q * wide for b in range(count) for q in range(steps))
+    reads = tuple(slice(end - wide, end) for end in ends)
+    return (
+        seeds,
+        tuple(seed * field for seed in seeds),
+        sum(1 << i * width for i in range(size)),
+        tuple((size - 1 - q) * width for q in range(steps)),
+        tuple(ones * field << q * width for q in range(steps)),
+        (1 << stride * 8) - 1,
+        stride,
+        reads,
+    )
 
 
-def _walk_traces(adjacency: tuple[tuple[int, ...], ...], bound: int) -> list[int]:
-    """tr(A^1), ..., tr(A^bound) for the 0/1 matrix A with rows
-    ``adjacency``: the exact numbers of closed walks of each length.
+def _walk_traces(batch, bound: int) -> list[list[int]]:
+    """tr(A^1), ..., tr(A^bound) for each 0/1 matrix A of ``batch``, a
+    sequence of digraphs with equal vertex counts s, each given by its
+    rows of successors: the exact numbers of closed walks of each length.
 
-    Only the first ``steps = min(s, bound)`` powers are taken, s the
-    number of vertices.  Row i of A^q is one integer with a field of
-    ``width = steps * s.bit_length() + 1`` bits per column, so row i of
-    A^(q+1) = A A^q is the sum of the rows of A^q at i's successors.  The
-    diagonal fields, masked out of their rows and summed, times the
-    gather multiplier (a 1 in every field) hold in field s - 1 the sum of
-    all of them, the trace.  No field overflows: an entry of A^q counts
-    walks with q - 1 free inner vertices, so it is at most s^(q-1), the
-    trace at most s^q <= s^steps < 2^(width - 1), and every field of the
-    product is a partial sum of the diagonal, at most the trace.
+    Only the first ``steps = min(s, bound)`` powers are taken, for the
+    whole batch at once.  Row i of A^q, for every digraph of the batch,
+    is one integer: a block of s fields, one per column, for each
+    digraph, with ``width`` bits per field, the multiple of 8 above
+    ``steps * s.bit_length()``.  Row i of A^(q+1) = A A^q is the sum over
+    j of row j of A^q masked by M_ij, which is all ones on the block of
+    each digraph with the arc i -> j and zero elsewhere: a j with M_ij = 0
+    is skipped, and where M_ij covers every block (always, in a batch of
+    one, and for every j when row i is the same in every digraph) the
+    row is added unmasked.  The diagonal fields, masked out of their
+    rows and summed, times the gather multiplier (a 1 in each of s
+    fields) hold in field s - 1 of each block the sum of that block's
+    diagonal, its trace; a shift and a mask move step q's traces into
+    field q - 1 of their blocks, and the packed traces are read off its
+    bytes at the end.
 
-    Beyond s the traces p_q follow from the characteristic polynomial
-    det(xI - A) = x^s - e_1 x^(s-1) + ... + (-1)^s e_s.  By
-    Cayley-Hamilton it vanishes at A; times A^(q-s), traced, it gives
-    p_q = sum of c_i p_(q-i) over i = 1..s for q > s, with
-    c_i = (-1)^(i-1) e_i.  Newton's identities give the c_i from the
-    first s traces, m c_m = p_m - sum of c_i p_(m-i) over i < m; the
+    No field overflows: an entry of A^q counts walks with q - 1 free
+    inner vertices, so it is at most s^(q-1), the trace at most
+    s^q <= s^steps < 2^(width - 1).  Nothing crosses from one block into
+    the next: the masks keep or drop whole blocks, and a sum of fields
+    that do not overflow carries out of none; each field of the gather
+    product is a partial sum of one block's diagonal plus one of the
+    block below (the fields of block b and of b - 1 that it gathers), at
+    most the two traces, 2 s^steps < 2^width.  So every block holds its
+    own digraph's counts whatever its neighbours hold.
+
+    Beyond s the traces p_q follow, digraph by digraph, from the
+    characteristic polynomial det(xI - A) = x^s - e_1 x^(s-1) + ... +
+    (-1)^s e_s.  By Cayley-Hamilton it vanishes at A; times A^(q-s),
+    traced, it gives p_q = sum of c_i p_(q-i) over i = 1..s for q > s,
+    with c_i = (-1)^(i-1) e_i.  Newton's identities give the c_i from
+    the first s traces, m c_m = p_m - sum of c_i p_(m-i) over i < m; the
     e_m are coefficients of the characteristic polynomial of an integer
     matrix, integers, so the division by m is exact and every step stays
     in integers."""
     if bound < 1:
         raise ValueError("bound must be positive")
-    size = len(adjacency)
+    count = len(batch)
+    size = len(batch[0]) if count else 0
+    if any(len(adjacency) != size for adjacency in batch):
+        raise ValueError("the digraphs of a batch must have equal vertex counts")
     steps = min(size, bound)
-    rows, masks, gather, shift, field = _packing(size, steps)
-    traces = []
-    for _ in range(steps):
-        rows = [sum(map(rows.__getitem__, row)) for row in adjacency]
-        traces.append(sum(map(int.__and__, rows, masks)) * gather >> shift & field)
-    if bound > size:
-        # c_m, ..., c_1: they pair in order with p_1, p_2, ... (map stops
-        # at the shorter), and c_s, ..., c_1 with the last s traces
-        coefficients: list[int] = []
-        for m in range(1, size + 1):
-            done = sum(map(int.__mul__, coefficients, traces))
-            coefficients.insert(0, (traces[m - 1] - done) // m)
-        for _ in range(size, bound):
-            traces.append(sum(map(int.__mul__, coefficients, traces[-size:])))
-    return traces
+    rows, diagonal, gather, shifts, lows, block, stride, reads = _packing(size, steps, count)
+    fulls, partials, arcs = [], [], None
+    for i, same in enumerate(zip(*batch)):
+        if same.count(same[0]) == count:
+            fulls.append(same[0])
+            continue
+        if arcs is None:  # arcs[(b * s + i) * s + j] = 1 iff digraph b has the arc i -> j
+            arcs = bytearray(count * size * size)
+            for o, row in zip(range(0, len(arcs), size), chain.from_iterable(batch)):
+                for j in row:
+                    arcs[o + j] = 1
+            every, none, spread = b"\x01" * count, bytes(count), bytearray(count * stride)
+        full, part, masks = [], [], []
+        for j in range(size):
+            flags = arcs[i * size + j :: size * size]
+            if flags == every:
+                full.append(j)
+            elif flags != none:
+                spread[::stride] = flags  # a 1 at the start of each block with the arc
+                part.append(j)
+                masks.append(int.from_bytes(spread, "little") * block)
+        fulls.append(full)
+        partials.append((i, part, masks))
+    packed = 0
+    for shift, low in zip(shifts, lows):
+        get = rows.__getitem__
+        rows = [sum(map(get, full)) for full in fulls]
+        for i, part, masks in partials:
+            rows[i] += sum(map(and_, map(get, part), masks))
+        packed += sum(map(and_, rows, diagonal)) * gather >> shift & low
+    data = packed.to_bytes(count * stride, "big")
+    flat = list(map(int.from_bytes, map(data.__getitem__, reads)))
+    batch_traces = []
+    for b in range(count):
+        traces = flat[b * steps : b * steps + steps]
+        if bound > size:
+            # c_m, ..., c_1: they pair in order with p_1, p_2, ... (map stops
+            # at the shorter), and c_s, ..., c_1 with the last s traces
+            coefficients: list[int] = []
+            for m in range(1, size + 1):
+                done = sum(map(mul, coefficients, traces))
+                coefficients.insert(0, (traces[m - 1] - done) // m)
+            for _ in range(size, bound):
+                traces.append(sum(map(mul, coefficients, traces[-size:])))
+        batch_traces.append(traces)
+    return batch_traces
 
 
 def _period_counts(k: int, traces: list[int]) -> dict[int, int]:
@@ -757,7 +824,7 @@ def _scan(m: PLMap, p: int, cap, first_only: bool, closing=None, counts=None):
     else:
         found, cylinders, complete = _sorted(found), closing[1][p - 1], True
     if p % k:
-        counts = counts or _period_counts(k, _walk_traces(m.tables.adjacency, p))
+        counts = counts or _period_counts(k, _walk_traces((m.tables.adjacency,), p)[0])
         if counts[p] != len(found) if complete else counts[p] < 1:
             raise InconsistencyError(
                 f"{m.pattern.to_text()}: the closed-walk count gives {counts[p]} points of period "

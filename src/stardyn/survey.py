@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii
 from .certify import (
     SURVEY_FILTERS,
     CoverDigraph,
-    _survey_row,
+    _survey_rows,
     closed_walk_lengths,
     find_cascade,
     periodicity_report,
@@ -228,10 +228,14 @@ def _canonical_form(adjacency: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, 
     return best
 
 
-# classes per task sent to a worker process, and tasks in flight per worker:
-# rows are classed in order, so a slow chunk holds the window up; survey
-# --n 3 --k 9 --jobs 2 took 22-23 s with 8 and 23-30 s with 2 (2 CPUs)
-_CHUNK = 8
+# classes per call of the chunk function, serial or in a worker, and tasks
+# in flight per worker: rows are classed in order, so a slow chunk holds the
+# window up.  survey --n 3 --k 9 (2 CPUs, two runs each) took 13.0-15.3 s
+# with --jobs 1 and 8.7-12.1 s with --jobs 2 at any chunk of 32 to 256
+# classes, with no size ahead beyond the noise (128 is from the middle),
+# against 19.1-21.3 s and 15.4-20.6 s when each class counted its own
+# walks; the peak RSS stayed at 119-123 MB
+_CHUNK = 128
 _IN_FLIGHT = 8
 
 
@@ -257,26 +261,30 @@ def classify_all(
     deterministic enumeration order of the canonical representatives,
     together with class counts at the raw, branch-relabeling, and
     digraph-isomorphism levels.  By default only patterns whose orbit
-    meets every branch are surveyed.  ``jobs > 1`` analyzes classes in
-    parallel, in chunks of ``_CHUNK``, with no more worker processes than
+    meets every branch are surveyed.
+
+    The classes are analyzed in chunks of ``_CHUNK``, one call of
+    ``certify._survey_rows`` per chunk, serially or, with ``jobs > 1``,
+    in parallel, one chunk per task, with no more worker processes than
     the CPUs this process may use or the chunks, and serially when that
-    bound is 1; the output is identical either way.  At most
-    ``_IN_FLIGHT`` chunks per worker are submitted and not yet consumed
-    (``_pooled_rows``), so the rows of chunks the workers finish early
-    wait in a window of bounded size.
+    bound is 1; the chunks and so the output are the same either way.
+    At most ``_IN_FLIGHT`` chunks per worker are submitted and not yet
+    consumed (``_pooled_rows``), so the rows of chunks the workers finish
+    early wait in a window of bounded size.
 
-    Each class is analyzed once, by ``certify._survey_row``, which
-    validates the pattern and derives its tables once, into a compact
-    row: the periods, decided by closed-walk counts on the covering
-    digraph except at multiples of k, the chaos iterate, the theorem
-    flags, the digraph adjacency and its closed-walk counts.  The forced
-    baseline depends only on (k, p_max), so it is computed once here for
-    every row.
+    The chunk function validates each pattern and derives its tables
+    once, counts the closed walks of the whole chunk's covering digraphs
+    in one packed pass (``plmap._walk_traces``), and turns each class into
+    a compact row: the periods, decided by those counts except at
+    multiples of k, the chaos iterate, the theorem flags, the digraph
+    adjacency and its closed-walk counts.  The forced baseline depends
+    only on (k, p_max), so it is computed once here for every row.
 
-    Rows are classed as they arrive (inside the pool's ``with``), so no
-    row outlives its class: only the records and, per key, what the
-    classing below still needs are kept.  Classes with equal
-    period sets share one ``periods_present`` tuple and one ``tail``.
+    Rows are classed as they arrive (inside the pool's ``with``), one
+    chunk's rows at a time, so no row outlives its chunk: only the
+    records and, per key, what the classing below still needs are kept.
+    Classes with equal period sets share one ``periods_present`` tuple
+    and one ``tail``.
 
     Digraph classes are numbered by first appearance.  Each class is first
     keyed by a cheap isomorphism invariant of its digraph: the sorted
@@ -297,33 +305,31 @@ def classify_all(
     reps = enumerate_patterns(n, k, all_branches=all_branches)
     forced = frozenset(forced_periods(1, k, p_max))
     args = (p_max, max_iterate, forced)
+    chunks = (reps[i : i + _CHUNK] for i in range(0, len(reps), _CHUNK))
     workers = min(jobs, _usable_cpus(), -(-len(reps) // _CHUNK))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = _classed(reps, _pooled_rows(pool, workers, reps, *args), p_max)
+            records = _classed(reps, _pooled_rows(pool, workers, chunks, *args), p_max)
     else:
-        records = _classed(reps, map(_survey_row, reps, *map(repeat, args)), p_max)
+        rows = chain.from_iterable(map(_survey_rows, chunks, *map(repeat, args)))
+        records = _classed(reps, rows, p_max)
     return SurveyResult(n, k, p_max, max_iterate, tuple(records), _counts(records))
 
 
-def _chunk_rows(chunk: list[StarPattern], *args) -> list[tuple]:
-    """The rows of a chunk of classes, computed in a worker process."""
-    return [_survey_row(p, *args) for p in chunk]
-
-
-def _pooled_rows(pool, workers: int, reps: list[StarPattern], *args):
-    """The rows of ``reps`` in order, from chunks of ``_CHUNK`` classes
-    submitted to ``pool`` one by one, with at most ``_IN_FLIGHT * workers``
-    submitted and not yet consumed; chunks still pending when the stream
-    stops (a worker raised) are cancelled, as ``Executor.map`` does."""
+def _pooled_rows(pool, workers: int, chunks, *args):
+    """The rows of ``chunks`` in order, each chunk submitted to ``pool`` as
+    one task of ``certify._survey_rows``, with at most
+    ``_IN_FLIGHT * workers`` submitted and not yet consumed; chunks still
+    pending when the stream stops (a worker raised) are cancelled, as
+    ``Executor.map`` does."""
     pending: deque = deque()
     try:
-        for i in range(0, len(reps), _CHUNK):
+        for chunk in chunks:
             if len(pending) == _IN_FLIGHT * workers:
                 yield from pending.popleft().result()
-            pending.append(pool.submit(_chunk_rows, reps[i : i + _CHUNK], *args))
+            pending.append(pool.submit(_survey_rows, chunk, *args))
         while pending:
             yield from pending.popleft().result()
     finally:
@@ -333,7 +339,7 @@ def _pooled_rows(pool, workers: int, reps: list[StarPattern], *args):
 
 def _classed(reps: list[StarPattern], rows, p_max: int) -> list[ClassRecord]:
     """The records of the classes ``reps``, classed as their rows (of
-    ``certify._survey_row``) arrive, as ``classify_all`` describes."""
+    ``certify._survey_rows``) arrive, as ``classify_all`` describes."""
     records: list[ClassRecord] = []
     buckets: dict[int, tuple | None] = {}
     forms: dict[tuple, int] = {}

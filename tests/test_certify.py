@@ -350,29 +350,43 @@ def test_walk_traces_count_closed_walks(p1, p2):
     for p in (p1, p2, parse_pattern("n=1 k=2; b1: 1")):
         m = realize(p)
         for adjacency in (cover_digraph(p).adjacency, m.successors):
-            traces = plmap_module._walk_traces(adjacency, 7)
+            (traces,) = plmap_module._walk_traces((adjacency,), 7)
             assert traces == [_closed_walk_count(adjacency, q) for q in range(1, 8)]
     # every entry of A^q reaches 9^(q-1): the packed fields must not overflow
     complete = tuple(tuple(range(9)) for _ in range(9))
-    assert plmap_module._walk_traces(complete, 12) == [9**q for q in range(1, 13)]
-    assert plmap_module._walk_traces((), 3) == [0, 0, 0]
-    with pytest.raises(ValueError):
-        plmap_module._walk_traces(((0,),), 0)
+    assert plmap_module._walk_traces((complete,), 12) == [[9**q for q in range(1, 13)]]
+    assert plmap_module._walk_traces(((),), 3) == [[0, 0, 0]]
+    assert plmap_module._walk_traces((), 3) == []
+    with pytest.raises(ValueError, match="bound must be positive"):
+        plmap_module._walk_traces((((0,),),), 0)
+    with pytest.raises(ValueError, match="equal vertex counts"):
+        plmap_module._walk_traces((((0,),), ((), (0,))), 3)
 
 
 def test_walk_traces_fixed_digraphs():
     complete = tuple(tuple(range(9)) for _ in range(9))
-    assert plmap_module._walk_traces(complete, 30) == [9**q for q in range(1, 31)]
-    assert plmap_module._walk_traces((), 30) == [0] * 30
+    full = [9**q for q in range(1, 31)]
+    assert plmap_module._walk_traces((complete,), 30) == [full]
+    assert plmap_module._walk_traces(((),), 30) == [[0] * 30]
     # every arc goes up the vertex order, so no walk closes
     acyclic = tuple(tuple(range(i + 1, 7)) for i in range(7))
-    assert plmap_module._walk_traces(acyclic, 40) == [0] * 40
+    assert plmap_module._walk_traces((acyclic,), 40) == [[0] * 40]
+    # every field of every block at its maximum: each entry of A^q is
+    # 9^(q-1) and each trace 9^q, so any carry out of a field or a block
+    # would show in the block above; the complete digraphs' blocks also
+    # sit between empty and cycle digraphs, whose masks keep only their
+    # own arcs
+    assert plmap_module._walk_traces((complete,) * 7, 30) == [full] * 7
+    empty, cycle = ((),) * 9, tuple(((i + 1) % 9,) for i in range(9))
+    batch = (complete, empty, complete, complete, cycle, complete)
+    expected = {complete: full, empty: [0] * 30, cycle: [0 if q % 9 else 9 for q in range(1, 31)]}
+    assert plmap_module._walk_traces(batch, 30) == [expected[a] for a in batch]
 
 
 @pytest.mark.parametrize("c", range(1, 6))
 def test_walk_traces_of_a_cycle(c):
     cycle = tuple(((i + 1) % c,) for i in range(c))
-    assert plmap_module._walk_traces(cycle, 40) == [0 if q % c else c for q in range(1, 41)]
+    assert plmap_module._walk_traces((cycle,), 40) == [[0 if q % c else c for q in range(1, 41)]]
 
 
 def _adjacency(bits, size):
@@ -381,14 +395,26 @@ def _adjacency(bits, size):
     return tuple(tuple(j for j in range(size) if bits >> (i * size + j) & 1) for i in range(size))
 
 
+@st.composite
+def _batches(draw):
+    """A batch of 1 to 70 digraphs of one size from 0 to 10, drawn from a
+    pool of 1 to 70 (so some repeat, and some rows are equal in every
+    digraph), and a bound from 1 to 60."""
+    size = draw(st.integers(0, 10))
+    pool = draw(st.lists(st.integers(0, 2 ** (size * size) - 1), min_size=1, max_size=70))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=70))
+    return [_adjacency(bits, size) for bits in picks], draw(st.integers(1, 60))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 10), st.integers(0, 2**100 - 1), st.integers(1, 60)), min_size=1, max_size=4))
-def test_walk_traces_match_the_reference_on_random_digraphs(calls):
-    # several shapes in one run: the constants built once per shape must
-    # never leak from one call into the next
-    for size, bits, bound in calls:
-        adjacency = _adjacency(bits, size)
-        assert plmap_module._walk_traces(adjacency, bound) == ref_traces.walk_traces(adjacency, bound)
+@given(st.lists(_batches(), min_size=1, max_size=4))
+def test_walk_traces_match_the_reference_on_random_digraphs(batches):
+    # several batch shapes in one run, each digraph against the reference
+    # on its own: the constants built once per shape must never leak from
+    # one batch into the next, nor one block's counts into another's
+    for batch, bound in batches:
+        traces = plmap_module._walk_traces(batch, bound)
+        assert traces == [ref_traces.walk_traces(adjacency, bound) for adjacency in batch]
 
 
 # ------------------------------------------------------------ walk counts
@@ -401,7 +427,7 @@ COUNT_HORIZON = {2: 8, 3: 8, 4: 8, 5: 6, 6: 5}
 
 
 def _counts(m, bound):
-    traces = plmap_module._walk_traces(cover_digraph(m.pattern).adjacency, bound)
+    (traces,) = plmap_module._walk_traces((cover_digraph(m.pattern).adjacency,), bound)
     return plmap_module._period_counts(m.pattern.k, traces)
 
 
@@ -422,15 +448,21 @@ def test_cover_digraph_traces_equal_piece_graph_traces(k):
     # both equal the reference's every-power traces at 2k + 3, where the
     # bound exceeds every vertex count, so the traces past the first s
     # come from the characteristic-polynomial recurrence
+    # come from the characteristic-polynomial recurrence; the covering
+    # digraphs of one shape share k - 1 vertices and are counted as one
+    # batch, each piece graph on its own
     traces = plmap_module._walk_traces
     for n in range(1, 5):
-        for p in enumerate_patterns(n, k):
+        classes = enumerate_patterns(n, k)
+        covers = [cover_digraph(p).adjacency for p in classes]
+        short, deep = traces(covers, 8), traces(covers, 2 * k + 3)
+        for p, cover, cover_short, cover_deep in zip(classes, covers, short, deep):
             m = realize(p)
-            assert traces(cover_digraph(p).adjacency, 8) == traces(m.successors, 8), p.to_text()
-            for adjacency in (cover_digraph(p).adjacency, m.successors):
-                assert len(adjacency) < 2 * k + 3
-                expected = ref_traces.walk_traces(adjacency, 2 * k + 3)
-                assert traces(adjacency, 2 * k + 3) == expected, p.to_text()
+            assert cover_short == traces((m.successors,), 8)[0], p.to_text()
+            assert cover_deep == ref_traces.walk_traces(cover, 2 * k + 3), p.to_text()
+            assert len(m.successors) < 2 * k + 3
+            expected = ref_traces.walk_traces(m.successors, 2 * k + 3)
+            assert traces((m.successors,), 2 * k + 3) == [expected], p.to_text()
 
 
 def test_period_counts_equal_the_moebius_sum():

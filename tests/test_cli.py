@@ -317,7 +317,9 @@ def test_analyze_inconsistency_exits_1(ex1_file, monkeypatch, capsys):
 
 
 def test_analyze_walk_count_disagreement_exits_1(ex1_file, monkeypatch, capsys):
-    monkeypatch.setattr(certify_module, "_walk_traces", lambda adjacency, bound: [0] * bound)
+    monkeypatch.setattr(
+        certify_module, "_walk_traces", lambda batch, bound: [[0] * bound for _ in batch]
+    )
     assert run(["analyze", "--pattern", ex1_file]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1128,9 +1130,11 @@ def test_only_survey_commands_load_the_survey(last, ex1_file):
 
 
 def test_survey_jobs_2_matches_jobs_1_from_a_fresh_process():
-    # the survey module is imported inside the call, before any pool starts
+    # the survey module is imported inside the call, before any pool starts;
+    # the 1,200 classes of (3, 7) make more than one chunk, so --jobs 2
+    # starts one
     env = child_env()
-    call = [sys.executable, "-m", "stardyn.cli", "survey", "--n", "3", "--k", "6", "--jobs"]
+    call = [sys.executable, "-m", "stardyn.cli", "survey", "--n", "3", "--k", "7", "--jobs"]
     serial, parallel = (
         subprocess.run([*call, jobs], capture_output=True, env=env, check=True).stdout
         for jobs in ("1", "2")
@@ -1297,6 +1301,7 @@ def test_subprocess_byte_identical_outputs(ex1_file):
 
 
 def test_jobs_flag_does_not_change_output(capsys, monkeypatch):
+    monkeypatch.setattr(survey_module, "_CHUNK", 8)  # so these small surveys make several
     assert run(["survey", "--n", "3", "--k", "5"]) == 0
     serial = capsys.readouterr().out
     assert run(["survey", "--n", "3", "--k", "5", "--jobs", "3"]) == 0
@@ -1311,6 +1316,36 @@ def test_jobs_flag_does_not_change_output(capsys, monkeypatch):
     assert capsys.readouterr().err == message
     assert run(["survey", "--n", "2", "--k", "5", "--jobs", "2"]) == 3
     assert capsys.readouterr().err == message
+
+
+def test_a_count_refuting_a_claim_mid_chunk_reads_the_same_under_any_jobs(monkeypatch, capsys):
+    # the walk count of one class in the middle of the second chunk drops
+    # to zero, so its forced period 1 is refuted; with --jobs 2 the chunk
+    # is analyzed in a worker process, and the error reads the same
+    chunk = survey_module._CHUNK
+    reps = patterns_module.enumerate_patterns(3, 7, all_branches=True)
+    adjacencies = [patterns_module._tables(p).adjacency for p in reps]
+    middle = chunk + chunk // 2
+    assert chunk < middle < len(reps) - 1  # neither end of its chunk
+    assert adjacencies.index(adjacencies[middle]) == middle  # no earlier class shares it
+    walk_traces = certify_module._walk_traces
+
+    def refuted(batch, bound):
+        counted = walk_traces(batch, bound)
+        return [[0] * bound if a == adjacencies[middle] else t for a, t in zip(batch, counted)]
+
+    monkeypatch.setattr(certify_module, "_walk_traces", refuted)
+    errors = []
+    for jobs in ("1", "2"):
+        assert run(["survey", "--n", "3", "--k", "7", "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"stardyn: inconsistency: {reps[middle].to_text()}: certificates ")
+    assert errors[0].endswith(
+        "claim period 1 but the closed-walk count finds no such point — this is a bug\n"
+    )
 
 
 def test_cli_import_does_not_load_numpy():

@@ -360,7 +360,9 @@ def test_every_public_listing_checks_the_walk_count(m2, monkeypatch):
     # the scan under each public listing counts its points again from the
     # covering digraph's closed walks, so a doctored count is caught
     # whichever listing asks
-    monkeypatch.setattr(plmap_module, "_walk_traces", lambda adjacency, bound: [0] * bound)
+    monkeypatch.setattr(
+        plmap_module, "_walk_traces", lambda batch, bound: [[0] * bound for _ in batch]
+    )
     for listing, listed in ((oracle_scan, 80), (periodic_points, 80), (first_witness, 1)):
         with pytest.raises(InconsistencyError) as raised:
             listing(m2, 8)
@@ -538,7 +540,7 @@ def _scan_matches_reference(m, p, cap=None, first_only=False):
     assert all(_least_period_is(m, w.point, p) for w in witnesses), (m.pattern.to_text(), p)
     k = m.pattern.k
     if p % k:
-        count = _period_counts(k, _walk_traces(m.tables.adjacency, p))[p]
+        count = _period_counts(k, _walk_traces((m.tables.adjacency,), p)[0])[p]
         if not first_only and scan.complete:
             assert len(witnesses) == count, (m.pattern.to_text(), p)
         else:

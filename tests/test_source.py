@@ -193,7 +193,7 @@ def test_periods_are_counted_from_walks_where_they_are_checked():
     # decide periods by them and hand them to the scan
     assert _package_callers("_period_counts", "") == {
         "plmap._scan",
-        "certify._survey_row",
+        "certify._survey_rows",
         "certify.periodicity_report",
     }
 

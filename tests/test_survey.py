@@ -187,8 +187,8 @@ def test_survey_row_agrees_with_report(case):
     # the row counts closed walks where the report asks the oracle
     p, p_max, max_iterate = case
     forced = frozenset(forced_periods(1, p.k, p_max))
-    present, chaos, center, nplus2, adjacency, traces = certify_module._survey_row(
-        p, p_max, max_iterate, forced
+    ((present, chaos, center, nplus2, adjacency, traces),) = certify_module._survey_rows(
+        [p], p_max, max_iterate, forced
     )
     report = periodicity_report(p, p_max=p_max, max_iterate=max_iterate)
     assert set(present) == report.present, p.to_text()
@@ -196,10 +196,11 @@ def test_survey_row_agrees_with_report(case):
     assert center == isinstance(report.theorem, CenterTheoremCase)
     assert nplus2 == isinstance(report.theorem, NPlus2Case)
     assert adjacency == report.digraph.adjacency
-    assert traces == tuple(certify_module._walk_traces(adjacency, p_max))
+    assert traces == tuple(certify_module._walk_traces((adjacency,), p_max)[0])
 
 
-def test_parallel_jobs_match_serial(survey_3_5):
+def test_parallel_jobs_match_serial(survey_3_5, monkeypatch):
+    monkeypatch.setattr(survey_module, "_CHUNK", 4)  # 12 classes, 3 chunks
     par = classify_all(3, 5, 10, jobs=3)
     assert par.counts == survey_3_5.counts
     assert emit_table(par.records, "json") == emit_table(survey_3_5.records, "json")
@@ -244,7 +245,7 @@ class _SerialTask:
 
 @pytest.mark.parametrize(
     "n,k,jobs,cpus,workers",
-    # 12 classes are 2 chunks of 8; 120 classes are 15
+    # in chunks of 8, 12 classes are 2 chunks; 120 classes are 15
     [
         (3, 5, 100_000, 64, 2),
         (3, 6, 100_000, 4, 4),
@@ -260,6 +261,7 @@ def test_jobs_bound_the_pool(n, k, jobs, cpus, workers, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(survey_module, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(survey_module, "_CHUNK", 8)
     monkeypatch.setattr(_SerialPool, "made", [])
     result = classify_all(n, k, 6, jobs=jobs)
     assert [pool.size for pool in _SerialPool.made] == ([] if workers is None else [workers])
@@ -274,6 +276,7 @@ def test_parallel_survey_keeps_a_bounded_window_of_chunks(workers, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(survey_module, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(survey_module, "_CHUNK", 8)
     monkeypatch.setattr(_SerialPool, "made", [])
     result = classify_all(3, 7, 6, jobs=workers)
     (pool,) = _SerialPool.made
@@ -288,24 +291,47 @@ def test_parallel_survey_cancels_pending_chunks_when_one_raises(monkeypatch):
     # are cancelled and never run, and no later chunk is submitted
     import concurrent.futures
 
-    chunk_rows = survey_module._chunk_rows
+    survey_rows = survey_module._survey_rows
     chunks = []
 
     def third_raises(chunk, *args):
         chunks.append(chunk)
         if len(chunks) == 3:
             raise RuntimeError("chunk 3")
-        return chunk_rows(chunk, *args)
+        return survey_rows(chunk, *args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(survey_module, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(survey_module, "_chunk_rows", third_raises)
+    monkeypatch.setattr(survey_module, "_CHUNK", 8)
+    monkeypatch.setattr(survey_module, "_survey_rows", third_raises)
     monkeypatch.setattr(_SerialPool, "made", [])
     with pytest.raises(RuntimeError, match="chunk 3"):
         classify_all(3, 7, 6, jobs=2)
     (pool,) = _SerialPool.made
     w = survey_module._IN_FLIGHT * 2
     assert (pool.most, pool.outstanding, pool.cancelled, len(chunks)) == (w, w - 1, w - 1, 3)
+
+
+def test_a_survey_counts_walks_once_per_chunk(monkeypatch):
+    # the closed walks of a whole chunk of classes are counted in one
+    # packed pass, not one call per class
+    calls = _count_calls(monkeypatch, ("_walk_traces",))
+    result = classify_all(3, 7, 10)
+    assert len(result.records) == 1200 > survey_module._CHUNK
+    assert calls["_walk_traces"] == -(-1200 // survey_module._CHUNK)
+
+
+@pytest.mark.parametrize(
+    "n,k,p_max",
+    # (2, 8) at pmax 16 realizes every class and scans q = 16 for a witness
+    [(3, 7, 10), (2, 8, 16)],
+)
+def test_classify_all_is_the_same_under_jobs_1_and_2(n, k, p_max):
+    serial = classify_all(n, k, p_max, jobs=1)
+    assert classify_all(n, k, p_max, jobs=2) == serial
+    # more than one chunk, so a pool starts, and the last one is short
+    assert len(serial.records) > survey_module._CHUNK
+    assert len(serial.records) % survey_module._CHUNK
 
 
 def test_classify_deterministic_bytes(survey_3_5):
@@ -589,23 +615,29 @@ def test_classify_all_validates_and_masks_once_per_class(monkeypatch):
 
 
 def test_classify_all_classes_each_row_before_the_next_is_analyzed(monkeypatch):
-    # with one job the rows are classed as they arrive: no list of rows
+    # with one job the rows of a chunk are classed as they arrive, before
+    # the next chunk is analyzed: no list of rows beyond one chunk's
     order = []
-    survey_row, degree_codes = survey_module._survey_row, survey_module._degree_codes
+    survey_rows, degree_codes = survey_module._survey_rows, survey_module._degree_codes
 
-    def row(p, *args):
-        order.append(("row", p))
-        return survey_row(p, *args)
+    def rows(chunk, *args):
+        order.append(("rows", chunk))
+        return survey_rows(chunk, *args)
 
     def codes(adjacency):
         order.append(("class", adjacency))
         return degree_codes(adjacency)
 
-    monkeypatch.setattr(survey_module, "_survey_row", row)
+    monkeypatch.setattr(survey_module, "_survey_rows", rows)
     monkeypatch.setattr(survey_module, "_degree_codes", codes)
+    monkeypatch.setattr(survey_module, "_CHUNK", 50)
     result = classify_all(3, 6, jobs=1)
-    assert [step for step, _ in order] == ["row", "class"] * len(result.records)
-    assert [p for step, p in order if step == "row"] == [r.pattern for r in result.records]
+    sizes = [50, 50, 20]  # 120 classes
+    assert [step for step, _ in order] == [
+        step for size in sizes for step in ["rows"] + ["class"] * size
+    ]
+    analyzed = [p for step, chunk in order if step == "rows" for p in chunk]
+    assert analyzed == [r.pattern for r in result.records]
 
 
 def test_classify_all_memory_per_class_stays_bounded():
@@ -789,13 +821,18 @@ def test_canonical_form_decides_isomorphism_on_random_digraphs(pair):
 def test_verify_paper_builds_one_digraph_per_report(monkeypatch):
     # the two digraph checks read the reports' digraphs; every table
     # belongs to a report or to the row of a survey class
-    calls = _count_calls(
-        monkeypatch, ("periodicity_report", "cover_digraph", "_survey_row", "_tables")
-    )
+    calls = _count_calls(monkeypatch, ("periodicity_report", "cover_digraph", "_tables"))
+    survey_rows, classes = survey_module._survey_rows, []
+
+    def rows(chunk, *args):
+        classes.extend(chunk)
+        return survey_rows(chunk, *args)
+
+    monkeypatch.setattr(survey_module, "_survey_rows", rows)
     assert verify_paper().all_passed
-    assert calls["_survey_row"] > 0
+    assert classes
     assert calls["cover_digraph"] == 0
-    assert calls["_tables"] == calls["periodicity_report"] + calls["_survey_row"]
+    assert calls["_tables"] == calls["periodicity_report"] + len(classes)
 
 
 def test_classify_all_raises_when_the_oracle_finds_a_claimed_period_absent(monkeypatch):
@@ -807,7 +844,9 @@ def test_classify_all_raises_when_the_oracle_finds_a_claimed_period_absent(monke
 
 def test_classify_all_raises_when_a_claimed_period_counts_zero(monkeypatch):
     # period 1 is forced for every class, so a zero count contradicts its claim
-    monkeypatch.setattr(certify_module, "_walk_traces", lambda adjacency, bound: [0] * bound)
+    monkeypatch.setattr(
+        certify_module, "_walk_traces", lambda batch, bound: [[0] * bound for _ in batch]
+    )
     with pytest.raises(InconsistencyError, match="claim period 1 but the closed-walk count"):
         classify_all(3, 5)
 
