@@ -652,7 +652,7 @@ def _walk_traces(batch, bound: int) -> list[list[int]]:
             rows[i] += sum(map(and_, map(get, part), masks))
         packed += sum(map(and_, rows, diagonal)) * gather >> shift & low
     data = packed.to_bytes(count * stride, "big")
-    flat = list(map(int.from_bytes, map(data.__getitem__, reads)))
+    flat = [int.from_bytes(data[read], "big") for read in reads]
     batch_traces = []
     for b in range(count):
         traces = flat[b * steps : b * steps + steps]

@@ -231,10 +231,9 @@ def _canonical_form(adjacency: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, 
 # classes per call of the chunk function, serial or in a worker, and tasks
 # in flight per worker: rows are classed in order, so a slow chunk holds the
 # window up.  survey --n 3 --k 9 (2 CPUs, two runs each) took 13.0-15.3 s
-# with --jobs 1 and 8.7-12.1 s with --jobs 2 at any chunk of 32 to 256
-# classes, with no size ahead beyond the noise (128 is from the middle),
-# against 19.1-21.3 s and 15.4-20.6 s when each class counted its own
-# walks; the peak RSS stayed at 119-123 MB
+# with --jobs 1 and 8.7-12.1 s with --jobs 2 at 119-123 MB peak RSS for
+# any chunk of 32 to 256 classes, no size ahead beyond the noise; 128 is
+# from the middle
 _CHUNK = 128
 _IN_FLIGHT = 8
 

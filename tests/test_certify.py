@@ -447,7 +447,6 @@ def test_walk_count_equals_oracle_list_on_every_class(k):
 def test_cover_digraph_traces_equal_piece_graph_traces(k):
     # both equal the reference's every-power traces at 2k + 3, where the
     # bound exceeds every vertex count, so the traces past the first s
-    # come from the characteristic-polynomial recurrence
     # come from the characteristic-polynomial recurrence; the covering
     # digraphs of one shape share k - 1 vertices and are counted as one
     # batch, each piece graph on its own

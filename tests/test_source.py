@@ -223,9 +223,24 @@ def test_each_name_is_its_home_modules_own():
     assert set(stardyn._EXPORTS) <= set(dir(stardyn))
 
 
+def test_every_int_byte_conversion_names_its_byte_order():
+    # int.from_bytes and int.to_bytes take the byte order as an optional
+    # argument only from Python 3.11 on, and the package supports 3.10
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes"):
+                call = calls.get(id(node))
+                if call is None or len(call.args) < 2 and all(k.arg != "byteorder" for k in call.keywords):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_unknown_names_raise_the_standard_attribute_error():
     # a name outside the table, a private one of a module included
-    for name in ("no_such_name", "_survey_row"):
+    for name in ("no_such_name", "_survey_rows"):
         with pytest.raises(AttributeError, match=f"^module 'stardyn' has no attribute {name!r}$"):
             getattr(stardyn, name)
     with pytest.raises(ImportError, match="cannot import name 'no_such_name' from 'stardyn'"):
